@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateTaskId,
     EmptyTask,
+    NonFiniteValue,
     NotPSD,
     NotSymmetric,
     SigmaOutOfRange,
@@ -120,6 +121,7 @@ def validate_dataset(ds):
     EmptyTask : some task has no points (or there are no tasks)
     DimensionMismatch : input vectors do not share one dimension d >= 1
     DuplicateTaskId : two tasks carry the same id
+    NonFiniteValue : some input or target is NaN or infinite
     """
     if ds.m < 1:
         raise EmptyTask("dataset has no tasks")
@@ -141,6 +143,9 @@ def validate_dataset(ds):
             raise DimensionMismatch(
                 f"task {t.task_id!r} has {t.targets.shape[0]} targets for {t.n} points"
             )
+        for what, values in (("inputs", t.inputs), ("targets", t.targets)):
+            if not np.isfinite(values).all():
+                raise NonFiniteValue(f"task {t.task_id!r} has non-finite {what}")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ class TaskIndexOutOfRange(TaskcovError):
     pass
 
 
+class NonFiniteValue(TaskcovError):
+    """A NaN or infinite input, target or query."""
+
+
 # --- dense matrix primitives ---
 
 class NotSymmetric(TaskcovError):

@@ -11,17 +11,22 @@ over the payload.
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskCovariance, TaskData, TrainedModel, validate_dataset
-from .errors import CorruptModel, EmptyFile, ParseError, VersionMismatch
+from .errors import CorruptModel, EmptyFile, NonFiniteValue, ParseError, VersionMismatch
 
 MODEL_FORMAT = "taskcov-model 1"
 
 
 def load_csv(path):
-    """Read a multi-task dataset from CSV; returns a validated dataset."""
+    """Read a multi-task dataset from CSV; returns a validated dataset.
+
+    Raises ParseError on malformed text and NonFiniteValue on a NaN or
+    infinite number, naming the line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -44,6 +49,9 @@ def load_csv(path):
                 values = [float(c) for c in row[1:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            for token, value in zip(row[1:], values):
+                if not math.isfinite(value):
+                    raise NonFiniteValue(f"{path}:{lineno}: non-finite value {token.strip()!r}")
             if tid not in rows:
                 rows[tid] = []
                 order.append(tid)

@@ -74,7 +74,12 @@ def assemble_kernel_matrix(ds, kernel, coupling):
     Entry (p, q) couples the tasks of flat points p and q and multiplies
     by the base kernel of their inputs.
     """
-    base = base_kernel_matrix(kernel, ds.inputs)
+    return _combined_kernel(ds, base_kernel_matrix(kernel, ds.inputs), coupling)
+
+
+def _combined_kernel(ds, base, coupling):
+    """assemble_kernel_matrix from an already built base Gram, so that a
+    fit can build the base Gram once and re-couple it every iteration."""
     factors = coupling[np.ix_(ds.point_task, ds.point_task)]
     k = factors * base
     return (k + k.T) / 2.0

@@ -105,10 +105,16 @@ def solve_linear(a, rhs):
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    residual = np.linalg.norm(a @ x - rhs)
-    if not np.isfinite(residual) or residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise SingularSystem(f"solve residual {residual:.3e} too large")
+    _check_residual(a @ x - rhs, rhs)
     return x
+
+
+def _check_residual(residual, rhs):
+    """The solve gate: raise SingularSystem unless
+    ||residual|| <= 1e-8 max(1, ||rhs||)."""
+    norm = np.linalg.norm(residual)
+    if not np.isfinite(norm) or norm > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        raise SingularSystem(f"solve residual {norm:.3e} too large")
 
 
 def correlation_from_covariance(omega):

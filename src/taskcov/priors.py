@@ -18,9 +18,8 @@ from .errors import (
     NotPSD,
     SelfEdge,
 )
-from .kernels import assemble_kernel_matrix, base_kernel_matrix
 from .linalg import sym_eig
-from .solver import solve_alpha_b_direct, solve_alpha_b_smo, DIRECT_SOLVE_LIMIT
+from .solver import _coefficient_step, _fitted_state, _loss_and_norm_terms
 
 
 def laplacian_mean_regularization(m):
@@ -122,9 +121,10 @@ def _reported_covariance(inverse):
 def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     """One dual solve with the relationship structure held fixed.
 
-    No covariance update runs; the model reports the trace-normalized
-    pseudo-inverse of L as its covariance (for inspection only - the
-    stored coupling is what predictions use).
+    The solve is fit's coefficient step (solver as in fit). No covariance
+    update runs; the model reports the trace-normalized pseudo-inverse of
+    L as its covariance (for inspection only - the stored coupling is what
+    predictions use).
     """
     validate_dataset(ds)
     if hp.lam1 <= 0:
@@ -135,21 +135,11 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     spectrum = sym_eig(inverse).values  # also rejects asymmetric input
     if spectrum.size and spectrum[-1] < -1e-8:
         raise NotPSD(f"fixed inverse has eigenvalue {spectrum[-1]:.3e}")
+    step = _coefficient_step(ds, kernel, solver)
     coupling = _coupling_from_fixed_inverse(inverse, hp)
-    use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
-    if use_smo:
-        alpha, b = solve_alpha_b_smo(ds, kernel, coupling)
-    else:
-        alpha, b = solve_alpha_b_direct(ds, kernel, coupling)
-    k = assemble_kernel_matrix(ds, kernel, coupling)
-    residuals = ds.targets - (k @ alpha + b[ds.point_task])
-    weights = 1.0 / ds.counts[ds.point_task]
-    spread = np.zeros((ds.total, ds.m))
-    spread[np.arange(ds.total), ds.point_task] = alpha
-    gram = coupling @ (spread.T @ base_kernel_matrix(kernel, ds.inputs) @ spread) @ coupling
+    alpha, b, residuals, gram = _fitted_state(ds, step, coupling)
     objective = (
-        float(np.sum(weights * residuals**2))
-        + 0.5 * hp.lam1 * float(np.trace(gram))
+        _loss_and_norm_terms(ds, residuals, gram, hp)
         + 0.5 * hp.lam2 * float(np.trace(inverse @ gram))
     )
     return TrainedModel(

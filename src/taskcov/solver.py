@@ -1,20 +1,40 @@
 """Alternating optimizer for the joint regression / task-covariance fit.
 
 One outer iteration solves the dual coefficients and biases exactly with
-the covariance held fixed (a saddle linear system, or SMO for large N),
-then updates the covariance analytically from the weight Gram matrix:
-Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}). Both substeps minimize a
-jointly convex objective, so the recorded objective never increases.
+the covariance held fixed, then updates the covariance analytically from
+the weight Gram matrix: Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}). Both
+substeps minimize a jointly convex objective, so the recorded objective
+never increases.
+
+The coefficient step is chosen once per fit. With solver='auto' and a
+linear kernel on data where m*d < N, the combined kernel has rank at most
+m*d and the saddle system is solved exactly in that low-rank form, with
+no N x N array. Otherwise the base Gram is built once per fit and the
+saddle system is solved densely: directly up to 2000 points, by SMO
+beyond (or as the solver argument says).
 """
 
 import numpy as np
 
 from .data import TaskCovariance, TrainedModel, validate_dataset
-from .errors import DegenerateGram, DimensionMismatch, MaxIterationsExceeded, NonDecreaseDetected
-from .kernels import assemble_kernel_matrix, base_kernel_matrix, coupling_matrix, cross_kernel_matrix
-from .linalg import solve_linear, sym_eig, trace_pinv_product
+from .errors import (
+    DegenerateGram,
+    DimensionMismatch,
+    MaxIterationsExceeded,
+    NonDecreaseDetected,
+    NonFiniteValue,
+    SingularSystem,
+)
+from .kernels import (
+    _combined_kernel,
+    assemble_kernel_matrix,
+    base_kernel_matrix,
+    coupling_matrix,
+    cross_kernel_matrix,
+)
+from .linalg import _check_residual, solve_linear, sym_eig, trace_pinv_product
 
-# Direct saddle solve up to this many points; SMO beyond.
+# Dense direct saddle solve up to this many points; SMO beyond.
 DIRECT_SOLVE_LIMIT = 2000
 SMO_DEFAULT_TOL = 1e-6
 SMO_MAX_ROUNDS = 200_000
@@ -35,6 +55,13 @@ def _loss_weights(ds):
     return ds.counts[ds.point_task].astype(float)
 
 
+def _spread(ds, alpha):
+    """N x m matrix holding each dual coefficient in its task's column."""
+    spread = np.zeros((ds.total, ds.m))
+    spread[np.arange(ds.total), ds.point_task] = alpha
+    return spread
+
+
 def solve_alpha_b_direct(ds, kernel, coupling):
     """Exact dual coefficients and biases for a fixed coupling matrix.
 
@@ -44,8 +71,12 @@ def solve_alpha_b_direct(ds, kernel, coupling):
     where K is the combined-kernel Gram and E holds per-task indicator
     columns. Raises SingularSystem if the factorization fails.
     """
+    return _saddle_solve(ds, assemble_kernel_matrix(ds, kernel, coupling))
+
+
+def _saddle_solve(ds, k):
+    """solve_alpha_b_direct for the combined-kernel Gram k."""
     n, m = ds.total, ds.m
-    k = assemble_kernel_matrix(ds, kernel, coupling)
     ind = _indicator_matrix(ds)
     block = np.zeros((n + m, n + m))
     block[:n, :n] = k + np.diag(_loss_weights(ds) / 2.0)
@@ -69,8 +100,13 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     Raises MaxIterationsExceeded (carrying the best iterate) if the KKT
     spread does not fall below kkt_tol in time.
     """
+    return _smo_solve(ds, assemble_kernel_matrix(ds, kernel, coupling), kkt_tol, max_rounds)
+
+
+def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
+    """solve_alpha_b_smo for the combined-kernel Gram k (left unchanged)."""
     n = ds.total
-    kt = assemble_kernel_matrix(ds, kernel, coupling)
+    kt = k.copy()
     kt[np.diag_indices(n)] += _loss_weights(ds) / 2.0
     alpha = np.zeros(n)
     grad = -ds.targets.copy()  # gradient of h at alpha = 0
@@ -129,12 +165,92 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
 
 
 def _gram_from_coupling(alpha, ds, kernel, coupling):
-    spread = np.zeros((ds.total, ds.m))
-    spread[np.arange(ds.total), ds.point_task] = alpha
+    spread = _spread(ds, alpha)
     base = base_kernel_matrix(kernel, ds.inputs)
-    s = spread.T @ base @ spread
-    g = coupling @ s @ coupling
+    return _weight_gram(coupling, spread.T @ base @ spread)
+
+
+def _weight_gram(coupling, blocked):
+    """W^T W = C S C from the task-blocked form S of the coefficients."""
+    g = coupling @ blocked @ coupling
     return (g + g.T) / 2.0
+
+
+def _coefficient_step(ds, kernel, solver):
+    """The coefficient step of one fit, its path chosen once.
+
+    Returns a function of the coupling matrix C giving (alpha, b, K alpha,
+    S): the exact saddle solution, the fitted values without biases, and
+    the task-blocked quadratic form of alpha against the base Gram, so
+    that W^T W = C S C.
+    """
+    if solver not in ("direct", "smo", "auto"):
+        raise ValueError(f"unknown solver {solver!r}")
+    if solver == "auto" and kernel.kind == "linear" and ds.m * ds.dim < ds.total:
+        return lambda coupling: _low_rank_solve(ds, coupling)
+    use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
+    solve = _smo_solve if use_smo else _saddle_solve
+    base = base_kernel_matrix(kernel, ds.inputs)
+
+    def dense_step(coupling):
+        k = _combined_kernel(ds, base, coupling)
+        alpha, b = solve(ds, k)
+        spread = _spread(ds, alpha)
+        return alpha, b, k @ alpha, spread.T @ base @ spread
+
+    return dense_step
+
+
+def _low_rank_solve(ds, coupling):
+    """Exact saddle solve for the linear kernel in m*d dimensions.
+
+    alpha has zero sum over each task, so moving a task's inputs by a
+    constant leaves alpha unchanged and only shifts that task's bias: the
+    solve runs on task-centred inputs, which keeps large input offsets
+    from cancelling in the Schur complement. With C = L L^T the centred
+    combined kernel is K = Z Z^T for the N x (m*d) matrix Z whose row p is
+    L[t_p] (x) x_p. Writing D = diag(n_i)/2 and F = D^{-1/2} Z, Woodbury
+    with the Cholesky factor R R^T = I + F^T F gives
+    (K + D)^{-1} = D^{-1/2} (I - Q Q^T) D^{-1/2} with Q = F R^{-T}; the
+    biases solve the m x m Schur complement E^T (K + D)^{-1} E.
+
+    K alpha is formed in the primal, x_p . (U C)[:, t_p] with
+    U[:, i] = sum over task i of alpha_p x_p, so the residual gate of
+    solve_linear applies to the full saddle system at C itself. S = U^T U.
+    """
+    x = ds.inputs
+    ind = _indicator_matrix(ds)
+    half = _loss_weights(ds) / 2.0
+    root = 1.0 / np.sqrt(half)[:, None]
+    means = (ind.T @ x) / ds.counts[:, None]
+    centred = x - means[ds.point_task]
+    dec = sym_eig(coupling)
+    keep = dec.values > 0.0
+    factor = dec.vectors[:, keep] * np.sqrt(dec.values[keep])
+    f = (factor[ds.point_task][:, :, None] * centred[:, None, :]).reshape(ds.total, -1) * root
+    try:
+        chol = np.linalg.cholesky(np.eye(f.shape[1]) + f.T @ f)
+        q_t = np.linalg.solve(chol, f.T)
+        rhs = np.column_stack([ds.targets, ind]) * root
+        solved = (rhs - q_t.T @ (q_t @ rhs)) * root
+        centred_b = np.linalg.solve(ind.T @ solved[:, 1:], ind.T @ solved[:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
+    alpha = solved[:, 0] - solved[:, 1:] @ centred_b
+    u = centred.T @ _spread(ds, alpha)
+    weights = u @ coupling
+    b = centred_b - np.einsum("ij,ji->i", means, weights)
+    fitted = np.einsum("pj,pj->p", x, weights.T[ds.point_task])
+    residual = np.concatenate([fitted + half * alpha + b[ds.point_task] - ds.targets, ind.T @ alpha])
+    _check_residual(residual, ds.targets)
+    return alpha, b, fitted, u.T @ u
+
+
+def _fitted_state(ds, step, coupling):
+    """alpha, b, the loss residuals and the weight Gram at one coupling."""
+    alpha, b, fitted, blocked = step(coupling)
+    residuals = ds.targets - (fitted + b[ds.point_task])
+    return alpha, b, residuals, _weight_gram(coupling, blocked)
 
 
 def update_omega(gram):
@@ -158,12 +274,16 @@ def update_omega(gram):
     return TaskCovariance(root / total)
 
 
-def _objective_terms(ds, loss_residuals, gram, omega, hp):
+def _loss_and_norm_terms(ds, loss_residuals, gram, hp):
+    """Objective without its relationship term."""
     weights = 1.0 / ds.counts[ds.point_task]
     loss = float(np.sum(weights * loss_residuals**2))
-    norm_term = 0.5 * hp.lam1 * float(np.trace(gram))
+    return loss + 0.5 * hp.lam1 * float(np.trace(gram))
+
+
+def _objective_terms(ds, loss_residuals, gram, omega, hp):
     rel_term = 0.5 * hp.lam2 * trace_pinv_product(omega.matrix, gram)
-    return loss + norm_term + rel_term
+    return _loss_and_norm_terms(ds, loss_residuals, gram, hp) + rel_term
 
 
 def objective_value(ds, alpha, b, omega, kernel, hp):
@@ -194,7 +314,9 @@ def fit(ds, kernel, hp, solver="auto"):
     ds : MultiTaskDataset
     kernel : KernelSpec
     hp : Hyperparams (lam1 must be positive)
-    solver : 'direct', 'smo' or 'auto' (direct up to 2000 points)
+    solver : 'direct', 'smo' or 'auto'. 'auto' solves the linear kernel
+        exactly in low-rank form when m*d < N; otherwise it takes the
+        direct saddle solve up to 2000 points and SMO beyond.
 
     Returns a TrainedModel whose objective trace is non-increasing; a rise
     beyond 1e-8 relative raises NonDecreaseDetected. Stops when the
@@ -205,27 +327,14 @@ def fit(ds, kernel, hp, solver="auto"):
     validate_dataset(ds)
     if hp.lam1 <= 0:
         raise ValueError("fitting requires lam1 > 0")
-    if solver not in ("direct", "smo", "auto"):
-        raise ValueError(f"unknown solver {solver!r}")
-    use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
-
-    def alpha_b_step(coupling):
-        if use_smo:
-            return solve_alpha_b_smo(ds, kernel, coupling)
-        return solve_alpha_b_direct(ds, kernel, coupling)
+    step = _coefficient_step(ds, kernel, solver)
 
     omega = TaskCovariance.unrelated(ds.m)
-    zero_b = np.zeros(ds.m)
-    trace = [objective_value(ds, np.zeros(ds.total), zero_b, omega, kernel, hp)]
+    trace = [objective_value(ds, np.zeros(ds.total), np.zeros(ds.m), omega, kernel, hp)]
 
-    alpha = np.zeros(ds.total)
-    b = zero_b
     for _ in range(hp.max_iters):
         coupling = coupling_matrix(omega, hp)
-        k = assemble_kernel_matrix(ds, kernel, coupling)
-        alpha, b = alpha_b_step(coupling)
-        residuals = ds.targets - (k @ alpha + b[ds.point_task])
-        gram = _gram_from_coupling(alpha, ds, kernel, coupling)
+        alpha, b, residuals, gram = _fitted_state(ds, step, coupling)
         try:
             omega = update_omega(gram)
         except DegenerateGram:
@@ -245,10 +354,7 @@ def fit(ds, kernel, hp, solver="auto"):
     # mutually consistent (the loop updates the covariance after the dual
     # solve). Can only lower the objective further.
     coupling = coupling_matrix(omega, hp)
-    k = assemble_kernel_matrix(ds, kernel, coupling)
-    alpha, b = alpha_b_step(coupling)
-    residuals = ds.targets - (k @ alpha + b[ds.point_task])
-    gram = _gram_from_coupling(alpha, ds, kernel, coupling)
+    alpha, b, residuals, gram = _fitted_state(ds, step, coupling)
     final = _objective_terms(ds, residuals, gram, omega, hp)
     if final > trace[-1] + NONDECREASE_RTOL * max(1.0, abs(trace[-1])):
         raise NonDecreaseDetected(
@@ -275,22 +381,48 @@ def predict(model, task_id, x):
     """Predict the output of one task at a new input.
 
     Evaluates the combined-kernel expansion over all stored support points
-    plus the task bias. Raises UnknownTask / DimensionMismatch on bad
-    queries.
+    plus the task bias. Raises UnknownTask / DimensionMismatch /
+    NonFiniteValue on bad queries.
     """
+    i, x = _query(model, task_id, x)
+    _require_finite(x[None, :])
+    return _predict(model, i, x)
+
+
+def predict_batch(model, task_ids, xs):
+    """Vector of predictions for parallel lists of task ids and inputs.
+
+    Raises as predict does; the inputs are tested for finiteness together,
+    after every query has passed its other checks.
+    """
+    queries = [_query(model, t, x) for t, x in zip(task_ids, xs)]
+    if queries:
+        _require_finite(np.array([x for _, x in queries]))
+    return np.array([_predict(model, i, x) for i, x in queries])
+
+
+def _query(model, task_id, x):
+    """Task index and flat input of one query, checked against the model."""
     i = model.task_index(task_id)
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.dim:
         raise DimensionMismatch(f"input has dimension {x.size}, model expects {model.dim}")
+    return i, x
+
+
+def _require_finite(queries):
+    """Raise NonFiniteValue naming the first row holding NaN or inf."""
+    bad = ~np.isfinite(queries).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonFiniteValue(f"query {k} {queries[k].tolist()} is not finite")
+
+
+def _predict(model, i, x):
     column = cross_kernel_matrix(
         model.kernel, model.coupling, model.support_inputs, model.support_tasks, i, x
     )
     return float(model.dual_coefs @ column + model.biases[i])
-
-
-def predict_batch(model, task_ids, xs):
-    """Vector of predictions for parallel lists of task ids and inputs."""
-    return np.array([predict(model, t, x) for t, x in zip(task_ids, xs)])
 
 
 def reconstruct_weights(model):

@@ -43,6 +43,16 @@ def test_duplicate_task_id_rejected():
         tc.validate_dataset(tc.MultiTaskDataset(tasks))
 
 
+@pytest.mark.parametrize("inputs,targets", [
+    ([[1.0], [np.nan]], [1.0, 2.0]),
+    ([[1.0], [2.0]], [1.0, np.inf]),
+])
+def test_non_finite_values_rejected(inputs, targets):
+    ds = tc.MultiTaskDataset([("ok", [[0.0]], [0.0]), ("bad", inputs, targets)])
+    with pytest.raises(errors.NonFiniteValue, match="'bad'"):
+        tc.validate_dataset(ds)
+
+
 def test_flat_order_is_task_concatenation():
     tasks = [("a", [[1.0], [2.0]], [1.0, 2.0]), ("b", [[3.0]], [3.0])]
     ds = tc.MultiTaskDataset(tasks)

@@ -31,6 +31,12 @@ class TestCsv:
         with pytest.raises(errors.ParseError, match=":3"):
             tc.load_csv(path)
 
+    def test_non_finite_token_names_row(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("task,y,x1\na,1.0,2.0\na,2.0,inf\n")
+        with pytest.raises(errors.NonFiniteValue, match=":3.*'inf'"):
+            tc.load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -3,6 +3,7 @@ import pytest
 
 import taskcov as tc
 from taskcov import errors
+from taskcov import solver
 from taskcov.solver import DIRECT_SOLVE_LIMIT
 from conftest import random_dataset
 
@@ -101,6 +102,81 @@ class TestSmo:
         with pytest.raises(errors.MaxIterationsExceeded) as info:
             tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, max_rounds=1)
         assert info.value.alpha is not None and info.value.b is not None
+
+
+def low_rank_instances(count=50, seed=30):
+    """Random linear problems with m*d < N, half of them with inputs far
+    from the origin, each with random weights and a fixed covariance."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m = int(rng.integers(1, 5))
+        d = int(rng.integers(1, 6))
+        ds = random_dataset(rng, m=m, d=d, n_lo=d + 1, n_hi=d + 15)
+        if trial % 2:
+            shift = rng.normal(scale=5.0, size=d)
+            ds = tc.MultiTaskDataset([(t.task_id, t.inputs + shift, t.targets) for t in ds.tasks])
+        lam1 = float(10 ** rng.uniform(-2, 0))
+        hp = tc.Hyperparams(lam1=lam1, lam2=lam1 * float(10 ** rng.uniform(-1.5, 0.5)))
+        assert ds.m * ds.dim < ds.total
+        yield ds, hp, unit_trace_psd(rng, m)
+
+
+class TestLowRankStep:
+    kernel = tc.KernelSpec("linear")
+
+    def test_matches_dense_direct_solve(self):
+        for ds, hp, omega in low_rank_instances():
+            c = tc.coupling_matrix(omega, hp)
+            alpha, b, fitted, blocked = solver._coefficient_step(ds, self.kernel, "auto")(c)
+            a_ref, b_ref = tc.solve_alpha_b_direct(ds, self.kernel, c)
+            np.testing.assert_allclose(alpha, a_ref, rtol=0, atol=1e-8 * np.max(np.abs(a_ref)))
+            np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-8 * np.max(np.abs(b_ref)))
+            k = tc.assemble_kernel_matrix(ds, self.kernel, c)
+            np.testing.assert_allclose(fitted, k @ alpha, rtol=0,
+                                       atol=1e-8 * max(1.0, np.max(np.abs(k @ alpha))))
+            np.testing.assert_allclose(
+                solver._weight_gram(c, blocked), tc.gram_wtw(alpha, ds, self.kernel, omega, hp),
+                rtol=1e-8, atol=1e-10,
+            )
+
+    def test_auto_fit_matches_direct_fit(self):
+        rng = np.random.default_rng(31)
+        for ds, hp, _ in low_rank_instances():
+            auto = tc.fit(ds, self.kernel, hp)
+            direct = tc.fit(ds, self.kernel, hp, solver="direct")
+            trace = auto.objective_trace
+            for a, b in zip(trace, trace[1:]):
+                assert b <= a + 1e-10 * abs(a)
+            ids = [ds.task_ids[i] for i in rng.integers(ds.m, size=10)]
+            xs = ds.inputs[rng.integers(ds.total, size=10)] + rng.normal(size=(10, ds.dim))
+            np.testing.assert_allclose(
+                tc.predict_batch(auto, ids, xs), tc.predict_batch(direct, ids, xs), rtol=0, atol=1e-6
+            )
+
+    def test_auto_builds_no_dense_system(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense path ran")
+
+        for name in ("assemble_kernel_matrix", "base_kernel_matrix", "solve_linear", "_combined_kernel"):
+            monkeypatch.setattr(solver, name, refuse)
+        ds, hp, _ = next(low_rank_instances(count=1))
+        model = tc.fit(ds, self.kernel, hp)
+        assert len(model.objective_trace) >= 3
+        tc.fit_with_fixed_inverse(ds, self.kernel, hp, tc.laplacian_mean_regularization(ds.m))
+
+    def test_wide_linear_data_takes_dense_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the low-rank path ran")
+
+        calls = []
+        solve = solver.solve_linear
+        monkeypatch.setattr(solver, "_low_rank_solve", refuse)
+        monkeypatch.setattr(solver, "solve_linear", lambda a, rhs: calls.append(1) or solve(a, rhs))
+        rng = np.random.default_rng(32)
+        ds = random_dataset(rng, m=2, d=5, n_lo=3, n_hi=5)
+        assert ds.m * ds.dim >= ds.total
+        model = tc.fit(ds, self.kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
+        assert len(calls) == len(model.objective_trace) - 1
 
 
 class TestGram:
@@ -317,3 +393,15 @@ class TestPredict:
         model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
         with pytest.raises(errors.DimensionMismatch):
             tc.predict(model, "task1", [1.0, 2.0])
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query(self, toy, toy_hp, kind, bad):
+        model = tc.fit(toy, tc.KernelSpec(kind, 2.0 if kind == "rbf" else None), toy_hp)
+        with pytest.raises(errors.NonFiniteValue):
+            tc.predict(model, "task1", [bad])
+
+    def test_non_finite_query_in_batch(self, toy, toy_hp):
+        model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+        with pytest.raises(errors.NonFiniteValue):
+            tc.predict_batch(model, ["task1", "task2"], [[1.0], [np.nan]])

@@ -13,12 +13,14 @@ from .errors import (
     DimensionMismatch,
     DuplicateTaskId,
     EmptyTask,
+    InvalidTaskId,
     NonFiniteValue,
     NotPSD,
     NotSymmetric,
     SigmaOutOfRange,
     UnknownTask,
 )
+from .linalg import PSD_EIG_FLOOR
 
 
 def _readonly(a, dtype=float):
@@ -121,16 +123,18 @@ def validate_dataset(ds):
     EmptyTask : some task has no points (or there are no tasks)
     DimensionMismatch : input vectors do not share one dimension d >= 1
     DuplicateTaskId : two tasks carry the same id
+    InvalidTaskId : a task id holds a comma or a line break
     NonFiniteValue : some input or target is NaN or infinite
     """
     if ds.m < 1:
         raise EmptyTask("dataset has no tasks")
-    if len(set(ds.task_ids)) != ds.m:
-        seen = set()
-        for tid in ds.task_ids:
-            if tid in seen:
-                raise DuplicateTaskId(f"task id {tid!r} appears more than once")
-            seen.add(tid)
+    seen = set()
+    for tid in ds.task_ids:
+        if tid in seen:
+            raise DuplicateTaskId(f"task id {tid!r} appears more than once")
+        if set(tid) & set(",\r\n"):
+            raise InvalidTaskId(f"task id {tid!r} holds a comma or a line break")
+        seen.add(tid)
     for t in ds.tasks:
         if t.n < 1:
             raise EmptyTask(f"task {t.task_id!r} has no points")
@@ -143,9 +147,14 @@ def validate_dataset(ds):
             raise DimensionMismatch(
                 f"task {t.task_id!r} has {t.targets.shape[0]} targets for {t.n} points"
             )
-        for what, values in (("inputs", t.inputs), ("targets", t.targets)):
-            if not np.isfinite(values).all():
-                raise NonFiniteValue(f"task {t.task_id!r} has non-finite {what}")
+        _require_finite_task(t)
+
+
+def _require_finite_task(task):
+    """Raise NonFiniteValue if an input or target of the task is NaN or inf."""
+    for what, values in (("inputs", task.inputs), ("targets", task.targets)):
+        if not np.isfinite(values).all():
+            raise NonFiniteValue(f"task {task.task_id!r} has non-finite {what}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,6 @@ class KernelSpec:
 
 
 SYMMETRY_RTOL = 1e-10
-PSD_EIG_FLOOR = -1e-8
 TRACE_ATOL = 1e-8
 
 

@@ -19,6 +19,10 @@ class DuplicateTaskId(TaskcovError):
     pass
 
 
+class InvalidTaskId(TaskcovError):
+    """A task id with a comma or a line break, which model files cannot hold."""
+
+
 class UnknownTask(TaskcovError):
     pass
 

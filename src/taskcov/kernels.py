@@ -9,7 +9,7 @@ is C[i1, i2] * k(x1, x2).
 import numpy as np
 
 from .errors import DimensionMismatch, TaskIndexOutOfRange
-from .linalg import sym_eig
+from .linalg import spectral_map
 
 
 def base_kernel(kernel, x, z):
@@ -45,19 +45,15 @@ def base_kernel_matrix(kernel, xa, xb=None):
 def coupling_matrix(omega, hp):
     """Task-coupling matrix C = Omega (lam1 Omega + lam2 I)^{-1}.
 
-    Computed spectrally: negative noise eigenvalues of the covariance are
-    clamped to zero, and a zero eigenvalue maps to zero coupling (the
-    pseudo-inverse limit), which keeps the weight matrix confined to the
-    covariance's range in degenerate iterations.
+    Computed spectrally with cutoff 0: negative noise eigenvalues of the
+    covariance are clipped to zero, and a zero eigenvalue maps to zero
+    coupling (the pseudo-inverse limit), which keeps the weight matrix
+    confined to the covariance's range in degenerate iterations.
     """
     if hp.lam1 <= 0 and hp.lam2 <= 0:
         raise ValueError("coupling needs lam1 > 0 or lam2 > 0")
-    dec = sym_eig(omega.matrix if hasattr(omega, "matrix") else omega)
-    mu = np.clip(dec.values, 0.0, None)
-    denom = hp.lam1 * mu + hp.lam2
-    mapped = np.divide(mu, denom, out=np.zeros_like(mu), where=denom > 0)
-    c = (dec.vectors * mapped) @ dec.vectors.T
-    return (c + c.T) / 2.0
+    a = omega.matrix if hasattr(omega, "matrix") else omega
+    return spectral_map(a, lambda mu: mu / (hp.lam1 * mu + hp.lam2), rel_cutoff=0.0)
 
 
 def multitask_kernel(kernel, coupling, i1, x1, i2, x2):
@@ -79,10 +75,14 @@ def assemble_kernel_matrix(ds, kernel, coupling):
 
 def _combined_kernel(ds, base, coupling):
     """assemble_kernel_matrix from an already built base Gram, so that a
-    fit can build the base Gram once and re-couple it every iteration."""
-    factors = coupling[np.ix_(ds.point_task, ds.point_task)]
-    k = factors * base
-    return (k + k.T) / 2.0
+    fit can build the base Gram once and re-couple it every iteration.
+    Built in place, so that at most two N x N arrays besides the base Gram
+    are alive at once (numpy copies the overlapping transpose first)."""
+    k = coupling[np.ix_(ds.point_task, ds.point_task)]
+    k *= base
+    k += k.T
+    k /= 2.0
+    return k
 
 
 def cross_kernel_matrix(kernel, coupling, support_inputs, support_tasks, task_index, x):

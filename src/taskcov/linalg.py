@@ -3,6 +3,17 @@
 Everything here is a pure function of small (task-count sized) matrices,
 so plain eigendecompositions are used throughout; no sparse or iterative
 paths.
+
+Every matrix function of a PSD matrix goes through spectral_map (or
+EigenDecomposition.map), under one rule: negative eigenvalues are noise
+and are clipped to 0 before f is applied, and with rel_cutoff an
+eigenvalue at or below rel_cutoff * lambda_max maps to 0 without f seeing
+it. Refusing a matrix as not PSD is a separate check against
+PSD_EIG_FLOOR. The cutoffs: 0 for the coupling (a null direction of the
+covariance gets zero coupling, even with lam2 = 0); 1e-14 for the
+covariance update (the square root would amplify rank noise by seven
+orders of magnitude); 1e-12 for pseudo-inverses (1/lambda would blow up
+roundoff).
 """
 
 from dataclasses import dataclass
@@ -12,7 +23,8 @@ import numpy as np
 from .errors import DegenerateTaskVariance, NotPSD, NotSymmetric, Singular, SingularSystem
 
 SYM_ATOL = 1e-8
-EIG_CLAMP = -1e-8
+# An eigenvalue below this is not noise: the matrix is refused as not PSD.
+PSD_EIG_FLOOR = -1e-8
 
 
 def _check_symmetric(a, what="matrix"):
@@ -34,6 +46,20 @@ class EigenDecomposition:
     def reconstruct(self):
         return (self.vectors * self.values) @ self.vectors.T
 
+    def map(self, f, rel_cutoff=None):
+        """V f(values) V^T, symmetrised, under the module's rule."""
+        vals = np.clip(self.values, 0.0, None)
+        kept = slice(None) if rel_cutoff is None else self._kept(rel_cutoff)
+        mapped = np.zeros_like(vals)
+        mapped[kept] = f(vals[kept])
+        out = (self.vectors * mapped) @ self.vectors.T
+        return (out + out.T) / 2.0
+
+    def _kept(self, rel_cutoff):
+        """Mask of the eigenvalues above rel_cutoff * max(lambda_max, 0)."""
+        top = max(self.values[0], 0.0) if self.values.size else 0.0
+        return self.values > rel_cutoff * top
+
 
 def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
@@ -46,32 +72,33 @@ def sym_eig(a):
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
 
 
+def spectral_map(a, f, rel_cutoff=None):
+    """f of the symmetric PSD matrix a, under the module's rule."""
+    return sym_eig(a).map(f, rel_cutoff)
+
+
 def psd_sqrt(a):
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-1e-8, 0] are treated as numerical noise and clamped
+    Eigenvalues in [-1e-8, 0] are treated as numerical noise and clipped
     to zero; anything below that raises NotPSD.
     """
     dec = sym_eig(a)
-    if dec.values.size and dec.values[-1] < EIG_CLAMP:
+    if dec.values.size and dec.values[-1] < PSD_EIG_FLOOR:
         raise NotPSD(f"matrix has eigenvalue {dec.values[-1]:.3e}")
-    vals = np.clip(dec.values, 0.0, None)
-    root = (dec.vectors * np.sqrt(vals)) @ dec.vectors.T
-    return (root + root.T) / 2.0
+    return dec.map(np.sqrt)
 
 
 def psd_inverse(a, ridge=0.0):
-    """Inverse of (a + ridge*I) through the eigendecomposition of a.
+    """Inverse of (a + ridge*I) through the eigendecomposition of PSD a.
 
     With ridge = 0 the smallest eigenvalue must exceed 1e-10, otherwise
     Singular is raised.
     """
     dec = sym_eig(a)
-    vals = dec.values + ridge
-    if ridge == 0.0 and (not vals.size or vals[-1] <= 1e-10):
+    if ridge == 0.0 and (not dec.values.size or dec.values[-1] <= 1e-10):
         raise Singular("matrix is singular and no ridge was given")
-    inv = (dec.vectors / vals) @ dec.vectors.T
-    return (inv + inv.T) / 2.0
+    return dec.map(lambda v: 1.0 / (v + ridge))
 
 
 def trace_pinv_product(a, g, rel_cutoff=1e-12):
@@ -82,12 +109,10 @@ def trace_pinv_product(a, g, rel_cutoff=1e-12):
     discarded directions carry no mass.
     """
     dec = sym_eig(a)
-    cutoff = rel_cutoff * max(dec.values[0], 0.0) if dec.values.size else 0.0
     total = 0.0
-    for k in range(dec.values.size):
-        if dec.values[k] > cutoff:
-            u = dec.vectors[:, k]
-            total += (u @ g @ u) / dec.values[k]
+    for k in np.flatnonzero(dec._kept(rel_cutoff)):
+        u = dec.vectors[:, k]
+        total += (u @ g @ u) / dec.values[k]
     return total
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NewTaskSolution, TaskCovariance, TaskData
+from .data import NewTaskSolution, TaskCovariance, TaskData, _require_finite_task
 from .errors import DegenerateGram, DimensionMismatch, Infeasible, SigmaOutOfRange, SolverStalled
-from .linalg import solve_linear, sym_eig
+from .linalg import PSD_EIG_FLOOR, solve_linear, sym_eig
 from .solver import reconstruct_weights
 
 OMEGA_RIDGE = 1e-8
@@ -42,16 +42,12 @@ def augmented_covariance(omega, omega_col, sigma):
     return out
 
 
-def _inv_factors(omega, ridge=OMEGA_RIDGE):
-    """Eigendata of the (ridged) covariance: inverse, inverse root, root."""
+def _ridged(omega, *fs):
+    """The maps fs of one decomposition of the covariance, its spectrum
+    shifted by OMEGA_RIDGE when the smallest eigenvalue is at most 1e-10."""
     dec = sym_eig(omega.matrix if hasattr(omega, "matrix") else omega)
-    vals = np.clip(dec.values, 0.0, None)
-    if vals.size and vals[-1] <= 1e-10:
-        vals = vals + ridge
-    inv = (dec.vectors / vals) @ dec.vectors.T
-    inv_sqrt = (dec.vectors / np.sqrt(vals)) @ dec.vectors.T
-    root = (dec.vectors * np.sqrt(vals)) @ dec.vectors.T
-    return (inv + inv.T) / 2.0, (inv_sqrt + inv_sqrt.T) / 2.0, (root + root.T) / 2.0
+    shift = OMEGA_RIDGE if dec.values.size and dec.values[-1] <= 1e-10 else 0.0
+    return tuple(dec.map(lambda v, f=f: f(v + shift)) for f in fs)
 
 
 def schur_feasible(omega, omega_col, sigma, tol=1e-10):
@@ -60,7 +56,7 @@ def schur_feasible(omega, omega_col, sigma, tol=1e-10):
     True iff omega_col^T Omega^{-1} omega_col <= sigma - sigma^2 (+tol);
     a ridge is applied when the covariance is not positive definite.
     """
-    inv, _, _ = _inv_factors(omega)
+    (inv,) = _ridged(omega, np.reciprocal)
     col = np.asarray(omega_col, dtype=float).ravel()
     return float(col @ inv @ col) <= sigma - sigma**2 + tol
 
@@ -82,7 +78,7 @@ class SocpInstance:
     omega_sqrt: np.ndarray
 
     def __post_init__(self):
-        if self.eigvals.size and self.eigvals[-1] < -1e-8:
+        if self.eigvals.size and self.eigvals[-1] < PSD_EIG_FLOOR:
             raise ValueError(f"whitened Gram eigenvalue {self.eigvals[-1]:.3e}")
         if self.psi22 < -1e-10:
             raise ValueError(f"negative own Gram block {self.psi22!r}")
@@ -91,7 +87,7 @@ class SocpInstance:
 def socp_instance(psi11, psi12, psi22, omega):
     """Build the cone-program data from weight-Gram blocks and the
     existing covariance (ridged if semidefinite)."""
-    _, inv_sqrt, root = _inv_factors(omega)
+    inv_sqrt, root = _ridged(omega, lambda v: 1.0 / np.sqrt(v), np.sqrt)
     whitened = inv_sqrt @ psi11 @ inv_sqrt
     dec = sym_eig(whitened)
     return SocpInstance(
@@ -256,16 +252,6 @@ def solve_omega_sigma(socp, omega, sigma_min=SIGMA_MIN_DEFAULT):
     return omega_col, sigma, t_scaled / scale
 
 
-def _relationship_trace(weights_existing, inv, fixed_trace, w, omega_col, sigma):
-    """tr(W~ Om~^{-1} W~^T) in the stable block form
-    tr(Wm B^{-1} Wm^T) + ||w - Wm B^{-1} col||^2 / s with B the scaled
-    existing block and s the Schur slack (floored to act as a wall)."""
-    inv_col = inv @ omega_col
-    slack = max(sigma - float(omega_col @ inv_col) / (1.0 - sigma), 1e-14)
-    diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
-    return fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
-
-
 def _input_block(inputs):
     arr = np.asarray(inputs, dtype=float)
     return arr[:, None] if arr.ndim == 1 else arr
@@ -275,16 +261,33 @@ def newtask_objective(inputs, targets, w, b, weights_existing, omega, omega_col,
     """Objective of the incorporation problem at an explicit point:
     task-averaged squared loss plus the weight-norm and relationship
     penalties of the augmented model."""
-    inputs = _input_block(inputs)
-    targets = np.ravel(targets)
+    objective = _objective(_input_block(inputs), np.ravel(targets), weights_existing, omega, hp)
     w = np.asarray(w, dtype=float).ravel()
-    inv, _, _ = _inv_factors(omega)
+    return objective(w, b, np.asarray(omega_col, dtype=float).ravel(), sigma)
+
+
+def _objective(inputs, targets, weights_existing, omega, hp):
+    """newtask_objective as a function of (w, b, column, variance), with
+    the frozen covariance's inverse and fixed trace piece computed once.
+
+    The relationship trace tr(W~ Om~^{-1} W~^T) takes the stable block form
+    tr(Wm B^{-1} Wm^T) + ||w - Wm B^{-1} col||^2 / s, with B = (1 - sigma)
+    Omega the scaled existing block and s the Schur slack (floored to act
+    as a wall).
+    """
+    (inv,) = _ridged(omega, np.reciprocal)
     fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
-    col = np.asarray(omega_col, dtype=float).ravel()
-    rel = _relationship_trace(weights_existing, inv, fixed_trace, w, col, sigma)
-    residuals = targets - inputs @ w - b
-    loss = float(residuals @ residuals) / inputs.shape[0]
-    return loss + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
+
+    def value(w, b, col, sigma):
+        inv_col = inv @ col
+        slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
+        diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
+        rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
+        residuals = targets - inputs @ w - b
+        loss = float(residuals @ residuals) / inputs.shape[0]
+        return loss + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
+
+    return value
 
 
 def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
@@ -304,12 +307,7 @@ def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
     m = omega_tilde.shape[0] - 1
     sigma = float(omega_tilde[m, m])
     col = omega_tilde[:m, m]
-    block = omega_tilde[:m, :m]  # (1 - sigma) * existing covariance
-    dec = sym_eig(block)
-    vals = np.clip(dec.values, 0.0, None)
-    if vals.size and vals[-1] <= 1e-10:
-        vals = vals + OMEGA_RIDGE
-    binv_col = (dec.vectors / vals) @ (dec.vectors.T @ col)
+    binv_col = _ridged(omega_tilde[:m, :m], np.reciprocal)[0] @ col  # B = (1 - sigma) Omega
     slack = max(sigma - float(col @ binv_col), 1e-14)
     center = weights_existing @ binv_col
 
@@ -401,33 +399,17 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
         raise DimensionMismatch(
             f"new task inputs have dimension {record.inputs.shape[1]}, model expects {model.dim}"
         )
+    _require_finite_task(record)
 
     weights_existing = reconstruct_weights(model)
     omega = model.covariance
     m = model.m
     psi11 = weights_existing.T @ weights_existing
 
-    sigma = 1.0 / (m + 1)
-    sigma = min(max(sigma, sigma_min), 1.0 - sigma_min)
+    sigma = min(max(1.0 / (m + 1), sigma_min), 1.0 - sigma_min)
     col = np.zeros(m)
     trace = []
-    w = np.zeros(model.dim)
-    b = 0.0
-
-    # the covariance is frozen, so its factors and the fixed trace piece
-    # are computed once; the inner searches evaluate in O(m^2 + d m)
-    inv, _, _ = _inv_factors(omega)
-    fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
-    n_new = record.n
-
-    def objective_at(w_, b_, col_, sigma_):
-        residuals = record.targets - record.inputs @ w_ - b_
-        rel = _relationship_trace(weights_existing, inv, fixed_trace, w_, col_, sigma_)
-        return (
-            float(residuals @ residuals) / n_new
-            + 0.5 * hp.lam1 * float(w_ @ w_)
-            + 0.5 * hp.lam2 * rel
-        )
+    objective_at = _objective(record.inputs, record.targets, weights_existing, omega, hp)
 
     for _ in range(hp.max_iters):
         omega_tilde = augmented_covariance(omega, col, sigma)
@@ -458,13 +440,11 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     omega_tilde = augmented_covariance(omega, col, sigma)
     w, b = solve_wb_newtask(record.inputs, record.targets, weights_existing, omega_tilde, hp)
     trace.append(objective_at(w, b, col, sigma))
-
-    augmented = augmented_covariance(omega, col, sigma)
     return NewTaskSolution(
         weights=w,
         bias=b,
         cov_column=col,
         variance=sigma,
-        augmented_covariance=TaskCovariance(augmented),
+        augmented_covariance=TaskCovariance(omega_tilde),
         objective_trace=trace,
     )

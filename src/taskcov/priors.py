@@ -18,7 +18,7 @@ from .errors import (
     NotPSD,
     SelfEdge,
 )
-from .linalg import sym_eig
+from .linalg import PSD_EIG_FLOOR, spectral_map, sym_eig
 from .solver import _coefficient_step, _fitted_state, _loss_and_norm_terms
 
 
@@ -90,7 +90,7 @@ def clustered_inverse_covariance(m, cluster_assignment, alpha, beta, gamma):
     combo = alpha * centering + beta * (projector - centering) + gamma * (np.eye(m) - projector)
     combo = (combo + combo.T) / 2.0
     eigvals = np.linalg.eigvalsh(combo)
-    if eigvals[0] < -1e-8:
+    if eigvals[0] < PSD_EIG_FLOOR:
         raise NotPSD(
             f"weights (alpha={alpha}, beta={beta}, gamma={gamma}) give eigenvalue {eigvals[0]:.3e}"
         )
@@ -99,23 +99,17 @@ def clustered_inverse_covariance(m, cluster_assignment, alpha, beta, gamma):
 
 def _coupling_from_fixed_inverse(inverse, hp):
     """(lam1 I + lam2 L)^{-1}: well-defined for singular L because lam1 > 0."""
-    m = inverse.shape[0]
-    dec = sym_eig(hp.lam1 * np.eye(m) + hp.lam2 * inverse)
-    coupling = (dec.vectors / dec.values) @ dec.vectors.T
-    return (coupling + coupling.T) / 2.0
+    return spectral_map(hp.lam1 * np.eye(len(inverse)) + hp.lam2 * inverse, np.reciprocal)
 
 
 def _reported_covariance(inverse):
-    """Pseudo-inverse of L, trace-normalized; identity/m when L is zero."""
-    dec = sym_eig(inverse)
-    m = inverse.shape[0]
-    cutoff = 1e-12 * max(dec.values[0], 0.0)
-    inv_vals = np.array([1.0 / v if v > cutoff else 0.0 for v in dec.values])
-    pinv = (dec.vectors * inv_vals) @ dec.vectors.T
+    """Pseudo-inverse of L (cutoff 1e-12), trace-normalized; identity/m
+    when L is zero."""
+    pinv = spectral_map(inverse, np.reciprocal, rel_cutoff=1e-12)
     total = float(np.trace(pinv))
     if total <= 1e-12:
-        return TaskCovariance.unrelated(m)
-    return TaskCovariance((pinv + pinv.T) / (2.0 * total))
+        return TaskCovariance.unrelated(inverse.shape[0])
+    return TaskCovariance(pinv / total)
 
 
 def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
@@ -133,7 +127,7 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     if inverse.shape != (ds.m, ds.m):
         raise ValueError(f"fixed inverse must be {ds.m} x {ds.m}")
     spectrum = sym_eig(inverse).values  # also rejects asymmetric input
-    if spectrum.size and spectrum[-1] < -1e-8:
+    if spectrum.size and spectrum[-1] < PSD_EIG_FLOOR:
         raise NotPSD(f"fixed inverse has eigenvalue {spectrum[-1]:.3e}")
     step = _coefficient_step(ds, kernel, solver)
     coupling = _coupling_from_fixed_inverse(inverse, hp)

@@ -32,7 +32,7 @@ from .kernels import (
     coupling_matrix,
     cross_kernel_matrix,
 )
-from .linalg import _check_residual, solve_linear, sym_eig, trace_pinv_product
+from .linalg import _check_residual, solve_linear, spectral_map, sym_eig, trace_pinv_product
 
 # Dense direct saddle solve up to this many points; SMO beyond.
 DIRECT_SOLVE_LIMIT = 2000
@@ -42,21 +42,14 @@ SMO_MAX_ROUNDS = 200_000
 NONDECREASE_RTOL = 1e-8
 
 
-def _indicator_matrix(ds):
-    """N x m block of per-task indicator columns (the off-diagonal blocks
-    of the saddle system)."""
-    ind = np.zeros((ds.total, ds.m))
-    ind[np.arange(ds.total), ds.point_task] = 1.0
-    return ind
-
-
 def _loss_weights(ds):
     """Diagonal of the task-imbalance matrix: n_i for each point of task i."""
     return ds.counts[ds.point_task].astype(float)
 
 
 def _spread(ds, alpha):
-    """N x m matrix holding each dual coefficient in its task's column."""
+    """N x m matrix holding each dual coefficient in its task's column;
+    alpha = 1 gives the per-task indicator columns E of the saddle system."""
     spread = np.zeros((ds.total, ds.m))
     spread[np.arange(ds.total), ds.point_task] = alpha
     return spread
@@ -77,7 +70,7 @@ def solve_alpha_b_direct(ds, kernel, coupling):
 def _saddle_solve(ds, k):
     """solve_alpha_b_direct for the combined-kernel Gram k."""
     n, m = ds.total, ds.m
-    ind = _indicator_matrix(ds)
+    ind = _spread(ds, 1.0)
     block = np.zeros((n + m, n + m))
     block[:n, :n] = k + np.diag(_loss_weights(ds) / 2.0)
     block[:n, n:] = ind
@@ -160,14 +153,15 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
     quadratic form of alpha against the base Gram, W^T W = C S C. For a
     linear kernel this equals the explicit-feature product.
     """
-    c = coupling_matrix(omega, hp)
-    return _gram_from_coupling(alpha, ds, kernel, c)
-
-
-def _gram_from_coupling(alpha, ds, kernel, coupling):
-    spread = _spread(ds, alpha)
     base = base_kernel_matrix(kernel, ds.inputs)
-    return _weight_gram(coupling, spread.T @ base @ spread)
+    return _weight_gram(coupling_matrix(omega, hp), _blocked(ds, base, alpha))
+
+
+def _blocked(ds, base, alpha):
+    """Task-blocked quadratic form S of alpha against the base Gram:
+    S[i, j] = sum of alpha_p alpha_q k(x_p, x_q) over p in task i, q in j."""
+    spread = _spread(ds, alpha)
+    return spread.T @ base @ spread
 
 
 def _weight_gram(coupling, blocked):
@@ -195,8 +189,7 @@ def _coefficient_step(ds, kernel, solver):
     def dense_step(coupling):
         k = _combined_kernel(ds, base, coupling)
         alpha, b = solve(ds, k)
-        spread = _spread(ds, alpha)
-        return alpha, b, k @ alpha, spread.T @ base @ spread
+        return alpha, b, k @ alpha, _blocked(ds, base, alpha)
 
     return dense_step
 
@@ -219,7 +212,7 @@ def _low_rank_solve(ds, coupling):
     solve_linear applies to the full saddle system at C itself. S = U^T U.
     """
     x = ds.inputs
-    ind = _indicator_matrix(ds)
+    ind = _spread(ds, 1.0)
     half = _loss_weights(ds) / 2.0
     root = 1.0 / np.sqrt(half)[:, None]
     means = (ind.T @ x) / ds.counts[:, None]
@@ -256,18 +249,13 @@ def _fitted_state(ds, step, coupling):
 def update_omega(gram):
     """Analytic covariance update: sqrt of the weight Gram, trace-normalized.
 
-    Gram eigenvalues below 1e-14 of the largest are rank noise and are
-    zeroed before rooting (the square root would otherwise amplify them
-    by seven orders of magnitude and destabilize the objective). Raises
-    DegenerateGram when the Gram is (numerically) zero; the caller keeps
-    the previous covariance in that case.
+    Gram eigenvalues at or below 1e-14 of the largest are rank noise and
+    are zeroed before rooting (the square root would otherwise amplify
+    them by seven orders of magnitude and destabilize the objective).
+    Raises DegenerateGram when the Gram is (numerically) zero; the caller
+    keeps the previous covariance in that case.
     """
-    dec = sym_eig(gram)
-    vals = np.clip(dec.values, 0.0, None)
-    if vals.size:
-        vals[vals < 1e-14 * vals[0]] = 0.0
-    root = (dec.vectors * np.sqrt(vals)) @ dec.vectors.T
-    root = (root + root.T) / 2.0
+    root = spectral_map(gram, np.sqrt, rel_cutoff=1e-14)
     total = float(np.trace(root))
     if total <= 1e-12:
         raise DegenerateGram("weight Gram is zero; covariance update undefined")
@@ -300,9 +288,9 @@ def objective_value(ds, alpha, b, omega, kernel, hp):
         gram = np.zeros((ds.m, ds.m))
     else:
         c = coupling_matrix(omega, hp)
-        k = assemble_kernel_matrix(ds, kernel, c)
-        residuals = ds.targets - (k @ alpha + b[ds.point_task])
-        gram = _gram_from_coupling(alpha, ds, kernel, c)
+        base = base_kernel_matrix(kernel, ds.inputs)
+        residuals = ds.targets - (_combined_kernel(ds, base, c) @ alpha + b[ds.point_task])
+        gram = _weight_gram(c, _blocked(ds, base, alpha))
     return _objective_terms(ds, residuals, gram, omega, hp)
 
 

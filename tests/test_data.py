@@ -43,6 +43,22 @@ def test_duplicate_task_id_rejected():
         tc.validate_dataset(tc.MultiTaskDataset(tasks))
 
 
+@pytest.mark.parametrize("tid", ["a,b", "a\nb", "a\rb"])
+def test_task_id_the_model_file_cannot_hold_rejected(tid):
+    # the model file stores the ids comma-joined on one line
+    ds = tc.MultiTaskDataset([(tid, [[1.0], [2.0]], [1.0, 2.0]), ("ok", [[0.0]], [0.0])])
+    hp = tc.Hyperparams(lam1=0.1, lam2=0.1)
+    config = tc.ExperimentConfig("linear", (0.1,), (0.1,), folds=2, seed=0)
+    for call in (
+        lambda: tc.validate_dataset(ds),
+        lambda: tc.fit(ds, tc.KernelSpec("linear"), hp),
+        lambda: tc.fit_with_fixed_inverse(ds, tc.KernelSpec("linear"), hp, np.eye(2)),
+        lambda: tc.cross_validate(config, ds),
+    ):
+        with pytest.raises(errors.InvalidTaskId):
+            call()
+
+
 @pytest.mark.parametrize("inputs,targets", [
     ([[1.0], [np.nan]], [1.0, 2.0]),
     ([[1.0], [2.0]], [1.0, np.inf]),

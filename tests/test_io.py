@@ -37,6 +37,12 @@ class TestCsv:
         with pytest.raises(errors.NonFiniteValue, match=":3.*'inf'"):
             tc.load_csv(path)
 
+    def test_quoted_task_id_with_comma_rejected(self, tmp_path):
+        path = tmp_path / "comma.csv"
+        path.write_text('task,y,x1\n"a,b",1.0,2.0\nc,2.0,3.0\n')
+        with pytest.raises(errors.InvalidTaskId, match="'a,b'"):
+            tc.load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

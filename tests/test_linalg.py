@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import taskcov as tc
 from taskcov import errors
+from taskcov.linalg import spectral_map
 
 
 def random_psd(rng, k):
@@ -40,6 +43,8 @@ class TestSymEig:
 class TestPsdSqrt:
     def test_diagonal(self):
         np.testing.assert_allclose(tc.psd_sqrt(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
+        # negative noise is clipped before the root is taken
+        np.testing.assert_allclose(tc.psd_sqrt(np.diag([4.0, -1e-9])), np.diag([2.0, 0.0]))
 
     def test_zero(self):
         np.testing.assert_allclose(tc.psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
@@ -64,6 +69,7 @@ class TestPsdSqrt:
             err = np.linalg.norm(r @ r - a) / max(1.0, np.linalg.norm(a))
             assert err <= 1e-6
             assert np.min(np.linalg.eigvalsh(r)) >= -1e-10
+            assert np.array_equal(r, r.T)
 
 
 class TestPsdInverse:
@@ -84,6 +90,35 @@ class TestPsdInverse:
     def test_singular_without_ridge(self):
         with pytest.raises(errors.Singular):
             tc.psd_inverse(np.diag([1.0, 0.0]))
+
+
+class TestSpectralMap:
+    def test_cutoff_boundary(self):
+        # lambda_max = 1, so the cutoff is 1e-12 itself: an eigenvalue at it
+        # maps to 0 and the next float above it is inverted
+        above = np.nextafter(1e-12, 1.0)
+        out = spectral_map(np.diag([1.0, 1e-12, above]), np.reciprocal, rel_cutoff=1e-12)
+        np.testing.assert_array_equal(np.diag(out), [1.0, 0.0, 1.0 / above])
+        np.testing.assert_array_equal(out - np.diag(np.diag(out)), 0.0)
+
+    def test_reciprocal_on_singular_matrix_is_pseudo_inverse(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            b = rng.normal(size=(2, 4))
+            a = b.T @ b  # rank 2: two null eigenvalues, possibly slightly negative
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pinv = spectral_map(a, np.reciprocal, rel_cutoff=1e-12)
+            np.testing.assert_allclose(pinv, np.linalg.pinv(a, hermitian=True), atol=1e-8)
+            assert np.array_equal(pinv, pinv.T)
+
+    def test_coupling_of_null_direction_is_zero_without_lam2(self):
+        # cutoff 0: mu / (lam1 mu + 0) is never evaluated at mu = 0
+        hp = tc.Hyperparams(lam1=0.5, lam2=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = tc.coupling_matrix(tc.TaskCovariance(np.diag([0.7, 0.0, 0.3])), hp)
+        np.testing.assert_array_equal(c, np.diag([2.0, 0.0, 2.0]))
 
 
 class TestSolveLinear:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import taskcov as tc
-from taskcov import errors
+from taskcov import errors, newtask
 
 
 def unit_trace_psd(rng, m, floor=0.05):
@@ -263,6 +263,20 @@ class TestIncorporate:
         model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
         with pytest.raises(ValueError):
             tc.incorporate_new_task(model, ("new", [[1.0]], [1.0]), toy_hp)
+
+    @pytest.mark.parametrize("inputs,targets", [
+        ([[1.0], [np.nan], [3.0]], [1.0, 2.0, 3.0]),
+        ([[1.0], [2.0], [3.0]], [1.0, np.inf, 3.0]),
+    ])
+    def test_rejects_non_finite_data(self, toy, toy_hp, monkeypatch, inputs, targets):
+        model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+
+        def no_solve(*args):
+            raise AssertionError("a solve ran on non-finite data")
+
+        monkeypatch.setattr(newtask, "solve_wb_newtask", no_solve)
+        with pytest.raises(errors.NonFiniteValue, match="'new'"):
+            tc.incorporate_new_task(model, ("new", inputs, targets), toy_hp)
 
     def test_rejects_wrong_dimension(self):
         rng = np.random.default_rng(11)

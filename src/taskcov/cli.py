@@ -25,7 +25,7 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import fit, predict, reconstruct_weights
+from .solver import fit, predict, predict_batch, reconstruct_weights
 
 
 class _UsageError(TaskcovError):
@@ -226,7 +226,7 @@ def _cmd_eval(args):
     predicted = {}
     for t in ds.tasks:
         truth[t.task_id] = t.targets
-        predicted[t.task_id] = np.array([predict(model, t.task_id, x) for x in t.inputs])
+        predicted[t.task_id] = predict_batch(model, [t.task_id] * t.n, t.inputs)
     metrics = compute_metrics(truth, predicted, task_type=args.task_type)
     if args.task_type == "regression":
         for tid in ds.task_ids:

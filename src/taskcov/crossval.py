@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, validate_dataset
 from .errors import GridEmpty
-from .solver import fit, predict
+from .solver import fit, predict_batch
 
 
 @dataclass(frozen=True)
@@ -71,40 +71,39 @@ def assign_folds(ds, folds, seed):
 
 
 def _split(ds, assignment, fold):
-    train_tasks, val_points = [], []
+    """Training set of one fold and its validation points, as (task id,
+    inputs, targets) per task that keeps training points."""
+    train_tasks, val_tasks = [], []
     for i, t in enumerate(ds.tasks):
         mask = assignment[ds.point_task == i] == fold
         if np.any(~mask):
             train_tasks.append(TaskData(t.task_id, t.inputs[~mask], t.targets[~mask]))
-            for x, y in zip(t.inputs[mask], t.targets[mask]):
-                val_points.append((t.task_id, x, y))
+            if np.any(mask):
+                val_tasks.append((t.task_id, t.inputs[mask], t.targets[mask]))
         # a task fully inside the validation fold cannot be scored there
-    return MultiTaskDataset(train_tasks), val_points
+    return MultiTaskDataset(train_tasks), val_tasks
 
 
 def _fold_score(ds, config, lam1, lam2, width, assignment, fold):
-    train, val_points = _split(ds, assignment, fold)
-    if not val_points or train.m == 0:
+    train, val_tasks = _split(ds, assignment, fold)
+    if not val_tasks or train.m == 0:
         return None
     kernel = KernelSpec(config.kernel_kind, width)
     hp = Hyperparams(lam1=lam1, lam2=lam2, tol=config.tol, max_iters=config.max_iters)
     model = fit(train, kernel, hp, solver=config.solver)
-    per_task_sq = {}
-    per_task_err = {}
-    for tid, x, y in val_points:
-        pred = predict(model, tid, x)
-        if config.task_type == "classification":
-            per_task_err.setdefault(tid, []).append(float((1.0 if pred >= 0 else -1.0) != y))
-        else:
-            per_task_sq.setdefault(tid, []).append((pred - y) ** 2)
-    if config.task_type == "classification":
-        return float(np.mean([np.mean(v) for v in per_task_err.values()]))
-    # normalize each task's validation MSE by the task's overall target
-    # variance (validation slices can be too small to carry a variance)
+    ids = [tid for tid, _, y in val_tasks for _ in y]
+    preds = predict_batch(model, ids, np.concatenate([x for _, x, _ in val_tasks]))
+    bounds = np.cumsum([len(y) for _, _, y in val_tasks])[:-1]
     scores = []
-    for tid, sq in per_task_sq.items():
+    for (tid, _, y), pred in zip(val_tasks, np.split(preds, bounds)):
+        if config.task_type == "classification":
+            scores.append(float(np.mean(np.where(pred >= 0, 1.0, -1.0) != y)))
+            continue
+        # normalize each task's validation MSE by the task's overall target
+        # variance (validation slices can be too small to carry a variance)
+        mse = float(np.mean((pred - y) ** 2))
         var = float(np.var(ds.tasks[ds.task_index(tid)].targets))
-        scores.append(float(np.mean(sq)) / var if var > 1e-12 else float(np.mean(sq)))
+        scores.append(mse / var if var > 1e-12 else mse)
     return float(np.mean(scores))
 
 

@@ -45,15 +45,19 @@ def base_kernel_matrix(kernel, xa, xb=None):
 def coupling_matrix(omega, hp):
     """Task-coupling matrix C = Omega (lam1 Omega + lam2 I)^{-1}.
 
-    Computed spectrally with cutoff 0: negative noise eigenvalues of the
-    covariance are clipped to zero, and a zero eigenvalue maps to zero
-    coupling (the pseudo-inverse limit), which keeps the weight matrix
-    confined to the covariance's range in degenerate iterations.
+    Computed spectrally: negative noise eigenvalues of the covariance are
+    clipped to zero, and a null direction maps to zero coupling (the
+    pseudo-inverse limit), which keeps the weight matrix confined to the
+    covariance's range in degenerate iterations. With lam2 > 0 the map is
+    continuous at 0, so the cutoff is 0. With lam2 = 0 it jumps from
+    1/lam1 to 0 there, so the pseudo-inverse cutoff 1e-12 keeps a
+    roundoff-level eigenvalue from counting as a direction of the range.
     """
     if hp.lam1 <= 0 and hp.lam2 <= 0:
         raise ValueError("coupling needs lam1 > 0 or lam2 > 0")
     a = omega.matrix if hasattr(omega, "matrix") else omega
-    return spectral_map(a, lambda mu: mu / (hp.lam1 * mu + hp.lam2), rel_cutoff=0.0)
+    cutoff = 1e-12 if hp.lam2 == 0 else 0.0
+    return spectral_map(a, lambda mu: mu / (hp.lam1 * mu + hp.lam2), rel_cutoff=cutoff)
 
 
 def multitask_kernel(kernel, coupling, i1, x1, i2, x2):

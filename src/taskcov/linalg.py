@@ -9,11 +9,11 @@ EigenDecomposition.map), under one rule: negative eigenvalues are noise
 and are clipped to 0 before f is applied, and with rel_cutoff an
 eigenvalue at or below rel_cutoff * lambda_max maps to 0 without f seeing
 it. Refusing a matrix as not PSD is a separate check against
-PSD_EIG_FLOOR. The cutoffs: 0 for the coupling (a null direction of the
-covariance gets zero coupling, even with lam2 = 0); 1e-14 for the
-covariance update (the square root would amplify rank noise by seven
-orders of magnitude); 1e-12 for pseudo-inverses (1/lambda would blow up
-roundoff).
+PSD_EIG_FLOOR. The cutoffs: 0 for the coupling with lam2 > 0 (its map
+is continuous and is 0 at 0); 1e-12 for the coupling with lam2 = 0 and
+for pseudo-inverses (the map jumps at 0, and 1/lambda would blow up
+roundoff); 1e-14 for the covariance update (the square root would
+amplify rank noise by seven orders of magnitude).
 """
 
 from dataclasses import dataclass

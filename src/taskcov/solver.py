@@ -12,6 +12,13 @@ m*d and the saddle system is solved exactly in that low-rank form, with
 no N x N array. Otherwise the base Gram is built once per fit and the
 saddle system is solved densely: directly up to 2000 points, by SMO
 beyond (or as the solver argument says).
+
+Serving is batched: predict_batch checks a whole batch in bulk and
+computes it with a few array operations, and predict is a batch of one.
+A linear model is served from its primal weights with a row-wise sum per
+query, so a query's prediction has the same bits in any batch. Other
+kernels sum the dual expansion per task over blocks of queries, each
+support x block array kept under 4 MB.
 """
 
 import numpy as np
@@ -30,7 +37,6 @@ from .kernels import (
     assemble_kernel_matrix,
     base_kernel_matrix,
     coupling_matrix,
-    cross_kernel_matrix,
 )
 from .linalg import _check_residual, solve_linear, spectral_map, sym_eig, trace_pinv_product
 
@@ -40,6 +46,9 @@ SMO_DEFAULT_TOL = 1e-6
 SMO_MAX_ROUNDS = 200_000
 # Relative rise in the objective treated as a bug rather than noise.
 NONDECREASE_RTOL = 1e-8
+# Bytes of one support x query-block array when serving a non-linear
+# kernel: under 4 MiB, where numpy starts asking for huge pages.
+_SERVE_BLOCK_BYTES = 4_000_000
 
 
 def _loss_weights(ds):
@@ -47,11 +56,12 @@ def _loss_weights(ds):
     return ds.counts[ds.point_task].astype(float)
 
 
-def _spread(ds, alpha):
-    """N x m matrix holding each dual coefficient in its task's column;
-    alpha = 1 gives the per-task indicator columns E of the saddle system."""
-    spread = np.zeros((ds.total, ds.m))
-    spread[np.arange(ds.total), ds.point_task] = alpha
+def _spread(tasks, m, alpha):
+    """len(tasks) x m matrix holding each dual coefficient in its task's
+    column; alpha = 1 gives the per-task indicator columns E of the
+    saddle system."""
+    spread = np.zeros((len(tasks), m))
+    spread[np.arange(len(tasks)), tasks] = alpha
     return spread
 
 
@@ -70,7 +80,7 @@ def solve_alpha_b_direct(ds, kernel, coupling):
 def _saddle_solve(ds, k):
     """solve_alpha_b_direct for the combined-kernel Gram k."""
     n, m = ds.total, ds.m
-    ind = _spread(ds, 1.0)
+    ind = _spread(ds.point_task, ds.m, 1.0)
     block = np.zeros((n + m, n + m))
     block[:n, :n] = k + np.diag(_loss_weights(ds) / 2.0)
     block[:n, n:] = ind
@@ -160,7 +170,7 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
 def _blocked(ds, base, alpha):
     """Task-blocked quadratic form S of alpha against the base Gram:
     S[i, j] = sum of alpha_p alpha_q k(x_p, x_q) over p in task i, q in j."""
-    spread = _spread(ds, alpha)
+    spread = _spread(ds.point_task, ds.m, alpha)
     return spread.T @ base @ spread
 
 
@@ -212,7 +222,7 @@ def _low_rank_solve(ds, coupling):
     solve_linear applies to the full saddle system at C itself. S = U^T U.
     """
     x = ds.inputs
-    ind = _spread(ds, 1.0)
+    ind = _spread(ds.point_task, ds.m, 1.0)
     half = _loss_weights(ds) / 2.0
     root = 1.0 / np.sqrt(half)[:, None]
     means = (ind.T @ x) / ds.counts[:, None]
@@ -230,7 +240,7 @@ def _low_rank_solve(ds, coupling):
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
     alpha = solved[:, 0] - solved[:, 1:] @ centred_b
-    u = centred.T @ _spread(ds, alpha)
+    u = centred.T @ _spread(ds.point_task, ds.m, alpha)
     weights = u @ coupling
     b = centred_b - np.einsum("ij,ji->i", means, weights)
     fitted = np.einsum("pj,pj->p", x, weights.T[ds.point_task])
@@ -368,25 +378,59 @@ def fit(ds, kernel, hp, solver="auto"):
 def predict(model, task_id, x):
     """Predict the output of one task at a new input.
 
-    Evaluates the combined-kernel expansion over all stored support points
-    plus the task bias. Raises UnknownTask / DimensionMismatch /
-    NonFiniteValue on bad queries.
+    A batch of one through predict_batch, so it returns the same bits as
+    that query's entry in any batch of a linear model. Raises UnknownTask
+    / DimensionMismatch / NonFiniteValue on bad queries.
     """
-    i, x = _query(model, task_id, x)
-    _require_finite(x[None, :])
-    return _predict(model, i, x)
+    return float(predict_batch(model, [task_id], [x])[0])
 
 
 def predict_batch(model, task_ids, xs):
-    """Vector of predictions for parallel lists of task ids and inputs.
+    """Vector of predictions for parallel sequences of task ids and inputs.
 
-    Raises as predict does; the inputs are tested for finiteness together,
-    after every query has passed its other checks.
+    The batch is checked in bulk: a DimensionMismatch if the two lengths
+    differ, then per query, in order, UnknownTask or DimensionMismatch for
+    the first bad query, then NonFiniteValue for the first query holding
+    NaN or inf. A linear model is served from its primal weights
+    (reconstruct_weights) with one row-wise sum per query and no BLAS
+    product, so a query's bits do not depend on the other queries of the
+    call. Other kernels sum the dual expansion per task over blocks of
+    queries, through a matrix product whose last bits may depend on the
+    block.
     """
-    queries = [_query(model, t, x) for t, x in zip(task_ids, xs)]
-    if queries:
-        _require_finite(np.array([x for _, x in queries]))
-    return np.array([_predict(model, i, x) for i, x in queries])
+    task_ids = list(task_ids)
+    xs = xs if isinstance(xs, np.ndarray) else list(xs)
+    if len(task_ids) != len(xs):
+        raise DimensionMismatch(f"{len(task_ids)} task ids but {len(xs)} inputs")
+    index, x = _queries(model, task_ids, xs)
+    _require_finite(x)
+    if model.kernel.kind == "linear":
+        weights = reconstruct_weights(model).T
+        return np.sum(x * weights[index], axis=1) + model.biases[index]
+    return _dual_predictions(model, index, x)
+
+
+def _queries(model, task_ids, xs):
+    """Task indices and the (Q, d) inputs of a batch.
+
+    One dict lookup per id and one array conversion for all inputs; if
+    either fails or the shapes do not fit, the per-query checks run in
+    order, so that the error names the first bad query.
+    """
+    lookup = {t: i for i, t in enumerate(model.task_ids)}
+    q = len(task_ids)
+    try:
+        index = np.fromiter(map(lookup.__getitem__, task_ids), dtype=np.intp, count=q)
+        x = np.asarray(xs, dtype=float)
+        if x.size == q * model.dim:
+            return index, x.reshape(q, model.dim)
+    except (KeyError, TypeError, ValueError):
+        pass
+    checked = [_query(model, t, row) for t, row in zip(task_ids, xs)]
+    return (
+        np.array([i for i, _ in checked], dtype=np.intp),
+        np.array([row for _, row in checked]).reshape(q, model.dim),
+    )
 
 
 def _query(model, task_id, x):
@@ -406,11 +450,18 @@ def _require_finite(queries):
         raise NonFiniteValue(f"query {k} {queries[k].tolist()} is not finite")
 
 
-def _predict(model, i, x):
-    column = cross_kernel_matrix(
-        model.kernel, model.coupling, model.support_inputs, model.support_tasks, i, x
-    )
-    return float(model.dual_coefs @ column + model.biases[i])
+def _dual_predictions(model, index, x):
+    """sum_j C[j, i_q] A[j, q] + b[i_q] with A = spread(alpha)^T K(support, x),
+    taking queries in blocks so that each N x block array stays under
+    _SERVE_BLOCK_BYTES."""
+    n = model.support_inputs.shape[0]
+    spread_t = _spread(model.support_tasks, model.m, model.dual_coefs).T
+    block = max(1, _SERVE_BLOCK_BYTES // (8 * n))
+    sums = np.empty((model.m, x.shape[0]))
+    for lo in range(0, x.shape[0], block):
+        base = base_kernel_matrix(model.kernel, model.support_inputs, x[lo:lo + block])
+        sums[:, lo:lo + block] = spread_t @ base
+    return np.einsum("jq,jq->q", model.coupling[:, index], sums) + model.biases[index]
 
 
 def reconstruct_weights(model):
@@ -422,6 +473,4 @@ def reconstruct_weights(model):
     if model.kernel.kind != "linear":
         raise ValueError("explicit weights exist only for the linear kernel")
     weighted = model.support_inputs * model.dual_coefs[:, None]
-    spread = np.zeros((model.support_inputs.shape[0], model.m))
-    spread[np.arange(model.support_inputs.shape[0]), model.support_tasks] = 1.0
-    return weighted.T @ spread @ model.coupling
+    return weighted.T @ _spread(model.support_tasks, model.m, 1.0) @ model.coupling

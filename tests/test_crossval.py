@@ -87,3 +87,49 @@ def test_folds_minimum():
         tc.ExperimentConfig(
             kernel_kind="linear", lam1_grid=(0.1,), lam2_grid=(0.1,), folds=1
         )
+
+
+def per_point_fold_scores(ds, config, lam1, lam2, width):
+    """Fold scores with one predict per validation point, grouped by task."""
+    assignment = tc.assign_folds(ds, config.folds, config.seed)
+    kernel = tc.KernelSpec(config.kernel_kind, width)
+    hp = tc.Hyperparams(lam1=lam1, lam2=lam2, tol=config.tol, max_iters=config.max_iters)
+    scores = []
+    for fold in range(config.folds):
+        masks = [assignment[ds.point_task == i] == fold for i in range(ds.m)]
+        kept = [(t, mask) for t, mask in zip(ds.tasks, masks) if not mask.all()]
+        train = tc.MultiTaskDataset(
+            [(t.task_id, t.inputs[~mask], t.targets[~mask]) for t, mask in kept]
+        )
+        model = tc.fit(train, kernel, hp, solver=config.solver)
+        per_task = []
+        for t, mask in kept:
+            if not mask.any():
+                continue
+            preds = np.array([tc.predict(model, t.task_id, x) for x in t.inputs[mask]])
+            if config.task_type == "classification":
+                per_task.append(np.mean(np.where(preds >= 0, 1.0, -1.0) != t.targets[mask]))
+            else:
+                per_task.append(np.mean((preds - t.targets[mask]) ** 2) / np.var(t.targets))
+        scores.append(np.mean(per_task))
+    return np.array(scores)
+
+
+@pytest.mark.parametrize("kind, task_type", [
+    ("linear", "regression"), ("linear", "classification"), ("rbf", "regression"),
+])
+def test_batched_fold_scores_match_per_point_scoring(kind, task_type):
+    rng = np.random.default_rng(7)
+    ds = random_dataset(rng, m=3, d=2, n_lo=6, n_hi=11)
+    if task_type == "classification":
+        ds = tc.MultiTaskDataset(
+            [(t.task_id, t.inputs, np.where(t.targets >= 0, 1.0, -1.0)) for t in ds.tasks]
+        )
+    config = tc.ExperimentConfig(
+        kernel_kind=kind, lam1_grid=(0.05,), lam2_grid=(0.02,), width_grid=(1.5,),
+        folds=3, seed=8, task_type=task_type,
+    )
+    (lam1, lam2, width, scores, _), = tc.cross_validate(config, ds).table
+    np.testing.assert_allclose(
+        scores, per_point_fold_scores(ds, config, lam1, lam2, width), rtol=1e-12, atol=0
+    )

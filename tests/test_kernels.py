@@ -5,6 +5,7 @@ import pytest
 
 import taskcov as tc
 from taskcov import errors
+from taskcov.linalg import spectral_map
 from conftest import random_dataset
 
 
@@ -67,6 +68,23 @@ class TestCoupling:
             c = tc.coupling_matrix(tc.TaskCovariance(omega), hp)
             eigs = np.linalg.eigvalsh(c)
             assert eigs[0] >= -1e-12 and eigs[-1] < 1.0 / hp.lam1
+
+    def test_rank_one_covariance_without_lam2(self):
+        # the null eigenvalue of outer(v, v) comes out of eigh as roundoff
+        # (about 1e-17); it must map to zero coupling, not to 1 / lam1
+        v = np.array([0.6, 0.8])
+        c = tc.coupling_matrix(tc.TaskCovariance(np.outer(v, v)), tc.Hyperparams(0.5, 0.0))
+        np.testing.assert_allclose(c, np.outer(v, v) / 0.5, rtol=0, atol=1e-12)
+
+    def test_lam2_positive_keeps_cutoff_zero(self):
+        rng = np.random.default_rng(3)
+        hp = tc.Hyperparams(lam1=0.4, lam2=0.1)
+        for _ in range(10):
+            b = rng.normal(size=(2, 4))  # rank 2: roundoff null eigenvalues
+            omega = b.T @ b / np.trace(b.T @ b)
+            c = tc.coupling_matrix(tc.TaskCovariance(omega), hp)
+            f = lambda mu: mu / (hp.lam1 * mu + hp.lam2)
+            np.testing.assert_array_equal(c, spectral_map(omega, f, rel_cutoff=0.0))
 
 
 class TestMultitaskKernel:

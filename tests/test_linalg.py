@@ -113,7 +113,7 @@ class TestSpectralMap:
             assert np.array_equal(pinv, pinv.T)
 
     def test_coupling_of_null_direction_is_zero_without_lam2(self):
-        # cutoff 0: mu / (lam1 mu + 0) is never evaluated at mu = 0
+        # the cutoff keeps mu / (lam1 mu + 0) from being evaluated at mu = 0
         hp = tc.Hyperparams(lam1=0.5, lam2=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -338,6 +338,19 @@ class TestFit:
             tc.fit(toy, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.0, lam2=0.1))
 
 
+def dual_oracle(model, ids, xs):
+    """Predictions from the dual expansion, term by term from the
+    definitions, and the sum of the terms' magnitudes per query."""
+    preds, scales = [], []
+    for tid, x in zip(ids, xs):
+        i = model.task_index(tid)
+        k = np.array([tc.base_kernel(model.kernel, s, x) for s in model.support_inputs])
+        terms = model.dual_coefs * model.coupling[model.support_tasks, i] * k
+        preds.append(terms.sum() + model.biases[i])
+        scales.append(np.abs(terms).sum() + abs(model.biases[i]))
+    return np.array(preds), np.array(scales)
+
+
 class TestPredict:
     def test_zero_dual_returns_bias(self, toy, toy_hp):
         model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
@@ -405,3 +418,106 @@ class TestPredict:
         model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
         with pytest.raises(errors.NonFiniteValue):
             tc.predict_batch(model, ["task1", "task2"], [[1.0], [np.nan]])
+
+    def test_batch_length_mismatch_refused(self, toy, toy_hp):
+        model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+        with pytest.raises(errors.DimensionMismatch, match="3 task ids but 1 inputs"):
+            tc.predict_batch(model, ["task1", "task2", "task3"], [[1.0]])
+        with pytest.raises(errors.DimensionMismatch, match="1 task ids but 2 inputs"):
+            tc.predict_batch(model, ["task1"], np.zeros((2, 1)))
+
+    def linear_models(self, tmp_path):
+        rng = np.random.default_rng(40)
+        ds = random_dataset(rng, m=3, d=12, n_lo=10, n_hi=20)
+        hp = tc.Hyperparams(lam1=0.2, lam2=0.1)
+        fitted = tc.fit(ds, tc.KernelSpec("linear"), hp)
+        prior = tc.fit_with_fixed_inverse(
+            ds, tc.KernelSpec("linear"), hp, tc.laplacian_mean_regularization(3)
+        )
+        path = tmp_path / "model.txt"
+        tc.save_model(fitted, path)
+        return ds, (fitted, prior, tc.load_model(path))
+
+    def test_linear_batch_is_bit_stable(self, tmp_path):
+        ds, models = self.linear_models(tmp_path)
+        rng = np.random.default_rng(41)
+        xs = rng.normal(scale=3.0, size=(101, ds.dim))
+        ids = [ds.task_ids[i] for i in rng.integers(0, ds.m, size=len(xs))]
+        for model in models:
+            batch = tc.predict_batch(model, ids, xs)
+            single = np.array([tc.predict(model, t, x) for t, x in zip(ids, xs)])
+            np.testing.assert_array_equal(batch, single)
+            np.testing.assert_array_equal(tc.predict_batch(model, ids, np.asfortranarray(xs)), batch)
+            for cut in (0, 1, 37, len(xs)):
+                halves = np.concatenate([
+                    tc.predict_batch(model, ids[:cut], xs[:cut]),
+                    tc.predict_batch(model, ids[cut:], xs[cut:]),
+                ])
+                np.testing.assert_array_equal(batch, halves)
+            oracle, scale = dual_oracle(model, ids, xs)
+            assert np.max(np.abs(batch - oracle) / scale) <= 1e-12
+
+    def test_rbf_matches_dual_oracle_across_blocks(self, toy, toy_hp, monkeypatch):
+        model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
+        block = 7
+        monkeypatch.setattr(solver, "_SERVE_BLOCK_BYTES", 8 * toy.total * block)
+        blocks = []
+        base = solver.base_kernel_matrix
+
+        def counted(kernel, xa, xb=None):
+            blocks.append(len(xb))
+            return base(kernel, xa, xb)
+
+        monkeypatch.setattr(solver, "base_kernel_matrix", counted)
+        rng = np.random.default_rng(42)
+        xs = rng.uniform(-5.0, 15.0, size=(40, 1))
+        ids = [toy.task_ids[i] for i in rng.integers(0, toy.m, size=len(xs))]
+        preds = tc.predict_batch(model, ids, xs)
+        assert blocks == [block] * 5 + [5]
+        oracle, scale = dual_oracle(model, ids, xs)
+        assert np.max(np.abs(preds - oracle) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("ids, xs, error, message", [
+        (["task1", "nope", "task2"], [[np.nan], [1.0], [1.0, 2.0]],
+         errors.UnknownTask, "task 'nope' not in model"),
+        (["task1", "task2", "nope"], [[np.nan], [1.0, 2.0], [1.0]],
+         errors.DimensionMismatch, "input has dimension 2, model expects 1"),
+        (["task1", "task2", "task3"], [[1.0], [2.0, 3.0], [np.inf]],
+         errors.DimensionMismatch, "input has dimension 2, model expects 1"),
+        (["task1", "task2", "task3"], [[1.0], [-np.inf], [np.nan]],
+         errors.NonFiniteValue, "query 1 [-inf] is not finite"),
+        (["task1", "task2"], np.array([[1.0], [np.nan]]),
+         errors.NonFiniteValue, "query 1 [nan] is not finite"),
+    ])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_error_precedence(self, toy, toy_hp, kind, ids, xs, error, message):
+        model = tc.fit(toy, tc.KernelSpec(kind, 2.0 if kind == "rbf" else None), toy_hp)
+        with pytest.raises(error) as info:
+            tc.predict_batch(model, ids, xs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_empty_batch(self, toy, toy_hp, kind):
+        model = tc.fit(toy, tc.KernelSpec(kind, 2.0 if kind == "rbf" else None), toy_hp)
+        for xs in ([], np.zeros((0, 1))):
+            out = tc.predict_batch(model, [], xs)
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_query_row_shapes(self, kind):
+        rng = np.random.default_rng(43)
+        ds = random_dataset(rng, m=2, d=2, n_lo=5, n_hi=8)
+        kernel = tc.KernelSpec(kind, 1.5 if kind == "rbf" else None)
+        model = tc.fit(ds, kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
+        ids = ["t0", "t1", "t0"]
+        xs = rng.normal(size=(3, 2))
+        expected = tc.predict_batch(model, ids, xs)
+        for rows in (
+            xs.tolist(),
+            tuple(tuple(r) for r in xs),
+            [r[None, :] for r in xs],
+            xs[:, None, :],
+            [xs[0], xs[1][None, :], xs[2].tolist()],
+        ):
+            np.testing.assert_array_equal(tc.predict_batch(model, tuple(ids), rows), expected)
+        assert tc.predict(model, "t1", xs[1][None, :]) == tc.predict(model, "t1", xs[1])

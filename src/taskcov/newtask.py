@@ -263,12 +263,13 @@ def newtask_objective(inputs, targets, w, b, weights_existing, omega, omega_col,
     penalties of the augmented model."""
     objective = _objective(_input_block(inputs), np.ravel(targets), weights_existing, omega, hp)
     w = np.asarray(w, dtype=float).ravel()
-    return objective(w, b, np.asarray(omega_col, dtype=float).ravel(), sigma)
+    return objective(w, b)(np.asarray(omega_col, dtype=float).ravel(), sigma)
 
 
 def _objective(inputs, targets, weights_existing, omega, hp):
-    """newtask_objective as a function of (w, b, column, variance), with
-    the frozen covariance's inverse and fixed trace piece computed once.
+    """newtask_objective in two stages, at_weights(w, b)(column, variance),
+    with the frozen covariance's inverse and fixed trace piece computed
+    once and the loss and weight norm once per (w, b).
 
     The relationship trace tr(W~ Om~^{-1} W~^T) takes the stable block form
     tr(Wm B^{-1} Wm^T) + ||w - Wm B^{-1} col||^2 / s, with B = (1 - sigma)
@@ -278,16 +279,21 @@ def _objective(inputs, targets, weights_existing, omega, hp):
     (inv,) = _ridged(omega, np.reciprocal)
     fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
 
-    def value(w, b, col, sigma):
-        inv_col = inv @ col
-        slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
-        diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
-        rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
+    def at_weights(w, b):
         residuals = targets - inputs @ w - b
         loss = float(residuals @ residuals) / inputs.shape[0]
-        return loss + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
+        fixed = loss + 0.5 * hp.lam1 * float(w @ w)
 
-    return value
+        def value(col, sigma):
+            inv_col = inv @ col
+            slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
+            diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
+            rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
+            return fixed + 0.5 * hp.lam2 * rel
+
+        return value
+
+    return at_weights
 
 
 def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
@@ -414,7 +420,8 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     for _ in range(hp.max_iters):
         omega_tilde = augmented_covariance(omega, col, sigma)
         w, b = solve_wb_newtask(record.inputs, record.targets, weights_existing, omega_tilde, hp)
-        value = objective_at(w, b, col, sigma)
+        objective = objective_at(w, b)
+        value = objective(col, sigma)
         psi12 = weights_existing.T @ w
         psi22 = float(w @ w)
         if float(np.trace(psi11)) + psi22 <= 1e-14:
@@ -423,11 +430,10 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
         instance = socp_instance(psi11, psi12, psi22, omega)
         col_cone, sigma_cone, _t = solve_omega_sigma(instance, omega, sigma_min)
         col_next, sigma_next = _descend_relationship(
-            lambda c_, s_: objective_at(w, b, c_, s_),
-            col, sigma, col_cone, sigma_cone, sigma_min,
+            objective, col, sigma, col_cone, sigma_cone, sigma_min,
             instance.omega_sqrt, instance.omega_inv_sqrt,
         )
-        value_next = objective_at(w, b, col_next, sigma_next)
+        value_next = objective(col_next, sigma_next)
         if value_next > value + 1e-12 * max(1.0, abs(value)):
             trace.append(value)  # no descent along the cone direction; stop
             break
@@ -439,7 +445,7 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     # final refresh so the reported weights match the final column/variance
     omega_tilde = augmented_covariance(omega, col, sigma)
     w, b = solve_wb_newtask(record.inputs, record.targets, weights_existing, omega_tilde, hp)
-    trace.append(objective_at(w, b, col, sigma))
+    trace.append(objective_at(w, b)(col, sigma))
     return NewTaskSolution(
         weights=w,
         bias=b,

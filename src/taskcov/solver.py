@@ -11,7 +11,10 @@ linear kernel on data where m*d < N, the combined kernel has rank at most
 m*d and the saddle system is solved exactly in that low-rank form, with
 no N x N array. Otherwise the base Gram is built once per fit and the
 saddle system is solved densely: directly up to 2000 points, by SMO
-beyond (or as the solver argument says).
+beyond (or as the solver argument says). Within a fit, SMO starts each
+outer iteration from the previous iteration's coefficients, which are
+close to the next solution once the covariance settles; the first
+iteration, and the public solve_alpha_b_smo, start at alpha = 0.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -100,42 +103,52 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     violating pair, and tasks are visited round-robin. Biases come from
     per-task stationarity of the gradient.
 
-    Raises MaxIterationsExceeded (carrying the best iterate) if the KKT
-    spread does not fall below kkt_tol in time.
+    This call starts at alpha = 0. Within fit, SMO instead starts each
+    outer iteration from the previous iteration's coefficients.
+
+    Raises ValueError unless kkt_tol is finite and positive and
+    max_rounds is at least 1, and MaxIterationsExceeded (carrying the
+    best iterate) if the KKT spread does not fall below kkt_tol in time.
     """
+    if not (np.isfinite(kkt_tol) and kkt_tol > 0):
+        raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds!r}")
     return _smo_solve(ds, assemble_kernel_matrix(ds, kernel, coupling), kkt_tol, max_rounds)
 
 
-def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
-    """solve_alpha_b_smo for the combined-kernel Gram k (left unchanged)."""
+def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=None):
+    """solve_alpha_b_smo for the combined-kernel Gram k (left unchanged),
+    from alpha = 0 or from a copy of the feasible point start.
+
+    A round visits every task once and stops the loop when no task moves,
+    which happens exactly when the KKT spread at its start is at most
+    kkt_tol. Gradient updates read rows of K~, which equal its columns
+    because k is exactly symmetric.
+    """
     n = ds.total
     kt = k.copy()
     kt[np.diag_indices(n)] += _loss_weights(ds) / 2.0
-    alpha = np.zeros(n)
-    grad = -ds.targets.copy()  # gradient of h at alpha = 0
+    if start is None:
+        alpha = np.zeros(n)
+        grad = -ds.targets.copy()  # gradient of h at alpha = 0
+    else:
+        alpha = np.array(start, dtype=float)
+        grad = kt @ alpha - ds.targets
     task_slices = []
-    start = 0
+    first = 0
     for c in ds.counts:
-        task_slices.append(slice(start, start + int(c)))
-        start += int(c)
-
-    def kkt_spread():
-        worst = 0.0
-        for sl in task_slices:
-            if sl.stop - sl.start >= 2:
-                g = grad[sl]
-                worst = max(worst, float(g.max() - g.min()))
-        return worst
+        task_slices.append(slice(first, first + int(c)))
+        first += int(c)
+    # single-point tasks: zero-sum pins alpha at 0
+    paired = [sl for sl in task_slices if sl.stop - sl.start >= 2]
 
     for _ in range(max_rounds):
-        if kkt_spread() <= kkt_tol:
-            break
-        for sl in task_slices:
-            if sl.stop - sl.start < 2:
-                continue  # single-point task: zero-sum pins alpha at 0
+        moved = False
+        for sl in paired:
             g = grad[sl]
-            hi = int(np.argmax(g)) + sl.start
-            lo = int(np.argmin(g)) + sl.start
+            hi = int(g.argmax()) + sl.start
+            lo = int(g.argmin()) + sl.start
             viol = grad[hi] - grad[lo]
             if viol <= kkt_tol:
                 continue
@@ -144,9 +157,12 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
             step = viol / curv
             alpha[hi] -= step
             alpha[lo] += step
-            grad -= step * (kt[:, hi] - kt[:, lo])
+            grad -= step * (kt[hi] - kt[lo])
+            moved = True
+        if not moved:
+            break
     b = np.array([-grad[sl].mean() for sl in task_slices])
-    spread = kkt_spread()
+    spread = max([0.0] + [float(grad[sl].max() - grad[sl].min()) for sl in paired])
     if spread > kkt_tol:
         raise MaxIterationsExceeded(
             f"KKT spread {spread:.3e} above {kkt_tol:.1e} after {max_rounds} rounds",
@@ -193,12 +209,17 @@ def _coefficient_step(ds, kernel, solver):
     if solver == "auto" and kernel.kind == "linear" and ds.m * ds.dim < ds.total:
         return lambda coupling: _low_rank_solve(ds, coupling)
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
-    solve = _smo_solve if use_smo else _saddle_solve
     base = base_kernel_matrix(kernel, ds.inputs)
+    previous = None  # SMO starts each call after the first from the last alpha
 
     def dense_step(coupling):
+        nonlocal previous
         k = _combined_kernel(ds, base, coupling)
-        alpha, b = solve(ds, k)
+        if use_smo:
+            alpha, b = _smo_solve(ds, k, start=previous)
+            previous = alpha
+        else:
+            alpha, b = _saddle_solve(ds, k)
         return alpha, b, k @ alpha, _blocked(ds, base, alpha)
 
     return dense_step

@@ -204,6 +204,49 @@ class TestConeStep:
         np.testing.assert_allclose(trace, 1.0 / t, rtol=1e-5)
 
 
+def criterion_7_instances(count=20):
+    """The criterion-7 generator: a linear fit of m = 1..4 existing tasks
+    and a new task near one of them."""
+    kernel = tc.KernelSpec("linear")
+    hp = tc.Hyperparams(lam1=0.03, lam2=0.03)
+    rng = np.random.default_rng(20260811)
+    for k in range(count):
+        m = (1, 2, 3, 4)[k % 4]
+        d = 3
+        base = rng.normal(size=(d, 2)) @ rng.normal(size=(2, m))
+        tasks = []
+        for i in range(m):
+            x = rng.normal(size=(100, d))
+            tasks.append((f"t{i}", x, x @ base[:, i] + 0.2 + 0.3 * rng.normal(size=100)))
+        model = tc.fit(tc.MultiTaskDataset(tasks), kernel, hp)
+        w_new = base[:, int(rng.integers(m))] + 0.05 * rng.normal(size=d)
+        xn = rng.normal(size=(40, d))
+        yn = xn @ w_new + 0.2 + 0.3 * rng.normal(size=40)
+        yield model, ("new", xn, yn), hp
+
+
+def from_scratch_objective(inputs, targets, weights_existing, omega, hp):
+    """The incorporation objective with the same call shape as
+    newtask._objective, recomputing the loss and weight norm on every
+    evaluation."""
+    (inv,) = newtask._ridged(omega, np.reciprocal)
+    fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
+
+    def at_weights(w, b):
+        def value(col, sigma):
+            inv_col = inv @ col
+            slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
+            diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
+            rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
+            residuals = targets - inputs @ w - b
+            loss = float(residuals @ residuals) / inputs.shape[0]
+            return loss + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
+
+        return value
+
+    return at_weights
+
+
 class TestIncorporate:
     def fit_base(self, rng, m=2, d=3, n=25):
         base = rng.normal(size=(d, m))
@@ -250,6 +293,19 @@ class TestIncorporate:
         assert tc.schur_feasible(
             model.covariance, solution.cov_column, solution.variance, tol=1e-8
         )
+
+    def test_matches_from_scratch_objective(self, monkeypatch):
+        # the first four instances hold one of each m = 1..4
+        for model, new_task, hp in criterion_7_instances(count=4):
+            solution = tc.incorporate_new_task(model, new_task, hp)
+            with monkeypatch.context() as patch:
+                patch.setattr(newtask, "_objective", from_scratch_objective)
+                reference = tc.incorporate_new_task(model, new_task, hp)
+            assert solution.objective_trace == reference.objective_trace
+            assert np.array_equal(solution.weights, reference.weights)
+            assert solution.bias == reference.bias
+            assert np.array_equal(solution.cov_column, reference.cov_column)
+            assert solution.variance == reference.variance
 
     def test_model_untouched(self):
         rng = np.random.default_rng(10)

@@ -30,6 +30,68 @@ def saddle_system_oracle(ds, kernel, coupling):
     return sol[:n], sol[n:]
 
 
+def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS):
+    """Reference SMO loop: a KKT-spread scan before each round, then the
+    round's updates from columns of K~, from alpha = 0."""
+    n = ds.total
+    kt = k.copy()
+    kt[np.diag_indices(n)] += ds.counts[ds.point_task] / 2.0
+    alpha = np.zeros(n)
+    grad = -ds.targets.copy()
+    task_slices = []
+    start = 0
+    for c in ds.counts:
+        task_slices.append(slice(start, start + int(c)))
+        start += int(c)
+
+    def kkt_spread():
+        worst = 0.0
+        for sl in task_slices:
+            if sl.stop - sl.start >= 2:
+                g = grad[sl]
+                worst = max(worst, float(g.max() - g.min()))
+        return worst
+
+    for _ in range(max_rounds):
+        if kkt_spread() <= kkt_tol:
+            break
+        for sl in task_slices:
+            if sl.stop - sl.start < 2:
+                continue
+            g = grad[sl]
+            hi = int(np.argmax(g)) + sl.start
+            lo = int(np.argmin(g)) + sl.start
+            viol = grad[hi] - grad[lo]
+            if viol <= kkt_tol:
+                continue
+            curv = kt[hi, hi] + kt[lo, lo] - 2.0 * kt[hi, lo]
+            step = viol / curv
+            alpha[hi] -= step
+            alpha[lo] += step
+            grad -= step * (kt[:, hi] - kt[:, lo])
+    b = np.array([-grad[sl].mean() for sl in task_slices])
+    spread = kkt_spread()
+    if spread > kkt_tol:
+        raise errors.MaxIterationsExceeded(
+            f"KKT spread {spread:.3e} above {kkt_tol:.1e} after {max_rounds} rounds",
+            alpha=alpha,
+            b=b,
+        )
+    return alpha, b
+
+
+def smo_instances(count=20, seed=41):
+    """Random linear and RBF problems, some with single-point tasks, each
+    with its kernel and a fixed coupling."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m = int(rng.integers(1, 5))
+        ds = random_dataset(rng, m=m, d=int(rng.integers(1, 4)), n_lo=1, n_hi=20)
+        hp = tc.Hyperparams(lam1=float(10 ** rng.uniform(-2, 0)), lam2=float(rng.uniform(0, 0.5)))
+        kernel = tc.KernelSpec("rbf", float(rng.uniform(0.5, 2.0))) if trial % 2 else tc.KernelSpec("linear")
+        yield ds, kernel, tc.coupling_matrix(unit_trace_psd(rng, m), hp)
+
+
 class TestDirectSolve:
     def test_single_point_forces_zero_dual(self):
         ds = tc.MultiTaskDataset([("a", [[3.0]], [7.0])])
@@ -102,6 +164,106 @@ class TestSmo:
         with pytest.raises(errors.MaxIterationsExceeded) as info:
             tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, max_rounds=1)
         assert info.value.alpha is not None and info.value.b is not None
+
+    def test_matches_two_pass_reference(self):
+        single = 0
+        for ds, kernel, c in smo_instances():
+            single += int(np.any(ds.counts == 1))
+            alpha, b = tc.solve_alpha_b_smo(ds, kernel, c)
+            alpha_ref, b_ref = two_pass_smo(ds, tc.assemble_kernel_matrix(ds, kernel, c))
+            assert np.array_equal(alpha, alpha_ref) and np.array_equal(b, b_ref)
+        assert single >= 3
+
+    def test_iteration_cap_matches_two_pass_reference(self, toy, toy_hp):
+        c = tc.coupling_matrix(tc.TaskCovariance.unrelated(3), toy_hp)
+        kernel = tc.KernelSpec("linear")
+        with pytest.raises(errors.MaxIterationsExceeded) as info:
+            tc.solve_alpha_b_smo(toy, kernel, c, max_rounds=1)
+        with pytest.raises(errors.MaxIterationsExceeded) as ref:
+            two_pass_smo(toy, tc.assemble_kernel_matrix(toy, kernel, c), max_rounds=1)
+        assert str(info.value) == str(ref.value)
+        assert np.array_equal(info.value.alpha, ref.value.alpha)
+        assert np.array_equal(info.value.b, ref.value.b)
+
+    def test_start_at_own_output_does_not_move(self):
+        for ds, kernel, c in smo_instances(count=10, seed=42):
+            k = tc.assemble_kernel_matrix(ds, kernel, c)
+            cold, _ = solver._smo_solve(ds, k)
+            alpha, b = solver._smo_solve(ds, k, start=cold)
+            assert np.array_equal(alpha, cold)
+            again, b_again = solver._smo_solve(ds, k, start=alpha)
+            assert np.array_equal(again, alpha) and np.array_equal(b_again, b)
+
+    def test_start_is_not_modified(self):
+        ds, kernel, c = next(smo_instances(count=1, seed=43))
+        k = tc.assemble_kernel_matrix(ds, kernel, c)
+        start = np.zeros(ds.total)
+        alpha, _ = solver._smo_solve(ds, k, start=start)
+        assert not np.any(start) and np.any(alpha)
+
+    @pytest.mark.parametrize("kkt_tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_rejects_bad_tolerance(self, toy, toy_hp, kkt_tol):
+        c = tc.coupling_matrix(tc.TaskCovariance.unrelated(3), toy_hp)
+        with pytest.raises(ValueError, match="kkt_tol"):
+            tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, kkt_tol=kkt_tol)
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_rejects_bad_round_cap(self, toy, toy_hp, max_rounds):
+        c = tc.coupling_matrix(tc.TaskCovariance.unrelated(3), toy_hp)
+        with pytest.raises(ValueError, match="max_rounds"):
+            tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, max_rounds=max_rounds)
+
+    def test_warm_started_fits_match_direct(self):
+        rng = np.random.default_rng(51)
+        for trial in range(40):
+            m = int(rng.integers(1, 5))
+            ds = random_dataset(rng, m=m, d=int(rng.integers(1, 4)), n_lo=1, n_hi=25)
+            lam1 = float(10 ** rng.uniform(-2, 0))
+            lam2 = 0.0 if trial % 5 == 0 else lam1 * float(10 ** rng.uniform(-1, 1))
+            hp = tc.Hyperparams(lam1=lam1, lam2=lam2)
+            if trial % 2:
+                kernel = tc.KernelSpec("rbf", float(rng.uniform(0.5, 2.0)))
+            else:
+                kernel = tc.KernelSpec("linear")
+            smo = tc.fit(ds, kernel, hp, solver="smo")
+            direct = tc.fit(ds, kernel, hp, solver="direct")
+            ids = [ds.task_ids[i] for i in ds.point_task]
+            xs = rng.normal(size=(ds.total, ds.dim))
+            gap = tc.predict_batch(smo, ids, xs) - tc.predict_batch(direct, ids, xs)
+            assert np.max(np.abs(gap)) <= 1e-6
+            trace = smo.objective_trace
+            for a, b in zip(trace, trace[1:]):
+                assert b <= a + solver.NONDECREASE_RTOL * max(1.0, abs(a))
+
+    def test_fit_warm_starts_after_the_first_solve(self, toy, toy_hp, monkeypatch):
+        starts = []
+        smo_solve = solver._smo_solve
+
+        def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
+                      start=None):
+            starts.append(start)
+            alpha, b = smo_solve(ds, k, kkt_tol, max_rounds, start)
+            starts.append(alpha)
+            return alpha, b
+
+        monkeypatch.setattr(solver, "_smo_solve", recording)
+        tc.fit(toy, tc.KernelSpec("linear"), toy_hp, solver="smo")
+        assert starts[0] is None and len(starts) >= 4
+        for returned, start in zip(starts[1::2], starts[2::2]):
+            assert start is returned
+
+    def test_fixed_inverse_fit_matches_public_solve(self):
+        rng = np.random.default_rng(52)
+        for trial in range(6):
+            m = int(rng.integers(1, 4))
+            ds = random_dataset(rng, m=m, d=2, n_lo=2, n_hi=12)
+            hp = tc.Hyperparams(lam1=0.2, lam2=0.1)
+            kernel = tc.KernelSpec("rbf", 1.0) if trial % 2 else tc.KernelSpec("linear")
+            b = rng.normal(size=(m, m))
+            model = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T, solver="smo")
+            alpha, biases = tc.solve_alpha_b_smo(ds, kernel, model.coupling)
+            assert np.array_equal(model.dual_coefs, alpha)
+            assert np.array_equal(model.biases, biases)
 
 
 def low_rank_instances(count=50, seed=30):

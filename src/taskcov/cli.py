@@ -37,9 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser):
+def _add_penalties(parser):
     parser.add_argument("--l1", type=float, default=0.01)
     parser.add_argument("--l2", type=float, default=0.005)
+
+
+def _add_common(parser):
+    _add_penalties(parser)
     parser.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     parser.add_argument("--rbf-width", type=float, default=1.0)
     parser.add_argument("--tol", type=float, default=1e-6)
@@ -84,7 +88,7 @@ def build_parser():
     p = sub.add_parser("new-task", help="incorporate one new task into a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("dataset", help="CSV holding exactly one (new) task")
-    _add_common(p)
+    _add_penalties(p)
 
     p = sub.add_parser("prior-train", help="fit with a fixed relationship prior")
     p.add_argument("dataset")
@@ -275,7 +279,8 @@ def _cmd_new_task(args):
     if record.task_id in model.task_ids:
         raise DuplicateTaskId(f"task {record.task_id!r} already exists in the model")
     solution = incorporate_new_task(
-        model, TaskData(record.task_id, record.inputs, record.targets), _hp_from_args(args)
+        model, TaskData(record.task_id, record.inputs, record.targets),
+        Hyperparams(lam1=args.l1, lam2=args.l2),
     )
     coeffs = " ".join(f"{v:.4f}" for v in solution.weights)
     print(f"new task {record.task_id!r}: w = [{coeffs}], b = {solution.bias:.4f}")

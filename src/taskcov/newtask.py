@@ -1,11 +1,13 @@
 """Grafting one new task onto a trained model without refitting it.
 
-The frozen quantities are the existing tasks' weight matrix and their
-covariance. The new task's weights and bias alternate with its covariance
-column and own variance; the column/variance step is a small cone program
-(maximize t subject to the augmented covariance dominating t times the
-augmented weight Gram) solved with a log-barrier interior method. Linear
-kernel only.
+With the existing tasks' weights and covariance frozen, the problem in the
+new task's weights, bias, covariance column and own variance is convex;
+incorporate_new_task solves it exactly (one linear solve per value of the
+Schur slack, and a golden-section search over the slack). The cone program
+solve_omega_sigma (maximize t subject to the augmented covariance
+dominating t times the augmented weight Gram, by a log-barrier interior
+method) and the weight step solve_wb_newtask remain standalone steps.
+Linear kernel only.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,8 @@ OMEGA_RIDGE = 1e-8
 SIGMA_MIN_DEFAULT = 1e-4
 BARRIER_MU_FINAL = 1e-8
 NEWTON_TOL = 1e-10
+SEARCH_ITERS = 60  # golden-section steps over s; bisection steps on the bound's multiplier
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def augmented_covariance(omega, omega_col, sigma):
@@ -260,40 +264,38 @@ def _input_block(inputs):
 def newtask_objective(inputs, targets, w, b, weights_existing, omega, omega_col, sigma, hp):
     """Objective of the incorporation problem at an explicit point:
     task-averaged squared loss plus the weight-norm and relationship
-    penalties of the augmented model."""
-    objective = _objective(_input_block(inputs), np.ravel(targets), weights_existing, omega, hp)
-    w = np.asarray(w, dtype=float).ravel()
-    return objective(w, b)(np.asarray(omega_col, dtype=float).ravel(), sigma)
-
-
-def _objective(inputs, targets, weights_existing, omega, hp):
-    """newtask_objective in two stages, at_weights(w, b)(column, variance),
-    with the frozen covariance's inverse and fixed trace piece computed
-    once and the loss and weight norm once per (w, b).
+    penalties of the augmented model.
 
     The relationship trace tr(W~ Om~^{-1} W~^T) takes the stable block form
     tr(Wm B^{-1} Wm^T) + ||w - Wm B^{-1} col||^2 / s, with B = (1 - sigma)
-    Omega the scaled existing block and s the Schur slack (floored to act
-    as a wall).
+    Omega the scaled existing block and s the Schur slack (floored at 1e-14,
+    so an infeasible point evaluates huge rather than negative).
     """
+    inputs = _input_block(inputs)
+    w = np.asarray(w, dtype=float).ravel()
+    col = np.asarray(omega_col, dtype=float).ravel()
     (inv,) = _ridged(omega, np.reciprocal)
     fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
+    residuals = np.ravel(targets) - inputs @ w - b
+    fixed = float(residuals @ residuals) / inputs.shape[0] + 0.5 * hp.lam1 * float(w @ w)
+    inv_col = inv @ col
+    slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
+    diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
+    rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
+    return fixed + 0.5 * hp.lam2 * rel
 
-    def at_weights(w, b):
-        residuals = targets - inputs @ w - b
-        loss = float(residuals @ residuals) / inputs.shape[0]
-        fixed = loss + 0.5 * hp.lam1 * float(w @ w)
 
-        def value(col, sigma):
-            inv_col = inv @ col
-            slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
-            diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
-            rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
-            return fixed + 0.5 * hp.lam2 * rel
-
-        return value
-
-    return at_weights
+def _loss_system(inputs, targets, ridge):
+    """Normal equations in (w, b) of the mean squared loss plus ridge/2 ||w||^2."""
+    n, d = inputs.shape
+    sums = (2.0 / n) * inputs.sum(axis=0)
+    system = np.zeros((d + 1, d + 1))
+    system[:d, :d] = (2.0 / n) * inputs.T @ inputs + ridge * np.eye(d)
+    system[:d, d] = sums
+    system[d, :d] = sums
+    system[d, d] = 2.0
+    rhs = np.concatenate([(2.0 / n) * inputs.T @ targets, [(2.0 / n) * targets.sum()]])
+    return system, rhs
 
 
 def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
@@ -305,7 +307,7 @@ def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
     """
     inputs = _input_block(inputs)
     targets = np.ravel(targets)
-    n, d = inputs.shape
+    d = inputs.shape[1]
     if weights_existing.shape[0] != d:
         raise DimensionMismatch(
             f"existing weights have dimension {weights_existing.shape[0]}, data has {d}"
@@ -315,89 +317,42 @@ def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
     col = omega_tilde[:m, m]
     binv_col = _ridged(omega_tilde[:m, :m], np.reciprocal)[0] @ col  # B = (1 - sigma) Omega
     slack = max(sigma - float(col @ binv_col), 1e-14)
-    center = weights_existing @ binv_col
-
-    ridge = hp.lam1 + hp.lam2 / slack
-    system = np.zeros((d + 1, d + 1))
-    system[:d, :d] = (2.0 / n) * inputs.T @ inputs + ridge * np.eye(d)
-    system[:d, d] = (2.0 / n) * inputs.sum(axis=0)
-    system[d, :d] = (2.0 / n) * inputs.sum(axis=0)
-    system[d, d] = 2.0
-    rhs = np.concatenate([(2.0 / n) * inputs.T @ targets + (hp.lam2 / slack) * center,
-                          [(2.0 / n) * targets.sum()]])
+    system, rhs = _loss_system(inputs, targets, hp.lam1 + hp.lam2 / slack)
+    rhs[:d] += (hp.lam2 / slack) * (weights_existing @ binv_col)
     sol = solve_linear(system, rhs)
     return sol[:d], float(sol[d])
 
 
-def _ternary_min(fun, lo, hi, iters=36):
-    for _ in range(iters):
-        third = (hi - lo) / 3.0
-        a, c = lo + third, hi - third
-        if fun(a) <= fun(c):
-            hi = c
-        else:
-            lo = a
-    return (lo + hi) / 2.0
-
-
-def _descend_relationship(objective, col, sigma, col_cone, sigma_cone, sigma_min,
-                          omega_sqrt, omega_inv_sqrt):
-    """Minimize the objective over (column, variance) with the weights fixed.
-
-    The cone step maximizes t, a largest-eigenvalue surrogate of the
-    relationship trace, so its point only seeds the search: a ternary line
-    search along the segment (feasible by convexity) is followed by
-    coordinate descent in the whitened column basis, where the feasibility
-    region is a ball and the objective is smooth and convex, so the sweeps
-    converge to the conditional optimum. Infeasible probes evaluate huge
-    through the slack floor and are stepped over naturally.
-    """
-    theta = _ternary_min(
-        lambda t: objective(col + t * (col_cone - col), sigma + t * (sigma_cone - sigma)),
-        0.0,
-        1.0,
-    )
-    nu = omega_inv_sqrt @ (col + theta * (col_cone - col))
-    best_sigma = sigma + theta * (sigma_cone - sigma)
-
-    def at(nu_, sigma_):
-        return objective(omega_sqrt @ nu_, sigma_)
-
-    value = at(nu, best_sigma)
-    for _ in range(15):
-        radius = np.sqrt(max(best_sigma - best_sigma**2, 0.0)) + 1e-12
-        for j in range(nu.shape[0]):
-            nu = _with(nu, j, _ternary_min(lambda v: at(_with(nu, j, v), best_sigma),
-                                           -radius, radius))
-        best_sigma = _ternary_min(lambda s: at(nu, s), sigma_min, 1.0 - sigma_min)
-        improved = at(nu, best_sigma)
-        if improved > value - 1e-12 * max(1.0, abs(value)):
-            value = improved
-            break
-        value = improved
-    return omega_sqrt @ nu, best_sigma
-
-
-def _with(vec, j, value):
-    out = vec.copy()
-    out[j] = value
-    return out
-
-
 def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
-    """Fit one new task against a frozen model.
+    """Fit one new task against a frozen model, exactly.
 
-    Alternates the weight/bias ridge solve with the covariance-column cone
-    step until the relative change of the incorporation objective falls
-    below hp.tol or hp.max_iters is reached. The cone step maximizes t (a
-    largest-eigenvalue surrogate of the relationship trace), so a descent
-    guard keeps the recorded objective non-increasing: a cone step that
-    would raise the objective is rejected and the alternation stops.
+    With the existing weights W, the ridged covariance Omega_r and
+    F = tr(W Omega_r^{-1} W^T) frozen, write the column as
+    col = (1 - sigma) Omega_r u, let q = u^T Omega_r u and let
+    s = sigma - (1 - sigma) q be the Schur slack, so that
+    sigma = (s + q) / (1 + q). The objective becomes
 
-    Returns a NewTaskSolution; the input model is not modified.
+        ||r||^2 / n + lam1/2 ||w||^2 + lam2/2 [F (1 + q) / (1 - s) + ||w - W u||^2 / s],
+
+    jointly convex in (w, b, u, s). At a fixed s its minimiser is one
+    (d+1+m)-square linear solve, and that minimum is convex in s, so a
+    golden-section search of SEARCH_ITERS steps over s in
+    [sigma_min, 1 - sigma_min] finishes the problem. sigma_min floors the
+    Schur slack as well as sigma (sigma >= s). The bound
+    sigma <= 1 - sigma_min reads q <= (1 - s) / sigma_min - 1; where a
+    solve breaks it, a multiple mu Omega_r of the bound's gradient joins
+    the u block and mu is bisected until q meets the bound. With lam2 = 0
+    or W = 0 there is nothing to relate and the column stays zero.
+
+    objective_trace holds newtask_objective at the start point (zero
+    column, sigma = 1/(m+1) clipped to the bounds, its ridge solve) and at
+    the returned point. hp.tol and hp.max_iters are not read. Returns a
+    NewTaskSolution; the input model is not modified.
     """
     if model.kernel.kind != "linear":
         raise ValueError("new-task incorporation supports only the linear kernel")
+    if not 0.0 < sigma_min < 0.5:
+        raise ValueError("sigma_min must lie in (0, 0.5)")
     record = new_data if isinstance(new_data, TaskData) else TaskData(*new_data)
     if record.n < 1:
         raise DegenerateGram("new task has no points")
@@ -407,50 +362,78 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
         )
     _require_finite_task(record)
 
+    x, y = record.inputs, record.targets
     weights_existing = reconstruct_weights(model)
     omega = model.covariance
-    m = model.m
-    psi11 = weights_existing.T @ weights_existing
+    (n, d), m = x.shape, model.m
 
-    sigma = min(max(1.0 / (m + 1), sigma_min), 1.0 - sigma_min)
+    sigma0 = min(max(1.0 / (m + 1), sigma_min), 1.0 - sigma_min)
+    col0 = np.zeros(m)
+    w0, b0 = solve_wb_newtask(x, y, weights_existing, augmented_covariance(omega, col0, sigma0), hp)
+
+    # u is solved in units of 1/sqrt(F), so the u block is of order lam2
+    # whatever the scale of the existing weights
+    omega_r, inv = _ridged(omega, lambda v: v, np.reciprocal)
+    fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
+    k = m if hp.lam2 > 0.0 and fixed_trace > 0.0 else 0
+    scale = np.sqrt(fixed_trace) if k else 1.0
+    basis = weights_existing[:, :k] / scale
+    metric = omega_r[:k, :k]
+    loss_system, loss_rhs = _loss_system(x, y, 0.0)
+    rhs = np.concatenate([loss_rhs, np.zeros(k)])
+
+    def at_slack(s):
+        """(objective, s, solution (w, b, u), F q) of the minimiser at slack s."""
+        top = loss_system + np.diag(np.append(np.full(d, hp.lam1 + hp.lam2 / s), 0.0))
+        cross = np.vstack([-(hp.lam2 / s) * basis, np.zeros((1, k))])
+        u_block = (hp.lam2 / (1.0 - s)) * metric + (hp.lam2 / s) * basis.T @ basis
+        limit = fixed_trace * ((1.0 - s) / sigma_min - 1.0)  # the upper bound as F q <= limit
+
+        def solve(mu):
+            sol = solve_linear(np.block([[top, cross], [cross.T, u_block + mu * metric]]), rhs)
+            return sol, float(sol[d + 1:] @ metric @ sol[d + 1:])
+
+        sol, fq = solve(0.0)
+        if fq > limit:
+            lo, hi = 0.0, hp.lam2
+            while solve(hi)[1] > limit:
+                lo, hi = hi, 2.0 * hi
+            for _ in range(SEARCH_ITERS):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if solve(mid)[1] > limit else (lo, mid)
+            sol, fq = solve(hi)
+        w = sol[:d]
+        residuals = y - x @ w - sol[d]
+        diff = w - basis @ sol[d + 1:]
+        rel = (fixed_trace + fq) / (1.0 - s) + float(diff @ diff) / s
+        value = float(residuals @ residuals) / n + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
+        return value, s, sol, fq
+
+    lo, hi = sigma_min, 1.0 - sigma_min
+    inner = [at_slack(hi - _GOLDEN * (hi - lo)), at_slack(lo + _GOLDEN * (hi - lo))]
+    for _ in range(SEARCH_ITERS):
+        if inner[0][0] <= inner[1][0]:
+            hi = inner[1][1]
+            inner = [at_slack(hi - _GOLDEN * (hi - lo)), inner[0]]
+        else:
+            lo = inner[0][1]
+            inner = [inner[1], at_slack(lo + _GOLDEN * (hi - lo))]
+    _, s, sol, fq = min(inner, key=lambda point: point[0])
+
+    q = fq / fixed_trace if k else 0.0
+    sigma = min(max((s + q) / (1.0 + q), sigma_min), 1.0 - sigma_min)
     col = np.zeros(m)
-    trace = []
-    objective_at = _objective(record.inputs, record.targets, weights_existing, omega, hp)
-
-    for _ in range(hp.max_iters):
-        omega_tilde = augmented_covariance(omega, col, sigma)
-        w, b = solve_wb_newtask(record.inputs, record.targets, weights_existing, omega_tilde, hp)
-        objective = objective_at(w, b)
-        value = objective(col, sigma)
-        psi12 = weights_existing.T @ w
-        psi22 = float(w @ w)
-        if float(np.trace(psi11)) + psi22 <= 1e-14:
-            trace.append(value)
-            break  # nothing to relate: keep the zero column
-        instance = socp_instance(psi11, psi12, psi22, omega)
-        col_cone, sigma_cone, _t = solve_omega_sigma(instance, omega, sigma_min)
-        col_next, sigma_next = _descend_relationship(
-            objective, col, sigma, col_cone, sigma_cone, sigma_min,
-            instance.omega_sqrt, instance.omega_inv_sqrt,
-        )
-        value_next = objective(col_next, sigma_next)
-        if value_next > value + 1e-12 * max(1.0, abs(value)):
-            trace.append(value)  # no descent along the cone direction; stop
-            break
-        col, sigma = col_next, sigma_next
-        trace.append(value_next)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < hp.tol * max(abs(trace[-2]), 1e-12):
-            break
-
-    # final refresh so the reported weights match the final column/variance
-    omega_tilde = augmented_covariance(omega, col, sigma)
-    w, b = solve_wb_newtask(record.inputs, record.targets, weights_existing, omega_tilde, hp)
-    trace.append(objective_at(w, b)(col, sigma))
+    col[:k] = (1.0 - sigma) * (metric @ sol[d + 1:]) / scale
+    w, b = sol[:d], float(sol[d])
+    trace = [
+        newtask_objective(x, y, w_, b_, weights_existing, omega, col_, sigma_, hp)
+        for w_, b_, col_, sigma_ in ((w0, b0, col0, sigma0), (w, b, col, sigma))
+    ]
     return NewTaskSolution(
         weights=w,
         bias=b,
         cov_column=col,
         variance=sigma,
-        augmented_covariance=TaskCovariance(omega_tilde),
+        augmented_covariance=TaskCovariance(augmented_covariance(omega, col, sigma)),
         objective_trace=trace,
     )

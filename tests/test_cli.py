@@ -130,6 +130,21 @@ def test_new_task_command(tmp_path, capsys):
     assert "covariance column:" in out
 
 
+def test_new_task_refuses_fit_flags(tmp_path, capsys):
+    # incorporation reads only the penalties; the fit's flags are usage errors
+    data = tmp_path / "toy.csv"
+    model_path = tmp_path / "model.txt"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    run(capsys, "train", str(data), "--out", str(model_path))
+    new = tmp_path / "new.csv"
+    new.write_text("task,y,x1\nfresh,1.0,2.0\nfresh,2.0,3.0\n")
+    for flag in (["--solver", "smo"], ["--kernel", "rbf"], ["--rbf-width", "2.0"],
+                 ["--tol", "1e-3"], ["--max-iters", "5"]):
+        code, out, err = run(capsys, "new-task", "--model", str(model_path), str(new), *flag)
+        assert code == 2 and err.startswith("error: usage:"), flag
+        assert out == ""
+
+
 def test_new_task_rejects_existing_id(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     model_path = tmp_path / "model.txt"

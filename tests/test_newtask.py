@@ -225,26 +225,40 @@ def criterion_7_instances(count=20):
         yield model, ("new", xn, yn), hp
 
 
-def from_scratch_objective(inputs, targets, weights_existing, omega, hp):
-    """The incorporation objective with the same call shape as
-    newtask._objective, recomputing the loss and weight norm on every
-    evaluation."""
+def from_scratch_objective(inputs, targets, weights_existing, omega, hp, w, b, col, sigma):
+    """The incorporation objective at an explicit point, recomputed from
+    scratch: loss, weight norm and the block form of the relationship
+    trace, with no floor on the Schur slack."""
     (inv,) = newtask._ridged(omega, np.reciprocal)
     fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
+    inv_col = inv @ col
+    slack = sigma - float(col @ inv_col) / (1.0 - sigma)
+    diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
+    rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
+    residuals = targets - inputs @ w - b
+    loss = float(residuals @ residuals) / inputs.shape[0]
+    return loss + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
 
-    def at_weights(w, b):
-        def value(col, sigma):
-            inv_col = inv @ col
-            slack = max(sigma - float(col @ inv_col) / (1.0 - sigma), 1e-14)
-            diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
-            rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
-            residuals = targets - inputs @ w - b
-            loss = float(residuals @ residuals) / inputs.shape[0]
-            return loss + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
 
-        return value
+# incorporate_new_task's final objective on the 20 criterion-7 instances
+# under the earlier alternation of a ridge solve with the cone step and a
+# search polish; the exact step must never end above these
+ALTERNATION_OBJECTIVES = (
+    0.13085579384912593, 0.8431958092238546, 0.5165183273350825, 0.9322532541722737,
+    0.27141211936241, 1.3951674007047719, 0.6409244433003292, 0.23418449073138856,
+    0.17649022022253047, 0.2859244418013202, 1.2560111615886551, 0.9094872618936277,
+    0.41082445386241967, 0.11950740185148524, 1.016036429314, 1.2877972379996196,
+    0.5196540288512405, 0.6880363615009333, 0.29230023286801426, 0.3461892948007001,
+)
+# the same on TestIncorporate.big_new_targets, where sigma <= 1 - sigma_min binds
+ALTERNATION_BIG_TARGETS_OBJECTIVE = 283872297210.2445
 
-    return at_weights
+
+def assert_within_bounds(model, solution, sigma_min=newtask.SIGMA_MIN_DEFAULT):
+    assert sigma_min <= solution.variance <= 1.0 - sigma_min
+    assert tc.schur_feasible(model.covariance, solution.cov_column, solution.variance)
+    trace = solution.objective_trace
+    assert len(trace) == 2 and trace[1] <= trace[0]
 
 
 class TestIncorporate:
@@ -273,6 +287,9 @@ class TestIncorporate:
         solution = tc.incorporate_new_task(model, ("new", rng.normal(size=(10, 3)), np.zeros(10)), hp)
         np.testing.assert_allclose(solution.weights, 0.0, atol=1e-6)
         np.testing.assert_allclose(solution.cov_column, 0.0, atol=1e-6)
+        # nothing to explain: the Schur slack, and so sigma, sits on sigma_min
+        sigma_min = newtask.SIGMA_MIN_DEFAULT
+        assert sigma_min <= solution.variance <= sigma_min * (1.0 + 1e-6)
 
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(8)
@@ -294,18 +311,101 @@ class TestIncorporate:
             model.covariance, solution.cov_column, solution.variance, tol=1e-8
         )
 
-    def test_matches_from_scratch_objective(self, monkeypatch):
+    def test_matches_from_scratch_objective(self):
         # the first four instances hold one of each m = 1..4
-        for model, new_task, hp in criterion_7_instances(count=4):
+        rng = np.random.default_rng(12)
+        sigma_min = newtask.SIGMA_MIN_DEFAULT
+        for model, (_, x, y), hp in criterion_7_instances(count=4):
+            solution = tc.incorporate_new_task(model, ("new", x, y), hp)
+            weights_existing = tc.reconstruct_weights(model)
+            omega = model.covariance
+
+            def objective(w, b, col, sigma):
+                return from_scratch_objective(x, y, weights_existing, omega, hp, w, b, col, sigma)
+
+            w, b = solution.weights, solution.bias
+            col, sigma = solution.cov_column, solution.variance
+            value = objective(w, b, col, sigma)
+            assert abs(solution.objective_trace[-1] - value) <= 1e-12 * abs(value)
+            # no feasible point nearby is lower: sigma in its bounds and a
+            # Schur slack of at least sigma_min
+            checked = 0
+            for eps in (1e-3, 1e-4):
+                for _ in range(100):
+                    w_p = w + eps * np.linalg.norm(w) * rng.normal(size=w.shape) / np.sqrt(w.size)
+                    b_p = b + eps * (abs(b) + 1.0) * rng.normal()
+                    col_p = col + eps * np.linalg.norm(col) * (omega.matrix @ rng.normal(size=col.size))
+                    sigma_p = sigma * (1.0 + eps * rng.normal())
+                    if not (sigma_min <= sigma_p <= 1.0 - sigma_min and tc.schur_feasible(
+                            omega, col_p, sigma_p, tol=-sigma_min * (1.0 - sigma_p))):
+                        continue
+                    checked += 1
+                    assert objective(w_p, b_p, col_p, sigma_p) >= value - 1e-12 * abs(value)
+            assert checked >= 100
+
+    def test_never_above_the_alternation(self):
+        for k, (model, new_task, hp) in enumerate(criterion_7_instances()):
             solution = tc.incorporate_new_task(model, new_task, hp)
-            with monkeypatch.context() as patch:
-                patch.setattr(newtask, "_objective", from_scratch_objective)
-                reference = tc.incorporate_new_task(model, new_task, hp)
-            assert solution.objective_trace == reference.objective_trace
-            assert np.array_equal(solution.weights, reference.weights)
-            assert solution.bias == reference.bias
-            assert np.array_equal(solution.cov_column, reference.cov_column)
-            assert solution.variance == reference.variance
+            assert_within_bounds(model, solution)
+            assert solution.objective_trace[-1] <= ALTERNATION_OBJECTIVES[k] * (1.0 + 1e-12)
+            # the last trace entry is the library objective at the returned point
+            _, x, y = new_task
+            assert solution.objective_trace[-1] == tc.newtask_objective(
+                x, y, solution.weights, solution.bias, tc.reconstruct_weights(model),
+                model.covariance, solution.cov_column, solution.variance, hp,
+            )
+
+    def big_new_targets(self):
+        """New-task targets a million times the existing tasks' targets."""
+        rng = np.random.default_rng(13)
+        ds, model, hp, base = self.fit_base(rng)
+        x = rng.normal(size=(20, 3))
+        y = 1e6 * (x @ base[:, 0] + 0.2 + 0.05 * rng.normal(size=20))
+        return model, ("new", x, y), hp
+
+    def test_upper_bound_binds_on_large_new_targets(self):
+        model, new_task, hp = self.big_new_targets()
+        solution = tc.incorporate_new_task(model, new_task, hp)
+        assert_within_bounds(model, solution)
+        assert solution.variance >= 1.0 - 2.0 * newtask.SIGMA_MIN_DEFAULT
+        assert solution.objective_trace[-1] <= ALTERNATION_BIG_TARGETS_OBJECTIVE
+
+    @pytest.mark.parametrize("level", [1e-6, 1.0, 1e6])
+    def test_constant_existing_targets(self, level):
+        # the existing weights vanish (exactly, or to rounding at this level)
+        rng = np.random.default_rng(14)
+        hp = tc.Hyperparams(lam1=0.05, lam2=0.05)
+        tasks = [(f"t{i}", rng.normal(size=(25, 3)), np.full(25, level)) for i in range(2)]
+        model = tc.fit(tc.MultiTaskDataset(tasks), tc.KernelSpec("linear"), hp)
+        x = rng.normal(size=(20, 3))
+        y = x @ np.array([1.0, -0.5, 0.25]) + 0.1 * rng.normal(size=20)
+        solution = tc.incorporate_new_task(model, ("new", x, y), hp)
+        assert_within_bounds(model, solution)
+        # nothing to relate: the new task takes all the variance it may
+        assert solution.variance >= 1.0 - 2.0 * newtask.SIGMA_MIN_DEFAULT
+        np.testing.assert_allclose(solution.cov_column, 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    def test_scaling_all_targets(self, factor):
+        def solve(c):
+            rng = np.random.default_rng(15)
+            base = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 3))
+            tasks = []
+            for i in range(3):
+                x = rng.normal(size=(40, 3))
+                tasks.append((f"t{i}", x, c * (x @ base[:, i] + 0.2 + 0.3 * rng.normal(size=40))))
+            hp = tc.Hyperparams(lam1=0.03, lam2=0.03)
+            model = tc.fit(tc.MultiTaskDataset(tasks), tc.KernelSpec("linear"), hp)
+            x = rng.normal(size=(30, 3))
+            y = c * (x @ base[:, 1] + 0.2 + 0.3 * rng.normal(size=30))
+            return tc.incorporate_new_task(model, ("new", x, y), hp)
+
+        ref, scaled = solve(1.0), solve(factor)
+        assert abs(scaled.variance - ref.variance) <= 1e-5
+        np.testing.assert_allclose(scaled.cov_column, ref.cov_column, rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(
+            scaled.objective_trace[-1], factor**2 * ref.objective_trace[-1], rtol=1e-5
+        )
 
     def test_model_untouched(self):
         rng = np.random.default_rng(10)
@@ -330,7 +430,7 @@ class TestIncorporate:
         def no_solve(*args):
             raise AssertionError("a solve ran on non-finite data")
 
-        monkeypatch.setattr(newtask, "solve_wb_newtask", no_solve)
+        monkeypatch.setattr(newtask, "solve_linear", no_solve)
         with pytest.raises(errors.NonFiniteValue, match="'new'"):
             tc.incorporate_new_task(model, ("new", inputs, targets), toy_hp)
 

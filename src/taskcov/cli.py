@@ -46,8 +46,6 @@ def _add_common(parser):
     _add_penalties(parser)
     parser.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     parser.add_argument("--rbf-width", type=float, default=1.0)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--max-iters", type=int, default=50)
     parser.add_argument("--solver", choices=["direct", "smo", "auto"], default="auto")
 
 
@@ -63,6 +61,8 @@ def build_parser():
     p = sub.add_parser("train", help="fit a model and print the task correlations")
     p.add_argument("dataset")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--out", help="path to save the fitted model")
 
     p = sub.add_parser("predict", help="predict outputs for task,x rows")
@@ -102,10 +102,6 @@ def _kernel_from_args(args):
     if args.kernel == "rbf":
         return KernelSpec("rbf", args.rbf_width)
     return KernelSpec("linear")
-
-
-def _hp_from_args(args):
-    return Hyperparams(lam1=args.l1, lam2=args.l2, tol=args.tol, max_iters=args.max_iters)
 
 
 def _print_correlations(task_ids, covariance):
@@ -191,7 +187,7 @@ def _train_status(model):
     iterations = len(trace) - 2  # trace also holds the initial value and final refresh
     hp = model.hyperparams
     converged = iterations < hp.max_iters or (
-        len(trace) >= 3 and abs(trace[-2] - trace[-3]) < hp.tol * max(abs(trace[-3]), 1e-12)
+        abs(trace[-2] - trace[-3]) < hp.tol * max(abs(trace[-3]), 1e-12 * trace[0])
     )
     label = "converged after" if converged else "hit the iteration cap at"
     return f"{label} {iterations} iterations, objective {trace[-1]!r}"
@@ -199,7 +195,8 @@ def _train_status(model):
 
 def _cmd_train(args):
     ds = load_csv(args.dataset)
-    model = fit(ds, _kernel_from_args(args), _hp_from_args(args), solver=args.solver)
+    hp = Hyperparams(lam1=args.l1, lam2=args.l2, tol=args.tol, max_iters=args.max_iters)
+    model = fit(ds, _kernel_from_args(args), hp, solver=args.solver)
     print(_train_status(model))
     print("objective trace: " + " ".join(f"{v:.6g}" for v in model.objective_trace))
     _print_correlations(model.task_ids, model.covariance)
@@ -296,7 +293,7 @@ def _cmd_prior_train(args):
     ds = load_csv(args.dataset)
     inverse = _read_prior_spec(args.prior, ds.m)
     model = fit_with_fixed_inverse(
-        ds, _kernel_from_args(args), _hp_from_args(args), inverse, solver=args.solver
+        ds, _kernel_from_args(args), Hyperparams(args.l1, args.l2), inverse, solver=args.solver
     )
     print(f"objective {model.objective_trace[-1]!r}")
     _print_correlations(model.task_ids, model.covariance)

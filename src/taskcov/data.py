@@ -6,6 +6,7 @@ concatenation order: task 1's points first, then task 2's, and so on.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -281,6 +282,12 @@ class TrainedModel:
             return self.task_ids.index(task_id)
         except ValueError:
             raise UnknownTask(f"task {task_id!r} not in model") from None
+
+    @cached_property
+    def _weights(self):
+        """Read-only primal weights of a linear model (solver.reconstruct_weights)."""
+        weighted = self.support_inputs * self.dual_coefs[:, None]
+        return _readonly(weighted.T @ np.eye(self.m)[self.support_tasks] @ self.coupling)
 
 
 @dataclass(frozen=True)

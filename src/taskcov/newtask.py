@@ -17,7 +17,7 @@ import numpy as np
 from .data import NewTaskSolution, TaskCovariance, TaskData, _require_finite_task
 from .errors import DegenerateGram, DimensionMismatch, Infeasible, SigmaOutOfRange, SolverStalled
 from .linalg import PSD_EIG_FLOOR, solve_linear, sym_eig
-from .solver import reconstruct_weights
+from .solver import _centred_moments, reconstruct_weights
 
 OMEGA_RIDGE = 1e-8
 SIGMA_MIN_DEFAULT = 1e-4
@@ -285,25 +285,13 @@ def newtask_objective(inputs, targets, w, b, weights_existing, omega, omega_col,
     return fixed + 0.5 * hp.lam2 * rel
 
 
-def _loss_system(inputs, targets, ridge):
-    """Normal equations in (w, b) of the mean squared loss plus ridge/2 ||w||^2."""
-    n, d = inputs.shape
-    sums = (2.0 / n) * inputs.sum(axis=0)
-    system = np.zeros((d + 1, d + 1))
-    system[:d, :d] = (2.0 / n) * inputs.T @ inputs + ridge * np.eye(d)
-    system[:d, d] = sums
-    system[d, :d] = sums
-    system[d, d] = 2.0
-    rhs = np.concatenate([(2.0 / n) * inputs.T @ targets, [(2.0 / n) * targets.sum()]])
-    return system, rhs
-
-
 def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
     """New-task weights and bias with the augmented covariance fixed.
 
-    A ridge solve with effective ridge lam1 + lam2 (Om~^{-1})_{new,new}
-    and a linear pull toward the combination of existing weights selected
-    by the covariance column.
+    A d-square ridge solve on the task's centred moments, with effective
+    ridge lam1 + lam2 (Om~^{-1})_{new,new} and a linear pull toward the
+    combination of existing weights selected by the covariance column;
+    the bias is then y_mean - x_mean . w.
     """
     inputs = _input_block(inputs)
     targets = np.ravel(targets)
@@ -317,10 +305,11 @@ def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
     col = omega_tilde[:m, m]
     binv_col = _ridged(omega_tilde[:m, :m], np.reciprocal)[0] @ col  # B = (1 - sigma) Omega
     slack = max(sigma - float(col @ binv_col), 1e-14)
-    system, rhs = _loss_system(inputs, targets, hp.lam1 + hp.lam2 / slack)
-    rhs[:d] += (hp.lam2 / slack) * (weights_existing @ binv_col)
-    sol = solve_linear(system, rhs)
-    return sol[:d], float(sol[d])
+    x_mean, y_mean, _, _, gram, cross = _centred_moments(inputs, targets)
+    pull = hp.lam2 / slack
+    target = cross + pull * (weights_existing @ binv_col)
+    w = solve_linear(gram + (hp.lam1 + pull) * np.eye(d), target)
+    return w, float(y_mean - x_mean @ w)
 
 
 def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
@@ -334,8 +323,9 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
 
         ||r||^2 / n + lam1/2 ||w||^2 + lam2/2 [F (1 + q) / (1 - s) + ||w - W u||^2 / s],
 
-    jointly convex in (w, b, u, s). At a fixed s its minimiser is one
-    (d+1+m)-square linear solve, and that minimum is convex in s, so a
+    jointly convex in (w, b, u, s). With b = y_mean - x_mean . w eliminated
+    by centring (solver._centred_moments), its minimiser at a fixed s is
+    one (d+m)-square linear solve, and that minimum is convex in s, so a
     golden-section search of SEARCH_ITERS steps over s in
     [sigma_min, 1 - sigma_min] finishes the problem. sigma_min floors the
     Schur slack as well as sigma (sigma >= s). The bound
@@ -379,19 +369,19 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     scale = np.sqrt(fixed_trace) if k else 1.0
     basis = weights_existing[:, :k] / scale
     metric = omega_r[:k, :k]
-    loss_system, loss_rhs = _loss_system(x, y, 0.0)
+    x_mean, y_mean, x_c, y_c, gram, loss_rhs = _centred_moments(x, y)
     rhs = np.concatenate([loss_rhs, np.zeros(k)])
 
     def at_slack(s):
-        """(objective, s, solution (w, b, u), F q) of the minimiser at slack s."""
-        top = loss_system + np.diag(np.append(np.full(d, hp.lam1 + hp.lam2 / s), 0.0))
-        cross = np.vstack([-(hp.lam2 / s) * basis, np.zeros((1, k))])
+        """(objective, s, solution (w, u), F q) of the minimiser at slack s."""
+        top = gram + (hp.lam1 + hp.lam2 / s) * np.eye(d)
+        cross = -(hp.lam2 / s) * basis
         u_block = (hp.lam2 / (1.0 - s)) * metric + (hp.lam2 / s) * basis.T @ basis
         limit = fixed_trace * ((1.0 - s) / sigma_min - 1.0)  # the upper bound as F q <= limit
 
         def solve(mu):
             sol = solve_linear(np.block([[top, cross], [cross.T, u_block + mu * metric]]), rhs)
-            return sol, float(sol[d + 1:] @ metric @ sol[d + 1:])
+            return sol, float(sol[d:] @ metric @ sol[d:])
 
         sol, fq = solve(0.0)
         if fq > limit:
@@ -403,8 +393,8 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
                 lo, hi = (mid, hi) if solve(mid)[1] > limit else (lo, mid)
             sol, fq = solve(hi)
         w = sol[:d]
-        residuals = y - x @ w - sol[d]
-        diff = w - basis @ sol[d + 1:]
+        residuals = y_c - x_c @ w
+        diff = w - basis @ sol[d:]
         rel = (fixed_trace + fq) / (1.0 - s) + float(diff @ diff) / s
         value = float(residuals @ residuals) / n + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
         return value, s, sol, fq
@@ -423,8 +413,9 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     q = fq / fixed_trace if k else 0.0
     sigma = min(max((s + q) / (1.0 + q), sigma_min), 1.0 - sigma_min)
     col = np.zeros(m)
-    col[:k] = (1.0 - sigma) * (metric @ sol[d + 1:]) / scale
-    w, b = sol[:d], float(sol[d])
+    col[:k] = (1.0 - sigma) * (metric @ sol[d:]) / scale
+    w = sol[:d]
+    b = float(y_mean - x_mean @ w)
     trace = [
         newtask_objective(x, y, w_, b_, weights_existing, omega, col_, sigma_, hp)
         for w_, b_, col_, sigma_ in ((w0, b0, col0, sigma0), (w, b, col, sigma))

@@ -8,13 +8,13 @@ never increases.
 
 The coefficient step is chosen once per fit. With solver='auto' and a
 linear kernel on data where m*d < N, the combined kernel has rank at most
-m*d and the saddle system is solved exactly in that low-rank form, with
-no N x N array. Otherwise the base Gram is built once per fit and the
-saddle system is solved densely: directly up to 2000 points, by SMO
-beyond (or as the solver argument says). Within a fit, SMO starts each
-outer iteration from the previous iteration's coefficients, which are
-close to the next solution once the covariance settles; the first
-iteration, and the public solve_alpha_b_smo, start at alpha = 0.
+m*d and the saddle system is solved exactly in m*d dimensions from
+per-task centred moments formed once per fit. Otherwise the base Gram is
+built once per fit and the saddle system is solved densely: directly up
+to 2000 points, by SMO beyond (or as the solver argument says). Within a
+fit, SMO starts each outer iteration from the last one's coefficients,
+which are close to the next solution once the covariance settles; the
+first iteration, and the public solve_alpha_b_smo, start at alpha = 0.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -41,7 +41,7 @@ from .kernels import (
     base_kernel_matrix,
     coupling_matrix,
 )
-from .linalg import _check_residual, solve_linear, spectral_map, sym_eig, trace_pinv_product
+from .linalg import _check_residual, solve_linear, spectral_map, trace_pinv_product
 
 # Dense direct saddle solve up to this many points; SMO beyond.
 DIRECT_SOLVE_LIMIT = 2000
@@ -207,7 +207,11 @@ def _coefficient_step(ds, kernel, solver):
     if solver not in ("direct", "smo", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
     if solver == "auto" and kernel.kind == "linear" and ds.m * ds.dim < ds.total:
-        return lambda coupling: _low_rank_solve(ds, coupling)
+        per_task = [_centred_moments(t.inputs, t.targets) for t in ds.tasks]
+        x_mean, y_mean, x, y, gram, cross = zip(*per_task)
+        moments = (np.array(x_mean), np.array(y_mean), np.concatenate(x), np.concatenate(y),
+                   np.array(gram), np.array(cross))
+        return lambda coupling: _low_rank_solve(ds, moments, coupling)
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
     base = base_kernel_matrix(kernel, ds.inputs)
     previous = None  # SMO starts each call after the first from the last alpha
@@ -225,48 +229,46 @@ def _coefficient_step(ds, kernel, solver):
     return dense_step
 
 
-def _low_rank_solve(ds, coupling):
+def _centred_moments(inputs, targets):
+    """One task's squared loss (1/n) ||y - X w - b||^2 with b eliminated: it
+    is least at b = y_mean - x_mean . w, where it is (1/n) ||y~ - X~ w||^2 on
+    the centred rows. Returns (x_mean, y_mean, X~, y~, G, c) with
+    G = (2/n) X~^T X~ and c = (2/n) X~^T y~; the gradient in w is G w - c."""
+    x_mean = inputs.mean(axis=0)
+    y_mean = targets.mean()
+    x = inputs - x_mean
+    y = targets - y_mean
+    scale = 2.0 / inputs.shape[0]
+    return x_mean, y_mean, x, y, scale * (x.T @ x), scale * (x.T @ y)
+
+
+def _low_rank_solve(ds, moments, coupling):
     """Exact saddle solve for the linear kernel in m*d dimensions.
 
-    alpha has zero sum over each task, so moving a task's inputs by a
-    constant leaves alpha unchanged and only shifts that task's bias: the
-    solve runs on task-centred inputs, which keeps large input offsets
-    from cancelling in the Schur complement. With C = L L^T the centred
-    combined kernel is K = Z Z^T for the N x (m*d) matrix Z whose row p is
-    L[t_p] (x) x_p. Writing D = diag(n_i)/2 and F = D^{-1/2} Z, Woodbury
-    with the Cholesky factor R R^T = I + F^T F gives
-    (K + D)^{-1} = D^{-1/2} (I - Q Q^T) D^{-1/2} with Q = F R^{-T}; the
-    biases solve the m x m Schur complement E^T (K + D)^{-1} E.
-
-    K alpha is formed in the primal, x_p . (U C)[:, t_p] with
-    U[:, i] = sum over task i of alpha_p x_p, so the residual gate of
-    solve_linear applies to the full saddle system at C itself. S = U^T U.
+    moments stacks the tasks' _centred_moments. Centring decouples the
+    biases (alpha sums to 0 over each task), and task t's saddle rows give
+    alpha_p = 2 (y~_p - x~_p . w_t) / n_t with w = C z, z_t = X~_t^T alpha_t.
+    So z solves (I + G (C (x) I)) z = c, block (t, s) delta_ts I + G_t C[t, s]:
+    Woodbury with C as the middle factor, needing no inverse or factor of C.
+    The weights are U C with U = X~^T spread(alpha), b = y_mean - x_mean . w,
+    and K alpha is formed from the uncentred inputs, so the residual gate
+    applies to the full saddle system at C itself. S = U^T U.
     """
-    x = ds.inputs
-    ind = _spread(ds.point_task, ds.m, 1.0)
+    x_mean, y_mean, x, y, gram, cross = moments
     half = _loss_weights(ds) / 2.0
-    root = 1.0 / np.sqrt(half)[:, None]
-    means = (ind.T @ x) / ds.counts[:, None]
-    centred = x - means[ds.point_task]
-    dec = sym_eig(coupling)
-    keep = dec.values > 0.0
-    factor = dec.vectors[:, keep] * np.sqrt(dec.values[keep])
-    f = (factor[ds.point_task][:, :, None] * centred[:, None, :]).reshape(ds.total, -1) * root
+    system = np.eye(cross.size) + np.einsum("tij,ts->tisj", gram, coupling).reshape(cross.size, -1)
     try:
-        chol = np.linalg.cholesky(np.eye(f.shape[1]) + f.T @ f)
-        q_t = np.linalg.solve(chol, f.T)
-        rhs = np.column_stack([ds.targets, ind]) * root
-        solved = (rhs - q_t.T @ (q_t @ rhs)) * root
-        centred_b = np.linalg.solve(ind.T @ solved[:, 1:], ind.T @ solved[:, 0])
+        z = np.linalg.solve(system, cross.ravel()).reshape(cross.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    alpha = solved[:, 0] - solved[:, 1:] @ centred_b
-    u = centred.T @ _spread(ds.point_task, ds.m, alpha)
+    alpha = (y - np.einsum("pj,pj->p", x, (coupling @ z)[ds.point_task])) / half
+    spread = _spread(ds.point_task, ds.m, alpha)
+    u = x.T @ spread
     weights = u @ coupling
-    b = centred_b - np.einsum("ij,ji->i", means, weights)
-    fitted = np.einsum("pj,pj->p", x, weights.T[ds.point_task])
-    residual = np.concatenate([fitted + half * alpha + b[ds.point_task] - ds.targets, ind.T @ alpha])
-    _check_residual(residual, ds.targets)
+    b = y_mean - np.einsum("ij,ji->i", x_mean, weights)
+    fitted = np.einsum("pj,pj->p", ds.inputs, weights.T[ds.point_task])
+    residual = fitted + half * alpha + b[ds.point_task] - ds.targets
+    _check_residual(np.concatenate([residual, spread.sum(axis=0)]), ds.targets)
     return alpha, b, fitted, u.T @ u
 
 
@@ -339,9 +341,10 @@ def fit(ds, kernel, hp, solver="auto"):
 
     Returns a TrainedModel whose objective trace is non-increasing; a rise
     beyond 1e-8 relative raises NonDecreaseDetected. Stops when the
-    relative objective change falls below hp.tol or after hp.max_iters
-    outer iterations. On a degenerate weight Gram (all-zero targets) the
-    previous covariance is kept and the run terminates converged.
+    relative objective change (against |previous| floored at 1e-12 of the
+    first value) falls below hp.tol or after hp.max_iters outer iterations.
+    On a degenerate weight Gram (all-zero targets) the previous covariance
+    is kept and the run terminates converged.
     """
     validate_dataset(ds)
     if hp.lam1 <= 0:
@@ -366,7 +369,7 @@ def fit(ds, kernel, hp, solver="auto"):
                 f"objective rose from {previous!r} to {value!r}"
             )
         trace.append(value)
-        if abs(value - previous) < hp.tol * max(abs(previous), 1e-12):
+        if abs(value - previous) < hp.tol * max(abs(previous), 1e-12 * trace[0]):
             break
 
     # Final refresh so the stored coefficients, coupling and covariance are
@@ -489,9 +492,9 @@ def reconstruct_weights(model):
     """Explicit per-task weight vectors for a linear-kernel model.
 
     Column i is w_i = sum_{p,q} alpha_q^p x_q^p coupling[p, i]; predictions
-    then equal w_i^T x + b_i exactly.
+    then equal w_i^T x + b_i exactly. Computed once per model and returned
+    read-only.
     """
     if model.kernel.kind != "linear":
         raise ValueError("explicit weights exist only for the linear kernel")
-    weighted = model.support_inputs * model.dual_coefs[:, None]
-    return weighted.T @ _spread(model.support_tasks, model.m, 1.0) @ model.coupling
+    return model._weights

@@ -3,7 +3,7 @@ import re
 import numpy as np
 
 import taskcov as tc
-from taskcov.cli import cli_main
+from taskcov.cli import _train_status, cli_main
 
 
 def run(capsys, *argv):
@@ -162,6 +162,28 @@ def test_train_reports_iteration_cap(tmp_path, capsys):
     code, out, _ = run(capsys, "train", str(data), "--max-iters", "1")
     assert code == 0
     assert out.startswith("hit the iteration cap at 1 iterations")
+
+
+def test_train_status_is_scale_invariant():
+    # a fit that hits the cap is reported so whatever the units of its targets
+    ds = tc.generate_toy(35)
+    small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-10 * t.targets) for t in ds.tasks])
+    hp = tc.Hyperparams(lam1=0.01, lam2=0.005, max_iters=2)
+    for data in (ds, small):
+        model = tc.fit(data, tc.KernelSpec("linear"), hp)
+        assert _train_status(model).startswith("hit the iteration cap at 2 iterations")
+
+
+def test_prior_train_refuses_stop_flags(tmp_path, capsys):
+    # prior-train runs one solve with the prior fixed; there is no loop to stop
+    data = tmp_path / "toy.csv"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    spec = tmp_path / "prior.spec"
+    spec.write_text("kind=mean\n")
+    for flag in (["--tol", "1e-3"], ["--max-iters", "5"]):
+        code, out, err = run(capsys, "prior-train", str(data), "--prior", str(spec), *flag)
+        assert code == 2 and err.startswith("error: usage:"), flag
+        assert out == ""
 
 
 def test_prior_train(tmp_path, capsys):

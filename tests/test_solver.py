@@ -283,11 +283,21 @@ def low_rank_instances(count=50, seed=30):
         yield ds, hp, unit_trace_psd(rng, m)
 
 
+def rescaled(instances):
+    """Each instance under unit changes: inputs times a with both penalties
+    times a^2 (the combined kernel is unchanged), and targets times c."""
+    for ds, hp, omega in instances:
+        for a in (1e-3, 1.0, 1e3):
+            for c in (1e-6, 1.0, 1e6):
+                tasks = [(t.task_id, a * t.inputs, c * t.targets) for t in ds.tasks]
+                yield tc.MultiTaskDataset(tasks), tc.Hyperparams(a * a * hp.lam1, a * a * hp.lam2), omega
+
+
 class TestLowRankStep:
     kernel = tc.KernelSpec("linear")
 
     def test_matches_dense_direct_solve(self):
-        for ds, hp, omega in low_rank_instances():
+        for ds, hp, omega in rescaled(low_rank_instances()):
             c = tc.coupling_matrix(omega, hp)
             alpha, b, fitted, blocked = solver._coefficient_step(ds, self.kernel, "auto")(c)
             a_ref, b_ref = tc.solve_alpha_b_direct(ds, self.kernel, c)
@@ -475,6 +485,16 @@ class TestFit:
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-10 * abs(a)
 
+    def test_stop_is_scale_invariant(self):
+        # the stop rule's floor follows the fit's own scale, so targets
+        # times 1e-10 run the unscaled fit's iterations
+        ds = random_dataset(np.random.default_rng(0), m=3, d=3, n_lo=8, n_hi=12)
+        small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-10 * t.targets) for t in ds.tasks])
+        hp = tc.Hyperparams(lam1=0.1, lam2=0.1)
+        ref, got = (tc.fit(data, tc.KernelSpec("linear"), hp) for data in (ds, small))
+        assert len(got.objective_trace) == len(ref.objective_trace)
+        np.testing.assert_allclose(got.covariance.matrix, ref.covariance.matrix, rtol=0, atol=1e-6)
+
     def test_zero_targets_terminate_converged(self):
         ds = tc.MultiTaskDataset([("a", [[1.0], [2.0]], [0.0, 0.0]),
                                   ("b", [[3.0], [4.0]], [0.0, 0.0])])
@@ -618,6 +638,15 @@ class TestPredict:
                 np.testing.assert_array_equal(batch, halves)
             oracle, scale = dual_oracle(model, ids, xs)
             assert np.max(np.abs(batch - oracle) / scale) <= 1e-12
+
+    def test_linear_weights_are_cached_read_only(self, toy, toy_hp):
+        model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+        weights = tc.reconstruct_weights(model)
+        assert tc.reconstruct_weights(model) is weights
+        assert not weights.flags.writeable
+        spread = solver._spread(model.support_tasks, model.m, 1.0)
+        expected = (model.support_inputs * model.dual_coefs[:, None]).T @ spread @ model.coupling
+        np.testing.assert_array_equal(weights, expected)
 
     def test_rbf_matches_dual_oracle_across_blocks(self, toy, toy_hp, monkeypatch):
         model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)

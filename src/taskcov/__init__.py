@@ -28,7 +28,6 @@ from .kernels import (
     base_kernel,
     base_kernel_matrix,
     coupling_matrix,
-    cross_kernel_matrix,
     multitask_kernel,
 )
 from .linalg import (

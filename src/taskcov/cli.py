@@ -25,7 +25,7 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import fit, predict, predict_batch, reconstruct_weights
+from .solver import _converged, fit, predict, predict_batch, reconstruct_weights
 
 
 class _UsageError(TaskcovError):
@@ -186,9 +186,7 @@ def _train_status(model):
     trace = model.objective_trace
     iterations = len(trace) - 2  # trace also holds the initial value and final refresh
     hp = model.hyperparams
-    converged = iterations < hp.max_iters or (
-        abs(trace[-2] - trace[-3]) < hp.tol * max(abs(trace[-3]), 1e-12 * trace[0])
-    )
+    converged = iterations < hp.max_iters or _converged(trace[:-1], hp.tol)
     label = "converged after" if converged else "hit the iteration cap at"
     return f"{label} {iterations} iterations, objective {trace[-1]!r}"
 

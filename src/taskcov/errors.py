@@ -82,14 +82,6 @@ class SigmaOutOfRange(TaskcovError):
     pass
 
 
-class Infeasible(TaskcovError):
-    pass
-
-
-class SolverStalled(TaskcovError):
-    pass
-
-
 # --- fixed relationship priors ---
 
 class NegativeSimilarity(TaskcovError):

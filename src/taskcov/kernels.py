@@ -88,11 +88,3 @@ def _combined_kernel(ds, base, coupling):
     k /= 2.0
     return k
 
-
-def cross_kernel_matrix(kernel, coupling, support_inputs, support_tasks, task_index, x):
-    """Combined-kernel column between all support points and one query.
-
-    Returns the length-N vector k_MT(support_q, (task_index, x)).
-    """
-    base = base_kernel_matrix(kernel, support_inputs, np.atleast_2d(x)).ravel()
-    return coupling[support_tasks, task_index] * base

@@ -3,11 +3,14 @@
 With the existing tasks' weights and covariance frozen, the problem in the
 new task's weights, bias, covariance column and own variance is convex;
 incorporate_new_task solves it exactly (one linear solve per value of the
-Schur slack, and a golden-section search over the slack). The cone program
-solve_omega_sigma (maximize t subject to the augmented covariance
-dominating t times the augmented weight Gram, by a log-barrier interior
-method) and the weight step solve_wb_newtask remain standalone steps.
-Linear kernel only.
+Schur slack, and a golden-section search over the slack). The weight step
+solve_wb_newtask and the cone step solve_omega_sigma remain standalone
+steps. The cone step maximises t subject to the augmented covariance
+dominating t times the augmented weight Gram, and has a closed form: the
+diagonal blocks bound t by (1 - sigma) / lam and sigma / psi22 (lam the
+top eigenvalue of the whitened existing-weight Gram), the column
+t psi12 attains the bound, and sigma = psi22 / (lam + psi22), clipped to
+[sigma_min, 1 - sigma_min], balances the two. Linear kernel only.
 """
 
 from dataclasses import dataclass
@@ -15,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NewTaskSolution, TaskCovariance, TaskData, _require_finite_task
-from .errors import DegenerateGram, DimensionMismatch, Infeasible, SigmaOutOfRange, SolverStalled
+from .errors import DegenerateGram, DimensionMismatch, SigmaOutOfRange
 from .linalg import PSD_EIG_FLOOR, solve_linear, sym_eig
 from .solver import _centred_moments, reconstruct_weights
 
 OMEGA_RIDGE = 1e-8
 SIGMA_MIN_DEFAULT = 1e-4
-BARRIER_MU_FINAL = 1e-8
-NEWTON_TOL = 1e-10
 SEARCH_ITERS = 60  # golden-section steps over s; bisection steps on the bound's multiplier
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,19 +68,15 @@ def schur_feasible(omega, omega_col, sigma, tol=1e-10):
 
 @dataclass(frozen=True)
 class SocpInstance:
-    """Precomputed pieces of the covariance-column cone program.
-
-    eigvals/eigvecs decompose the whitened existing-weight Gram
-    Omega^{-1/2} Psi11 Omega^{-1/2}; psi12 and psi22 are the cross and
-    own blocks of the augmented weight Gram.
+    """The pieces of the covariance-column cone program that its solution
+    reads: the eigenvalues (descending) of the whitened existing-weight
+    Gram Omega^{-1/2} Psi11 Omega^{-1/2}, and the cross and own blocks
+    psi12 and psi22 of the augmented weight Gram.
     """
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray
     psi12: np.ndarray
     psi22: float
-    omega_inv_sqrt: np.ndarray
-    omega_sqrt: np.ndarray
 
     def __post_init__(self):
         if self.eigvals.size and self.eigvals[-1] < PSD_EIG_FLOOR:
@@ -91,169 +88,40 @@ class SocpInstance:
 def socp_instance(psi11, psi12, psi22, omega):
     """Build the cone-program data from weight-Gram blocks and the
     existing covariance (ridged if semidefinite)."""
-    inv_sqrt, root = _ridged(omega, lambda v: 1.0 / np.sqrt(v), np.sqrt)
-    whitened = inv_sqrt @ psi11 @ inv_sqrt
-    dec = sym_eig(whitened)
+    (inv_sqrt,) = _ridged(omega, lambda v: 1.0 / np.sqrt(v))
     return SocpInstance(
-        eigvals=np.clip(dec.values, 0.0, None),
-        eigvecs=dec.vectors,
+        eigvals=np.clip(sym_eig(inv_sqrt @ psi11 @ inv_sqrt).values, 0.0, None),
         psi12=np.asarray(psi12, dtype=float).ravel(),
         psi22=float(psi22),
-        omega_inv_sqrt=inv_sqrt,
-        omega_sqrt=root,
     )
 
 
 def solve_omega_sigma(socp, omega, sigma_min=SIGMA_MIN_DEFAULT):
-    """Covariance column and variance for the new task: maximize t under
-    the rotated-cone constraints.
+    """Covariance column and variance for the new task: the exact maximiser
+    of t subject to Om~(col, sigma) >= t Psi~ and sigma in
+    [sigma_min, 1 - sigma_min].
 
-    Constraints (after whitening the column as nu = Omega^{-1/2} column):
-        1 - sigma >= t * lam_j                     for each eigenvalue
-        sum_j f_j^2 / (1 - sigma - t lam_j) <= sigma - t psi22,
-            f = U^T (nu - t Omega^{-1/2} psi12)
-        ||nu||^2 <= sigma - sigma^2
-        sigma in [sigma_min, 1 - sigma_min], t > 0
-
-    Solved by a log-barrier interior method (mu halved from 1 to 1e-8,
-    Newton tolerance 1e-10). Returns (omega_col, sigma, t).
+    The diagonal blocks of any feasible point give (1 - sigma) Omega >=
+    t Psi11 and sigma >= t psi22, so t <= min((1 - sigma) / lam,
+    sigma / psi22) with lam the top eigenvalue of the whitened Psi11 (a
+    term is +inf where its denominator is 0). col = t psi12 zeroes the
+    off-diagonal block of Om~ - t Psi~ and so attains the bound, which is
+    largest at sigma = psi22 / (lam + psi22), clipped to the interval.
+    Where the clip binds at sigma_min, other columns reach the same t;
+    this one, t psi12, is returned. omega is not read: the instance
+    already holds its whitening. Raises DegenerateGram when
+    lam + psi22 is not positive (t is then unbounded).
+    Returns (omega_col, sigma, t).
     """
     if not 0.0 < sigma_min < 0.5:
         raise ValueError("sigma_min must lie in (0, 0.5)")
-    m = socp.psi12.shape[0]
-    lam_raw = socp.eigvals
-    q = socp.omega_inv_sqrt @ socp.psi12
-    p_raw = socp.eigvecs.T @ q
-    scale = max(float(lam_raw[0]) if m else 0.0, socp.psi22)
-    if scale <= 1e-14:
+    lam = float(socp.eigvals[0]) if socp.eigvals.size else 0.0
+    psi22 = max(socp.psi22, 0.0)
+    if lam + psi22 <= 0.0:
         raise DegenerateGram("all weight-Gram blocks are zero; t is unbounded")
-    lam = lam_raw / scale
-    p = p_raw / scale
-    psi22 = socp.psi22 / scale
-    ut = socp.eigvecs.T
-
-    k = m + 2  # variables: nu (m), sigma, t  (t in scaled units)
-    e_sigma = np.zeros(k); e_sigma[m] = 1.0
-    e_t = np.zeros(k); e_t[m + 1] = 1.0
-    # Jacobians of the linear maps f(z) and r(z)
-    jac_f = np.zeros((m, k)); jac_f[:, :m] = ut; jac_f[:, m + 1] = -p
-    jac_r = np.zeros((m, k)); jac_r[:, m] = -1.0; jac_r[:, m + 1] = -lam
-
-    def pieces(z):
-        nu, sigma, t = z[:m], z[m], z[m + 1]
-        f = ut @ nu - t * p
-        r = 1.0 - sigma - t * lam
-        g1 = sigma - t * psi22 - float(np.sum(f**2 / r)) if np.all(r > 0) else -1.0
-        g2 = sigma - sigma**2 - float(nu @ nu)
-        return nu, sigma, t, f, r, g1, g2
-
-    def feasible(z):
-        nu, sigma, t, f, r, g1, g2 = pieces(z)
-        return (
-            t > 0
-            and sigma_min < sigma < 1.0 - sigma_min
-            and np.all(r > 0)
-            and g1 > 0
-            and g2 > 0
-        )
-
-    def barrier(z):
-        nu, sigma, t, f, r, g1, g2 = pieces(z)
-        return -(
-            np.sum(np.log(r))
-            + np.log(g1)
-            + np.log(g2)
-            + np.log(t)
-            + np.log(sigma - sigma_min)
-            + np.log(1.0 - sigma_min - sigma)
-        )
-
-    def gradient_hessian(z):
-        nu, sigma, t, f, r, g1, g2 = pieces(z)
-        fr = f / r
-        # sum_j f_j^2 / r_j : gradient and Hessian
-        grad_q = 2.0 * jac_f.T @ fr - jac_r.T @ fr**2
-        hess_q = (
-            2.0 * (jac_f.T * (1.0 / r)) @ jac_f
-            - 2.0 * (jac_f.T * (fr / r)) @ jac_r
-            - 2.0 * (jac_r.T * (fr / r)) @ jac_f
-            + 2.0 * (jac_r.T * (fr**2 / r)) @ jac_r
-        )
-        grad_g1 = e_sigma - psi22 * e_t - grad_q
-        hess_g1 = -hess_q
-        grad_g2 = np.concatenate([-2.0 * nu, [1.0 - 2.0 * sigma, 0.0]])
-        hess_g2 = np.zeros((k, k))
-        hess_g2[:m, :m] = -2.0 * np.eye(m)
-        hess_g2[m, m] = -2.0
-
-        # -sum log c terms: grad = -sum grad_c/c, hess = sum (gg^T/c^2 - Hc/c)
-        grad = -(jac_r.T @ (1.0 / r)) - grad_g1 / g1 - grad_g2 / g2
-        grad -= e_t / t
-        grad -= e_sigma / (sigma - sigma_min)
-        grad += e_sigma / (1.0 - sigma_min - sigma)
-        hess = (jac_r.T * (1.0 / r**2)) @ jac_r
-        hess += np.outer(grad_g1, grad_g1) / g1**2 - hess_g1 / g1
-        hess += np.outer(grad_g2, grad_g2) / g2**2 - hess_g2 / g2
-        hess += np.outer(e_t, e_t) / t**2
-        hess += np.outer(e_sigma, e_sigma) / (sigma - sigma_min) ** 2
-        hess += np.outer(e_sigma, e_sigma) / (1.0 - sigma_min - sigma) ** 2
-        return grad, hess
-
-    # strictly feasible start: centered sigma, zero column, small t
-    z = np.zeros(k)
-    z[m] = 0.5
-    t0 = 0.1 / (1.0 + psi22 + float(p @ p))
-    for _ in range(200):
-        z[m + 1] = t0
-        if feasible(z):
-            break
-        t0 /= 2.0
-    else:
-        raise Infeasible("no strictly feasible starting point with t > 0")
-
-    mu = 1.0
-    last_mu = mu
-    while mu >= BARRIER_MU_FINAL:
-        for _ in range(100):
-            grad_b, hess_b = gradient_hessian(z)
-            grad = -e_t + mu * grad_b
-            hess = mu * hess_b + 1e-12 * np.eye(k)
-            try:
-                direction = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                raise SolverStalled("barrier Hessian is singular") from None
-            decrement = float(-grad @ direction)
-            if decrement / 2.0 <= NEWTON_TOL:
-                break
-            phi0 = -z[m + 1] + mu * barrier(z)
-            step = 1.0
-            while step > 1e-14:
-                trial = z + step * direction
-                if feasible(trial):
-                    phi1 = -trial[m + 1] + mu * barrier(trial)
-                    if phi1 <= phi0 + 0.25 * step * float(grad @ direction):
-                        break
-                step /= 2.0
-            else:
-                break  # no productive step at this centering; tighten mu
-            z = z + step * direction
-        last_mu = mu
-        mu /= 2.0
-
-    if not feasible(z):
-        raise SolverStalled("barrier method left the feasible region")
-    # KKT quality: complementarity is bounded by last_mu per constraint and
-    # stationarity by the Newton decrement of the final centering.
-    grad_b, hess_b = gradient_hessian(z)
-    grad = -e_t + last_mu * grad_b
-    hess = last_mu * hess_b + 1e-12 * np.eye(k)
-    decrement = float(-grad @ np.linalg.solve(hess, -grad))
-    if max(abs(decrement) / 2.0, last_mu * (m + 5)) > 1e-6:
-        raise SolverStalled(f"KKT residual {max(abs(decrement) / 2.0, last_mu * (m + 5)):.3e}")
-
-    nu, sigma, t_scaled = z[:m], float(z[m]), float(z[m + 1])
-    omega_col = socp.omega_sqrt @ nu
-    return omega_col, sigma, t_scaled / scale
+    sigma = min(max(psi22 / (lam + psi22), sigma_min), 1.0 - sigma_min)
+    t = min((1.0 - sigma) / lam if lam > 0.0 else np.inf, sigma / psi22 if psi22 > 0.0 else np.inf)
+    return t * socp.psi12, sigma, t
 
 
 def _input_block(inputs):

@@ -106,9 +106,13 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     This call starts at alpha = 0. Within fit, SMO instead starts each
     outer iteration from the previous iteration's coefficients.
 
+    The stop rule is scaled to the targets: the KKT spread must fall to
+    kkt_tol * min(1, max |y|), so targets in small units are solved to the
+    same relative accuracy, and the rule is never looser than kkt_tol.
+
     Raises ValueError unless kkt_tol is finite and positive and
     max_rounds is at least 1, and MaxIterationsExceeded (carrying the
-    best iterate) if the KKT spread does not fall below kkt_tol in time.
+    best iterate) if the KKT spread does not fall to that bound in time.
     """
     if not (np.isfinite(kkt_tol) and kkt_tol > 0):
         raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
@@ -123,10 +127,11 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
 
     A round visits every task once and stops the loop when no task moves,
     which happens exactly when the KKT spread at its start is at most
-    kkt_tol. Gradient updates read rows of K~, which equal its columns
-    because k is exactly symmetric.
+    kkt_tol * min(1, max |y|). Gradient updates read rows of K~, which
+    equal its columns because k is exactly symmetric.
     """
     n = ds.total
+    tol = kkt_tol * min(1.0, float(np.max(np.abs(ds.targets))))
     kt = k.copy()
     kt[np.diag_indices(n)] += _loss_weights(ds) / 2.0
     if start is None:
@@ -150,7 +155,7 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
             hi = int(g.argmax()) + sl.start
             lo = int(g.argmin()) + sl.start
             viol = grad[hi] - grad[lo]
-            if viol <= kkt_tol:
+            if viol <= tol:
                 continue
             # curvature >= min task size thanks to the diag(n_i)/2 shift
             curv = kt[hi, hi] + kt[lo, lo] - 2.0 * kt[hi, lo]
@@ -163,9 +168,9 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
             break
     b = np.array([-grad[sl].mean() for sl in task_slices])
     spread = max([0.0] + [float(grad[sl].max() - grad[sl].min()) for sl in paired])
-    if spread > kkt_tol:
+    if spread > tol:
         raise MaxIterationsExceeded(
-            f"KKT spread {spread:.3e} above {kkt_tol:.1e} after {max_rounds} rounds",
+            f"KKT spread {spread:.3e} above {tol:.1e} after {max_rounds} rounds",
             alpha=alpha,
             b=b,
         )
@@ -327,6 +332,13 @@ def objective_value(ds, alpha, b, omega, kernel, hp):
     return _objective_terms(ds, residuals, gram, omega, hp)
 
 
+def _converged(trace, tol):
+    """fit's stop test on the last step of an objective trace: the change
+    is below tol relative to the previous value, floored at 1e-12 of the
+    first value so that the test follows the objective's own scale."""
+    return abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1e-12 * trace[0])
+
+
 def fit(ds, kernel, hp, solver="auto"):
     """Alternate the dual solve and the covariance update to convergence.
 
@@ -369,7 +381,7 @@ def fit(ds, kernel, hp, solver="auto"):
                 f"objective rose from {previous!r} to {value!r}"
             )
         trace.append(value)
-        if abs(value - previous) < hp.tol * max(abs(previous), 1e-12 * trace[0]):
+        if _converged(trace, hp.tol):
             break
 
     # Final refresh so the stored coefficients, coupling and covariance are

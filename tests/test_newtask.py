@@ -177,22 +177,61 @@ class TestConeStep:
         assert abs(col[0] - ref[0]) <= 1e-3
         assert abs(sigma - ref[1]) <= 1e-3
 
+    @staticmethod
+    def largest_t(aug, gram):
+        """Largest t with aug - t gram PSD, by bisection on eigvalsh (0 when
+        aug itself is not PSD). The diagonal bounds t from above."""
+        def feasible(t):
+            return np.min(np.linalg.eigvalsh(aug - t * gram)) >= 0.0
+
+        if not feasible(0.0):
+            return 0.0
+        diag = np.diag(gram) > 0.0
+        lo, hi = 0.0, float(np.min(np.diag(aug)[diag] / np.diag(gram)[diag]))
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+        return lo
+
     def test_solution_satisfies_matrix_inequality(self):
         rng = np.random.default_rng(5)
+        cases = []  # (omega, existing weights, new weights, the clipped sigma or None)
         for _ in range(10):
             m = int(rng.integers(1, 4))
             omega = unit_trace_psd(rng, m)
-            w_old = rng.normal(size=(3, m))
-            w_new = rng.normal(size=3)
+            cases.append((omega, rng.normal(size=(3, m)), rng.normal(size=3), None))
+        # new-task weights near zero clip sigma at sigma_min; existing
+        # weights W = 0 clip it at 1 - sigma_min with a zero column
+        for m in (1, 3):
+            omega = unit_trace_psd(rng, m)
+            cases.append((omega, rng.normal(size=(3, m)), 1e-4 * rng.normal(size=3), 1e-4))
+            cases.append((omega, np.zeros((3, m)), rng.normal(size=3), 1.0 - 1e-4))
+        for omega, w_old, w_new, clipped in cases:
+            m = w_old.shape[1]
             inst = tc.socp_instance(w_old.T @ w_old, w_old.T @ w_new, w_new @ w_new, omega)
             col, sigma, t = tc.solve_omega_sigma(inst, omega)
             aug = tc.augmented_covariance(omega, col, sigma)
             full = np.column_stack([w_old, w_new])
-            gap = aug - t * (full.T @ full)
-            assert np.min(np.linalg.eigvalsh(gap)) >= -1e-7
+            gram = full.T @ full
+            assert np.min(np.linalg.eigvalsh(aug - t * gram)) >= -1e-7
+            if clipped is not None:
+                assert sigma == clipped
+            if not np.any(w_old):
+                assert not np.any(col)
+            # no sampled (col, sigma) reaches a larger t: col near the
+            # solution's, sigma near it or anywhere in its interval
+            for k in range(60):
+                step = 10.0 ** rng.uniform(-6, -1)
+                s = sigma + step * rng.normal() if k % 2 else rng.uniform(1e-4, 1.0 - 1e-4)
+                s = min(max(s, 1e-4), 1.0 - 1e-4)
+                c = col + step * rng.normal(size=m)
+                best = self.largest_t(tc.augmented_covariance(omega, c, s), gram)
+                assert best <= t * (1.0 + 1e-9)
 
     def test_trace_equals_inverse_t_when_tight(self):
-        # rank-one stacked weights make the trace equal the top eigenvalue
+        # rank-one stacked weights make the trace equal the top eigenvalue;
+        # the optimum (col = sigma = 1/2) is singular, so the trace is the
+        # library's relationship term over the covariance's range
         omega = tc.TaskCovariance(np.array([[1.0]]))
         w_old = np.array([[2.0]])
         w_new = np.array([2.0])
@@ -200,8 +239,8 @@ class TestConeStep:
         col, sigma, t = tc.solve_omega_sigma(inst, omega)
         aug = tc.augmented_covariance(omega, col, sigma)
         full = np.column_stack([w_old, w_new])
-        trace = float(np.trace(full @ np.linalg.inv(aug) @ full.T))
-        np.testing.assert_allclose(trace, 1.0 / t, rtol=1e-5)
+        trace = tc.trace_pinv_product(aug, full.T @ full)
+        np.testing.assert_allclose(trace, 1.0 / t, rtol=1e-12)
 
 
 def criterion_7_instances(count=20):

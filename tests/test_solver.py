@@ -31,9 +31,11 @@ def saddle_system_oracle(ds, kernel, coupling):
 
 
 def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS):
-    """Reference SMO loop: a KKT-spread scan before each round, then the
-    round's updates from columns of K~, from alpha = 0."""
+    """Reference SMO loop: a KKT-spread scan against kkt_tol * min(1, max |y|)
+    before each round, then the round's updates from columns of K~, from
+    alpha = 0."""
     n = ds.total
+    kkt_tol *= min(1.0, float(np.max(np.abs(ds.targets))))
     kt = k.copy()
     kt[np.diag_indices(n)] += ds.counts[ds.point_task] / 2.0
     alpha = np.zeros(n)
@@ -234,6 +236,17 @@ class TestSmo:
             trace = smo.objective_trace
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + solver.NONDECREASE_RTOL * max(1.0, abs(a))
+
+    def test_small_targets_match_direct(self, toy, toy_hp):
+        # the KKT stop scales with the targets, so targets times 1e-6 are
+        # solved to the direct path's relative accuracy
+        small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-6 * t.targets) for t in toy.tasks])
+        ids = [small.task_ids[i] for i in small.point_task]
+        for kernel in (tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.0)):
+            smo, direct = (tc.fit(small, kernel, toy_hp, solver=s) for s in ("smo", "direct"))
+            want = tc.predict_batch(direct, ids, small.inputs)
+            gap = tc.predict_batch(smo, ids, small.inputs) - want
+            assert np.max(np.abs(gap)) <= 1e-4 * np.max(np.abs(want))
 
     def test_fit_warm_starts_after_the_first_solve(self, toy, toy_hp, monkeypatch):
         starts = []

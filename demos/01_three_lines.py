@@ -14,7 +14,10 @@ print("dataset: 3 tasks x 5 points, inputs uniform on [0, 10], noise var 0.1")
 hp = tc.Hyperparams(lam1=0.01, lam2=0.005)
 model = tc.fit(ds, tc.KernelSpec("linear"), hp)
 
-print(f"\nconverged after {len(model.objective_trace) - 2} iterations")
+print(
+    f"\n{len(model.objective_trace) - 2} iterations, stopped on: {model.report.stop_reason},"
+    f" relative duality gap {model.report.gap:.1e}"
+)
 print("objective trace:", " ".join(f"{v:.4f}" for v in model.objective_trace))
 
 weights = tc.reconstruct_weights(model)

@@ -13,6 +13,7 @@ with the covariance held fixed.
 from . import errors
 from .crossval import CvResult, ExperimentConfig, assign_folds, cross_validate
 from .data import (
+    FitReport,
     Hyperparams,
     KernelSpec,
     MultiTaskDataset,

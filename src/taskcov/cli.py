@@ -25,7 +25,7 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import _converged, fit, predict, predict_batch, reconstruct_weights
+from .solver import fit, predict, predict_batch, reconstruct_weights
 
 
 class _UsageError(TaskcovError):
@@ -183,12 +183,15 @@ def _cmd_make_toy(args):
 
 
 def _train_status(model):
+    """One line from the fit's report: how it stopped, after how many
+    iterations, its final relative duality gap and objective."""
     trace = model.objective_trace
     iterations = len(trace) - 2  # trace also holds the initial value and final refresh
-    hp = model.hyperparams
-    converged = iterations < hp.max_iters or _converged(trace[:-1], hp.tol)
-    label = "converged after" if converged else "hit the iteration cap at"
-    return f"{label} {iterations} iterations, objective {trace[-1]!r}"
+    report = model.report
+    capped = report.stop_reason == "iteration cap"
+    label = "hit the iteration cap at" if capped else "converged after"
+    return (f"{label} {iterations} iterations, stop: {report.stop_reason}, "
+            f"relative gap {report.gap:.3g}, objective {trace[-1]!r}")
 
 
 def _cmd_train(args):

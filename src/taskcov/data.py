@@ -160,11 +160,14 @@ def _require_finite_task(task):
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Regularization weights and outer-loop stopping rule.
+    """Regularization weights and the fit's stopping rule.
 
     lam1 weights the plain squared-norm penalty on the task weights and
     must be positive for fitting (strict convexity of the weight step);
-    lam2 weights the relationship penalty.
+    lam2 weights the relationship penalty. A linear-kernel fit stops when
+    its relative duality gap is at most tol, other kernels when the
+    relative objective change falls below tol; either stops after
+    max_iters iterations.
     """
 
     lam1: float
@@ -231,6 +234,23 @@ class TaskCovariance:
 
 
 @dataclass(frozen=True)
+class FitReport:
+    """How a fit ended.
+
+    stop_reason is 'gap' (relative duality gap at most tol: linear
+    kernel), 'objective change' (relative objective change below tol:
+    other kernels), 'degenerate Gram' (zero weight Gram: other kernels)
+    or 'iteration cap' (max_iters reached). gap is the final relative
+    duality gap (P - D) / |P| of the stored state against the best dual
+    bound the fit found: the stored objective P lies at most gap * |P|
+    above the optimum.
+    """
+
+    stop_reason: str
+    gap: float
+
+
+@dataclass(frozen=True)
 class TrainedModel:
     """Fitted multi-task model in dual form.
 
@@ -238,7 +258,9 @@ class TrainedModel:
     coupling is the task-coupling matrix the dual expansion was solved
     with, retained so predictions are exactly reproducible (for models
     trained against a fixed relationship prior it is not derivable from
-    the reported covariance).
+    the reported covariance). report is the FitReport of the fit that
+    made the model; it is not saved and takes no part in comparisons, so
+    a loaded or hand-built model has None.
     """
 
     task_ids: tuple
@@ -252,6 +274,7 @@ class TrainedModel:
     counts: np.ndarray
     hyperparams: Hyperparams
     objective_trace: tuple = field(default=())
+    report: FitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "task_ids", tuple(self.task_ids))

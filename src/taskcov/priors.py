@@ -131,7 +131,7 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
         raise NotPSD(f"fixed inverse has eigenvalue {spectrum[-1]:.3e}")
     step = _coefficient_step(ds, kernel, solver)
     coupling = _coupling_from_fixed_inverse(inverse, hp)
-    alpha, b, residuals, gram = _fitted_state(ds, step, coupling)
+    alpha, b, residuals, gram, _ = _fitted_state(ds, step, coupling)
     objective = (
         _loss_and_norm_terms(ds, residuals, gram, hp)
         + 0.5 * hp.lam2 * float(np.trace(inverse @ gram))

@@ -1,10 +1,37 @@
-"""Alternating optimizer for the joint regression / task-covariance fit.
+"""Optimizer for the joint regression / task-covariance fit.
 
-One outer iteration solves the dual coefficients and biases exactly with
-the covariance held fixed, then updates the covariance analytically from
-the weight Gram matrix: Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}). Both
-substeps minimize a jointly convex objective, so the recorded objective
-never increases.
+The covariance step has a closed form: for fixed weights W the best
+unit-trace covariance is Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}), where
+the relationship penalty equals the squared trace norm ||W||_*^2. So the
+fit minimises the convex
+
+    P(W) = sum_t (1/n_t) ||y~_t - X~_t w_t||^2 + lam1/2 ||W||_F^2
+           + lam2/2 ||W||_*^2
+
+over the weights alone (biases eliminated by per-task centring), and
+any alpha summing to 0 per task gives the lower bound
+
+    D(alpha) = alpha^T y - sum_p n_p alpha_p^2 / 4 - h*(z),
+
+with z the singular values of the feature-space matrix whose column t is
+sum over task t's points of alpha_p phi(x_p), and h* the conjugate of
+lam1/2 ||s||^2 + lam2/2 (sum s)^2 over s >= 0.
+
+A linear-kernel fit, whatever its solver argument, works on per-task
+centred moments G_t = (2/n) X~^T X~ and c_t = (2/n) X~^T y~ formed once
+(when m*d >= N, on the centred rows instead, with no d x d moment).
+Each iteration takes one accelerated proximal-gradient step on P (the
+prox of the squared trace norm shrinks singular values by a common
+amount), then the exact covariance step from that point: Omega from W,
+and the weights minimising the objective at that Omega, an m*d solve
+(or the equivalent N-point one when that is smaller). The lower P is
+kept; on a rise the momentum restarts, so the trace never increases.
+It stops when the relative duality gap (P - D) / |P| falls to hp.tol,
+D taken at alpha_p = 2 r_p / n_p. One coefficient step at the final
+covariance then gives the stored alpha, b and coupling. Other kernels
+alternate the coefficient step and the
+covariance update until the relative objective change falls to hp.tol;
+both substeps are exact, so the trace never increases there either.
 
 The coefficient step is chosen once per fit. With solver='auto' and a
 linear kernel on data where m*d < N, the combined kernel has rank at most
@@ -12,9 +39,10 @@ m*d and the saddle system is solved exactly in m*d dimensions from
 per-task centred moments formed once per fit. Otherwise the base Gram is
 built once per fit and the saddle system is solved densely: directly up
 to 2000 points, by SMO beyond (or as the solver argument says). Within a
-fit, SMO starts each outer iteration from the last one's coefficients,
-which are close to the next solution once the covariance settles; the
-first iteration, and the public solve_alpha_b_smo, start at alpha = 0.
+non-linear fit, SMO starts each outer iteration from the last one's
+coefficients, which are close to the next solution once the covariance
+settles; the first iteration, and the public solve_alpha_b_smo, start at
+alpha = 0.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -26,7 +54,7 @@ support x block array kept under 4 MB.
 
 import numpy as np
 
-from .data import TaskCovariance, TrainedModel, validate_dataset
+from .data import FitReport, TaskCovariance, TrainedModel, validate_dataset
 from .errors import (
     DegenerateGram,
     DimensionMismatch,
@@ -103,8 +131,8 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     violating pair, and tasks are visited round-robin. Biases come from
     per-task stationarity of the gradient.
 
-    This call starts at alpha = 0. Within fit, SMO instead starts each
-    outer iteration from the previous iteration's coefficients.
+    This call starts at alpha = 0. Within a non-linear fit, SMO instead
+    starts each outer iteration from the previous iteration's coefficients.
 
     The stop rule is scaled to the targets: the KKT spread must fall to
     kkt_tol * min(1, max |y|), so targets in small units are solved to the
@@ -201,21 +229,19 @@ def _weight_gram(coupling, blocked):
     return (g + g.T) / 2.0
 
 
-def _coefficient_step(ds, kernel, solver):
+def _coefficient_step(ds, kernel, solver, moments=None):
     """The coefficient step of one fit, its path chosen once.
 
     Returns a function of the coupling matrix C giving (alpha, b, K alpha,
     S): the exact saddle solution, the fitted values without biases, and
     the task-blocked quadratic form of alpha against the base Gram, so
-    that W^T W = C S C.
+    that W^T W = C S C. moments, the dataset's _task_moments if the
+    caller already holds them, saves the low-rank path forming them again.
     """
     if solver not in ("direct", "smo", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
     if solver == "auto" and kernel.kind == "linear" and ds.m * ds.dim < ds.total:
-        per_task = [_centred_moments(t.inputs, t.targets) for t in ds.tasks]
-        x_mean, y_mean, x, y, gram, cross = zip(*per_task)
-        moments = (np.array(x_mean), np.array(y_mean), np.concatenate(x), np.concatenate(y),
-                   np.array(gram), np.array(cross))
+        moments = _task_moments(ds) if moments is None else moments
         return lambda coupling: _low_rank_solve(ds, moments, coupling)
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
     base = base_kernel_matrix(kernel, ds.inputs)
@@ -234,38 +260,117 @@ def _coefficient_step(ds, kernel, solver):
     return dense_step
 
 
-def _centred_moments(inputs, targets):
+def _centred(inputs, targets):
     """One task's squared loss (1/n) ||y - X w - b||^2 with b eliminated: it
     is least at b = y_mean - x_mean . w, where it is (1/n) ||y~ - X~ w||^2 on
-    the centred rows. Returns (x_mean, y_mean, X~, y~, G, c) with
-    G = (2/n) X~^T X~ and c = (2/n) X~^T y~; the gradient in w is G w - c."""
+    the centred rows. Returns (x_mean, y_mean, X~, y~).
+
+    Targets that are constant to rounding (centred norm at most 1e-13 of
+    their norm) centre to exactly 0, so that such a task has w = 0 and
+    not a fit to the rounding of its mean, whatever the targets' units.
+    """
     x_mean = inputs.mean(axis=0)
     y_mean = targets.mean()
-    x = inputs - x_mean
     y = targets - y_mean
+    if np.linalg.norm(y) <= 1e-13 * np.linalg.norm(targets):
+        y = np.zeros_like(y)
+    return x_mean, y_mean, inputs - x_mean, y
+
+
+def _centred_moments(inputs, targets):
+    """_centred with the moments of the centred loss: (x_mean, y_mean, X~,
+    y~, G, c) with G = (2/n) X~^T X~ and c = (2/n) X~^T y~; the gradient
+    in w is G w - c."""
+    x_mean, y_mean, x, y = _centred(inputs, targets)
     scale = 2.0 / inputs.shape[0]
     return x_mean, y_mean, x, y, scale * (x.T @ x), scale * (x.T @ y)
+
+
+def _task_moments(ds):
+    """Every task's _centred_moments, stacked: the means as (m, d) and
+    (m,) arrays, the centred rows and targets concatenated in flat point
+    order, G as (m, d, d) and c as (m, d). G is formed only when m*d < N,
+    where the linear fit works in m*d dimensions; otherwise it is None."""
+    x_mean, y_mean, x, y = zip(*(_centred(t.inputs, t.targets) for t in ds.tasks))
+    scale = 2.0 / ds.counts
+    cross = np.array([s * (xt.T @ yt) for s, xt, yt in zip(scale, x, y)])
+    gram = None
+    if ds.m * ds.dim < ds.total:
+        gram = np.array([s * (xt.T @ xt) for s, xt in zip(scale, x)])
+    return (np.array(x_mean), np.array(y_mean), np.concatenate(x), np.concatenate(y), gram, cross)
+
+
+def _coupled_solve(gram, cross, coupling):
+    """The m*d system of the linear coefficient step at coupling C: z solves
+    (I + G (C (x) I)) z = c, block (t, s) delta_ts I + G_t C[t, s]. The
+    weights minimising the centred loss plus lam1/2 ||W||^2 + lam2/2
+    tr(W Omega^+ W^T) are then w = C z (rows), and z_t = c_t - G_t w_t."""
+    system = np.eye(cross.size) + np.einsum("tij,ts->tisj", gram, coupling).reshape(cross.size, -1)
+    try:
+        return np.linalg.solve(system, cross.ravel()).reshape(cross.shape)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
+
+
+def _centred_loss(ds, moments):
+    """The centred loss's curvature as the linear fit uses it, in whichever
+    of two forms with one result is cheaper.
+
+    With the moments' G (m*d < N): the rows G_t w_t in O(m d^2), and the
+    m*d system of _coupled_solve. Otherwise through the centred rows, with
+    no d x d moment formed: G_t w_t = (2/n_t) X~_t^T (X~_t w_t) in O(N d),
+    and the N-point system the m*d one is Woodbury-equivalent to,
+    (diag(n_p)/2 + (X~ X~^T) o C[t_p, t_q]) alpha = y~, z_t = X~_t^T alpha_t.
+
+    Returns (gram_times, coupled_solve, low, high): W -> the rows G_t w_t,
+    C -> the z of _coupled_solve, and the least and the largest eigenvalue
+    over all G_t.
+    """
+    _, _, x, y, gram, cross = moments
+    if gram is not None:
+        spectra = np.linalg.eigvalsh(gram)
+        return (lambda weights: np.einsum("tij,tj->ti", gram, weights),
+                lambda coupling: _coupled_solve(gram, cross, coupling),
+                max(float(spectra[:, 0].min()), 0.0), float(spectra[:, -1].max()))
+    scale = 2.0 / _loss_weights(ds)
+    centred = x @ x.T
+
+    def gram_times(weights):
+        fitted = np.einsum("pj,pj->p", x, weights[ds.point_task])
+        return (x.T @ _spread(ds.point_task, ds.m, scale * fitted)).T
+
+    def coupled_solve(coupling):
+        system = coupling[np.ix_(ds.point_task, ds.point_task)] * centred
+        system[np.diag_indices(ds.total)] += 1.0 / scale
+        try:
+            alpha = np.linalg.solve(system, y)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from None
+        return (x.T @ _spread(ds.point_task, ds.m, alpha)).T
+
+    low, high = np.inf, 0.0
+    for n, rows in zip(ds.counts, np.split(x, np.cumsum(ds.counts)[:-1])):
+        values = (2.0 / n) * np.linalg.svd(rows, compute_uv=False) ** 2
+        low = min(low, float(values[-1]) if n > ds.dim else 0.0)
+        high = max(high, float(values[0]))
+    return gram_times, coupled_solve, low, high
 
 
 def _low_rank_solve(ds, moments, coupling):
     """Exact saddle solve for the linear kernel in m*d dimensions.
 
-    moments stacks the tasks' _centred_moments. Centring decouples the
-    biases (alpha sums to 0 over each task), and task t's saddle rows give
-    alpha_p = 2 (y~_p - x~_p . w_t) / n_t with w = C z, z_t = X~_t^T alpha_t.
-    So z solves (I + G (C (x) I)) z = c, block (t, s) delta_ts I + G_t C[t, s]:
-    Woodbury with C as the middle factor, needing no inverse or factor of C.
-    The weights are U C with U = X~^T spread(alpha), b = y_mean - x_mean . w,
-    and K alpha is formed from the uncentred inputs, so the residual gate
-    applies to the full saddle system at C itself. S = U^T U.
+    moments is the dataset's _task_moments. Centring decouples the biases
+    (alpha sums to 0 over each task), and task t's saddle rows give
+    alpha_p = 2 (y~_p - x~_p . w_t) / n_t with w = C z, z_t = X~_t^T alpha_t,
+    the solution of _coupled_solve: Woodbury with C as the middle factor,
+    needing no inverse or factor of C. The weights are U C with
+    U = X~^T spread(alpha), b = y_mean - x_mean . w, and K alpha is formed
+    from the uncentred inputs, so the residual gate applies to the full
+    saddle system at C itself. S = U^T U.
     """
     x_mean, y_mean, x, y, gram, cross = moments
     half = _loss_weights(ds) / 2.0
-    system = np.eye(cross.size) + np.einsum("tij,ts->tisj", gram, coupling).reshape(cross.size, -1)
-    try:
-        z = np.linalg.solve(system, cross.ravel()).reshape(cross.shape)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
+    z = _coupled_solve(gram, cross, coupling)
     alpha = (y - np.einsum("pj,pj->p", x, (coupling @ z)[ds.point_task])) / half
     spread = _spread(ds.point_task, ds.m, alpha)
     u = x.T @ spread
@@ -278,10 +383,11 @@ def _low_rank_solve(ds, moments, coupling):
 
 
 def _fitted_state(ds, step, coupling):
-    """alpha, b, the loss residuals and the weight Gram at one coupling."""
+    """alpha, b, the loss residuals, the weight Gram and the blocked form S
+    at one coupling."""
     alpha, b, fitted, blocked = step(coupling)
     residuals = ds.targets - (fitted + b[ds.point_task])
-    return alpha, b, residuals, _weight_gram(coupling, blocked)
+    return alpha, b, residuals, _weight_gram(coupling, blocked), blocked
 
 
 def update_omega(gram):
@@ -308,7 +414,7 @@ def _loss_and_norm_terms(ds, loss_residuals, gram, hp):
 
 
 def _objective_terms(ds, loss_residuals, gram, omega, hp):
-    rel_term = 0.5 * hp.lam2 * trace_pinv_product(omega.matrix, gram)
+    rel_term = 0.5 * hp.lam2 * float(trace_pinv_product(omega.matrix, gram))
     return _loss_and_norm_terms(ds, loss_residuals, gram, hp) + rel_term
 
 
@@ -333,68 +439,231 @@ def objective_value(ds, alpha, b, omega, kernel, hp):
 
 
 def _converged(trace, tol):
-    """fit's stop test on the last step of an objective trace: the change
-    is below tol relative to the previous value, floored at 1e-12 of the
-    first value so that the test follows the objective's own scale."""
+    """The non-linear fit's stop test on the last step of an objective
+    trace: the change is below tol relative to the previous value, floored
+    at 1e-12 of the first value so that the test follows the objective's
+    own scale."""
     return abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1e-12 * trace[0])
 
 
+def _require_descent(previous, value, where=""):
+    """Raise NonDecreaseDetected if the objective rose from previous to
+    value by more than NONDECREASE_RTOL relative."""
+    if value > previous + NONDECREASE_RTOL * max(1.0, abs(previous)):
+        raise NonDecreaseDetected(
+            f"objective rose from {float(previous)!r} to {float(value)!r}{where}"
+        )
+
+
+def _shrink(v, a):
+    """argmin over s >= 0 of ||s - v||^2 / 2 + a/2 (sum s)^2, for v sorted
+    descending: s = max(v - a T, 0) with T = sum s. On the k entries left
+    active, a prefix of v, T = (v_1 + ... + v_k) / (1 + k a); k is the
+    last index with v_k > a T_k, a test that holds on a prefix only."""
+    totals = np.cumsum(v) / (1.0 + a * np.arange(1, v.size + 1))
+    active = int(np.count_nonzero(v > a * totals))
+    if active == 0:
+        return np.zeros_like(v)
+    return np.maximum(v - a * totals[active - 1], 0.0)
+
+
+def _penalty_conjugate(z, hp):
+    """h*(z) = max over s >= 0 of z.s - lam1/2 ||s||^2 - lam2/2 (sum s)^2,
+    for z sorted descending: the maximiser is _shrink(z / lam1, lam2 / lam1),
+    so on the top-k active set s_i = (z_i - lam2 T) / lam1 with
+    T = (z_1 + ... + z_k) / (lam1 + k lam2)."""
+    s = _shrink(z / hp.lam1, hp.lam2 / hp.lam1)
+    total = float(s.sum())
+    return float(z @ s) - 0.5 * hp.lam1 * float(s @ s) - 0.5 * hp.lam2 * total * total
+
+
+def _dual_value(ds, alpha, blocked, hp):
+    """D(alpha) for coefficients alpha summing to 0 per task, whose
+    task-blocked form against the base Gram is S: z^2 are the eigenvalues
+    of S. alpha^T y is taken on per-task centred targets, which is the
+    same for such alpha."""
+    y = ds.targets - (np.bincount(ds.point_task, ds.targets) / ds.counts)[ds.point_task]
+    z = np.sqrt(np.clip(np.linalg.eigvalsh(blocked)[::-1], 0.0, None))
+    loss = float(alpha @ y) - 0.25 * float(np.sum(_loss_weights(ds) * alpha**2))
+    return loss - _penalty_conjugate(z, hp)
+
+
+def _relative_gap(value, bound):
+    """(P - D) / |P|, with a rounding-level negative gap read as 0 and a
+    zero P as 0 when D reaches it."""
+    gap = max(value - bound, 0.0)
+    return gap / abs(value) if value else (0.0 if gap == 0.0 else float("inf"))
+
+
+def _weight_covariance(weights):
+    """update_omega of the weight Gram W W^T of the (m, d) weight rows,
+    with W first scaled to a largest entry of 1 (Omega does not depend on
+    W's scale, and update_omega's zero-Gram floor is absolute). Raises
+    DegenerateGram when W is exactly zero."""
+    scale = float(np.max(np.abs(weights)))
+    if scale == 0.0:
+        raise DegenerateGram("weights are zero; covariance update undefined")
+    unit = weights / scale
+    return update_omega(unit @ unit.T)
+
+
+def _svd_coupling(left, values, hp):
+    """coupling_matrix(update_omega(W W^T), hp) for the (m, d) weight rows
+    W = left diag(values) right, read off that SVD with no decomposition:
+    W W^T has eigenvectors left and eigenvalues values^2, of which those at
+    or below 1e-14 of the largest are cut as in update_omega. None when W
+    is zero."""
+    kept = values > 1e-7 * values[0]
+    if not kept.any():
+        return None
+    mu = values[kept] / values[kept].sum()
+    return (left[:, kept] * (mu / (hp.lam1 * mu + hp.lam2))) @ left[:, kept].T
+
+
+def _certify_linear(ds, moments, hp, trace):
+    """Minimise P over the (m, d) weight rows on the centred moments.
+
+    Each iteration takes an accelerated proximal-gradient step from the
+    extrapolated point, with step 1/L, L = max_t lambda_max(G_t) + lam1,
+    and momentum (sqrt L - sqrt mu) / (sqrt L + sqrt mu),
+    mu = lam1 + min_t lambda_min(G_t): the prox of the squared trace norm
+    shrinks the singular values (_shrink). Then the exact covariance step
+    from the prox point: at the coupling of its covariance, the weights
+    minimising the objective (_centred_loss). The lower P of the two is
+    kept if it is below the kept one, and appended to trace; otherwise the
+    momentum restarts from the kept point. Each kept point gives a dual
+    bound, and the best one is kept. Stops on P - D <= hp.tol |P| or after
+    hp.max_iters iterations, and returns the weights, the stop reason and
+    the bound.
+    """
+    _, _, _, y, _, cross = moments
+    gram_times, coupled_solve, low, high = _centred_loss(ds, moments)
+    constant = float(np.sum(y**2 / _loss_weights(ds)))
+    lipschitz, convexity = high + hp.lam1, low + hp.lam1
+    step = 1.0 / lipschitz
+    momentum = (np.sqrt(lipschitz) - np.sqrt(convexity)) / (np.sqrt(lipschitz) + np.sqrt(convexity))
+
+    def primal(weights, norm=None):
+        """P(weights); norm is its trace norm when already known."""
+        if norm is None:
+            norm = float(np.linalg.svd(weights, compute_uv=False).sum())
+        smooth = float(np.sum(weights * (0.5 * gram_times(weights) - cross + 0.5 * hp.lam1 * weights)))
+        return constant + smooth + 0.5 * hp.lam2 * norm * norm
+
+    def dual(weights):
+        """D at alpha_p = 2 r_p / n_p, r the centred residuals, in
+        O(m d^2): z_t = X~_t^T alpha_t = c_t - G_t w_t, and
+        sum_p (alpha_p y~_p - n_p alpha_p^2 / 4) = constant - w.Gw / 2."""
+        gw = gram_times(weights)
+        z = np.linalg.svd(cross - gw, compute_uv=False)
+        return constant - 0.5 * float(np.sum(weights * gw)) - _penalty_conjugate(z, hp)
+
+    weights = np.zeros_like(cross)
+    value, bound = primal(weights, 0.0), dual(weights)
+    ahead = weights
+    for _ in range(hp.max_iters):
+        gradient = gram_times(ahead) - cross + hp.lam1 * ahead
+        left, values, right = np.linalg.svd(ahead - step * gradient, full_matrices=False)
+        values = _shrink(values, step * hp.lam2)
+        prox = (left * values) @ right
+        candidates = [(primal(prox, float(values.sum())), prox)]
+        coupling = _svd_coupling(left, values, hp)
+        if coupling is not None:
+            solved = coupling @ coupled_solve(coupling)
+            candidates.append((primal(solved), solved))
+        best_value, best = min(candidates, key=lambda pair: pair[0])
+        if best_value < value:
+            ahead = best + momentum * (best - weights)
+            weights, value = best, best_value
+            bound = max(bound, dual(weights))
+        else:
+            ahead = weights
+        trace.append(value)
+        if value - bound <= hp.tol * abs(value):
+            return weights, "gap", bound
+    return weights, "iteration cap", bound
+
+
+def _alternate(ds, step, hp, trace):
+    """The non-linear fit: alternate the coefficient step and the
+    covariance update from Omega = I/m, appending each objective to trace.
+    Stops when the relative objective change falls below hp.tol, after
+    hp.max_iters iterations, or on a zero weight Gram (all-zero targets),
+    keeping the last covariance. Returns the covariance and the reason."""
+    omega = TaskCovariance.unrelated(ds.m)
+    for _ in range(hp.max_iters):
+        coupling = coupling_matrix(omega, hp)
+        _, _, residuals, gram, _ = _fitted_state(ds, step, coupling)
+        try:
+            omega = update_omega(gram)
+        except DegenerateGram:
+            trace.append(_objective_terms(ds, residuals, gram, omega, hp))
+            return omega, "degenerate Gram"
+        value = _objective_terms(ds, residuals, gram, omega, hp)
+        _require_descent(trace[-1], value)
+        trace.append(value)
+        if _converged(trace, hp.tol):
+            return omega, "objective change"
+    return omega, "iteration cap"
+
+
 def fit(ds, kernel, hp, solver="auto"):
-    """Alternate the dual solve and the covariance update to convergence.
+    """Fit the task weights and the task covariance jointly.
 
     Parameters
     ----------
     ds : MultiTaskDataset
     kernel : KernelSpec
     hp : Hyperparams (lam1 must be positive)
-    solver : 'direct', 'smo' or 'auto'. 'auto' solves the linear kernel
-        exactly in low-rank form when m*d < N; otherwise it takes the
-        direct saddle solve up to 2000 points and SMO beyond.
+    solver : 'direct', 'smo' or 'auto', the path of the coefficient step.
+        'auto' solves the linear kernel exactly in low-rank form when
+        m*d < N; otherwise it takes the direct saddle solve up to 2000
+        points and SMO beyond.
 
-    Returns a TrainedModel whose objective trace is non-increasing; a rise
-    beyond 1e-8 relative raises NonDecreaseDetected. Stops when the
-    relative objective change (against |previous| floored at 1e-12 of the
-    first value) falls below hp.tol or after hp.max_iters outer iterations.
-    On a degenerate weight Gram (all-zero targets) the previous covariance
-    is kept and the run terminates converged.
+    A linear kernel minimises P by proximal-gradient and covariance steps
+    on the centred moments (module docstring), whatever the solver, and
+    stops when the relative duality gap (P - D) / |P| is at most hp.tol
+    or after hp.max_iters iterations. Other kernels alternate the
+    coefficient step and the covariance update and stop when the relative
+    objective change (against |previous| floored at 1e-12 of the first
+    value) falls below hp.tol, after hp.max_iters iterations, or on a zero
+    weight Gram. Either way one coefficient step at the final covariance
+    gives the stored coefficients, biases and coupling; all-zero or
+    constant targets end at Omega = I/m.
+
+    Returns a TrainedModel whose objective trace holds the starting value,
+    one value per iteration and the final state's, non-increasing; a rise
+    beyond 1e-8 relative raises NonDecreaseDetected. Its report gives the
+    stop reason and the final relative duality gap, against the best dual
+    bound found.
     """
     validate_dataset(ds)
     if hp.lam1 <= 0:
         raise ValueError("fitting requires lam1 > 0")
-    step = _coefficient_step(ds, kernel, solver)
+    moments = _task_moments(ds) if kernel.kind == "linear" else None
+    step = _coefficient_step(ds, kernel, solver, moments)
+    unrelated = TaskCovariance.unrelated(ds.m)
+    trace = [objective_value(ds, np.zeros(ds.total), np.zeros(ds.m), unrelated, kernel, hp)]
 
-    omega = TaskCovariance.unrelated(ds.m)
-    trace = [objective_value(ds, np.zeros(ds.total), np.zeros(ds.m), omega, kernel, hp)]
-
-    for _ in range(hp.max_iters):
-        coupling = coupling_matrix(omega, hp)
-        alpha, b, residuals, gram = _fitted_state(ds, step, coupling)
+    if moments is None:
+        omega, stop = _alternate(ds, step, hp, trace)
+        bound = -np.inf
+    else:
+        weights, stop, bound = _certify_linear(ds, moments, hp, trace)
         try:
-            omega = update_omega(gram)
+            omega = _weight_covariance(weights)
         except DegenerateGram:
-            trace.append(_objective_terms(ds, residuals, gram, omega, hp))
-            break
-        value = _objective_terms(ds, residuals, gram, omega, hp)
-        previous = trace[-1]
-        if value > previous + NONDECREASE_RTOL * max(1.0, abs(previous)):
-            raise NonDecreaseDetected(
-                f"objective rose from {previous!r} to {value!r}"
-            )
-        trace.append(value)
-        if _converged(trace, hp.tol):
-            break
+            omega = unrelated
 
-    # Final refresh so the stored coefficients, coupling and covariance are
-    # mutually consistent (the loop updates the covariance after the dual
-    # solve). Can only lower the objective further.
+    # Final refresh: the stored coefficients solve the coefficient step at
+    # the stored covariance's coupling. At a fixed covariance that step can
+    # only lower the objective.
     coupling = coupling_matrix(omega, hp)
-    alpha, b, residuals, gram = _fitted_state(ds, step, coupling)
+    alpha, b, residuals, gram, blocked = _fitted_state(ds, step, coupling)
     final = _objective_terms(ds, residuals, gram, omega, hp)
-    if final > trace[-1] + NONDECREASE_RTOL * max(1.0, abs(trace[-1])):
-        raise NonDecreaseDetected(
-            f"objective rose from {trace[-1]!r} to {final!r} in the final refresh"
-        )
+    _require_descent(trace[-1], final, " in the final refresh")
     trace.append(final)
+    bound = max(bound, _dual_value(ds, alpha, blocked, hp))
 
     return TrainedModel(
         task_ids=ds.task_ids,
@@ -408,6 +677,7 @@ def fit(ds, kernel, hp, solver="auto"):
         counts=ds.counts,
         hyperparams=hp,
         objective_trace=trace,
+        report=FitReport(stop, _relative_gap(final, bound)),
     )
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import taskcov as tc
@@ -23,3 +24,16 @@ def random_dataset(rng, m=3, d=2, n_lo=3, n_hi=8, noise=0.1):
         y = x @ w + rng.normal() + noise * rng.normal(size=n)
         tasks.append((f"t{i}", x, y))
     return tc.MultiTaskDataset(tasks)
+
+
+def planted_dataset(seed, tasks, points, dim, rank):
+    """Tasks whose weights share a rank-`rank` structure, an offset of 0.5
+    and noise of standard deviation 0.3: with (12345, 10, 200, 10, 3) the
+    benchmark's linear-2k data, with (777, 8, 40, 5, 2) its cv-grid data."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(dim, rank)) @ rng.normal(size=(rank, tasks)) / np.sqrt(rank)
+    out = []
+    for i in range(tasks):
+        x = rng.normal(size=(points, dim))
+        out.append((f"t{i}", x, x @ weights[:, i] + 0.5 + 0.3 * rng.normal(size=points)))
+    return tc.MultiTaskDataset(out)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -172,6 +173,32 @@ def test_train_status_is_scale_invariant():
     for data in (ds, small):
         model = tc.fit(data, tc.KernelSpec("linear"), hp)
         assert _train_status(model).startswith("hit the iteration cap at 2 iterations")
+
+
+def test_train_reports_stop_reason_and_gap(tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    code, out, _ = run(capsys, "train", str(data), "--tol", "1e-10")
+    assert code == 0
+    status = out.splitlines()[0]
+    hit = re.fullmatch(r"converged after \d+ iterations, stop: gap, relative gap (\S+), objective \S+", status)
+    assert hit and 0.0 <= float(hit.group(1)) <= 1e-10, status
+    code, out, _ = run(capsys, "train", str(data), "--kernel", "rbf", "--rbf-width", "2.0")
+    assert code == 0
+    assert re.match(r"converged after \d+ iterations, stop: objective change, relative gap ", out)
+
+
+def test_train_status_reads_the_report():
+    # the status line says what the fit's report says; it does not re-derive
+    # convergence from the objective trace
+    model = tc.fit(tc.generate_toy(35), tc.KernelSpec("linear"), tc.Hyperparams(0.01, 0.005))
+    assert _train_status(model).startswith("converged after ")
+    capped = dataclasses.replace(model, report=tc.FitReport("iteration cap", 0.25))
+    iterations = len(model.objective_trace) - 2
+    assert _train_status(capped) == (
+        f"hit the iteration cap at {iterations} iterations, stop: iteration cap, "
+        f"relative gap 0.25, objective {model.objective_trace[-1]!r}"
+    )
 
 
 def test_prior_train_refuses_stop_flags(tmp_path, capsys):

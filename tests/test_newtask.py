@@ -281,16 +281,17 @@ def from_scratch_objective(inputs, targets, weights_existing, omega, hp, w, b, c
 
 # incorporate_new_task's final objective on the 20 criterion-7 instances
 # under the earlier alternation of a ridge solve with the cone step and a
-# search polish; the exact step must never end above these
+# search polish, run on the models of the duality-gap fit; the exact step
+# must never end above these
 ALTERNATION_OBJECTIVES = (
-    0.13085579384912593, 0.8431958092238546, 0.5165183273350825, 0.9322532541722737,
-    0.27141211936241, 1.3951674007047719, 0.6409244433003292, 0.23418449073138856,
-    0.17649022022253047, 0.2859244418013202, 1.2560111615886551, 0.9094872618936277,
-    0.41082445386241967, 0.11950740185148524, 1.016036429314, 1.2877972379996196,
-    0.5196540288512405, 0.6880363615009333, 0.29230023286801426, 0.3461892948007001,
+    0.13085579384912505, 0.8431946805814379, 0.5165632504424157, 0.9327396077995954,
+    0.2714121193624095, 1.3951760800138135, 0.6408836507477569, 0.2341685477689126,
+    0.17649022022252964, 0.28592453455343925, 1.2559713860837358, 0.9094276796790838,
+    0.4108244538624226, 0.11950736219215642, 1.0160521386832728, 1.2886760962848276,
+    0.5196540288512391, 0.6880122161215337, 0.2923041644471409, 0.34617366686078643,
 )
 # the same on TestIncorporate.big_new_targets, where sigma <= 1 - sigma_min binds
-ALTERNATION_BIG_TARGETS_OBJECTIVE = 283872297210.2445
+ALTERNATION_BIG_TARGETS_OBJECTIVE = 283872297210.22424
 
 
 def assert_within_bounds(model, solution, sigma_min=newtask.SIGMA_MIN_DEFAULT):

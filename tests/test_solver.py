@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import taskcov as tc
 from taskcov import errors
 from taskcov import solver
 from taskcov.solver import DIRECT_SOLVE_LIMIT
-from conftest import random_dataset
+from conftest import planted_dataset, random_dataset
 
 
 def unit_trace_psd(rng, m):
@@ -260,7 +262,8 @@ class TestSmo:
             return alpha, b
 
         monkeypatch.setattr(solver, "_smo_solve", recording)
-        tc.fit(toy, tc.KernelSpec("linear"), toy_hp, solver="smo")
+        # a non-linear fit alternates; a linear one solves once, at the end
+        tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp, solver="smo")
         assert starts[0] is None and len(starts) >= 4
         for returned, start in zip(starts[1::2], starts[2::2]):
             assert start is returned
@@ -360,8 +363,8 @@ class TestLowRankStep:
         rng = np.random.default_rng(32)
         ds = random_dataset(rng, m=2, d=5, n_lo=3, n_hi=5)
         assert ds.m * ds.dim >= ds.total
-        model = tc.fit(ds, self.kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
-        assert len(calls) == len(model.objective_trace) - 1
+        tc.fit(ds, self.kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
+        assert len(calls) == 1  # the coefficient step at the final covariance
 
 
 class TestGram:
@@ -499,14 +502,19 @@ class TestFit:
                 assert b <= a + 1e-10 * abs(a)
 
     def test_stop_is_scale_invariant(self):
-        # the stop rule's floor follows the fit's own scale, so targets
-        # times 1e-10 run the unscaled fit's iterations
+        # the relative gap stop follows the fit's own scale, so small
+        # targets run the unscaled fit's iterations, and the covariance is
+        # formed from the weights scaled to unit size
         ds = random_dataset(np.random.default_rng(0), m=3, d=3, n_lo=8, n_hi=12)
-        small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-10 * t.targets) for t in ds.tasks])
         hp = tc.Hyperparams(lam1=0.1, lam2=0.1)
-        ref, got = (tc.fit(data, tc.KernelSpec("linear"), hp) for data in (ds, small))
-        assert len(got.objective_trace) == len(ref.objective_trace)
-        np.testing.assert_allclose(got.covariance.matrix, ref.covariance.matrix, rtol=0, atol=1e-6)
+        ref = tc.fit(ds, tc.KernelSpec("linear"), hp)
+        assert np.max(np.abs(ref.covariance.matrix - np.eye(3) / 3)) > 0.01
+        for factor in (1e-10, 1e-13):
+            small = tc.MultiTaskDataset([(t.task_id, t.inputs, factor * t.targets) for t in ds.tasks])
+            got = tc.fit(small, tc.KernelSpec("linear"), hp)
+            assert len(got.objective_trace) == len(ref.objective_trace)
+            assert got.report.stop_reason == ref.report.stop_reason == "gap"
+            np.testing.assert_allclose(got.covariance.matrix, ref.covariance.matrix, rtol=0, atol=1e-6)
 
     def test_zero_targets_terminate_converged(self):
         ds = tc.MultiTaskDataset([("a", [[1.0], [2.0]], [0.0, 0.0]),
@@ -514,6 +522,20 @@ class TestFit:
         model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.1, lam2=0.1))
         np.testing.assert_allclose(model.dual_coefs, 0.0, atol=1e-12)
         np.testing.assert_allclose(model.covariance.matrix, np.eye(2) / 2)
+        assert model.report == tc.FitReport("gap", 0.0)
+
+    @pytest.mark.parametrize("level", [1e-13, 1e-6, 0.1, 1.0, 1e6])
+    def test_constant_targets_end_unrelated(self, level):
+        # each task's targets are constant, so the weights are 0, not a fit
+        # to the rounding of the per-task means
+        rng = np.random.default_rng(19)
+        tasks = [(f"t{i}", rng.normal(size=(n, 3)), np.full(n, level * (i + 1)))
+                 for i, n in enumerate((7, 25, 13))]
+        ds = tc.MultiTaskDataset(tasks)
+        model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.1, lam2=0.1))
+        np.testing.assert_array_equal(model.covariance.matrix, np.eye(3) / 3)
+        np.testing.assert_array_equal(tc.reconstruct_weights(model), 0.0)
+        assert model.report.stop_reason == "gap"
 
     def test_smo_path_matches_direct_path(self, toy, toy_hp):
         direct = tc.fit(toy, tc.KernelSpec("linear"), toy_hp, solver="direct")
@@ -531,6 +553,190 @@ class TestFit:
     def test_requires_positive_lam1(self, toy):
         with pytest.raises(ValueError):
             tc.fit(toy, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.0, lam2=0.1))
+
+
+def certificate_instances():
+    """Linear problems for the duality-gap stop, each at tol 1e-8: ten
+    random ones with more tasks than input dimensions (where the first
+    covariance of the old alternation has rank at most d < m and its null
+    space froze), then the cv-grid-shaped data at its nine grid points."""
+    rng = np.random.default_rng(60)
+    for _ in range(10):
+        d = int(rng.integers(1, 4))
+        ds = random_dataset(rng, m=int(rng.integers(d + 1, 7)), d=d, n_lo=4, n_hi=15)
+        lam1 = float(10 ** rng.uniform(-2, 0))
+        yield ds, tc.Hyperparams(lam1, lam1 * float(10 ** rng.uniform(-1, 0.5)), tol=1e-8)
+    ds = planted_dataset(777, tasks=8, points=40, dim=5, rank=2)
+    for lam1 in (0.01, 0.03, 0.1):
+        for lam2 in (0.01, 0.03, 0.1):
+            yield ds, tc.Hyperparams(lam1, lam2, tol=1e-8)
+
+
+# The final objective of the alternation that fit ran before the gap stop,
+# on certificate_instances: at tol 1e-8, or at the default tol 1e-6 on the
+# three instances (lam2 = 0.1) where at 1e-8 it raised NonDecreaseDetected.
+ALTERNATION_FIT_OBJECTIVES = (
+    0.103223897572616, 0.01622617712202409, 4.444672654572266, 0.07141561685439152,
+    2.04553029427373, 0.7318820923748719, 0.12254231361110828, 0.10827051767449511,
+    1.7690405180394713, 1.4449386784734315, 1.5125541794115782, 2.5327616766552676,
+    5.765433023151995, 2.051545870300925, 3.0559972207436448, 6.233398705036714,
+    3.8605603051866377, 4.815853122933104, 7.813172325990195,
+)
+
+
+def primal_objective(ds, hp, w, biases=None):
+    """P at explicit (d, m) weights and biases, from the definition: mean
+    squared loss per task, lam1/2 ||W||_F^2 and lam2/2 ||W||_*^2. Without
+    biases, each task takes its best one."""
+    loss = 0.0
+    for i, t in enumerate(ds.tasks):
+        residuals = t.targets - t.inputs @ w[:, i]
+        residuals -= residuals.mean() if biases is None else biases[i]
+        loss += float(np.mean(residuals**2))
+    norm = float(np.linalg.svd(w, compute_uv=False).sum())
+    return loss + 0.5 * hp.lam1 * float(np.sum(w**2)) + 0.5 * hp.lam2 * norm**2
+
+
+class TestCertificate:
+    kernel = tc.KernelSpec("linear")
+
+    def test_gap_closes_below_the_alternation(self):
+        for k, (ds, hp) in enumerate(certificate_instances()):
+            model = tc.fit(ds, self.kernel, hp)
+            assert model.report.stop_reason == "gap"
+            assert 0.0 <= model.report.gap <= 1e-8
+            value = primal_objective(ds, hp, tc.reconstruct_weights(model), model.biases)
+            assert value <= ALTERNATION_FIT_OBJECTIVES[k]
+            # the last trace entry is P at the stored model
+            assert abs(model.objective_trace[-1] - value) <= 1e-8 * value
+            trace = model.objective_trace
+            assert all(b <= a + 1e-10 * abs(a) for a, b in zip(trace, trace[1:]))
+
+    def test_gap_bounds_the_distance_to_any_point(self):
+        # P - gap |P| is the dual bound: no weights nearby go below it
+        rng = np.random.default_rng(61)
+        for ds, hp in list(certificate_instances())[::3]:
+            model = tc.fit(ds, self.kernel, hp)
+            value = model.objective_trace[-1]
+            bound = value - model.report.gap * abs(value)
+            w = tc.reconstruct_weights(model)
+            for eps in (1e-1, 1e-2, 1e-3):
+                for _ in range(20):
+                    probe = w + eps * np.abs(w).max() * rng.normal(size=w.shape)
+                    assert primal_objective(ds, hp, probe) >= bound
+
+    def test_shrink_matches_brute_force(self):
+        # argmin over s >= 0 of ||s - v||^2 / 2 + a/2 (sum s)^2, by trying
+        # every active prefix with its stationary point and keeping the best
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            v = np.sort(rng.normal(size=int(rng.integers(1, 7))) * rng.uniform(0.1, 3.0))[::-1]
+            a = float(10 ** rng.uniform(-2, 1))
+
+            def objective(s):
+                return 0.5 * float(np.sum((s - v) ** 2)) + 0.5 * a * float(s.sum()) ** 2
+
+            best = np.zeros_like(v)
+            for k in range(1, v.size + 1):
+                s = np.zeros_like(v)
+                s[:k] = v[:k] - a * v[:k].sum() / (1.0 + k * a)
+                if np.all(s >= 0) and objective(s) < objective(best):
+                    best = s
+            got = solver._shrink(v, a)
+            assert np.all(got >= 0)
+            np.testing.assert_allclose(got, best, rtol=0, atol=1e-12)
+
+    def test_prox_and_conjugate_match_their_definitions(self):
+        rng = np.random.default_rng(63)
+        for _ in range(30):
+            m, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            point = rng.normal(size=(m, d))
+            a = float(10 ** rng.uniform(-2, 0.5))
+
+            def prox_objective(x):
+                norm = float(np.linalg.svd(x, compute_uv=False).sum())
+                return 0.5 * float(np.sum((x - point) ** 2)) + 0.5 * a * norm**2
+
+            left, values, right = np.linalg.svd(point, full_matrices=False)
+            prox = (left * solver._shrink(values, a)) @ right
+            for eps in (1e-1, 1e-3, 1e-5):
+                for _ in range(20):
+                    probe = prox + eps * rng.normal(size=prox.shape)
+                    assert prox_objective(probe) >= prox_objective(prox) - 1e-12
+
+            hp = tc.Hyperparams(float(10 ** rng.uniform(-2, 0)), float(10 ** rng.uniform(-2, 0)))
+            z = np.sort(np.abs(rng.normal(size=min(m, d))))[::-1]
+
+            def conjugate_term(s):
+                return float(z @ s) - 0.5 * hp.lam1 * float(s @ s) - 0.5 * hp.lam2 * float(s.sum()) ** 2
+
+            s_star = solver._shrink(z / hp.lam1, hp.lam2 / hp.lam1)
+            value = solver._penalty_conjugate(z, hp)
+            assert abs(value - conjugate_term(s_star)) <= 1e-12 * max(1.0, abs(value))
+            for eps in (1e-1, 1e-3, 1e-5):
+                for _ in range(20):
+                    probe = np.clip(s_star + eps * rng.normal(size=z.size), 0.0, None)
+                    assert conjugate_term(probe) <= value + 1e-12 * max(1.0, abs(value))
+
+    def test_svd_coupling_is_the_covariance_steps_coupling(self):
+        rng = np.random.default_rng(64)
+        for trial in range(40):
+            m, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            w = rng.normal(size=(m, min(m, d))) @ rng.normal(size=(min(m, d), d))
+            if trial % 4 == 0 and m > 1:
+                w[0] = 0.0  # rank deficient: a task with zero weights
+            hp = tc.Hyperparams(0.1, 0.0 if trial % 5 == 0 else 0.05)
+            left, values, _ = np.linalg.svd(w, full_matrices=False)
+            want = tc.coupling_matrix(tc.update_omega(w @ w.T), hp)
+            np.testing.assert_allclose(solver._svd_coupling(left, values, hp), want,
+                                       rtol=0, atol=1e-10 * np.max(np.abs(want)))
+        assert solver._svd_coupling(np.eye(2), np.zeros(2), hp) is None
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_linear_2k_data_fits_at_tight_tolerances(self, tol):
+        # the alternation raised NonDecreaseDetected here at tol 1e-9
+        ds = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3)
+        model = tc.fit(ds, self.kernel, tc.Hyperparams(0.03, 0.03, tol=tol))
+        assert model.report.stop_reason in ("gap", "iteration cap")
+        trace = model.objective_trace
+        assert all(b <= a for a, b in zip(trace[:-1], trace[1:-1]))
+
+    def test_wide_data_closes_the_gap(self):
+        # m*d = 400 > N = 80: the covariance step solves the N-point system
+        ds = planted_dataset(3, tasks=4, points=20, dim=100, rank=3)
+        model = tc.fit(ds, self.kernel, tc.Hyperparams(0.03, 0.03))
+        assert model.report.stop_reason == "gap" and model.report.gap <= 1e-6
+
+    def test_centred_loss_forms_agree(self):
+        # the moment form (m*d < N) and the row form (otherwise) of the
+        # linear fit's loss operators, on the same data
+        rng = np.random.default_rng(65)
+        for trial in range(20):
+            m, d = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            ds = random_dataset(rng, m=m, d=d, n_lo=1, n_hi=2 * d + 2)
+            x_mean, y_mean, x, y, _, cross = solver._task_moments(ds)
+            gram = np.array([solver._centred_moments(t.inputs, t.targets)[4] for t in ds.tasks])
+            moment_form = solver._centred_loss(ds, (x_mean, y_mean, x, y, gram, cross))
+            row_form = solver._centred_loss(ds, (x_mean, y_mean, x, y, None, cross))
+            weights = rng.normal(size=cross.shape)
+            coupling = tc.coupling_matrix(unit_trace_psd(rng, m), tc.Hyperparams(0.1, 0.05))
+            for want, got in zip(
+                (moment_form[0](weights), moment_form[1](coupling), *moment_form[2:]),
+                (row_form[0](weights), row_form[1](coupling), *row_form[2:]),
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(want))))
+
+    def test_non_decrease_message_prints_plain_floats(self, toy, toy_hp, monkeypatch):
+        values = iter(np.arange(1.0, 100.0))
+        monkeypatch.setattr(solver, "_objective_terms", lambda *args: np.float64(next(values)))
+        with pytest.raises(errors.NonDecreaseDetected) as info:
+            tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
+        assert str(info.value) == "objective rose from 1.0 to 2.0"
+        with pytest.raises(errors.NonDecreaseDetected) as info:
+            tc.fit(toy, self.kernel, toy_hp)
+        message = str(info.value)
+        assert re.fullmatch(r"objective rose from \S+ to 4\.0 in the final refresh", message), message
+        float(message.split()[3])
 
 
 def dual_oracle(model, ids, xs):

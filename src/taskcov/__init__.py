@@ -2,7 +2,8 @@
 
 The library fits per-task linear or kernel regressors together with a
 symmetric, unit-trace PSD matrix of pairwise task covariances, by
-alternating an exact dual solve with an analytic covariance update.
+proximal-gradient steps combined with the exact covariance step, stopped
+on a certified duality gap.
 Negative and near-zero task relationships are captured alongside positive
 ones; a new task can later be grafted onto a fitted model without
 touching it, and classical fixed relationship penalties (mean pull,

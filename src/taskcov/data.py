@@ -164,10 +164,9 @@ class Hyperparams:
 
     lam1 weights the plain squared-norm penalty on the task weights and
     must be positive for fitting (strict convexity of the weight step);
-    lam2 weights the relationship penalty. A linear-kernel fit stops when
-    its relative duality gap is at most tol, other kernels when the
-    relative objective change falls below tol; either stops after
-    max_iters iterations.
+    lam2 weights the relationship penalty. A fit, whatever its kernel,
+    stops when its relative duality gap is at most tol or after max_iters
+    iterations.
     """
 
     lam1: float
@@ -237,10 +236,8 @@ class TaskCovariance:
 class FitReport:
     """How a fit ended.
 
-    stop_reason is 'gap' (relative duality gap at most tol: linear
-    kernel), 'objective change' (relative objective change below tol:
-    other kernels), 'degenerate Gram' (zero weight Gram: other kernels)
-    or 'iteration cap' (max_iters reached). gap is the final relative
+    stop_reason is 'gap' (relative duality gap at most tol) or 'iteration
+    cap' (max_iters reached), for every kernel. gap is the final relative
     duality gap (P - D) / |P| of the stored state against the best dual
     bound the fit found: the stored objective P lies at most gap * |P|
     above the optimum.

@@ -64,7 +64,7 @@ class DegenerateGram(TaskcovError):
 
 
 class NonDecreaseDetected(TaskcovError):
-    """The outer loop objective rose; signals a bug, never swallowed."""
+    """The fit's objective rose; signals a bug, never swallowed."""
 
 
 class MaxIterationsExceeded(TaskcovError):

@@ -77,14 +77,14 @@ def assemble_kernel_matrix(ds, kernel, coupling):
     return _combined_kernel(ds, base_kernel_matrix(kernel, ds.inputs), coupling)
 
 
-def _combined_kernel(ds, base, coupling):
+def _combined_kernel(ds, base, coupling, out=None):
     """assemble_kernel_matrix from an already built base Gram, so that a
-    fit can build the base Gram once and re-couple it every iteration.
-    Built in place, so that at most two N x N arrays besides the base Gram
-    are alive at once (numpy copies the overlapping transpose first)."""
-    k = coupling[np.ix_(ds.point_task, ds.point_task)]
+    fit can build the base Gram once and re-couple it every iteration,
+    into out when given. The coupling is symmetrised first, so that with
+    the exactly symmetric base Gram of base_kernel_matrix the product is
+    exactly symmetric, and no N x N array besides the result is made
+    (np.take's default mode would fill out through a temporary copy)."""
+    coupling = (coupling + coupling.T) / 2.0
+    k = np.take(coupling[ds.point_task], ds.point_task, axis=1, out=out, mode="clip")
     k *= base
-    k += k.T
-    k /= 2.0
     return k
-

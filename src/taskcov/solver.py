@@ -17,32 +17,26 @@ with z the singular values of the feature-space matrix whose column t is
 sum over task t's points of alpha_p phi(x_p), and h* the conjugate of
 lam1/2 ||s||^2 + lam2/2 (sum s)^2 over s >= 0.
 
-A linear-kernel fit, whatever its solver argument, works on per-task
-centred moments G_t = (2/n) X~^T X~ and c_t = (2/n) X~^T y~ formed once
-(when m*d >= N, on the centred rows instead, with no d x d moment).
-Each iteration takes one accelerated proximal-gradient step on P (the
-prox of the squared trace norm shrinks singular values by a common
-amount), then the exact covariance step from that point: Omega from W,
-and the weights minimising the objective at that Omega, an m*d solve
-(or the equivalent N-point one when that is smaller). The lower P is
-kept; on a rise the momentum restarts, so the trace never increases.
-It stops when the relative duality gap (P - D) / |P| falls to hp.tol,
-D taken at alpha_p = 2 r_p / n_p. One coefficient step at the final
-covariance then gives the stored alpha, b and coupling. Other kernels
-alternate the coefficient step and the
-covariance update until the relative objective change falls to hp.tol;
-both substeps are exact, so the trace never increases there either.
+Every fit runs one loop (_certify). Each iteration takes one accelerated
+proximal-gradient step on P (the prox of the squared trace norm shrinks
+singular values by a common amount), then the exact covariance step from
+that point: Omega from W, and the weights minimising the objective at
+that Omega. The lower P is kept; on a rise the momentum restarts, so the
+trace never increases. It stops when the relative duality gap
+(P - D) / |P| falls to hp.tol, D taken at alpha_p = 2 r_p / n_p. One
+coefficient step at the final covariance then gives the stored alpha, b
+and coupling. A linear kernel with m*d < N, whatever the solver argument,
+holds W as (m, d) rows over per-task centred moments formed once
+(_moment_form); every other fit holds it as N x m coefficients against
+the base Gram, built once, and takes its covariance steps with the fit's
+coefficient step (_gram_form).
 
-The coefficient step is chosen once per fit. With solver='auto' and a
-linear kernel on data where m*d < N, the combined kernel has rank at most
-m*d and the saddle system is solved exactly in m*d dimensions from
-per-task centred moments formed once per fit. Otherwise the base Gram is
-built once per fit and the saddle system is solved densely: directly up
-to 2000 points, by SMO beyond (or as the solver argument says). Within a
-non-linear fit, SMO starts each outer iteration from the last one's
-coefficients, which are close to the next solution once the covariance
-settles; the first iteration, and the public solve_alpha_b_smo, start at
-alpha = 0.
+The coefficient step is chosen once per fit. With solver='auto', a
+linear kernel and m*d < N, the saddle system is solved exactly in m*d
+dimensions from the centred moments. Otherwise the combined kernel is
+written into one N x N buffer per fit and solved densely: directly up to
+2000 points, by SMO beyond (or as the solver argument says), SMO starting
+from the dual point of the weights at hand.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -51,6 +45,8 @@ query, so a query's prediction has the same bits in any batch. Other
 kernels sum the dual expansion per task over blocks of queries, each
 support x block array kept under 4 MB.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -113,7 +109,8 @@ def _saddle_solve(ds, k):
     n, m = ds.total, ds.m
     ind = _spread(ds.point_task, ds.m, 1.0)
     block = np.zeros((n + m, n + m))
-    block[:n, :n] = k + np.diag(_loss_weights(ds) / 2.0)
+    block[:n, :n] = k
+    block[np.arange(n), np.arange(n)] += _loss_weights(ds) / 2.0
     block[:n, n:] = ind
     block[n:, :n] = ind.T
     rhs = np.concatenate([ds.targets, np.zeros(m)])
@@ -131,8 +128,8 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     violating pair, and tasks are visited round-robin. Biases come from
     per-task stationarity of the gradient.
 
-    This call starts at alpha = 0. Within a non-linear fit, SMO instead
-    starts each outer iteration from the previous iteration's coefficients.
+    This call starts at alpha = 0; within a fit, SMO starts from the dual
+    point of the weights at hand.
 
     The stop rule is scaled to the targets: the KKT spread must fall to
     kkt_tol * min(1, max |y|), so targets in small units are solved to the
@@ -150,8 +147,9 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
 
 
 def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=None):
-    """solve_alpha_b_smo for the combined-kernel Gram k (left unchanged),
-    from alpha = 0 or from a copy of the feasible point start.
+    """solve_alpha_b_smo for the combined-kernel Gram k, from alpha = 0 or
+    from a copy of the feasible point start. k is shifted to K~ in place
+    (every caller builds it for this call), which saves a copy of it.
 
     A round visits every task once and stops the loop when no task moves,
     which happens exactly when the KKT spread at its start is at most
@@ -160,19 +158,11 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     """
     n = ds.total
     tol = kkt_tol * min(1.0, float(np.max(np.abs(ds.targets))))
-    kt = k.copy()
-    kt[np.diag_indices(n)] += _loss_weights(ds) / 2.0
-    if start is None:
-        alpha = np.zeros(n)
-        grad = -ds.targets.copy()  # gradient of h at alpha = 0
-    else:
-        alpha = np.array(start, dtype=float)
-        grad = kt @ alpha - ds.targets
-    task_slices = []
-    first = 0
-    for c in ds.counts:
-        task_slices.append(slice(first, first + int(c)))
-        first += int(c)
+    k[np.diag_indices(n)] += _loss_weights(ds) / 2.0  # k is now K~
+    alpha = np.zeros(n) if start is None else np.array(start, dtype=float)
+    grad = k @ alpha - ds.targets  # gradient of h
+    ends = np.cumsum(ds.counts)
+    task_slices = [slice(int(end - c), int(end)) for c, end in zip(ds.counts, ends)]
     # single-point tasks: zero-sum pins alpha at 0
     paired = [sl for sl in task_slices if sl.stop - sl.start >= 2]
 
@@ -186,11 +176,11 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
             if viol <= tol:
                 continue
             # curvature >= min task size thanks to the diag(n_i)/2 shift
-            curv = kt[hi, hi] + kt[lo, lo] - 2.0 * kt[hi, lo]
+            curv = k[hi, hi] + k[lo, lo] - 2.0 * k[hi, lo]
             step = viol / curv
             alpha[hi] -= step
             alpha[lo] += step
-            grad -= step * (kt[hi] - kt[lo])
+            grad -= step * (k[hi] - k[lo])
             moved = True
         if not moved:
             break
@@ -229,33 +219,40 @@ def _weight_gram(coupling, blocked):
     return (g + g.T) / 2.0
 
 
-def _coefficient_step(ds, kernel, solver, moments=None):
+def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     """The coefficient step of one fit, its path chosen once.
 
-    Returns a function of the coupling matrix C giving (alpha, b, K alpha,
-    S): the exact saddle solution, the fitted values without biases, and
-    the task-blocked quadratic form of alpha against the base Gram, so
-    that W^T W = C S C. moments, the dataset's _task_moments if the
-    caller already holds them, saves the low-rank path forming them again.
+    Returns a function of the coupling matrix C and an optional SMO start
+    giving (alpha, b, K alpha, S): the exact saddle solution, the fitted
+    values without biases, and the task-blocked quadratic form of alpha
+    against the base Gram, so that W^T W = C S C. moments and base, the
+    dataset's _task_moments and base Gram if the caller already holds
+    them, save forming them again. The dense path writes the combined
+    kernel into one N x N buffer that every call reuses (SMO shifts it in
+    place), and reads K alpha off K spread(alpha), which also gives S.
+    Products with the symmetric base Gram are formed as (B^T K)^T: with
+    OpenBLAS this orientation is faster and touches less of the library's
+    work buffers than K B (on the rbf-smo data, 1.5 MB less resident).
     """
     if solver not in ("direct", "smo", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
     if solver == "auto" and kernel.kind == "linear" and ds.m * ds.dim < ds.total:
         moments = _task_moments(ds) if moments is None else moments
-        return lambda coupling: _low_rank_solve(ds, moments, coupling)
+        return lambda coupling, start=None: _low_rank_solve(ds, moments, coupling)
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
-    base = base_kernel_matrix(kernel, ds.inputs)
-    previous = None  # SMO starts each call after the first from the last alpha
+    base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
+    buffer = np.empty_like(base)
+    rows = np.arange(ds.total)
 
-    def dense_step(coupling):
-        nonlocal previous
-        k = _combined_kernel(ds, base, coupling)
+    def dense_step(coupling, start=None):
+        k = _combined_kernel(ds, base, coupling, out=buffer)
         if use_smo:
-            alpha, b = _smo_solve(ds, k, start=previous)
-            previous = alpha
+            alpha, b = _smo_solve(ds, k, start=start)
         else:
             alpha, b = _saddle_solve(ds, k)
-        return alpha, b, k @ alpha, _blocked(ds, base, alpha)
+        spread = _spread(ds.point_task, ds.m, alpha)
+        product = (spread.T @ base).T  # = K spread(alpha)
+        return alpha, b, (product @ coupling)[rows, ds.point_task], spread.T @ product
 
     return dense_step
 
@@ -289,15 +286,10 @@ def _centred_moments(inputs, targets):
 def _task_moments(ds):
     """Every task's _centred_moments, stacked: the means as (m, d) and
     (m,) arrays, the centred rows and targets concatenated in flat point
-    order, G as (m, d, d) and c as (m, d). G is formed only when m*d < N,
-    where the linear fit works in m*d dimensions; otherwise it is None."""
-    x_mean, y_mean, x, y = zip(*(_centred(t.inputs, t.targets) for t in ds.tasks))
-    scale = 2.0 / ds.counts
-    cross = np.array([s * (xt.T @ yt) for s, xt, yt in zip(scale, x, y)])
-    gram = None
-    if ds.m * ds.dim < ds.total:
-        gram = np.array([s * (xt.T @ xt) for s, xt in zip(scale, x)])
-    return (np.array(x_mean), np.array(y_mean), np.concatenate(x), np.concatenate(y), gram, cross)
+    order, G as (m, d, d) and c as (m, d)."""
+    x_mean, y_mean, x, y, gram, cross = zip(*(_centred_moments(t.inputs, t.targets) for t in ds.tasks))
+    return (np.array(x_mean), np.array(y_mean), np.concatenate(x), np.concatenate(y),
+            np.array(gram), np.array(cross))
 
 
 def _coupled_solve(gram, cross, coupling):
@@ -310,50 +302,6 @@ def _coupled_solve(gram, cross, coupling):
         return np.linalg.solve(system, cross.ravel()).reshape(cross.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-
-
-def _centred_loss(ds, moments):
-    """The centred loss's curvature as the linear fit uses it, in whichever
-    of two forms with one result is cheaper.
-
-    With the moments' G (m*d < N): the rows G_t w_t in O(m d^2), and the
-    m*d system of _coupled_solve. Otherwise through the centred rows, with
-    no d x d moment formed: G_t w_t = (2/n_t) X~_t^T (X~_t w_t) in O(N d),
-    and the N-point system the m*d one is Woodbury-equivalent to,
-    (diag(n_p)/2 + (X~ X~^T) o C[t_p, t_q]) alpha = y~, z_t = X~_t^T alpha_t.
-
-    Returns (gram_times, coupled_solve, low, high): W -> the rows G_t w_t,
-    C -> the z of _coupled_solve, and the least and the largest eigenvalue
-    over all G_t.
-    """
-    _, _, x, y, gram, cross = moments
-    if gram is not None:
-        spectra = np.linalg.eigvalsh(gram)
-        return (lambda weights: np.einsum("tij,tj->ti", gram, weights),
-                lambda coupling: _coupled_solve(gram, cross, coupling),
-                max(float(spectra[:, 0].min()), 0.0), float(spectra[:, -1].max()))
-    scale = 2.0 / _loss_weights(ds)
-    centred = x @ x.T
-
-    def gram_times(weights):
-        fitted = np.einsum("pj,pj->p", x, weights[ds.point_task])
-        return (x.T @ _spread(ds.point_task, ds.m, scale * fitted)).T
-
-    def coupled_solve(coupling):
-        system = coupling[np.ix_(ds.point_task, ds.point_task)] * centred
-        system[np.diag_indices(ds.total)] += 1.0 / scale
-        try:
-            alpha = np.linalg.solve(system, y)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from None
-        return (x.T @ _spread(ds.point_task, ds.m, alpha)).T
-
-    low, high = np.inf, 0.0
-    for n, rows in zip(ds.counts, np.split(x, np.cumsum(ds.counts)[:-1])):
-        values = (2.0 / n) * np.linalg.svd(rows, compute_uv=False) ** 2
-        low = min(low, float(values[-1]) if n > ds.dim else 0.0)
-        high = max(high, float(values[0]))
-    return gram_times, coupled_solve, low, high
 
 
 def _low_rank_solve(ds, moments, coupling):
@@ -382,10 +330,10 @@ def _low_rank_solve(ds, moments, coupling):
     return alpha, b, fitted, u.T @ u
 
 
-def _fitted_state(ds, step, coupling):
+def _fitted_state(ds, step, coupling, start=None):
     """alpha, b, the loss residuals, the weight Gram and the blocked form S
-    at one coupling."""
-    alpha, b, fitted, blocked = step(coupling)
+    at one coupling, SMO starting from start when given."""
+    alpha, b, fitted, blocked = step(coupling, start)
     residuals = ds.targets - (fitted + b[ds.point_task])
     return alpha, b, residuals, _weight_gram(coupling, blocked), blocked
 
@@ -393,17 +341,19 @@ def _fitted_state(ds, step, coupling):
 def update_omega(gram):
     """Analytic covariance update: sqrt of the weight Gram, trace-normalized.
 
-    Gram eigenvalues at or below 1e-14 of the largest are rank noise and
-    are zeroed before rooting (the square root would otherwise amplify
-    them by seven orders of magnitude and destabilize the objective).
-    Raises DegenerateGram when the Gram is (numerically) zero; the caller
-    keeps the previous covariance in that case.
+    The Gram is first scaled to a largest diagonal entry of 1 (Omega does
+    not depend on its scale), so that a Gram in any units has the same
+    covariance. Its eigenvalues at or below 1e-14 of the largest are rank
+    noise and are zeroed before rooting (the square root would otherwise
+    amplify them by seven orders of magnitude and destabilize the
+    objective). Raises DegenerateGram when the Gram is zero.
     """
-    root = spectral_map(gram, np.sqrt, rel_cutoff=1e-14)
-    total = float(np.trace(root))
-    if total <= 1e-12:
+    gram = np.asarray(gram, dtype=float)
+    scale = float(np.max(np.diag(gram)))
+    if not scale > 0.0:
         raise DegenerateGram("weight Gram is zero; covariance update undefined")
-    return TaskCovariance(root / total)
+    root = spectral_map(gram / scale, np.sqrt, rel_cutoff=1e-14)
+    return TaskCovariance(root / float(np.trace(root)))
 
 
 def _loss_and_norm_terms(ds, loss_residuals, gram, hp):
@@ -436,14 +386,6 @@ def objective_value(ds, alpha, b, omega, kernel, hp):
         residuals = ds.targets - (_combined_kernel(ds, base, c) @ alpha + b[ds.point_task])
         gram = _weight_gram(c, _blocked(ds, base, alpha))
     return _objective_terms(ds, residuals, gram, omega, hp)
-
-
-def _converged(trace, tol):
-    """The non-linear fit's stop test on the last step of an objective
-    trace: the change is below tol relative to the previous value, floored
-    at 1e-12 of the first value so that the test follows the objective's
-    own scale."""
-    return abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1e-12 * trace[0])
 
 
 def _require_descent(previous, value, where=""):
@@ -488,31 +430,22 @@ def _dual_value(ds, alpha, blocked, hp):
     return loss - _penalty_conjugate(z, hp)
 
 
-def _relative_gap(value, bound):
-    """(P - D) / |P|, with a rounding-level negative gap read as 0 and a
-    zero P as 0 when D reaches it."""
+def _relative_gap(value, bound, scale):
+    """(P - D) / |P|, with a rounding-level negative gap read as 0, and |P|
+    floored at the rounding of the problem's scale (its objective at
+    W = 0, b = 0), so that the rounding of a zero optimum reads as no gap;
+    0 when both are 0 and D reaches P."""
     gap = max(value - bound, 0.0)
-    return gap / abs(value) if value else (0.0 if gap == 0.0 else float("inf"))
-
-
-def _weight_covariance(weights):
-    """update_omega of the weight Gram W W^T of the (m, d) weight rows,
-    with W first scaled to a largest entry of 1 (Omega does not depend on
-    W's scale, and update_omega's zero-Gram floor is absolute). Raises
-    DegenerateGram when W is exactly zero."""
-    scale = float(np.max(np.abs(weights)))
-    if scale == 0.0:
-        raise DegenerateGram("weights are zero; covariance update undefined")
-    unit = weights / scale
-    return update_omega(unit @ unit.T)
+    floor = max(abs(value), np.finfo(float).eps * scale)
+    return gap / floor if floor else (0.0 if gap == 0.0 else float("inf"))
 
 
 def _svd_coupling(left, values, hp):
-    """coupling_matrix(update_omega(W W^T), hp) for the (m, d) weight rows
-    W = left diag(values) right, read off that SVD with no decomposition:
-    W W^T has eigenvectors left and eigenvalues values^2, of which those at
-    or below 1e-14 of the largest are cut as in update_omega. None when W
-    is zero."""
+    """coupling_matrix(update_omega(G), hp) for the m x m weight Gram G of
+    weights with m-side singular vectors left (m x k) and singular values
+    values, descending, read off with no decomposition: G has eigenvectors
+    left and eigenvalues values^2, of which those at or below 1e-14 of the
+    largest are cut as in update_omega. None when the weights are zero."""
     kept = values > 1e-7 * values[0]
     if not kept.any():
         return None
@@ -520,91 +453,167 @@ def _svd_coupling(left, values, hp):
     return (left[:, kept] * (mu / (hp.lam1 * mu + hp.lam2))) @ left[:, kept].T
 
 
-def _certify_linear(ds, moments, hp, trace):
-    """Minimise P over the (m, d) weight rows on the centred moments.
+# The certified loop's view of one fit's weights (_certify).
+_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve gram")
 
-    Each iteration takes an accelerated proximal-gradient step from the
-    extrapolated point, with step 1/L, L = max_t lambda_max(G_t) + lam1,
-    and momentum (sqrt L - sqrt mu) / (sqrt L + sqrt mu),
-    mu = lam1 + min_t lambda_min(G_t): the prox of the squared trace norm
-    shrinks the singular values (_shrink). Then the exact covariance step
-    from the prox point: at the coupling of its covariance, the weights
-    minimising the objective (_centred_loss). The lower P of the two is
-    kept if it is below the kept one, and appended to trace; otherwise the
-    momentum restarts from the kept point. Each kept point gives a dual
-    bound, and the best one is kept. Stops on P - D <= hp.tol |P| or after
-    hp.max_iters iterations, and returns the weights, the stop reason and
-    the bound.
-    """
-    _, _, _, y, _, cross = moments
-    gram_times, coupled_solve, low, high = _centred_loss(ds, moments)
-    constant = float(np.sum(y**2 / _loss_weights(ds)))
-    lipschitz, convexity = high + hp.lam1, low + hp.lam1
-    step = 1.0 / lipschitz
-    momentum = (np.sqrt(lipschitz) - np.sqrt(convexity)) / (np.sqrt(lipschitz) + np.sqrt(convexity))
+
+def _moment_form(ds, moments, hp):
+    """A linear fit with m*d < N on the (m, d) weight rows, from the
+    centred moments: G_t w_t in O(m d^2), and the covariance step is the
+    m*d system of _coupled_solve. The smooth part's curvature lies between
+    min_t lambda_min(G_t) + lam1 and max_t lambda_max(G_t) + lam1."""
+    _, _, x, y, gram, cross = moments
+    spectra = np.linalg.eigvalsh(gram)
+    n = _loss_weights(ds)
+    constant = float(np.sum(y**2 / n))
+
+    def times(weights):
+        return np.einsum("tij,tj->ti", gram, weights)
+
+    def singular(weights):
+        left, values, right = np.linalg.svd(weights, full_matrices=False)
+        return left, values, lambda shrunk: (left * shrunk) @ right
 
     def primal(weights, norm=None):
-        """P(weights); norm is its trace norm when already known."""
         if norm is None:
             norm = float(np.linalg.svd(weights, compute_uv=False).sum())
-        smooth = float(np.sum(weights * (0.5 * gram_times(weights) - cross + 0.5 * hp.lam1 * weights)))
+        smooth = float(np.sum(weights * (0.5 * times(weights) - cross + 0.5 * hp.lam1 * weights)))
         return constant + smooth + 0.5 * hp.lam2 * norm * norm
 
     def dual(weights):
-        """D at alpha_p = 2 r_p / n_p, r the centred residuals, in
-        O(m d^2): z_t = X~_t^T alpha_t = c_t - G_t w_t, and
-        sum_p (alpha_p y~_p - n_p alpha_p^2 / 4) = constant - w.Gw / 2."""
-        gw = gram_times(weights)
+        # z_t = X~_t^T alpha_t = c_t - G_t w_t, and
+        # sum_p (alpha_p y~_p - n_p alpha_p^2 / 4) = constant - w.Gw / 2
+        gw = times(weights)
         z = np.linalg.svd(cross - gw, compute_uv=False)
         return constant - 0.5 * float(np.sum(weights * gw)) - _penalty_conjugate(z, hp)
 
-    weights = np.zeros_like(cross)
-    value, bound = primal(weights, 0.0), dual(weights)
+    return _Form(
+        zero=np.zeros_like(cross), lipschitz=float(spectra[:, -1].max()) + hp.lam1,
+        convexity=max(float(spectra[:, 0].min()), 0.0) + hp.lam1,
+        gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
+        singular=singular, primal=primal, dual=dual,
+        dual_point=lambda weights: 2.0 * (y - np.einsum("pj,pj->p", x, weights[ds.point_task])) / n,
+        solve=lambda coupling, weights: coupling @ _coupled_solve(gram, cross, coupling),
+        gram=lambda weights: weights @ weights.T,
+    )
+
+
+def _gram_form(ds, base, step, hp):
+    """Every other fit (a non-linear kernel, or m*d >= N) on N x m
+    coefficients B: W = Phi~^T B, Phi~ the per-task centred features.
+
+    A point is the pair (B, K~ B), stacked, so that the loop's linear
+    combinations carry the product along: K~ B = P (K (P B)), with K the
+    base Gram and P the map centring each task's block of rows, and no
+    centred N x N array is formed. A gradient step's B-part is
+    lam1 B - spread(alpha) at the dual point alpha, and a covariance step
+    gives B = spread(alpha) C from step, the fit's coefficient step; each
+    takes one product with K, formed as (B^T K)^T (_coefficient_step). W's singular values and m-side vectors come
+    from the m x m eigenproblem of B^T K~ B (eigenvalues at or below 1e-14
+    of the largest, rank noise, read as 0, as in update_omega), and the
+    prox keeps B's columns' span: B <- B U diag(s'/s) U^T. The smooth
+    part's curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1,
+    and some G_t is singular here, so lam1 is its least.
+    """
+    tasks, rows, n = ds.point_task, np.arange(ds.total), _loss_weights(ds)
+    y = np.concatenate([_centred(t.inputs, t.targets)[3] for t in ds.tasks])
+    indicator = _spread(tasks, ds.m, 1.0)
+
+    def centre(b):
+        return b - (indicator.T @ b / ds.counts[:, None])[tasks]
+
+    def image(alpha):
+        b = centre(_spread(tasks, ds.m, alpha))
+        return np.stack([b, centre((b.T @ base).T)])
+
+    def dual_point(point):
+        return 2.0 * (y - point[1][rows, tasks]) / n
+
+    def gram(point):
+        g = point[0].T @ point[1]
+        return (g + g.T) / 2.0
+
+    def singular(point):
+        values, vectors = np.linalg.eigh(gram(point))
+        values, vectors = values[::-1], vectors[:, ::-1]
+        values = np.sqrt(np.where(values > 1e-14 * max(values[0], 0.0), values, 0.0))
+
+        def rebuild(shrunk):
+            ratio = np.divide(shrunk, values, out=np.zeros_like(values), where=values > 0.0)
+            return point @ ((vectors * ratio) @ vectors.T)
+
+        return vectors, values, rebuild
+
+    def primal(point, norm=None):
+        norm = float(singular(point)[1].sum()) if norm is None else norm
+        loss = 0.25 * float(np.sum(n * dual_point(point) ** 2))
+        return loss + 0.5 * hp.lam1 * float(np.sum(point[0] * point[1])) + 0.5 * hp.lam2 * norm * norm
+
+    def dual(point):
+        alpha = dual_point(point)
+        spread, product = image(alpha)
+        return _dual_value(ds, alpha, spread.T @ product, hp)
+
+    high = 0.0
+    for block in np.split(rows, np.cumsum(ds.counts)[:-1]):
+        k = base[np.ix_(block, block)]
+        k = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+        high = max(high, 2.0 / block.size * float(np.linalg.eigvalsh(k)[-1]))
+    return _Form(
+        zero=np.zeros((2, ds.total, ds.m)), lipschitz=high + hp.lam1, convexity=hp.lam1,
+        gradient=lambda point: hp.lam1 * point - image(dual_point(point)),
+        singular=singular, primal=primal, dual=dual, dual_point=dual_point,
+        solve=lambda coupling, point: image(step(coupling, dual_point(point))[0]) @ coupling,
+        gram=gram,
+    )
+
+
+def _certify(form, hp, trace):
+    """Minimise P over the weights W of one fit, held as form (a _Form):
+    W = 0, bounds L >= mu on the curvature of P's smooth part (the loss
+    plus lam1/2 ||W||_F^2), and functions of W: that part's gradient;
+    (left, values, rebuild), W's m-side singular vectors and values
+    (descending) and the map from new values to weights; P, given the
+    trace norm when known; D at, and, the dual point alpha_p = 2 r_p / n_p;
+    the weights minimising the objective at a coupling C; and W^T W.
+
+    Each iteration takes an accelerated proximal-gradient step from the
+    extrapolated point, with step 1/L and momentum
+    (sqrt L - sqrt mu) / (sqrt L + sqrt mu): the prox of the squared trace
+    norm shrinks the singular values (_shrink). Then the exact covariance
+    step from the prox point: solve at the coupling of its covariance. The
+    lower P of the two is kept if it is below the kept one, and appended
+    to trace; otherwise the momentum restarts from the kept point. Each
+    kept point gives a dual bound, and the best one is kept. Stops on
+    P - D <= hp.tol |P| or after hp.max_iters iterations, and returns the
+    weights, the stop reason and the bound.
+    """
+    lipschitz, convexity = form.lipschitz, form.convexity
+    step = 1.0 / lipschitz
+    momentum = (np.sqrt(lipschitz) - np.sqrt(convexity)) / (np.sqrt(lipschitz) + np.sqrt(convexity))
+    weights = form.zero
+    value, bound = form.primal(weights, 0.0), form.dual(weights)
     ahead = weights
     for _ in range(hp.max_iters):
-        gradient = gram_times(ahead) - cross + hp.lam1 * ahead
-        left, values, right = np.linalg.svd(ahead - step * gradient, full_matrices=False)
+        left, values, rebuild = form.singular(ahead - step * form.gradient(ahead))
         values = _shrink(values, step * hp.lam2)
-        prox = (left * values) @ right
-        candidates = [(primal(prox, float(values.sum())), prox)]
+        prox = rebuild(values)
+        candidates = [(form.primal(prox, float(values.sum())), prox)]
         coupling = _svd_coupling(left, values, hp)
         if coupling is not None:
-            solved = coupling @ coupled_solve(coupling)
-            candidates.append((primal(solved), solved))
+            solved = form.solve(coupling, prox)
+            candidates.append((form.primal(solved), solved))
         best_value, best = min(candidates, key=lambda pair: pair[0])
         if best_value < value:
             ahead = best + momentum * (best - weights)
             weights, value = best, best_value
-            bound = max(bound, dual(weights))
+            bound = max(bound, form.dual(weights))
         else:
             ahead = weights
         trace.append(value)
         if value - bound <= hp.tol * abs(value):
             return weights, "gap", bound
     return weights, "iteration cap", bound
-
-
-def _alternate(ds, step, hp, trace):
-    """The non-linear fit: alternate the coefficient step and the
-    covariance update from Omega = I/m, appending each objective to trace.
-    Stops when the relative objective change falls below hp.tol, after
-    hp.max_iters iterations, or on a zero weight Gram (all-zero targets),
-    keeping the last covariance. Returns the covariance and the reason."""
-    omega = TaskCovariance.unrelated(ds.m)
-    for _ in range(hp.max_iters):
-        coupling = coupling_matrix(omega, hp)
-        _, _, residuals, gram, _ = _fitted_state(ds, step, coupling)
-        try:
-            omega = update_omega(gram)
-        except DegenerateGram:
-            trace.append(_objective_terms(ds, residuals, gram, omega, hp))
-            return omega, "degenerate Gram"
-        value = _objective_terms(ds, residuals, gram, omega, hp)
-        _require_descent(trace[-1], value)
-        trace.append(value)
-        if _converged(trace, hp.tol):
-            return omega, "objective change"
-    return omega, "iteration cap"
 
 
 def fit(ds, kernel, hp, solver="auto"):
@@ -620,16 +629,14 @@ def fit(ds, kernel, hp, solver="auto"):
         m*d < N; otherwise it takes the direct saddle solve up to 2000
         points and SMO beyond.
 
-    A linear kernel minimises P by proximal-gradient and covariance steps
-    on the centred moments (module docstring), whatever the solver, and
-    stops when the relative duality gap (P - D) / |P| is at most hp.tol
-    or after hp.max_iters iterations. Other kernels alternate the
-    coefficient step and the covariance update and stop when the relative
-    objective change (against |previous| floored at 1e-12 of the first
-    value) falls below hp.tol, after hp.max_iters iterations, or on a zero
-    weight Gram. Either way one coefficient step at the final covariance
-    gives the stored coefficients, biases and coupling; all-zero or
-    constant targets end at Omega = I/m.
+    Every kernel minimises P by proximal-gradient and covariance steps
+    (module docstring): a linear kernel with m*d < N on the centred
+    moments, whatever the solver, and every other fit on coefficients
+    against the base Gram, its covariance steps taken by the coefficient
+    step. The fit stops when the relative duality gap (P - D) / |P| is at
+    most hp.tol or after hp.max_iters iterations. One coefficient step at
+    the final covariance then gives the stored coefficients, biases and
+    coupling; all-zero or constant targets end at Omega = I/m.
 
     Returns a TrainedModel whose objective trace holds the starting value,
     one value per iteration and the final state's, non-increasing; a rise
@@ -640,44 +647,37 @@ def fit(ds, kernel, hp, solver="auto"):
     validate_dataset(ds)
     if hp.lam1 <= 0:
         raise ValueError("fitting requires lam1 > 0")
-    moments = _task_moments(ds) if kernel.kind == "linear" else None
-    step = _coefficient_step(ds, kernel, solver, moments)
-    unrelated = TaskCovariance.unrelated(ds.m)
-    trace = [objective_value(ds, np.zeros(ds.total), np.zeros(ds.m), unrelated, kernel, hp)]
-
-    if moments is None:
-        omega, stop = _alternate(ds, step, hp, trace)
-        bound = -np.inf
+    if kernel.kind == "linear" and ds.m * ds.dim < ds.total:
+        moments = _task_moments(ds)
+        step = _coefficient_step(ds, kernel, solver, moments)
+        form = _moment_form(ds, moments, hp)
     else:
-        weights, stop, bound = _certify_linear(ds, moments, hp, trace)
-        try:
-            omega = _weight_covariance(weights)
-        except DegenerateGram:
-            omega = unrelated
+        base = base_kernel_matrix(kernel, ds.inputs)
+        step = _coefficient_step(ds, kernel, solver, base=base)
+        form = _gram_form(ds, base, step, hp)
+    trace = [float(np.sum(ds.targets**2 / _loss_weights(ds)))]  # at W = 0, b = 0
+    weights, stop, bound = _certify(form, hp, trace)
 
     # Final refresh: the stored coefficients solve the coefficient step at
-    # the stored covariance's coupling. At a fixed covariance that step can
-    # only lower the objective.
+    # the stored covariance's coupling, SMO starting from the certified
+    # point's dual. At a fixed covariance that step can only lower the
+    # objective.
+    try:
+        omega = update_omega(form.gram(weights))
+    except DegenerateGram:  # W = 0: all-zero or constant targets
+        omega = TaskCovariance.unrelated(ds.m)
     coupling = coupling_matrix(omega, hp)
-    alpha, b, residuals, gram, blocked = _fitted_state(ds, step, coupling)
+    alpha, b, residuals, gram, blocked = _fitted_state(ds, step, coupling, form.dual_point(weights))
     final = _objective_terms(ds, residuals, gram, omega, hp)
     _require_descent(trace[-1], final, " in the final refresh")
     trace.append(final)
     bound = max(bound, _dual_value(ds, alpha, blocked, hp))
 
     return TrainedModel(
-        task_ids=ds.task_ids,
-        dual_coefs=alpha,
-        biases=b,
-        covariance=omega,
-        coupling=coupling,
-        kernel=kernel,
-        support_inputs=ds.inputs,
-        support_tasks=ds.point_task,
-        counts=ds.counts,
-        hyperparams=hp,
-        objective_trace=trace,
-        report=FitReport(stop, _relative_gap(final, bound)),
+        task_ids=ds.task_ids, dual_coefs=alpha, biases=b, covariance=omega, coupling=coupling,
+        kernel=kernel, support_inputs=ds.inputs, support_tasks=ds.point_task, counts=ds.counts,
+        hyperparams=hp, objective_trace=trace,
+        report=FitReport(stop, _relative_gap(final, bound, trace[0])),
     )
 
 

@@ -7,6 +7,7 @@ Errors are reported as a single machine-parseable line on stderr
 
 import argparse
 import csv
+import io
 import sys
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .crossval import ExperimentConfig, cross_validate
 from .data import Hyperparams, KernelSpec, TaskData
 from .errors import DuplicateTaskId, ParseError, TaskcovError
-from .io import generate_toy, load_csv, load_model, save_csv, save_model
+from .io import _read_text, generate_toy, load_csv, load_model, save_csv, save_model
 from .linalg import correlation_from_covariance
 from .metrics import compute_metrics
 from .newtask import incorporate_new_task
@@ -115,15 +116,14 @@ def _print_correlations(task_ids, covariance):
 
 def _read_prior_spec(path, task_count):
     fields = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    for lineno, raw in enumerate(io.StringIO(_read_text(path, ParseError)), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
     kind = fields.get("kind")
     if kind == "mean":
         return laplacian_mean_regularization(task_count)
@@ -154,7 +154,7 @@ def _read_prior_spec(path, task_count):
 
 
 def _load_query_rows(path):
-    with open(path, newline="") as fh:
+    with io.StringIO(_read_text(path, ParseError)) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

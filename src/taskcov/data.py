@@ -124,7 +124,7 @@ def validate_dataset(ds):
     EmptyTask : some task has no points (or there are no tasks)
     DimensionMismatch : input vectors do not share one dimension d >= 1
     DuplicateTaskId : two tasks carry the same id
-    InvalidTaskId : a task id holds a comma or a line break
+    InvalidTaskId : a task id holds a comma, a line break or a surrogate
     NonFiniteValue : some input or target is NaN or infinite
     """
     if ds.m < 1:
@@ -133,8 +133,8 @@ def validate_dataset(ds):
     for tid in ds.task_ids:
         if tid in seen:
             raise DuplicateTaskId(f"task id {tid!r} appears more than once")
-        if set(tid) & set(",\r\n"):
-            raise InvalidTaskId(f"task id {tid!r} holds a comma or a line break")
+        if set(tid) & set(",\r\n") or any("\ud800" <= c <= "\udfff" for c in tid):
+            raise InvalidTaskId(f"task id {tid!r} holds a comma, a line break or a surrogate")
         seen.add(tid)
     for t in ds.tasks:
         if t.n < 1:

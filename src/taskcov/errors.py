@@ -20,7 +20,7 @@ class DuplicateTaskId(TaskcovError):
 
 
 class InvalidTaskId(TaskcovError):
-    """A task id with a comma or a line break, which model files cannot hold."""
+    """A task id model files cannot hold: a comma, line break or surrogate."""
 
 
 class UnknownTask(TaskcovError):

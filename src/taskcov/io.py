@@ -11,6 +11,7 @@ over the payload.
 
 import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -21,13 +22,22 @@ from .errors import CorruptModel, EmptyFile, NonFiniteValue, ParseError, Version
 MODEL_FORMAT = "taskcov-model 1"
 
 
+def _read_text(path, error):
+    """A file's text as UTF-8; error (a TaskcovError class) names a non-UTF-8 file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_csv(path):
     """Read a multi-task dataset from CSV; returns a validated dataset.
 
-    Raises ParseError on malformed text and NonFiniteValue on a NaN or
-    infinite number, naming the line.
+    Raises ParseError on malformed or non-UTF-8 text and NonFiniteValue on
+    a NaN or infinite number, naming the line.
     """
-    with open(path, newline="") as fh:
+    with io.StringIO(_read_text(path, ParseError)) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -69,7 +79,7 @@ def load_csv(path):
 
 def save_csv(ds, path):
     """Write a dataset in the load_csv format (exact decimal text)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "y"] + [f"x{j + 1}" for j in range(ds.dim)])
         for t in ds.tasks:
@@ -78,10 +88,12 @@ def save_csv(ds, path):
 
 
 TOY_COEFFICIENTS = ((3.0, 10.0), (-3.0, -5.0), (0.0, 1.0))
+TOY_POINTS_PER_TASK = 5
 
 
-def generate_toy(seed, noise_var=0.1, points_per_task=5):
-    """Three 1-d regression tasks: y = 3x+10, y = -3x-5 and y = 1.
+def generate_toy(seed, noise_var=0.1):
+    """Three 1-d regression tasks of TOY_POINTS_PER_TASK points each:
+    y = 3x+10, y = -3x-5 and y = 1.
 
     Inputs are sampled uniformly from [0, 10]; Gaussian noise with the
     given variance corrupts the outputs. Deterministic under the seed.
@@ -89,10 +101,10 @@ def generate_toy(seed, noise_var=0.1, points_per_task=5):
     rng = np.random.default_rng(seed)
     tasks = []
     for k, (slope, intercept) in enumerate(TOY_COEFFICIENTS, start=1):
-        x = rng.uniform(0.0, 10.0, size=points_per_task)
+        x = rng.uniform(0.0, 10.0, size=TOY_POINTS_PER_TASK)
         y = slope * x + intercept
         if noise_var > 0:
-            y = y + rng.normal(0.0, np.sqrt(noise_var), size=points_per_task)
+            y = y + rng.normal(0.0, np.sqrt(noise_var), size=TOY_POINTS_PER_TASK)
         tasks.append(TaskData(task_id=f"task{k}", inputs=x[:, None], targets=y))
     ds = MultiTaskDataset(tasks)
     validate_dataset(ds)
@@ -130,7 +142,7 @@ def save_model(model, path):
         lines.append("x: " + " ".join(repr(float(v)) for v in x))
     payload = "\n".join(lines) + "\n"
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(MODEL_FORMAT + "\n")
         fh.write(f"checksum: {digest}\n")
         fh.write(payload)
@@ -140,12 +152,10 @@ def load_model(path):
     """Load a model saved by save_model.
 
     Raises VersionMismatch on an unknown format line and CorruptModel on
-    checksum or structural damage. Predictions of the loaded model match
-    the original bit for bit.
+    checksum or structural damage or non-UTF-8 text. Predictions of the
+    loaded model match the original bit for bit.
     """
-    with open(path) as fh:
-        text = fh.read()
-    lines = text.split("\n")
+    lines = _read_text(path, CorruptModel).split("\n")
     if not lines or not lines[0].startswith("taskcov-model"):
         raise CorruptModel(f"{path}: missing format header")
     if lines[0] != MODEL_FORMAT:

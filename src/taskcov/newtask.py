@@ -10,7 +10,8 @@ dominating t times the augmented weight Gram, and has a closed form: the
 diagonal blocks bound t by (1 - sigma) / lam and sigma / psi22 (lam the
 top eigenvalue of the whitened existing-weight Gram), the column
 t psi12 attains the bound, and sigma = psi22 / (lam + psi22), clipped to
-[sigma_min, 1 - sigma_min], balances the two. Linear kernel only.
+[sigma_min, 1 - sigma_min] with sigma_min = SIGMA_MIN_DEFAULT, balances
+the two. Linear kernel only.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .linalg import PSD_EIG_FLOOR, solve_linear, sym_eig
 from .solver import _centred_moments, reconstruct_weights
 
 OMEGA_RIDGE = 1e-8
-SIGMA_MIN_DEFAULT = 1e-4
+SIGMA_MIN_DEFAULT = 1e-4  # floors the new task's variance and Schur slack
 SEARCH_ITERS = 60  # golden-section steps over s; bisection steps on the bound's multiplier
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,10 +97,10 @@ def socp_instance(psi11, psi12, psi22, omega):
     )
 
 
-def solve_omega_sigma(socp, omega, sigma_min=SIGMA_MIN_DEFAULT):
+def solve_omega_sigma(socp, omega):
     """Covariance column and variance for the new task: the exact maximiser
     of t subject to Om~(col, sigma) >= t Psi~ and sigma in
-    [sigma_min, 1 - sigma_min].
+    [sigma_min, 1 - sigma_min], sigma_min = SIGMA_MIN_DEFAULT.
 
     The diagonal blocks of any feasible point give (1 - sigma) Omega >=
     t Psi11 and sigma >= t psi22, so t <= min((1 - sigma) / lam,
@@ -113,13 +114,11 @@ def solve_omega_sigma(socp, omega, sigma_min=SIGMA_MIN_DEFAULT):
     lam + psi22 is not positive (t is then unbounded).
     Returns (omega_col, sigma, t).
     """
-    if not 0.0 < sigma_min < 0.5:
-        raise ValueError("sigma_min must lie in (0, 0.5)")
     lam = float(socp.eigvals[0]) if socp.eigvals.size else 0.0
     psi22 = max(socp.psi22, 0.0)
     if lam + psi22 <= 0.0:
         raise DegenerateGram("all weight-Gram blocks are zero; t is unbounded")
-    sigma = min(max(psi22 / (lam + psi22), sigma_min), 1.0 - sigma_min)
+    sigma = min(max(psi22 / (lam + psi22), SIGMA_MIN_DEFAULT), 1.0 - SIGMA_MIN_DEFAULT)
     t = min((1.0 - sigma) / lam if lam > 0.0 else np.inf, sigma / psi22 if psi22 > 0.0 else np.inf)
     return t * socp.psi12, sigma, t
 
@@ -139,10 +138,14 @@ def newtask_objective(inputs, targets, w, b, weights_existing, omega, omega_col,
     Omega the scaled existing block and s the Schur slack (floored at 1e-14,
     so an infeasible point evaluates huge rather than negative).
     """
-    inputs = _input_block(inputs)
+    (inv,) = _ridged(omega, np.reciprocal)
+    return _newtask_value(_input_block(inputs), targets, w, b, weights_existing, inv, omega_col, sigma, hp)
+
+
+def _newtask_value(inputs, targets, w, b, weights_existing, inv, omega_col, sigma, hp):
+    """newtask_objective on (n, d) inputs, given the ridged inverse of Omega."""
     w = np.asarray(w, dtype=float).ravel()
     col = np.asarray(omega_col, dtype=float).ravel()
-    (inv,) = _ridged(omega, np.reciprocal)
     fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
     residuals = np.ravel(targets) - inputs @ w - b
     fixed = float(residuals @ residuals) / inputs.shape[0] + 0.5 * hp.lam1 * float(w @ w)
@@ -180,7 +183,7 @@ def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
     return w, float(y_mean - x_mean @ w)
 
 
-def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
+def incorporate_new_task(model, new_data, hp):
     """Fit one new task against a frozen model, exactly.
 
     With the existing weights W, the ridged covariance Omega_r and
@@ -195,12 +198,13 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     by centring (solver._centred_moments), its minimiser at a fixed s is
     one (d+m)-square linear solve, and that minimum is convex in s, so a
     golden-section search of SEARCH_ITERS steps over s in
-    [sigma_min, 1 - sigma_min] finishes the problem. sigma_min floors the
-    Schur slack as well as sigma (sigma >= s). The bound
-    sigma <= 1 - sigma_min reads q <= (1 - s) / sigma_min - 1; where a
-    solve breaks it, a multiple mu Omega_r of the bound's gradient joins
-    the u block and mu is bisected until q meets the bound. With lam2 = 0
-    or W = 0 there is nothing to relate and the column stays zero.
+    [sigma_min, 1 - sigma_min], sigma_min = SIGMA_MIN_DEFAULT, finishes the
+    problem. sigma_min floors the Schur slack as well as sigma
+    (sigma >= s). The bound sigma <= 1 - sigma_min reads
+    q <= (1 - s) / sigma_min - 1; where a solve breaks it, a multiple
+    mu Omega_r of the bound's gradient joins the u block and mu is bisected
+    until q meets the bound. With lam2 = 0 or W = 0 there is nothing to
+    relate and the column stays zero.
 
     objective_trace holds newtask_objective at the start point (zero
     column, sigma = 1/(m+1) clipped to the bounds, its ridge solve) and at
@@ -209,8 +213,6 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     """
     if model.kernel.kind != "linear":
         raise ValueError("new-task incorporation supports only the linear kernel")
-    if not 0.0 < sigma_min < 0.5:
-        raise ValueError("sigma_min must lie in (0, 0.5)")
     record = new_data if isinstance(new_data, TaskData) else TaskData(*new_data)
     if record.n < 1:
         raise DegenerateGram("new task has no points")
@@ -225,9 +227,12 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     omega = model.covariance
     (n, d), m = x.shape, model.m
 
-    sigma0 = min(max(1.0 / (m + 1), sigma_min), 1.0 - sigma_min)
+    x_mean, y_mean, x_c, y_c, gram, loss_rhs = _centred_moments(x, y)
+    # the start point: zero column, so the ridge is lam1 + lam2 / sigma0
+    sigma0 = min(max(1.0 / (m + 1), SIGMA_MIN_DEFAULT), 1.0 - SIGMA_MIN_DEFAULT)
     col0 = np.zeros(m)
-    w0, b0 = solve_wb_newtask(x, y, weights_existing, augmented_covariance(omega, col0, sigma0), hp)
+    w0 = solve_linear(gram + (hp.lam1 + hp.lam2 / sigma0) * np.eye(d), loss_rhs)
+    b0 = float(y_mean - x_mean @ w0)
 
     # u is solved in units of 1/sqrt(F), so the u block is of order lam2
     # whatever the scale of the existing weights
@@ -237,7 +242,6 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     scale = np.sqrt(fixed_trace) if k else 1.0
     basis = weights_existing[:, :k] / scale
     metric = omega_r[:k, :k]
-    x_mean, y_mean, x_c, y_c, gram, loss_rhs = _centred_moments(x, y)
     rhs = np.concatenate([loss_rhs, np.zeros(k)])
 
     def at_slack(s):
@@ -245,7 +249,7 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
         top = gram + (hp.lam1 + hp.lam2 / s) * np.eye(d)
         cross = -(hp.lam2 / s) * basis
         u_block = (hp.lam2 / (1.0 - s)) * metric + (hp.lam2 / s) * basis.T @ basis
-        limit = fixed_trace * ((1.0 - s) / sigma_min - 1.0)  # the upper bound as F q <= limit
+        limit = fixed_trace * ((1.0 - s) / SIGMA_MIN_DEFAULT - 1.0)  # the upper bound as F q <= limit
 
         def solve(mu):
             sol = solve_linear(np.block([[top, cross], [cross.T, u_block + mu * metric]]), rhs)
@@ -267,7 +271,7 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
         value = float(residuals @ residuals) / n + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
         return value, s, sol, fq
 
-    lo, hi = sigma_min, 1.0 - sigma_min
+    lo, hi = SIGMA_MIN_DEFAULT, 1.0 - SIGMA_MIN_DEFAULT
     inner = [at_slack(hi - _GOLDEN * (hi - lo)), at_slack(lo + _GOLDEN * (hi - lo))]
     for _ in range(SEARCH_ITERS):
         if inner[0][0] <= inner[1][0]:
@@ -279,13 +283,13 @@ def incorporate_new_task(model, new_data, hp, sigma_min=SIGMA_MIN_DEFAULT):
     _, s, sol, fq = min(inner, key=lambda point: point[0])
 
     q = fq / fixed_trace if k else 0.0
-    sigma = min(max((s + q) / (1.0 + q), sigma_min), 1.0 - sigma_min)
+    sigma = min(max((s + q) / (1.0 + q), SIGMA_MIN_DEFAULT), 1.0 - SIGMA_MIN_DEFAULT)
     col = np.zeros(m)
     col[:k] = (1.0 - sigma) * (metric @ sol[d:]) / scale
     w = sol[:d]
     b = float(y_mean - x_mean @ w)
     trace = [
-        newtask_objective(x, y, w_, b_, weights_existing, omega, col_, sigma_, hp)
+        _newtask_value(x, y, w_, b_, weights_existing, inv, col_, sigma_, hp)
         for w_, b_, col_, sigma_ in ((w0, b0, col0, sigma0), (w, b, col, sigma))
     ]
     return NewTaskSolution(

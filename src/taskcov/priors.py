@@ -19,7 +19,7 @@ from .errors import (
     SelfEdge,
 )
 from .linalg import PSD_EIG_FLOOR, spectral_map, sym_eig
-from .solver import _coefficient_step, _fitted_state, _loss_and_norm_terms
+from .solver import _coefficient_step, _fitted_state
 
 
 def laplacian_mean_regularization(m):
@@ -131,11 +131,8 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
         raise NotPSD(f"fixed inverse has eigenvalue {spectrum[-1]:.3e}")
     step = _coefficient_step(ds, kernel, solver)
     coupling = _coupling_from_fixed_inverse(inverse, hp)
-    alpha, b, residuals, gram, _ = _fitted_state(ds, step, coupling)
-    objective = (
-        _loss_and_norm_terms(ds, residuals, gram, hp)
-        + 0.5 * hp.lam2 * float(np.trace(inverse @ gram))
-    )
+    alpha, b, product = step(coupling)
+    objective, _ = _fitted_state(ds, coupling, alpha, b, product)
     return TrainedModel(
         task_ids=ds.task_ids,
         dual_coefs=alpha,

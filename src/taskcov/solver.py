@@ -36,7 +36,9 @@ linear kernel and m*d < N, the saddle system is solved exactly in m*d
 dimensions from the centred moments. Otherwise the combined kernel is
 written into one N x N buffer per fit and solved densely: directly up to
 2000 points, by SMO beyond (or as the solver argument says), SMO starting
-from the dual point of the weights at hand.
+from the dual point of the weights at hand. Either path also returns
+K spread(alpha), K the base Gram, off which _fitted_state reads the fitted
+values and the objective in closed form.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -65,7 +67,7 @@ from .kernels import (
     base_kernel_matrix,
     coupling_matrix,
 )
-from .linalg import _check_residual, solve_linear, spectral_map, trace_pinv_product
+from .linalg import _check_residual, solve_linear, spectral_map
 
 # Dense direct saddle solve up to this many points; SMO beyond.
 DIRECT_SOLVE_LIMIT = 2000
@@ -202,20 +204,9 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
     quadratic form of alpha against the base Gram, W^T W = C S C. For a
     linear kernel this equals the explicit-feature product.
     """
-    base = base_kernel_matrix(kernel, ds.inputs)
-    return _weight_gram(coupling_matrix(omega, hp), _blocked(ds, base, alpha))
-
-
-def _blocked(ds, base, alpha):
-    """Task-blocked quadratic form S of alpha against the base Gram:
-    S[i, j] = sum of alpha_p alpha_q k(x_p, x_q) over p in task i, q in j."""
     spread = _spread(ds.point_task, ds.m, alpha)
-    return spread.T @ base @ spread
-
-
-def _weight_gram(coupling, blocked):
-    """W^T W = C S C from the task-blocked form S of the coefficients."""
-    g = coupling @ blocked @ coupling
+    coupling = coupling_matrix(omega, hp)
+    g = coupling @ (spread.T @ base_kernel_matrix(kernel, ds.inputs) @ spread) @ coupling
     return (g + g.T) / 2.0
 
 
@@ -223,16 +214,15 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     """The coefficient step of one fit, its path chosen once.
 
     Returns a function of the coupling matrix C and an optional SMO start
-    giving (alpha, b, K alpha, S): the exact saddle solution, the fitted
-    values without biases, and the task-blocked quadratic form of alpha
-    against the base Gram, so that W^T W = C S C. moments and base, the
-    dataset's _task_moments and base Gram if the caller already holds
-    them, save forming them again. The dense path writes the combined
-    kernel into one N x N buffer that every call reuses (SMO shifts it in
-    place), and reads K alpha off K spread(alpha), which also gives S.
-    Products with the symmetric base Gram are formed as (B^T K)^T: with
-    OpenBLAS this orientation is faster and touches less of the library's
-    work buffers than K B (on the rbf-smo data, 1.5 MB less resident).
+    giving (alpha, b, K spread(alpha)): the exact saddle solution and the
+    base Gram K times alpha's task columns (_fitted_state). moments and
+    base, the dataset's _task_moments and base Gram if the caller already
+    holds them, save forming them again. The dense path writes the
+    combined kernel into one N x N buffer that every call reuses (SMO
+    shifts it in place). Products with the symmetric base Gram are formed
+    as (B^T K)^T: with OpenBLAS this orientation is faster and touches less
+    of the library's work buffers than K B (on the rbf-smo data, 1.5 MB
+    less resident).
     """
     if solver not in ("direct", "smo", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -242,17 +232,11 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
     buffer = np.empty_like(base)
-    rows = np.arange(ds.total)
 
     def dense_step(coupling, start=None):
         k = _combined_kernel(ds, base, coupling, out=buffer)
-        if use_smo:
-            alpha, b = _smo_solve(ds, k, start=start)
-        else:
-            alpha, b = _saddle_solve(ds, k)
-        spread = _spread(ds.point_task, ds.m, alpha)
-        product = (spread.T @ base).T  # = K spread(alpha)
-        return alpha, b, (product @ coupling)[rows, ds.point_task], spread.T @ product
+        alpha, b = _smo_solve(ds, k, start=start) if use_smo else _saddle_solve(ds, k)
+        return alpha, b, (_spread(ds.point_task, ds.m, alpha).T @ base).T
 
     return dense_step
 
@@ -312,9 +296,10 @@ def _low_rank_solve(ds, moments, coupling):
     alpha_p = 2 (y~_p - x~_p . w_t) / n_t with w = C z, z_t = X~_t^T alpha_t,
     the solution of _coupled_solve: Woodbury with C as the middle factor,
     needing no inverse or factor of C. The weights are U C with
-    U = X~^T spread(alpha), b = y_mean - x_mean . w, and K alpha is formed
-    from the uncentred inputs, so the residual gate applies to the full
-    saddle system at C itself. S = U^T U.
+    U = X~^T spread(alpha), which equals X^T spread(alpha) for such alpha,
+    so K spread(alpha) = X U and b = y_mean - x_mean . w. The fitted values
+    are read off X U from the uncentred inputs, so the residual gate
+    applies to the full saddle system at C itself.
     """
     x_mean, y_mean, x, y, gram, cross = moments
     half = _loss_weights(ds) / 2.0
@@ -322,20 +307,32 @@ def _low_rank_solve(ds, moments, coupling):
     alpha = (y - np.einsum("pj,pj->p", x, (coupling @ z)[ds.point_task])) / half
     spread = _spread(ds.point_task, ds.m, alpha)
     u = x.T @ spread
-    weights = u @ coupling
-    b = y_mean - np.einsum("ij,ji->i", x_mean, weights)
-    fitted = np.einsum("pj,pj->p", ds.inputs, weights.T[ds.point_task])
-    residual = fitted + half * alpha + b[ds.point_task] - ds.targets
+    product = ds.inputs @ u
+    b = y_mean - np.einsum("ij,ji->i", x_mean, u @ coupling)
+    residual = _fitted_values(ds, product, coupling) + half * alpha + b[ds.point_task] - ds.targets
     _check_residual(np.concatenate([residual, spread.sum(axis=0)]), ds.targets)
-    return alpha, b, fitted, u.T @ u
+    return alpha, b, product
 
 
-def _fitted_state(ds, step, coupling, start=None):
-    """alpha, b, the loss residuals, the weight Gram and the blocked form S
-    at one coupling, SMO starting from start when given."""
-    alpha, b, fitted, blocked = step(coupling, start)
-    residuals = ds.targets - (fitted + b[ds.point_task])
-    return alpha, b, residuals, _weight_gram(coupling, blocked), blocked
+def _fitted_values(ds, product, coupling):
+    """Fitted values without biases, (K spread(alpha) C)[p, task of p],
+    from the product K spread(alpha)."""
+    return np.einsum("pj,jp->p", product, coupling[:, ds.point_task])
+
+
+def _fitted_state(ds, coupling, alpha, b, product):
+    """The objective and the task-blocked form S = spread(alpha)^T K
+    spread(alpha) of the state alpha, b at coupling C, given K spread(alpha).
+
+    W = Phi^T spread(alpha) C gives W^T W = C S C, and since
+    lam1 I + lam2 Omega^+ inverts C on its range (lam1 I + lam2 L inverts
+    a fixed inverse's coupling), the two penalties are 1/2 <S, C>: the
+    multi-task kernel's norm, with no decomposition of the covariance.
+    """
+    residuals = ds.targets - (_fitted_values(ds, product, coupling) + b[ds.point_task])
+    blocked = _spread(ds.point_task, ds.m, alpha).T @ product
+    loss = float(np.sum(residuals**2 / _loss_weights(ds)))
+    return loss + 0.5 * float(np.sum(coupling * blocked)), blocked
 
 
 def update_omega(gram):
@@ -356,36 +353,17 @@ def update_omega(gram):
     return TaskCovariance(root / float(np.trace(root)))
 
 
-def _loss_and_norm_terms(ds, loss_residuals, gram, hp):
-    """Objective without its relationship term."""
-    weights = 1.0 / ds.counts[ds.point_task]
-    loss = float(np.sum(weights * loss_residuals**2))
-    return loss + 0.5 * hp.lam1 * float(np.trace(gram))
-
-
-def _objective_terms(ds, loss_residuals, gram, omega, hp):
-    rel_term = 0.5 * hp.lam2 * float(trace_pinv_product(omega.matrix, gram))
-    return _loss_and_norm_terms(ds, loss_residuals, gram, hp) + rel_term
-
-
 def objective_value(ds, alpha, b, omega, kernel, hp):
     """Objective at a self-consistent state (weights implied by alpha
-    through the coupling of the given covariance).
-
-    The relationship term is evaluated against the covariance's range
-    (pseudo-inverse), which is exact for states produced by the solver.
+    through the coupling C of the given covariance), as the loss plus
+    1/2 <S, C> (_fitted_state): the penalties lam1/2 tr(W^T W) +
+    lam2/2 tr(Omega^+ W^T W), the pseudo-inverse on the covariance's range.
     """
     alpha = np.asarray(alpha, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.any(alpha):
-        residuals = ds.targets - b[ds.point_task]
-        gram = np.zeros((ds.m, ds.m))
-    else:
-        c = coupling_matrix(omega, hp)
-        base = base_kernel_matrix(kernel, ds.inputs)
-        residuals = ds.targets - (_combined_kernel(ds, base, c) @ alpha + b[ds.point_task])
-        gram = _weight_gram(c, _blocked(ds, base, alpha))
-    return _objective_terms(ds, residuals, gram, omega, hp)
+    # W = 0 carries no penalty, even where lam1 = lam2 = 0 leaves C undefined
+    coupling = coupling_matrix(omega, hp) if np.any(alpha) else np.zeros((ds.m, ds.m))
+    product = (_spread(ds.point_task, ds.m, alpha).T @ base_kernel_matrix(kernel, ds.inputs)).T
+    return _fitted_state(ds, coupling, alpha, np.asarray(b, dtype=float), product)[0]
 
 
 def _require_descent(previous, value, where=""):
@@ -507,13 +485,15 @@ def _gram_form(ds, base, step, hp):
     base Gram and P the map centring each task's block of rows, and no
     centred N x N array is formed. A gradient step's B-part is
     lam1 B - spread(alpha) at the dual point alpha, and a covariance step
-    gives B = spread(alpha) C from step, the fit's coefficient step; each
-    takes one product with K, formed as (B^T K)^T (_coefficient_step). W's singular values and m-side vectors come
-    from the m x m eigenproblem of B^T K~ B (eigenvalues at or below 1e-14
-    of the largest, rank noise, read as 0, as in update_omega), and the
-    prox keeps B's columns' span: B <- B U diag(s'/s) U^T. The smooth
-    part's curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1,
-    and some G_t is singular here, so lam1 is its least.
+    gives B = spread(alpha) C from step, the fit's coefficient step, with
+    K~ B read off the step's own K spread(alpha); each takes one product
+    with K, formed as (B^T K)^T (_coefficient_step). W's singular values
+    and m-side vectors come from the m x m eigenproblem of B^T K~ B
+    (eigenvalues at or below 1e-14 of the largest, rank noise, read as 0,
+    as in update_omega), and the prox keeps B's columns' span:
+    B <- B U diag(s'/s) U^T. The smooth part's curvature is at most
+    max_t (2/n_t) lambda_max(K~_tt) + lam1, and some G_t is singular here,
+    so lam1 is its least.
     """
     tasks, rows, n = ds.point_task, np.arange(ds.total), _loss_weights(ds)
     y = np.concatenate([_centred(t.inputs, t.targets)[3] for t in ds.tasks])
@@ -554,6 +534,10 @@ def _gram_form(ds, base, step, hp):
         spread, product = image(alpha)
         return _dual_value(ds, alpha, spread.T @ product, hp)
 
+    def covariance_step(coupling, point):
+        alpha, _, product = step(coupling, dual_point(point))
+        return np.stack([centre(_spread(tasks, ds.m, alpha)), centre(product)]) @ coupling
+
     high = 0.0
     for block in np.split(rows, np.cumsum(ds.counts)[:-1]):
         k = base[np.ix_(block, block)]
@@ -563,7 +547,7 @@ def _gram_form(ds, base, step, hp):
         zero=np.zeros((2, ds.total, ds.m)), lipschitz=high + hp.lam1, convexity=hp.lam1,
         gradient=lambda point: hp.lam1 * point - image(dual_point(point)),
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=lambda coupling, point: image(step(coupling, dual_point(point))[0]) @ coupling,
+        solve=covariance_step,
         gram=gram,
     )
 
@@ -667,8 +651,8 @@ def fit(ds, kernel, hp, solver="auto"):
     except DegenerateGram:  # W = 0: all-zero or constant targets
         omega = TaskCovariance.unrelated(ds.m)
     coupling = coupling_matrix(omega, hp)
-    alpha, b, residuals, gram, blocked = _fitted_state(ds, step, coupling, form.dual_point(weights))
-    final = _objective_terms(ds, residuals, gram, omega, hp)
+    alpha, b, product = step(coupling, form.dual_point(weights))
+    final, blocked = _fitted_state(ds, coupling, alpha, b, product)
     _require_descent(trace[-1], final, " in the final refresh")
     trace.append(final)
     bound = max(bound, _dual_value(ds, alpha, blocked, hp))

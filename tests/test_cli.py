@@ -243,6 +243,27 @@ def test_missing_file_fails_cleanly(capsys):
     assert err.startswith("error: FileNotFoundError:")
 
 
+def test_non_utf8_files_fail_cleanly(tmp_path, capsys):
+    # a latin-1 e-acute in each kind of file the CLI reads
+    data, model = tmp_path / "toy.csv", tmp_path / "model.txt"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    run(capsys, "train", str(data), "--out", str(model))
+    cases = (
+        ("task,y,x1\ncaf\u00e9,1.0,2.0\n", "ParseError", lambda bad: ["train", bad]),
+        (model.read_text().replace("task2", "t\u00e2sk2"), "CorruptModel",
+         lambda bad: ["predict", "--model", bad, str(data)]),
+        ("task,x1\ntask1,1.0\ncaf\u00e9,2.0\n", "ParseError",
+         lambda bad: ["predict", "--model", str(model), bad]),
+        ("kind=mean # \u00e9\n", "ParseError", lambda bad: ["prior-train", str(data), "--prior", bad]),
+    )
+    for k, (text, kind, argv) in enumerate(cases):
+        bad = tmp_path / f"latin1-{k}"
+        bad.write_bytes(text.encode("latin-1"))
+        code, _, err = run(capsys, *argv(str(bad)))
+        assert code == 1 and err.count("\n") == 1, err
+        assert err.startswith(f"error: {kind}: {bad}: not UTF-8 text: "), err
+
+
 def test_usage_error_single_line(capsys):
     code, _, err = run(capsys, "train")
     assert code == 2

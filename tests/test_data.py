@@ -43,9 +43,9 @@ def test_duplicate_task_id_rejected():
         tc.validate_dataset(tc.MultiTaskDataset(tasks))
 
 
-@pytest.mark.parametrize("tid", ["a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("tid", ["a,b", "a\nb", "a\rb", "\ud800"])
 def test_task_id_the_model_file_cannot_hold_rejected(tid):
-    # the model file stores the ids comma-joined on one line
+    # the model file stores the ids comma-joined on one line, as UTF-8
     ds = tc.MultiTaskDataset([(tid, [[1.0], [2.0]], [1.0, 2.0]), ("ok", [[0.0]], [0.0])])
     hp = tc.Hyperparams(lam1=0.1, lam2=0.1)
     config = tc.ExperimentConfig("linear", (0.1,), (0.1,), folds=2, seed=0)

@@ -191,6 +191,12 @@ class TestFixedInverseFit:
         w, b = primal_quadratic_oracle(ds, hp, inverse)
         np.testing.assert_allclose(tc.reconstruct_weights(model), w, atol=1e-6)
         np.testing.assert_allclose(model.biases, b, atol=1e-6)
+        # the objective is the loss plus lam1/2 tr G + lam2/2 tr(L G), G = W^T W
+        weights = tc.reconstruct_weights(model)
+        residuals = ds.targets - tc.predict_batch(model, [ds.task_ids[i] for i in ds.point_task], ds.inputs)
+        loss = float(np.sum(residuals**2 / ds.counts[ds.point_task]))
+        penalty = 0.5 * hp.lam1 * trace_form(weights, np.eye(m)) + 0.5 * hp.lam2 * trace_form(weights, inverse)
+        np.testing.assert_allclose(model.objective_trace, [loss + penalty], rtol=1e-12)
         for i, tid in enumerate(ds.task_ids):
             x = rng.normal(size=2)
             np.testing.assert_allclose(

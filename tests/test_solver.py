@@ -321,15 +321,16 @@ class TestLowRankStep:
     def test_matches_dense_direct_solve(self):
         for ds, hp, omega in rescaled(low_rank_instances()):
             c = tc.coupling_matrix(omega, hp)
-            alpha, b, fitted, blocked = solver._coefficient_step(ds, self.kernel, "auto")(c)
+            alpha, b, product = solver._coefficient_step(ds, self.kernel, "auto")(c)
             a_ref, b_ref = tc.solve_alpha_b_direct(ds, self.kernel, c)
             np.testing.assert_allclose(alpha, a_ref, rtol=0, atol=1e-8 * np.max(np.abs(a_ref)))
             np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-8 * np.max(np.abs(b_ref)))
             k = tc.assemble_kernel_matrix(ds, self.kernel, c)
-            np.testing.assert_allclose(fitted, k @ alpha, rtol=0,
+            np.testing.assert_allclose(solver._fitted_values(ds, product, c), k @ alpha, rtol=0,
                                        atol=1e-8 * max(1.0, np.max(np.abs(k @ alpha))))
+            blocked = solver._spread(ds.point_task, ds.m, alpha).T @ product
             np.testing.assert_allclose(
-                solver._weight_gram(c, blocked), tc.gram_wtw(alpha, ds, self.kernel, omega, hp),
+                c @ blocked @ c, tc.gram_wtw(alpha, ds, self.kernel, omega, hp),
                 rtol=1e-8, atol=1e-10,
             )
 
@@ -453,6 +454,27 @@ class TestObjective:
             tc.KernelSpec("linear"), hp,
         )
         assert value == 0.0
+
+    def test_penalties_are_half_s_dot_c(self):
+        # at any state, not only the solver's, the objective equals the loss
+        # plus lam1/2 tr G + lam2/2 tr(Omega^+ G) with G = W^T W, also for a
+        # rank-deficient Omega and for lam2 = 0
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            m, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            ds = random_dataset(rng, m=m, d=d, n_lo=1, n_hi=8)
+            kernel = tc.KernelSpec("rbf", float(rng.uniform(0.5, 2.0))) if trial % 2 else tc.KernelSpec("linear")
+            lam1 = float(10 ** rng.uniform(-2, 0))
+            hp = tc.Hyperparams(lam1, 0.0 if trial % 3 == 0 else lam1 * float(10 ** rng.uniform(-1, 1)))
+            factor = rng.normal(size=(m, int(rng.integers(1, m + 1))))
+            omega = factor @ factor.T
+            omega = tc.TaskCovariance(omega / np.trace(omega))
+            alpha, b = rng.normal(size=ds.total), rng.normal(size=m)
+            fitted = tc.assemble_kernel_matrix(ds, kernel, tc.coupling_matrix(omega, hp)) @ alpha
+            loss = float(np.sum((ds.targets - fitted - b[ds.point_task]) ** 2 / ds.counts[ds.point_task]))
+            gram = tc.gram_wtw(alpha, ds, kernel, omega, hp)
+            want = loss + 0.5 * hp.lam1 * np.trace(gram) + 0.5 * hp.lam2 * tc.trace_pinv_product(omega.matrix, gram)
+            np.testing.assert_allclose(tc.objective_value(ds, alpha, b, omega, kernel, hp), want, rtol=1e-12)
 
     def test_final_state_matches_trace(self, toy, toy_hp):
         model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
@@ -826,9 +848,9 @@ class TestCertificate:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
 
     def test_non_decrease_message_prints_plain_floats(self, toy, toy_hp, monkeypatch):
-        # _objective_terms gives each fit's final refresh's value
+        # _fitted_state gives each fit's final refresh's value
         values = iter([100.0, 4.0])
-        monkeypatch.setattr(solver, "_objective_terms", lambda *args: np.float64(next(values)))
+        monkeypatch.setattr(solver, "_fitted_state", lambda *args: (np.float64(next(values)), None))
         with pytest.raises(errors.NonDecreaseDetected) as info:
             tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
         message = str(info.value)

@@ -84,12 +84,10 @@ def _split(ds, assignment, fold):
     return MultiTaskDataset(train_tasks), val_tasks
 
 
-def _fold_score(ds, config, lam1, lam2, width, assignment, fold):
-    train, val_tasks = _split(ds, assignment, fold)
-    if not val_tasks or train.m == 0:
-        return None
-    kernel = KernelSpec(config.kernel_kind, width)
-    hp = Hyperparams(lam1=lam1, lam2=lam2, tol=config.tol, max_iters=config.max_iters)
+def _fold_score(train, val_tasks, kernel, hp, config, variances):
+    """Mean per-task validation metric of one fold (_split) fitted at
+    kernel and hp; variances maps each task id to its overall target
+    variance."""
     model = fit(train, kernel, hp, solver=config.solver)
     ids = [tid for tid, _, y in val_tasks for _ in y]
     preds = predict_batch(model, ids, np.concatenate([x for _, x, _ in val_tasks]))
@@ -102,7 +100,7 @@ def _fold_score(ds, config, lam1, lam2, width, assignment, fold):
         # normalize each task's validation MSE by the task's overall target
         # variance (validation slices can be too small to carry a variance)
         mse = float(np.mean((pred - y) ** 2))
-        var = float(np.var(ds.tasks[ds.task_index(tid)].targets))
+        var = variances[tid]
         scores.append(mse / var if var > 1e-12 else mse)
     return float(np.mean(scores))
 
@@ -120,14 +118,18 @@ def cross_validate(config, ds):
     if not grid:
         raise GridEmpty("hyperparameter grid is empty")
     assignment = assign_folds(ds, config.folds, config.seed)
+    # every grid point fits the same folds: split each once, keeping those
+    # with validation points (a fold's validation tasks also train)
+    splits = [_split(ds, assignment, fold) for fold in range(config.folds)]
+    splits = [(train, val_tasks) for train, val_tasks in splits if val_tasks]
+    variances = {t.task_id: float(np.var(t.targets)) for t in ds.tasks}
     table = []
     best = None
     for lam1, lam2, width in grid:
-        fold_scores = []
-        for fold in range(config.folds):
-            score = _fold_score(ds, config, lam1, lam2, width, assignment, fold)
-            if score is not None:
-                fold_scores.append(score)
+        kernel = KernelSpec(config.kernel_kind, width)
+        hp = Hyperparams(lam1=lam1, lam2=lam2, tol=config.tol, max_iters=config.max_iters)
+        fold_scores = [_fold_score(train, val_tasks, kernel, hp, config, variances)
+                       for train, val_tasks in splits]
         mean = float(np.mean(fold_scores)) if fold_scores else np.inf
         table.append((lam1, lam2, width, tuple(fold_scores), mean))
         if best is None or mean < best[3]:

@@ -4,12 +4,14 @@ Each constructor returns a symmetric PSD matrix L that plays the role of
 the inverse task covariance; tr(W L W^T) then reproduces a classical
 multi-task penalty (pull to the mean, similarity-graph smoothness, task
 network smoothness, or cluster structure). Fitting holds L fixed: only
-the dual solve runs, with the coupling (lam1 I + lam2 L)^{-1}.
+the dual solve runs, with the coupling (lam1 I + lam2 L)^{-1}. L is
+decomposed once per fit, and that one decomposition gives the PSD check,
+the coupling and the reported covariance.
 """
 
 import numpy as np
 
-from .data import TaskCovariance, TrainedModel, validate_dataset
+from .data import validate_dataset
 from .errors import (
     AsymmetricSimilarity,
     EmptyCluster,
@@ -18,8 +20,8 @@ from .errors import (
     NotPSD,
     SelfEdge,
 )
-from .linalg import PSD_EIG_FLOOR, spectral_map, sym_eig
-from .solver import _coefficient_step, _fitted_state
+from .linalg import PSD_EIG_FLOOR, sym_eig
+from .solver import _coefficient_step, _fitted_state, _model
 
 
 def laplacian_mean_regularization(m):
@@ -97,28 +99,16 @@ def clustered_inverse_covariance(m, cluster_assignment, alpha, beta, gamma):
     return combo
 
 
-def _coupling_from_fixed_inverse(inverse, hp):
-    """(lam1 I + lam2 L)^{-1}: well-defined for singular L because lam1 > 0."""
-    return spectral_map(hp.lam1 * np.eye(len(inverse)) + hp.lam2 * inverse, np.reciprocal)
-
-
-def _reported_covariance(inverse):
-    """Pseudo-inverse of L (cutoff 1e-12), trace-normalized; identity/m
-    when L is zero."""
-    pinv = spectral_map(inverse, np.reciprocal, rel_cutoff=1e-12)
-    total = float(np.trace(pinv))
-    if total <= 1e-12:
-        return TaskCovariance.unrelated(inverse.shape[0])
-    return TaskCovariance(pinv / total)
-
-
 def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     """One dual solve with the relationship structure held fixed.
 
     The solve is fit's coefficient step (solver as in fit). No covariance
     update runs; the model reports the trace-normalized pseudo-inverse of
-    L as its covariance (for inspection only - the stored coupling is what
-    predictions use).
+    L (cutoff 1e-12; I/m when L is zero) as its covariance (for inspection
+    only - the stored coupling is what predictions use). One
+    decomposition L = V diag(v) V^T gives the PSD check, the coupling
+    (lam1 I + lam2 L)^{-1} = V diag(1 / (lam1 + lam2 v)) V^T, well-defined
+    for singular L because lam1 > 0, and the pseudo-inverse.
     """
     validate_dataset(ds)
     if hp.lam1 <= 0:
@@ -126,23 +116,13 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     inverse = np.asarray(inverse, dtype=float)
     if inverse.shape != (ds.m, ds.m):
         raise ValueError(f"fixed inverse must be {ds.m} x {ds.m}")
-    spectrum = sym_eig(inverse).values  # also rejects asymmetric input
-    if spectrum.size and spectrum[-1] < PSD_EIG_FLOOR:
-        raise NotPSD(f"fixed inverse has eigenvalue {spectrum[-1]:.3e}")
-    step = _coefficient_step(ds, kernel, solver)
-    coupling = _coupling_from_fixed_inverse(inverse, hp)
-    alpha, b, product = step(coupling)
+    dec = sym_eig(inverse)  # also rejects asymmetric input
+    if dec.values.size and dec.values[-1] < PSD_EIG_FLOOR:
+        raise NotPSD(f"fixed inverse has eigenvalue {dec.values[-1]:.3e}")
+    coupling = dec.map(lambda v: 1.0 / (hp.lam1 + hp.lam2 * v))
+    pinv = dec.map(np.reciprocal, rel_cutoff=1e-12)
+    total = float(np.trace(pinv))
+    omega = pinv / total if total > 1e-12 else np.eye(ds.m) / ds.m
+    alpha, b, product = _coefficient_step(ds, kernel, solver)(coupling)
     objective, _ = _fitted_state(ds, coupling, alpha, b, product)
-    return TrainedModel(
-        task_ids=ds.task_ids,
-        dual_coefs=alpha,
-        biases=b,
-        covariance=_reported_covariance(inverse),
-        coupling=coupling,
-        kernel=kernel,
-        support_inputs=ds.inputs,
-        support_tasks=ds.point_task,
-        counts=ds.counts,
-        hyperparams=hp,
-        objective_trace=(objective,),
-    )
+    return _model(ds, kernel, hp, alpha, b, omega, coupling, (objective,))

@@ -25,11 +25,15 @@ that Omega. The lower P is kept; on a rise the momentum restarts, so the
 trace never increases. It stops when the relative duality gap
 (P - D) / |P| falls to hp.tol, D taken at alpha_p = 2 r_p / n_p. One
 coefficient step at the final covariance then gives the stored alpha, b
-and coupling. A linear kernel with m*d < N, whatever the solver argument,
-holds W as (m, d) rows over per-task centred moments formed once
-(_moment_form); every other fit holds it as N x m coefficients against
-the base Gram, built once, and takes its covariance steps with the fit's
-coefficient step (_gram_form).
+and coupling. Every Omega and C of a fit, the stored ones included, is
+read off its weights' m-side singular vectors and values, the ones the
+prox step takes, by one map (_svd_coupling); update_omega is the
+reference form of that covariance step, and the fit does not call it.
+A linear kernel with m*d < N, whatever the solver argument, holds W as
+(m, d) rows over per-task centred moments formed once (_moment_form);
+every other fit holds it as N x m coefficients against the base Gram,
+built once, and takes its covariance steps with the fit's coefficient
+step (_gram_form).
 
 The coefficient step is chosen once per fit. With solver='auto', a
 linear kernel and m*d < N, the saddle system is solved exactly in m*d
@@ -419,20 +423,22 @@ def _relative_gap(value, bound, scale):
 
 
 def _svd_coupling(left, values, hp):
-    """coupling_matrix(update_omega(G), hp) for the m x m weight Gram G of
-    weights with m-side singular vectors left (m x k) and singular values
-    values, descending, read off with no decomposition: G has eigenvectors
-    left and eigenvalues values^2, of which those at or below 1e-14 of the
-    largest are cut as in update_omega. None when the weights are zero."""
+    """(Omega, C) of weights W with m-side singular vectors left (m x k) and
+    singular values values, descending, read off with no decomposition:
+    Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}) has eigenvectors left and
+    eigenvalues mu = values / sum(values), and C = Omega (lam1 Omega +
+    lam2 I)^{-1} maps each mu to mu / (lam1 mu + lam2). Values at or below
+    1e-7 of the largest are cut, as update_omega cuts W^T W's eigenvalues
+    at 1e-14. Zero weights give I/m and its coupling."""
     kept = values > 1e-7 * values[0]
     if not kept.any():
-        return None
-    mu = values[kept] / values[kept].sum()
-    return (left[:, kept] * (mu / (hp.lam1 * mu + hp.lam2))) @ left[:, kept].T
+        left, values, kept = np.eye(len(left)), np.ones(len(left)), slice(None)
+    vectors, mu = left[:, kept], values[kept] / values[kept].sum()
+    return (vectors * mu) @ vectors.T, (vectors * (mu / (hp.lam1 * mu + hp.lam2))) @ vectors.T
 
 
 # The certified loop's view of one fit's weights (_certify).
-_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve gram")
+_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve")
 
 
 def _moment_form(ds, moments, hp):
@@ -472,7 +478,6 @@ def _moment_form(ds, moments, hp):
         singular=singular, primal=primal, dual=dual,
         dual_point=lambda weights: 2.0 * (y - np.einsum("pj,pj->p", x, weights[ds.point_task])) / n,
         solve=lambda coupling, weights: coupling @ _coupled_solve(gram, cross, coupling),
-        gram=lambda weights: weights @ weights.T,
     )
 
 
@@ -509,12 +514,9 @@ def _gram_form(ds, base, step, hp):
     def dual_point(point):
         return 2.0 * (y - point[1][rows, tasks]) / n
 
-    def gram(point):
-        g = point[0].T @ point[1]
-        return (g + g.T) / 2.0
-
     def singular(point):
-        values, vectors = np.linalg.eigh(gram(point))
+        gram = point[0].T @ point[1]
+        values, vectors = np.linalg.eigh((gram + gram.T) / 2.0)
         values, vectors = values[::-1], vectors[:, ::-1]
         values = np.sqrt(np.where(values > 1e-14 * max(values[0], 0.0), values, 0.0))
 
@@ -548,7 +550,6 @@ def _gram_form(ds, base, step, hp):
         gradient=lambda point: hp.lam1 * point - image(dual_point(point)),
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
         solve=covariance_step,
-        gram=gram,
     )
 
 
@@ -558,17 +559,18 @@ def _certify(form, hp, trace):
     plus lam1/2 ||W||_F^2), and functions of W: that part's gradient;
     (left, values, rebuild), W's m-side singular vectors and values
     (descending) and the map from new values to weights; P, given the
-    trace norm when known; D at, and, the dual point alpha_p = 2 r_p / n_p;
-    the weights minimising the objective at a coupling C; and W^T W.
+    trace norm when known; D, and the dual point alpha_p = 2 r_p / n_p it
+    is taken at; and the weights minimising the objective at a coupling C.
 
     Each iteration takes an accelerated proximal-gradient step from the
     extrapolated point, with step 1/L and momentum
     (sqrt L - sqrt mu) / (sqrt L + sqrt mu): the prox of the squared trace
-    norm shrinks the singular values (_shrink). Then the exact covariance
-    step from the prox point: solve at the coupling of its covariance. The
-    lower P of the two is kept if it is below the kept one, and appended
-    to trace; otherwise the momentum restarts from the kept point. Each
-    kept point gives a dual bound, and the best one is kept. Stops on
+    norm shrinks the singular values (_shrink). Then, unless the prox
+    point is 0, the exact covariance step from it: solve at the coupling
+    of its covariance (_svd_coupling). The lower P of the two is kept if
+    it is below the kept one, and appended to trace; otherwise the
+    momentum restarts from the kept point. Each kept point gives a dual
+    bound, and the best one is kept. Stops on
     P - D <= hp.tol |P| or after hp.max_iters iterations, and returns the
     weights, the stop reason and the bound.
     """
@@ -583,9 +585,8 @@ def _certify(form, hp, trace):
         values = _shrink(values, step * hp.lam2)
         prox = rebuild(values)
         candidates = [(form.primal(prox, float(values.sum())), prox)]
-        coupling = _svd_coupling(left, values, hp)
-        if coupling is not None:
-            solved = form.solve(coupling, prox)
+        if values[0] > 0.0:
+            solved = form.solve(_svd_coupling(left, values, hp)[1], prox)
             candidates.append((form.primal(solved), solved))
         best_value, best = min(candidates, key=lambda pair: pair[0])
         if best_value < value:
@@ -642,26 +643,29 @@ def fit(ds, kernel, hp, solver="auto"):
     trace = [float(np.sum(ds.targets**2 / _loss_weights(ds)))]  # at W = 0, b = 0
     weights, stop, bound = _certify(form, hp, trace)
 
-    # Final refresh: the stored coefficients solve the coefficient step at
-    # the stored covariance's coupling, SMO starting from the certified
+    # Final refresh: the stored covariance and coupling are the certified
+    # weights' (_svd_coupling), and the stored coefficients solve the
+    # coefficient step at that coupling, SMO starting from the certified
     # point's dual. At a fixed covariance that step can only lower the
     # objective.
-    try:
-        omega = update_omega(form.gram(weights))
-    except DegenerateGram:  # W = 0: all-zero or constant targets
-        omega = TaskCovariance.unrelated(ds.m)
-    coupling = coupling_matrix(omega, hp)
+    omega, coupling = _svd_coupling(*form.singular(weights)[:2], hp)
     alpha, b, product = step(coupling, form.dual_point(weights))
     final, blocked = _fitted_state(ds, coupling, alpha, b, product)
     _require_descent(trace[-1], final, " in the final refresh")
     trace.append(final)
     bound = max(bound, _dual_value(ds, alpha, blocked, hp))
 
+    return _model(ds, kernel, hp, alpha, b, omega, coupling, trace,
+                  FitReport(stop, _relative_gap(final, bound, trace[0])))
+
+
+def _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report=None):
+    """The TrainedModel of a fit to ds: the state alpha, b at coupling C,
+    the covariance matrix omega it reports and its objective trace."""
     return TrainedModel(
-        task_ids=ds.task_ids, dual_coefs=alpha, biases=b, covariance=omega, coupling=coupling,
+        task_ids=ds.task_ids, dual_coefs=alpha, biases=b, covariance=TaskCovariance(omega), coupling=coupling,
         kernel=kernel, support_inputs=ds.inputs, support_tasks=ds.point_task, counts=ds.counts,
-        hyperparams=hp, objective_trace=trace,
-        report=FitReport(stop, _relative_gap(final, bound, trace[0])),
+        hyperparams=hp, objective_trace=trace, report=report,
     )
 
 

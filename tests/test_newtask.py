@@ -206,6 +206,17 @@ class TestConeStep:
             omega = unit_trace_psd(rng, m)
             cases.append((omega, rng.normal(size=(3, m)), 1e-4 * rng.normal(size=3), 1e-4))
             cases.append((omega, np.zeros((3, m)), rng.normal(size=3), 1.0 - 1e-4))
+        # singular omega of each rank below m, with existing weights whose
+        # Gram lies in its range and generic ones that leave it
+        singular = np.random.default_rng(6)
+        for m in (2, 3, 4):
+            for rank in range(1, m):
+                for _ in range(2):
+                    factor = singular.normal(size=(m, rank))
+                    omega = tc.TaskCovariance(factor @ factor.T / np.sum(factor**2))
+                    in_range = singular.normal(size=(3, rank)) @ factor.T
+                    cases.append((omega, in_range, singular.normal(size=3), None))
+                    cases.append((omega, singular.normal(size=(3, m)), singular.normal(size=3), None))
         for omega, w_old, w_new, clipped in cases:
             m = w_old.shape[1]
             inst = tc.socp_instance(w_old.T @ w_old, w_old.T @ w_new, w_new @ w_new, omega)

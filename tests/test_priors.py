@@ -155,6 +155,8 @@ class TestFixedInverseFit:
         got = tc.reconstruct_weights(model)
         np.testing.assert_allclose(got, w, atol=1e-8)
         np.testing.assert_allclose(model.biases, b, atol=1e-8)
+        # L = 0 has no pseudo-inverse to normalise: the unrelated covariance
+        np.testing.assert_array_equal(model.covariance.matrix, np.eye(3) / 3.0)
 
     def test_scaled_identity_decouples(self):
         rng = np.random.default_rng(4)
@@ -188,6 +190,12 @@ class TestFixedInverseFit:
                 m, {0: "a", 1: "a", 2: "b", 3: "b"}, 1.0, 0.6, 0.8
             )
         model = tc.fit_with_fixed_inverse(ds, tc.KernelSpec("linear"), hp, inverse)
+        # the coupling and the reported covariance, from L's one decomposition
+        np.testing.assert_allclose(
+            model.coupling, np.linalg.inv(hp.lam1 * np.eye(m) + hp.lam2 * inverse), rtol=1e-12
+        )
+        pinv = np.linalg.pinv(inverse, hermitian=True)
+        np.testing.assert_allclose(model.covariance.matrix, pinv / np.trace(pinv), rtol=0, atol=1e-12)
         w, b = primal_quadratic_oracle(ds, hp, inverse)
         np.testing.assert_allclose(tc.reconstruct_weights(model), w, atol=1e-6)
         np.testing.assert_allclose(model.biases, b, atol=1e-6)

@@ -364,22 +364,21 @@ class TestLowRankStep:
             raise AssertionError("the low-rank path ran")
 
         calls, steps = [], []
-        solve, svd_coupling = solver.solve_linear, solver._svd_coupling
+        solve, gram_form = solver.solve_linear, solver._gram_form
 
         def counted(*args):
-            coupling = svd_coupling(*args)
-            steps.append(coupling is not None)
-            return coupling
+            form = gram_form(*args)
+            return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
 
         monkeypatch.setattr(solver, "_low_rank_solve", refuse)
         monkeypatch.setattr(solver, "solve_linear", lambda a, rhs: calls.append(1) or solve(a, rhs))
-        monkeypatch.setattr(solver, "_svd_coupling", counted)
+        monkeypatch.setattr(solver, "_gram_form", counted)
         rng = np.random.default_rng(32)
         ds = random_dataset(rng, m=2, d=5, n_lo=3, n_hi=5)
         assert ds.m * ds.dim >= ds.total
         tc.fit(ds, self.kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
         # one dense solve per covariance step, and one at the final covariance
-        assert sum(steps) >= 1 and len(calls) == sum(steps) + 1
+        assert len(steps) >= 1 and len(calls) == len(steps) + 1
 
 
 class TestGram:
@@ -782,10 +781,16 @@ class TestCertificate:
                 w[0] = 0.0  # rank deficient: a task with zero weights
             hp = tc.Hyperparams(0.1, 0.0 if trial % 5 == 0 else 0.05)
             left, values, _ = np.linalg.svd(w, full_matrices=False)
-            want = tc.coupling_matrix(tc.update_omega(w @ w.T), hp)
-            np.testing.assert_allclose(solver._svd_coupling(left, values, hp), want,
-                                       rtol=0, atol=1e-10 * np.max(np.abs(want)))
-        assert solver._svd_coupling(np.eye(2), np.zeros(2), hp) is None
+            omega, coupling = solver._svd_coupling(left, values, hp)
+            want = tc.update_omega(w @ w.T)
+            np.testing.assert_allclose(omega, want.matrix, rtol=0, atol=1e-12)
+            want = tc.coupling_matrix(want, hp)
+            np.testing.assert_allclose(coupling, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+        # zero weights: the unrelated covariance
+        omega, coupling = solver._svd_coupling(np.eye(2), np.zeros(2), hp)
+        unrelated = tc.TaskCovariance.unrelated(2)
+        assert np.array_equal(omega, unrelated.matrix)
+        assert np.array_equal(coupling, tc.coupling_matrix(unrelated, hp))
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_linear_2k_data_fits_at_tight_tolerances(self, tol):
@@ -832,7 +837,8 @@ class TestCertificate:
                 (moment_form.dual_point(weights), gram_form.dual_point(point)),
                 (moment_form.gradient(weights), features(gram_form.gradient(point))),
                 (moment_form.solve(coupling, weights), features(gram_form.solve(coupling, point))),
-                (moment_form.gram(weights), gram_form.gram(point)),
+                (solver._svd_coupling(*moment_form.singular(weights)[:2], hp)[0],
+                 solver._svd_coupling(*gram_form.singular(point)[:2], hp)[0]),
                 (moment_form.lipschitz, gram_form.lipschitz),
             ]
             _, values, rebuild = moment_form.singular(weights)

@@ -26,7 +26,7 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import fit, predict, predict_batch, reconstruct_weights
+from .solver import SOLVERS, fit, predict, predict_batch, reconstruct_weights
 
 
 class _UsageError(TaskcovError):
@@ -47,7 +47,7 @@ def _add_common(parser):
     _add_penalties(parser)
     parser.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     parser.add_argument("--rbf-width", type=float, default=1.0)
-    parser.add_argument("--solver", choices=["direct", "smo", "auto"], default="auto")
+    parser.add_argument("--solver", choices=SOLVERS, default="auto")
 
 
 def build_parser():
@@ -83,7 +83,7 @@ def build_parser():
     p.add_argument("--rbf-width", default="1.0", help="comma-separated candidates")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", choices=["direct", "smo", "auto"], default="auto")
+    p.add_argument("--solver", choices=SOLVERS, default="auto")
     p.add_argument("--task-type", choices=["regression", "classification"], default="regression")
 
     p = sub.add_parser("new-task", help="incorporate one new task into a trained model")
@@ -261,6 +261,10 @@ def _cmd_cv(args):
         tag = f" width={width!r}" if config.kernel_kind == "rbf" else ""
         folds = " ".join(f"{s:.6f}" for s in scores)
         print(f"l1={lam1!r} l2={lam2!r}{tag}: folds [{folds}] mean {mean:.6f}")
+    stops = [r.stop_reason for r in result.reports]
+    largest = max((r.gap for r in result.reports), default=0.0)
+    print(f"fold fits: {len(stops)}, stop: gap {stops.count('gap')}, "
+          f"iteration cap {stops.count('iteration cap')}, largest relative gap {largest:.3e}")
     chosen = f"chosen: l1={result.lam1!r} l2={result.lam2!r}"
     if config.kernel_kind == "rbf":
         chosen += f" width={result.width!r}"

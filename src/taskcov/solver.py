@@ -35,6 +35,14 @@ every other fit holds it as N x m coefficients against the base Gram,
 built once, and takes its covariance steps with the fit's coefficient
 step (_gram_form).
 
+fit is the one-point path of one dataset through _fit_path, the hook
+that cross-validation fits its folds along its grid with: each
+dataset's moments or base Gram are built once for the whole path. A
+moment-form fit starts at each point from its certified weights at the
+point before, and with solver='auto' the moment-form datasets that share
+(m, d) run through the loop together, stacked on a leading axis of
+independent problems; every other fit starts cold at each point.
+
 The coefficient step is chosen once per fit. With solver='auto', a
 linear kernel and m*d < N, the saddle system is solved exactly in m*d
 dimensions from the centred moments. Otherwise the combined kernel is
@@ -73,6 +81,7 @@ from .kernels import (
 )
 from .linalg import _check_residual, solve_linear, spectral_map
 
+SOLVERS = ("direct", "smo", "auto")  # the paths of the coefficient step
 # Dense direct saddle solve up to this many points; SMO beyond.
 DIRECT_SOLVE_LIMIT = 2000
 SMO_DEFAULT_TOL = 1e-6
@@ -228,9 +237,9 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     of the library's work buffers than K B (on the rbf-smo data, 1.5 MB
     less resident).
     """
-    if solver not in ("direct", "smo", "auto"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    if solver == "auto" and kernel.kind == "linear" and ds.m * ds.dim < ds.total:
+    if solver == "auto" and _moment_fit(kernel, ds):
         moments = _task_moments(ds) if moments is None else moments
         return lambda coupling, start=None: _low_rank_solve(ds, moments, coupling)
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
@@ -284,10 +293,12 @@ def _coupled_solve(gram, cross, coupling):
     """The m*d system of the linear coefficient step at coupling C: z solves
     (I + G (C (x) I)) z = c, block (t, s) delta_ts I + G_t C[t, s]. The
     weights minimising the centred loss plus lam1/2 ||W||^2 + lam2/2
-    tr(W Omega^+ W^T) are then w = C z (rows), and z_t = c_t - G_t w_t."""
-    system = np.eye(cross.size) + np.einsum("tij,ts->tisj", gram, coupling).reshape(cross.size, -1)
+    tr(W Omega^+ W^T) are then w = C z (rows), and z_t = c_t - G_t w_t.
+    Leading axes hold independent systems."""
+    lead, size = cross.shape[:-2], cross.shape[-2] * cross.shape[-1]
+    system = np.eye(size) + np.einsum("...tij,...ts->...tisj", gram, coupling).reshape(lead + (size, size))
     try:
-        return np.linalg.solve(system, cross.ravel()).reshape(cross.shape)
+        return np.linalg.solve(system, cross.reshape(lead + (size, 1))).reshape(cross.shape)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
 
@@ -381,24 +392,24 @@ def _require_descent(previous, value, where=""):
 
 def _shrink(v, a):
     """argmin over s >= 0 of ||s - v||^2 / 2 + a/2 (sum s)^2, for v sorted
-    descending: s = max(v - a T, 0) with T = sum s. On the k entries left
-    active, a prefix of v, T = (v_1 + ... + v_k) / (1 + k a); k is the
-    last index with v_k > a T_k, a test that holds on a prefix only."""
-    totals = np.cumsum(v) / (1.0 + a * np.arange(1, v.size + 1))
-    active = int(np.count_nonzero(v > a * totals))
-    if active == 0:
-        return np.zeros_like(v)
-    return np.maximum(v - a * totals[active - 1], 0.0)
+    descending along its last axis (leading axes hold independent
+    problems; a is a scalar or shaped as v[..., :1]): s = max(v - a T, 0)
+    with T = sum s. On the k entries left active, a prefix of v,
+    T = T_k = (v_1 + ... + v_k) / (1 + k a). T_{k+1} lies between T_k and
+    v_{k+1} / a, so T_k rises while v_{k+1} > a T_k, which is exactly
+    along the prefix, and falls after it: T is the largest T_k."""
+    totals = np.add.accumulate(v, axis=-1) / (1.0 + a * np.arange(1, v.shape[-1] + 1))
+    return np.maximum(v - a * np.maximum.reduce(totals, axis=-1, keepdims=True), 0.0)
 
 
 def _penalty_conjugate(z, hp):
     """h*(z) = max over s >= 0 of z.s - lam1/2 ||s||^2 - lam2/2 (sum s)^2,
-    for z sorted descending: the maximiser is _shrink(z / lam1, lam2 / lam1),
-    so on the top-k active set s_i = (z_i - lam2 T) / lam1 with
-    T = (z_1 + ... + z_k) / (lam1 + k lam2)."""
+    for z sorted descending along its last axis: the maximiser is
+    _shrink(z / lam1, lam2 / lam1), so on the top-k active set
+    s_i = (z_i - lam2 T) / lam1 with T = (z_1 + ... + z_k) / (lam1 + k lam2)."""
     s = _shrink(z / hp.lam1, hp.lam2 / hp.lam1)
-    total = float(s.sum())
-    return float(z @ s) - 0.5 * hp.lam1 * float(s @ s) - 0.5 * hp.lam2 * total * total
+    total = np.add.reduce(s, axis=-1)
+    return np.add.reduce(s * (z - 0.5 * hp.lam1 * s), axis=-1) - 0.5 * hp.lam2 * total * total
 
 
 def _dual_value(ds, alpha, blocked, hp):
@@ -429,39 +440,81 @@ def _svd_coupling(left, values, hp):
     eigenvalues mu = values / sum(values), and C = Omega (lam1 Omega +
     lam2 I)^{-1} maps each mu to mu / (lam1 mu + lam2). Values at or below
     1e-7 of the largest are cut, as update_omega cuts W^T W's eigenvalues
-    at 1e-14. Zero weights give I/m and its coupling."""
-    kept = values > 1e-7 * values[0]
-    if not kept.any():
-        left, values, kept = np.eye(len(left)), np.ones(len(left)), slice(None)
-    vectors, mu = left[:, kept], values[kept] / values[kept].sum()
-    return (vectors * mu) @ vectors.T, (vectors * (mu / (hp.lam1 * mu + hp.lam2))) @ vectors.T
+    at 1e-14. Zero weights give I/m and its coupling. Leading axes hold
+    independent problems."""
+    kept = values > 1e-7 * values[..., :1]
+    values = values * kept
+    total = np.add.reduce(values, axis=-1, keepdims=True)
+    zero = total == 0.0
+    mu = values / (total + zero)
+    # a cut value's mu = 0 maps to 0, also where lam2 = 0 would make it 0/0
+    gain = mu / (hp.lam1 * mu + (hp.lam2 if hp.lam2 > 0.0 else ~kept))
+    right = left.swapaxes(-1, -2)
+    omega, coupling = (left * mu[..., None, :]) @ right, (left * gain[..., None, :]) @ right
+    if zero.any():
+        m, zero = left.shape[-2], zero[..., None]
+        unrelated = 1.0 / m
+        gain = unrelated / (hp.lam1 * unrelated + hp.lam2)
+        omega = np.where(zero, np.eye(m) * unrelated, omega)
+        coupling = np.where(zero, np.eye(m) * gain, coupling)
+    return omega, coupling
 
 
 # The certified loop's view of one fit's weights (_certify).
 _Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve")
 
 
-def _moment_form(ds, moments, hp):
+def _moment_curvature(gram):
+    """Bounds (mu, L) on the curvature of the centred loss of each problem
+    whose task moments G are gram: min_t lambda_min(G_t), floored at 0,
+    and max_t lambda_max(G_t)."""
+    spectra = np.linalg.eigvalsh(gram)
+    return np.maximum(spectra[..., 0].min(axis=-1), 0.0), spectra[..., -1].max(axis=-1)
+
+
+def _moment_dual_point(ds, moments, weights):
+    """alpha_p = 2 r_p / n_p at the (m, d) weight rows of a moment-form fit."""
+    _, _, x, y, _, _ = moments
+    return 2.0 * (y - np.einsum("pj,pj->p", x, weights[ds.point_task])) / _loss_weights(ds)
+
+
+def _moment_form(ds, moments, hp, curvature=None):
     """A linear fit with m*d < N on the (m, d) weight rows, from the
     centred moments: G_t w_t in O(m d^2), and the covariance step is the
     m*d system of _coupled_solve. The smooth part's curvature lies between
-    min_t lambda_min(G_t) + lam1 and max_t lambda_max(G_t) + lam1."""
-    _, _, x, y, gram, cross = moments
-    spectra = np.linalg.eigvalsh(gram)
-    n = _loss_weights(ds)
-    constant = float(np.sum(y**2 / n))
+    min_t lambda_min(G_t) + lam1 and max_t lambda_max(G_t) + lam1
+    (_moment_curvature, or curvature if the caller holds it).
+
+    ds and moments may also be tuples of datasets sharing (m, d) and their
+    _task_moments: the form then holds one independent problem per
+    dataset along a leading axis of every array and value, and dual_point
+    gives a list of the problems' dual points.
+    """
+    if isinstance(ds, tuple):
+        gram, cross = np.array([mo[4] for mo in moments]), np.array([mo[5] for mo in moments])
+        constant = np.array([np.sum(mo[3] ** 2 / _loss_weights(d)) for d, mo in zip(ds, moments)])
+
+        def dual_point(weights):
+            return [_moment_dual_point(d, mo, w) for d, mo, w in zip(ds, moments, weights)]
+    else:
+        gram, cross = moments[4], moments[5]
+        constant = np.sum(moments[3] ** 2 / _loss_weights(ds))
+
+        def dual_point(weights):
+            return _moment_dual_point(ds, moments, weights)
+    convexity, lipschitz = _moment_curvature(gram) if curvature is None else curvature
 
     def times(weights):
-        return np.einsum("tij,tj->ti", gram, weights)
+        return np.einsum("...tij,...tj->...ti", gram, weights)
 
     def singular(weights):
         left, values, right = np.linalg.svd(weights, full_matrices=False)
-        return left, values, lambda shrunk: (left * shrunk) @ right
+        return left, values, lambda shrunk: (left * shrunk[..., None, :]) @ right
 
     def primal(weights, norm=None):
         if norm is None:
-            norm = float(np.linalg.svd(weights, compute_uv=False).sum())
-        smooth = float(np.sum(weights * (0.5 * times(weights) - cross + 0.5 * hp.lam1 * weights)))
+            norm = np.linalg.svd(weights, compute_uv=False).sum(axis=-1)
+        smooth = (weights * (0.5 * times(weights) - cross + 0.5 * hp.lam1 * weights)).sum(axis=(-2, -1))
         return constant + smooth + 0.5 * hp.lam2 * norm * norm
 
     def dual(weights):
@@ -469,19 +522,29 @@ def _moment_form(ds, moments, hp):
         # sum_p (alpha_p y~_p - n_p alpha_p^2 / 4) = constant - w.Gw / 2
         gw = times(weights)
         z = np.linalg.svd(cross - gw, compute_uv=False)
-        return constant - 0.5 * float(np.sum(weights * gw)) - _penalty_conjugate(z, hp)
+        return constant - 0.5 * (weights * gw).sum(axis=(-2, -1)) - _penalty_conjugate(z, hp)
 
     return _Form(
-        zero=np.zeros_like(cross), lipschitz=float(spectra[:, -1].max()) + hp.lam1,
-        convexity=max(float(spectra[:, 0].min()), 0.0) + hp.lam1,
+        zero=np.zeros_like(cross), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
-        singular=singular, primal=primal, dual=dual,
-        dual_point=lambda weights: 2.0 * (y - np.einsum("pj,pj->p", x, weights[ds.point_task])) / n,
+        singular=singular, primal=primal, dual=dual, dual_point=dual_point,
         solve=lambda coupling, weights: coupling @ _coupled_solve(gram, cross, coupling),
     )
 
 
-def _gram_form(ds, base, step, hp):
+def _gram_curvature(ds, base):
+    """Bounds (0, L) on the curvature of the centred loss against the base
+    Gram: L = max_t (2/n_t) lambda_max(K~_tt), K~_tt task t's centred
+    block."""
+    high = 0.0
+    for block in np.split(np.arange(ds.total), np.cumsum(ds.counts)[:-1]):
+        k = base[np.ix_(block, block)]
+        k = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+        high = max(high, 2.0 / block.size * float(np.linalg.eigvalsh(k)[-1]))
+    return 0.0, high
+
+
+def _gram_form(ds, base, step, hp, curvature=None):
     """Every other fit (a non-linear kernel, or m*d >= N) on N x m
     coefficients B: W = Phi~^T B, Phi~ the per-task centred features.
 
@@ -497,8 +560,9 @@ def _gram_form(ds, base, step, hp):
     (eigenvalues at or below 1e-14 of the largest, rank noise, read as 0,
     as in update_omega), and the prox keeps B's columns' span:
     B <- B U diag(s'/s) U^T. The smooth part's curvature is at most
-    max_t (2/n_t) lambda_max(K~_tt) + lam1, and some G_t is singular here,
-    so lam1 is its least.
+    max_t (2/n_t) lambda_max(K~_tt) + lam1 (_gram_curvature, or curvature
+    if the caller holds it), and some G_t is singular here, so lam1 is its
+    least.
     """
     tasks, rows, n = ds.point_task, np.arange(ds.total), _loss_weights(ds)
     y = np.concatenate([_centred(t.inputs, t.targets)[3] for t in ds.tasks])
@@ -540,20 +604,16 @@ def _gram_form(ds, base, step, hp):
         alpha, _, product = step(coupling, dual_point(point))
         return np.stack([centre(_spread(tasks, ds.m, alpha)), centre(product)]) @ coupling
 
-    high = 0.0
-    for block in np.split(rows, np.cumsum(ds.counts)[:-1]):
-        k = base[np.ix_(block, block)]
-        k = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
-        high = max(high, 2.0 / block.size * float(np.linalg.eigvalsh(k)[-1]))
+    convexity, lipschitz = _gram_curvature(ds, base) if curvature is None else curvature
     return _Form(
-        zero=np.zeros((2, ds.total, ds.m)), lipschitz=high + hp.lam1, convexity=hp.lam1,
+        zero=np.zeros((2, ds.total, ds.m)), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda point: hp.lam1 * point - image(dual_point(point)),
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
         solve=covariance_step,
     )
 
 
-def _certify(form, hp, trace):
+def _certify(form, hp, traces, start=None):
     """Minimise P over the weights W of one fit, held as form (a _Form):
     W = 0, bounds L >= mu on the curvature of P's smooth part (the loss
     plus lam1/2 ||W||_F^2), and functions of W: that part's gradient;
@@ -561,44 +621,76 @@ def _certify(form, hp, trace):
     (descending) and the map from new values to weights; P, given the
     trace norm when known; D, and the dual point alpha_p = 2 r_p / n_p it
     is taken at; and the weights minimising the objective at a coupling C.
+    A form may hold independent problems along a leading axis (a stacked
+    _moment_form); each then runs the loop below on its own, and traces
+    holds one list per problem (one list for a form without that axis).
 
-    Each iteration takes an accelerated proximal-gradient step from the
+    The loop starts at W = 0, or at start where P(start) < P(0). Each
+    iteration takes an accelerated proximal-gradient step from the
     extrapolated point, with step 1/L and momentum
     (sqrt L - sqrt mu) / (sqrt L + sqrt mu): the prox of the squared trace
     norm shrinks the singular values (_shrink). Then, unless the prox
     point is 0, the exact covariance step from it: solve at the coupling
     of its covariance (_svd_coupling). The lower P of the two is kept if
-    it is below the kept one, and appended to trace; otherwise the
+    it is below the kept one, and appended to the trace; otherwise the
     momentum restarts from the kept point. Each kept point gives a dual
-    bound, and the best one is kept. Stops on
-    P - D <= hp.tol |P| or after hp.max_iters iterations, and returns the
-    weights, the stop reason and the bound.
+    bound, and the best one is kept. A problem stops on
+    P - D <= hp.tol |P|, and is frozen from then on; the loop ends when
+    every problem has stopped or after hp.max_iters iterations. Returns
+    the weights, and per problem whether it stopped on the gap and its
+    bound D, as lists.
     """
-    lipschitz, convexity = form.lipschitz, form.convexity
-    step = 1.0 / lipschitz
-    momentum = (np.sqrt(lipschitz) - np.sqrt(convexity)) / (np.sqrt(lipschitz) + np.sqrt(convexity))
-    weights = form.zero
-    value, bound = form.primal(weights, 0.0), form.dual(weights)
-    ahead = weights
+    zero = form.zero
+    value = _floats(form.primal(zero, 0.0))
+    lead = np.shape(form.lipschitz)
+    axes = lead + (1,) * (zero.ndim - len(lead))  # a per-problem value against the weights
+
+    def pick(mask, new, old):
+        """new for the problems where mask holds, else old."""
+        if all(mask):
+            return new
+        return np.where(np.reshape(mask, axes), new, old) if any(mask) else old
+
+    lipschitz, convexity = np.sqrt(form.lipschitz), np.sqrt(form.convexity)
+    momentum = np.reshape((lipschitz - convexity) / (lipschitz + convexity), axes)
+    step = np.reshape(1.0 / np.asarray(form.lipschitz), axes)
+    weights, shrink = zero, np.reshape(step * hp.lam2, lead + (1,))
+    if start is not None:
+        start_value = _floats(form.primal(start))
+        better = [s < v for s, v in zip(start_value, value)]
+        weights, value = pick(better, start, zero), [min(s, v) for s, v in zip(start_value, value)]
+    bound, ahead, active = _floats(form.dual(weights)), weights, [True] * len(value)
     for _ in range(hp.max_iters):
         left, values, rebuild = form.singular(ahead - step * form.gradient(ahead))
-        values = _shrink(values, step * hp.lam2)
-        prox = rebuild(values)
-        candidates = [(form.primal(prox, float(values.sum())), prox)]
-        if values[0] > 0.0:
-            solved = form.solve(_svd_coupling(left, values, hp)[1], prox)
-            candidates.append((form.primal(solved), solved))
-        best_value, best = min(candidates, key=lambda pair: pair[0])
-        if best_value < value:
-            ahead = best + momentum * (best - weights)
-            weights, value = best, best_value
-            bound = max(bound, form.dual(weights))
-        else:
-            ahead = weights
-        trace.append(value)
-        if value - bound <= hp.tol * abs(value):
-            return weights, "gap", bound
-    return weights, "iteration cap", bound
+        values = _shrink(values, shrink)
+        best = rebuild(values)
+        best_value = _floats(form.primal(best, values.sum(axis=-1)))
+        nonzero = _floats(values[..., 0])
+        if any(nonzero):
+            solved = form.solve(_svd_coupling(left, values, hp)[1], best)
+            solved_value = _floats(form.primal(solved))
+            better = [z > 0.0 and s < b for z, s, b in zip(nonzero, solved_value, best_value)]
+            best = pick(better, solved, best)
+            best_value = [s if u else b for u, s, b in zip(better, solved_value, best_value)]
+        kept = [on and b < v for on, b, v in zip(active, best_value, value)]
+        best = pick(kept, best, weights)
+        ahead = best + momentum * (best - weights)  # the kept point itself on a restart
+        weights, value = best, [b if k else v for k, b, v in zip(kept, best_value, value)]
+        if any(kept):
+            dual = _floats(form.dual(weights))
+            bound = [max(b, d) if k else b for k, b, d in zip(kept, bound, dual)]
+        for trace, v, on in zip(traces, value, active):
+            if on:
+                trace.append(v)
+        active = [on and not v - b <= hp.tol * abs(v) for on, v, b in zip(active, value, bound)]
+        if not any(active):
+            break
+    return weights, [not on for on in active], bound
+
+
+def _floats(x):
+    """One Python float per problem of a form's per-problem value."""
+    return np.asarray(x).reshape(-1).tolist()
 
 
 def fit(ds, kernel, hp, solver="auto"):
@@ -630,33 +722,105 @@ def fit(ds, kernel, hp, solver="auto"):
     bound found.
     """
     validate_dataset(ds)
-    if hp.lam1 <= 0:
+    _, _, model = next(_fit_path([ds], kernel, [hp], solver))
+    return model
+
+
+def _moment_fit(kernel, ds):
+    """Whether a fit of ds runs on the centred moments (_moment_form)."""
+    return kernel.kind == "linear" and ds.m * ds.dim < ds.total
+
+
+def _fit_path(datasets, kernel, hps, solver="auto"):
+    """Fit every dataset at every hyperparameter point of a path, yielding
+    (i, j, model), the model of datasets[j] at hps[i], as each is fitted:
+    group by group (below), each group point by point, so a caller that
+    drops each model on arrival holds one model at a time. fit is the path
+    of one dataset and one point; cross-validation fits its folds along
+    its grid through this hook. The datasets are taken as valid.
+
+    Each dataset's hp-free parts are built once: its centred moments and
+    their spectra, or its base Gram, curvature bound and coefficient step.
+    With solver='auto', linear datasets with m*d < N that share (m, d) run
+    as one stacked _moment_form (their coefficient step needs no base
+    Gram; a group of one runs without the stack's leading axis); every
+    other dataset runs alone, so at most one base Gram is alive at a time.
+    A moment-form problem starts at every point after the first from its
+    certified weights at the point before (_certify keeps the start only
+    where it lowers P), so a path should step between nearby points; a
+    Gram-form fit starts cold at every point, as fit does, because there a
+    warm start was seen to cost iterations. Every model ends with the same
+    final refresh (_path).
+    """
+    if any(hp.lam1 <= 0 for hp in hps):
         raise ValueError("fitting requires lam1 > 0")
-    if kernel.kind == "linear" and ds.m * ds.dim < ds.total:
-        moments = _task_moments(ds)
-        step = _coefficient_step(ds, kernel, solver, moments)
-        form = _moment_form(ds, moments, hp)
+    groups = {}
+    for j, ds in enumerate(datasets):
+        stacked = solver == "auto" and _moment_fit(kernel, ds)
+        groups.setdefault((ds.m, ds.dim) if stacked else j, []).append(j)
+    for members in groups.values():
+        for i, k, model in _path(tuple(datasets[j] for j in members), kernel, hps, solver):
+            yield i, members[k], model
+
+
+def _path(group, kernel, hps, solver):
+    """Yields (i, k, model), the model of group[k] at hps[i], point by
+    point, each model as soon as its refresh is done; group is a tuple, one
+    stack or one dataset alone (_fit_path). A moment-form group starts
+    each point from its certified weights at the point before; a
+    Gram-form fit starts each point cold.
+
+    The final refresh of each model: the stored covariance and coupling
+    are the certified weights' (_svd_coupling), and the stored
+    coefficients solve the coefficient step at that coupling, SMO starting
+    from the certified point's dual. At a fixed covariance that step can
+    only lower the objective.
+    """
+    warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)
+    if warm:
+        moments = tuple(_task_moments(ds) for ds in group)
+        steps = [_coefficient_step(ds, kernel, solver, mo) for ds, mo in zip(group, moments)]
+        if len(group) == 1:  # a group of one runs without the leading axis
+            held, gram = (group[0], moments[0]), moments[0][4]
+        else:
+            held, gram = (group, moments), np.array([mo[4] for mo in moments])
+        curvature = _moment_curvature(gram)
+
+        def form_at(hp):
+            return _moment_form(*held, hp, curvature)
+
+        def starts(form, weights):
+            if solver == "auto":  # the step is the low-rank solve, which takes no start
+                return [None] * len(group)
+            points = form.dual_point(weights)
+            return points if len(group) > 1 else [points]
     else:
+        ds, = group
         base = base_kernel_matrix(kernel, ds.inputs)
-        step = _coefficient_step(ds, kernel, solver, base=base)
-        form = _gram_form(ds, base, step, hp)
-    trace = [float(np.sum(ds.targets**2 / _loss_weights(ds)))]  # at W = 0, b = 0
-    weights, stop, bound = _certify(form, hp, trace)
+        steps = [_coefficient_step(ds, kernel, solver, base=base)]
+        curvature = _gram_curvature(ds, base)
 
-    # Final refresh: the stored covariance and coupling are the certified
-    # weights' (_svd_coupling), and the stored coefficients solve the
-    # coefficient step at that coupling, SMO starting from the certified
-    # point's dual. At a fixed covariance that step can only lower the
-    # objective.
-    omega, coupling = _svd_coupling(*form.singular(weights)[:2], hp)
-    alpha, b, product = step(coupling, form.dual_point(weights))
-    final, blocked = _fitted_state(ds, coupling, alpha, b, product)
-    _require_descent(trace[-1], final, " in the final refresh")
-    trace.append(final)
-    bound = max(bound, _dual_value(ds, alpha, blocked, hp))
+        def form_at(hp):
+            return _gram_form(ds, base, steps[0], hp, curvature)
 
-    return _model(ds, kernel, hp, alpha, b, omega, coupling, trace,
-                  FitReport(stop, _relative_gap(final, bound, trace[0])))
+        def starts(form, weights):
+            return [form.dual_point(weights)]
+    weights = None
+    for i, hp in enumerate(hps):
+        form = form_at(hp)
+        traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
+        weights, gapped, bounds = _certify(form, hp, traces, weights if warm else None)
+        mapped = _svd_coupling(*form.singular(weights)[:2], hp)
+        omegas, couplings = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
+        for k, (ds, step, trace, omega, coupling, start, stopped, bound) in enumerate(zip(
+                group, steps, traces, omegas, couplings, starts(form, weights), gapped, bounds)):
+            alpha, b, product = step(coupling, start)
+            final, blocked = _fitted_state(ds, coupling, alpha, b, product)
+            _require_descent(trace[-1], final, " in the final refresh")
+            trace.append(final)
+            bound = max(bound, _dual_value(ds, alpha, blocked, hp))
+            report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]))
+            yield i, k, _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report)
 
 
 def _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report=None):

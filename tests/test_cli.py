@@ -93,6 +93,22 @@ def test_cv_singleton_grid(tmp_path, capsys):
     assert "chosen: l1=0.01 l2=0.005" in out
 
 
+def test_cv_reports_its_fold_fits(tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    code, out, _ = run(capsys, "cv", str(data), "--l1", "0.01,0.1", "--l2", "0.05,0.005", "--folds", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("chosen: ")
+    match = re.fullmatch(
+        r"fold fits: (\d+), stop: gap (\d+), iteration cap (\d+), largest relative gap (\S+)", lines[-2]
+    )
+    assert match, lines[-2]
+    fits, gap, cap, largest = match.groups()
+    assert int(fits) == 4 * 5 and int(gap) + int(cap) == int(fits)
+    assert int(gap) == int(fits) and 0.0 <= float(largest) <= 1e-6
+
+
 def test_cv_deterministic_reports(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     run(capsys, "make-toy", "--seed", "35", "--out", str(data))

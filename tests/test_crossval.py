@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import taskcov as tc
-from taskcov import errors
-from conftest import random_dataset
+from taskcov import errors, solver
+from conftest import planted_dataset, random_dataset
 
 
 def test_fold_assignment_is_partition(toy):
@@ -89,6 +89,21 @@ def test_folds_minimum():
         )
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"task_type": "classfication"}, "unknown task_type"),
+    ({"solver": "fastest"}, "unknown solver"),
+    ({"kernel_kind": "poly"}, "unknown kernel kind"),
+    ({"lam1_grid": (0.1, 0.0)}, "lam1 > 0"),
+    ({"lam2_grid": (0.1, -1.0)}, "nonnegative"),
+    ({"kernel_kind": "rbf", "width_grid": (1.0, 0.0)}, "positive width"),
+    ({"tol": 0.0}, "tol must be positive"),
+])
+def test_config_refuses_bad_settings_at_construction(change, message):
+    settings = {"kernel_kind": "linear", "lam1_grid": (0.1,), "lam2_grid": (0.1,), **change}
+    with pytest.raises(ValueError, match=message):
+        tc.ExperimentConfig(**settings)
+
+
 def per_point_fold_scores(ds, config, lam1, lam2, width):
     """Fold scores with one predict per validation point, grouped by task."""
     assignment = tc.assign_folds(ds, config.folds, config.seed)
@@ -115,21 +130,127 @@ def per_point_fold_scores(ds, config, lam1, lam2, width):
     return np.array(scores)
 
 
-@pytest.mark.parametrize("kind, task_type", [
-    ("linear", "regression"), ("linear", "classification"), ("rbf", "regression"),
+def fold_kinds(ds, folds, seed):
+    """(m, whether the fit runs on the centred moments) of each fold's
+    training set, for the folds holding validation points."""
+    assignment = tc.assign_folds(ds, folds, seed)
+    kinds = []
+    for fold in range(folds):
+        masks = [assignment[ds.point_task == i] == fold for i in range(ds.m)]
+        kept = [mask for mask in masks if not mask.all()]
+        if any(mask.any() for mask in kept):
+            total = sum(int((~mask).sum()) for mask in kept)
+            kinds.append((len(kept), len(kept) * ds.dim < total))
+    return kinds
+
+
+def counted_dataset(rng, counts):
+    """Linear data in d = 3 with counts[i] points in task i."""
+    tasks = []
+    for i, n in enumerate(counts):
+        x = rng.normal(size=(n, 3))
+        tasks.append((f"t{i}", x, x @ rng.normal(size=3) + 0.1 * rng.normal(size=n)))
+    return tc.MultiTaskDataset(tasks)
+
+
+@pytest.mark.parametrize("kind, task_type, counts", [
+    pytest.param("linear", "regression", None, id="linear-regression"),
+    pytest.param("linear", "classification", None, id="linear-classification"),
+    pytest.param("rbf", "regression", None, id="rbf-regression"),
+    # a one-point task trains in 3 of the 4 folds, and m*d = 9 sits at the
+    # training sizes: one m = 2 moment-form fold alone, one Gram-form fold
+    # and two m = 3 moment-form folds stacked
+    pytest.param("linear", "regression", (1, 5, 6), id="linear-mixed-stacks"),
 ])
-def test_batched_fold_scores_match_per_point_scoring(kind, task_type):
+def test_batched_fold_scores_match_per_point_scoring(kind, task_type, counts):
     rng = np.random.default_rng(7)
-    ds = random_dataset(rng, m=3, d=2, n_lo=6, n_hi=11)
+    if counts is None:
+        ds = random_dataset(rng, m=3, d=2, n_lo=6, n_hi=11)
+    else:
+        ds = counted_dataset(rng, counts)
+        assert sorted(fold_kinds(ds, 4, 8)) == [(2, True), (3, False), (3, True), (3, True)]
     if task_type == "classification":
         ds = tc.MultiTaskDataset(
             [(t.task_id, t.inputs, np.where(t.targets >= 0, 1.0, -1.0)) for t in ds.tasks]
         )
     config = tc.ExperimentConfig(
         kernel_kind=kind, lam1_grid=(0.05,), lam2_grid=(0.02,), width_grid=(1.5,),
-        folds=3, seed=8, task_type=task_type,
+        folds=3 if counts is None else 4, seed=8, task_type=task_type,
     )
     (lam1, lam2, width, scores, _), = tc.cross_validate(config, ds).table
     np.testing.assert_allclose(
         scores, per_point_fold_scores(ds, config, lam1, lam2, width), rtol=1e-12, atol=0
     )
+
+
+def fold_training_sets(ds, folds, seed):
+    """Training sets of the folds holding validation points, in fold order."""
+    assignment = tc.assign_folds(ds, folds, seed)
+    trains = []
+    for fold in range(folds):
+        masks = [assignment[ds.point_task == i] == fold for i in range(ds.m)]
+        kept = [(t, mask) for t, mask in zip(ds.tasks, masks) if not mask.all()]
+        if any(mask.any() for _, mask in kept):
+            trains.append(tc.MultiTaskDataset(
+                [(t.task_id, t.inputs[~mask], t.targets[~mask]) for t, mask in kept]))
+    return trains
+
+
+def test_fit_path_yields_models_group_by_group_point_by_point():
+    # the mixed-stacks folds: one m = 2 moment-form fold, one Gram-form
+    # fold and two m = 3 moment-form folds, which run as one stack
+    trains = fold_training_sets(counted_dataset(np.random.default_rng(7), (1, 5, 6)), 4, 8)
+    groups = {}
+    for j, t in enumerate(trains):
+        groups.setdefault((t.m, t.dim) if t.m * t.dim < t.total else j, []).append(j)
+    assert sorted(len(members) for members in groups.values()) == [1, 1, 2]
+    hps = [tc.Hyperparams(0.05, lam2) for lam2 in (0.02, 0.01, 0.05)]
+    order = [(i, j) for i, j, _ in solver._fit_path(trains, tc.KernelSpec("linear"), hps)]
+    assert order == [(i, j) for members in groups.values() for i in range(len(hps)) for j in members]
+
+
+WARM_GRIDS = {
+    # the benchmark's cv-grid data: every fold a moment-form fit, stacked
+    "moment-stack": (lambda: planted_dataset(777, 8, 40, 5, 2), "linear", (1.0,), 5, True),
+    # m*d = 60 against 24 training points: every fold a Gram-form fit
+    "gram-form": (lambda: planted_dataset(3, 3, 12, 20, 2), "linear", (1.0,), 3, False),
+    "rbf-two-widths": (lambda: random_dataset(np.random.default_rng(9), m=3, d=2, n_lo=12, n_hi=16),
+                       "rbf", (0.5, 2.0), 3, False),  # every fold a Gram-form fit
+}
+
+
+@pytest.mark.parametrize("name", list(WARM_GRIDS))
+def test_warm_started_fold_fits_are_certified(name):
+    make, kind, widths, folds, moments = WARM_GRIDS[name]
+    ds = make()
+    config = tc.ExperimentConfig(  # the default max_iters
+        kernel_kind=kind, lam1_grid=(0.03, 0.01, 0.1), lam2_grid=(0.1, 0.003, 0.03),
+        width_grid=widths, folds=folds, seed=1,
+    )
+    result = tc.cross_validate(config, ds)
+    assert [row[:3] for row in result.table] == list(config.grid())
+    trains = fold_training_sets(ds, folds, config.seed)
+    assert all((kind == "linear" and t.m * t.dim < t.total) == moments for t in trains)
+    assert len(result.reports) == len(config.grid()) * len(trains)
+    assert all(r.stop_reason == "gap" and r.gap <= config.tol for r in result.reports)
+
+    # the same fits along each width's path: (lam1, lam2) in snake order,
+    # a moment-form fit warm-started from the point before, a Gram-form
+    # fit cold
+    reports = {}
+    for width in (widths if kind == "rbf" else (None,)):
+        kernel = tc.KernelSpec(kind, width)
+        path = [(lam1, lam2) for a, lam1 in enumerate(config.lam1_grid)
+                for lam2 in (config.lam2_grid if a % 2 == 0 else config.lam2_grid[::-1])]
+        hps = [tc.Hyperparams(lam1, lam2, tol=config.tol, max_iters=config.max_iters)
+               for lam1, lam2 in path]
+        for i, j, model in solver._fit_path(trains, kernel, hps):
+            reports.setdefault(path[i] + (width,), [None] * len(trains))[j] = model.report
+            cold = tc.fit(trains[j], kernel, hps[i])
+            if moments:  # both lie within tol |P| above the optimum
+                warm, final = model.objective_trace[-1], cold.objective_trace[-1]
+                assert abs(warm - final) <= config.tol * max(abs(warm), abs(final))
+            else:
+                assert model.objective_trace == cold.objective_trace
+                np.testing.assert_array_equal(model.dual_coefs, cold.dual_coefs)
+    assert list(result.reports) == [r for point in config.grid() for r in reports[point]]

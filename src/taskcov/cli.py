@@ -115,6 +115,8 @@ def _print_correlations(task_ids, covariance):
 
 
 def _read_prior_spec(path, task_count):
+    """The fixed inverse structure a prior-spec file selects. A missing key
+    or a malformed value raises ParseError naming the file and the key."""
     fields = {}
     for lineno, raw in enumerate(io.StringIO(_read_text(path, ParseError)), start=1):
         line = raw.strip()
@@ -124,33 +126,35 @@ def _read_prior_spec(path, task_count):
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+
+    def field(key, parse):
+        if key not in fields:
+            raise ParseError(f"{path}: missing key {key!r}")
+        try:
+            return parse(fields[key])
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad {key!r} value {fields[key]!r}: {exc}") from None
+
     kind = fields.get("kind")
     if kind == "mean":
         return laplacian_mean_regularization(task_count)
     if kind == "similarity":
-        rows = [r for r in fields.get("matrix", "").split(";") if r.strip()]
-        matrix = np.array([[float(v) for v in r.split(",")] for r in rows])
-        return laplacian_from_similarity(matrix)
+        return laplacian_from_similarity(field("matrix", lambda text: np.array(
+            [[float(v) for v in r.split(",")] for r in text.split(";") if r.strip()])))
     if kind == "network":
-        edges = []
-        text = fields.get("edges", "").strip()
-        if text:
-            for token in text.split(","):
-                p, _, q = token.partition("-")
-                edges.append((int(p), int(q)))
-        return laplacian_from_task_network(task_count, edges)
+        return laplacian_from_task_network(task_count, field("edges", _edges) if "edges" in fields else [])
     if kind == "clustered":
-        labels = [v.strip() for v in fields["clusters"].split(",")]
+        labels = field("clusters", lambda text: [v.strip() for v in text.split(",")])
         if len(labels) != task_count:
             raise ParseError(f"{path}: {len(labels)} cluster labels for {task_count} tasks")
-        return clustered_inverse_covariance(
-            task_count,
-            dict(enumerate(labels)),
-            float(fields["alpha"]),
-            float(fields["beta"]),
-            float(fields["gamma"]),
-        )
+        weights = (field(key, float) for key in ("alpha", "beta", "gamma"))
+        return clustered_inverse_covariance(task_count, dict(enumerate(labels)), *weights)
     raise ParseError(f"{path}: unknown prior kind {kind!r}")
+
+
+def _edges(text):
+    """'0-1,1-2' as the index pairs [(0, 1), (1, 2)]; no text as no pairs."""
+    return [(int(p), int(q)) for p, _, q in (token.partition("-") for token in text.split(","))] if text else []
 
 
 def _load_query_rows(path):
@@ -328,10 +332,7 @@ def cli_main(argv):
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except TaskcovError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TaskcovError, OSError, ValueError) as exc:  # ValueError: a refused flag value
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

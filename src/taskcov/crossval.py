@@ -17,6 +17,7 @@ model is then dropped. The table keeps config.grid() order.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ class ExperimentConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+        if not (isinstance(self.folds, numbers.Integral) and self.folds >= 2):
+            raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
         if self.task_type not in ("regression", "classification"):
             raise ValueError(f"unknown task_type {self.task_type!r}")
         if self.solver not in SOLVERS:

@@ -5,6 +5,7 @@ concurrent workers. Flat point indexing everywhere follows task
 concatenation order: task 1's points first, then task 2's, and so on.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -124,7 +125,8 @@ def validate_dataset(ds):
     EmptyTask : some task has no points (or there are no tasks)
     DimensionMismatch : input vectors do not share one dimension d >= 1
     DuplicateTaskId : two tasks carry the same id
-    InvalidTaskId : a task id holds a comma, a line break or a surrogate
+    InvalidTaskId : a task id holds a comma, a line break or a surrogate,
+        or begins or ends with whitespace (the CSV reader strips ids)
     NonFiniteValue : some input or target is NaN or infinite
     """
     if ds.m < 1:
@@ -135,6 +137,8 @@ def validate_dataset(ds):
             raise DuplicateTaskId(f"task id {tid!r} appears more than once")
         if set(tid) & set(",\r\n") or any("\ud800" <= c <= "\udfff" for c in tid):
             raise InvalidTaskId(f"task id {tid!r} holds a comma, a line break or a surrogate")
+        if tid != tid.strip():
+            raise InvalidTaskId(f"task id {tid!r} begins or ends with whitespace")
         seen.add(tid)
     for t in ds.tasks:
         if t.n < 1:
@@ -175,12 +179,13 @@ class Hyperparams:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.lam1 < 0 or self.lam2 < 0:
-            raise ValueError("regularization weights must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (0 <= self.lam1 < np.inf and 0 <= self.lam2 < np.inf):
+            raise ValueError(f"regularization weights must be finite and nonnegative, "
+                             f"got {self.lam1!r}, {self.lam2!r}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +198,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and (self.width is None or self.width <= 0):
-            raise ValueError("rbf kernel needs a positive width")
+        if self.kind == "rbf" and (self.width is None or not 0 < self.width < np.inf):
+            raise ValueError(f"rbf kernel needs a finite positive width, got {self.width!r}")
 
 
 SYMMETRY_RTOL = 1e-10

@@ -77,8 +77,8 @@ def clustered_inverse_covariance(m, cluster_assignment, alpha, beta, gamma):
     must be nonempty over tasks 0..m-1. Raises NotPSD if the weight
     combination produces a negative eigenvalue.
     """
-    if alpha <= 0 or beta <= 0 or gamma <= 0:
-        raise ValueError("cluster penalty weights must be positive")
+    if not all(0 < v < np.inf for v in (alpha, beta, gamma)):
+        raise ValueError("cluster penalty weights must be positive and finite")
     labels = [cluster_assignment[i] for i in range(m)]
     clusters = sorted(set(labels), key=str)
     indicator = np.zeros((m, len(clusters)))

@@ -21,14 +21,15 @@ Every fit runs one loop (_certify). Each iteration takes one accelerated
 proximal-gradient step on P (the prox of the squared trace norm shrinks
 singular values by a common amount), then the exact covariance step from
 that point: Omega from W, and the weights minimising the objective at
-that Omega. The lower P is kept; on a rise the momentum restarts, so the
-trace never increases. It stops when the relative duality gap
-(P - D) / |P| falls to hp.tol, D taken at alpha_p = 2 r_p / n_p. One
-coefficient step at the final covariance then gives the stored alpha, b
-and coupling. Every Omega and C of a fit, the stored ones included, is
-read off its weights' m-side singular vectors and values, the ones the
-prox step takes, by one map (_svd_coupling); update_omega is the
-reference form of that covariance step, and the fit does not call it.
+that Omega, which can only lower P. That point is kept unless P rises
+above the kept one, when the momentum restarts, so the trace never
+increases. It stops when the relative duality gap (P - D) / |P| falls to
+hp.tol, D taken at alpha_p = 2 r_p / n_p. One coefficient step at the
+final covariance then gives the stored alpha, b and coupling. Every
+Omega and C of a fit, the stored ones included, is read off its weights'
+m-side singular vectors and values, the ones the prox step takes, by one
+map (_svd_coupling); update_omega is the reference form of that
+covariance step, and the fit does not call it.
 A linear kernel with m*d < N, whatever the solver argument, holds W as
 (m, d) rows over per-task centred moments formed once (_moment_form);
 every other fit holds it as N x m coefficients against the base Gram,
@@ -271,6 +272,11 @@ def _centred(inputs, targets):
     return x_mean, y_mean, inputs - x_mean, y
 
 
+def _centred_targets(ds):
+    """Every task's centred targets (_centred), in flat point order."""
+    return np.concatenate([_centred(t.inputs, t.targets)[3] for t in ds.tasks])
+
+
 def _centred_moments(inputs, targets):
     """_centred with the moments of the centred loss: (x_mean, y_mean, X~,
     y~, G, c) with G = (2/n) X~^T X~ and c = (2/n) X~^T y~; the gradient
@@ -307,8 +313,8 @@ def _low_rank_solve(ds, moments, coupling):
     """Exact saddle solve for the linear kernel in m*d dimensions.
 
     moments is the dataset's _task_moments. Centring decouples the biases
-    (alpha sums to 0 over each task), and task t's saddle rows give
-    alpha_p = 2 (y~_p - x~_p . w_t) / n_t with w = C z, z_t = X~_t^T alpha_t,
+    (alpha sums to 0 over each task), and task t's saddle rows make alpha
+    the dual point of w = C z (_moment_dual_point), z_t = X~_t^T alpha_t
     the solution of _coupled_solve: Woodbury with C as the middle factor,
     needing no inverse or factor of C. The weights are U C with
     U = X~^T spread(alpha), which equals X^T spread(alpha) for such alpha,
@@ -316,15 +322,14 @@ def _low_rank_solve(ds, moments, coupling):
     are read off X U from the uncentred inputs, so the residual gate
     applies to the full saddle system at C itself.
     """
-    x_mean, y_mean, x, y, gram, cross = moments
-    half = _loss_weights(ds) / 2.0
-    z = _coupled_solve(gram, cross, coupling)
-    alpha = (y - np.einsum("pj,pj->p", x, (coupling @ z)[ds.point_task])) / half
+    x_mean, y_mean, x, _, gram, cross = moments
+    alpha = _moment_dual_point(ds, moments, coupling @ _coupled_solve(gram, cross, coupling))
     spread = _spread(ds.point_task, ds.m, alpha)
     u = x.T @ spread
     product = ds.inputs @ u
     b = y_mean - np.einsum("ij,ji->i", x_mean, u @ coupling)
-    residual = _fitted_values(ds, product, coupling) + half * alpha + b[ds.point_task] - ds.targets
+    residual = (_fitted_values(ds, product, coupling) + _loss_weights(ds) / 2.0 * alpha
+                + b[ds.point_task] - ds.targets)
     _check_residual(np.concatenate([residual, spread.sum(axis=0)]), ds.targets)
     return alpha, b, product
 
@@ -412,12 +417,11 @@ def _penalty_conjugate(z, hp):
     return np.add.reduce(s * (z - 0.5 * hp.lam1 * s), axis=-1) - 0.5 * hp.lam2 * total * total
 
 
-def _dual_value(ds, alpha, blocked, hp):
+def _dual_value(ds, y, alpha, blocked, hp):
     """D(alpha) for coefficients alpha summing to 0 per task, whose
     task-blocked form against the base Gram is S: z^2 are the eigenvalues
-    of S. alpha^T y is taken on per-task centred targets, which is the
-    same for such alpha."""
-    y = ds.targets - (np.bincount(ds.point_task, ds.targets) / ds.counts)[ds.point_task]
+    of S. y is the fit's per-task centred targets (_centred), on which
+    alpha^T y is the same as on the targets for such alpha."""
     z = np.sqrt(np.clip(np.linalg.eigvalsh(blocked)[::-1], 0.0, None))
     loss = float(alpha @ y) - 0.25 * float(np.sum(_loss_weights(ds) * alpha**2))
     return loss - _penalty_conjugate(z, hp)
@@ -487,15 +491,13 @@ def _moment_form(ds, moments, hp, curvature=None):
 
     ds and moments may also be tuples of datasets sharing (m, d) and their
     _task_moments: the form then holds one independent problem per
-    dataset along a leading axis of every array and value, and dual_point
-    gives a list of the problems' dual points.
+    dataset along a leading axis of every array and value; a stack runs
+    only under solver='auto', whose step takes no start, so has no dual_point.
     """
     if isinstance(ds, tuple):
         gram, cross = np.array([mo[4] for mo in moments]), np.array([mo[5] for mo in moments])
         constant = np.array([np.sum(mo[3] ** 2 / _loss_weights(d)) for d, mo in zip(ds, moments)])
-
-        def dual_point(weights):
-            return [_moment_dual_point(d, mo, w) for d, mo, w in zip(ds, moments, weights)]
+        dual_point = None
     else:
         gram, cross = moments[4], moments[5]
         constant = np.sum(moments[3] ** 2 / _loss_weights(ds))
@@ -548,35 +550,32 @@ def _gram_form(ds, base, step, hp, curvature=None):
     """Every other fit (a non-linear kernel, or m*d >= N) on N x m
     coefficients B: W = Phi~^T B, Phi~ the per-task centred features.
 
-    A point is the pair (B, K~ B), stacked, so that the loop's linear
-    combinations carry the product along: K~ B = P (K (P B)), with K the
-    base Gram and P the map centring each task's block of rows, and no
-    centred N x N array is formed. A gradient step's B-part is
-    lam1 B - spread(alpha) at the dual point alpha, and a covariance step
-    gives B = spread(alpha) C from step, the fit's coefficient step, with
-    K~ B read off the step's own K spread(alpha); each takes one product
-    with K, formed as (B^T K)^T (_coefficient_step). W's singular values
-    and m-side vectors come from the m x m eigenproblem of B^T K~ B
-    (eigenvalues at or below 1e-14 of the largest, rank noise, read as 0,
-    as in update_omega), and the prox keeps B's columns' span:
-    B <- B U diag(s'/s) U^T. The smooth part's curvature is at most
+    A point is the pair (B, K B), stacked, with K the base Gram, so that
+    the loop's linear combinations carry the product along. Every B the
+    loop forms sums to 0 per task (alpha does, and the prox keeps B's
+    columns' span: B <- B U diag(s'/s) U^T), so B^T K B = W^T W, and the
+    centred fitted value at point p is (K B)[p, t_p] centred over p's task.
+    A gradient step's B-part is lam1 B - spread(alpha) at the dual point
+    alpha, and a covariance step gives B = spread(alpha) C from step, the
+    fit's coefficient step, with K B read off its own K spread(alpha); each
+    takes one product with K, formed as (B^T K)^T (_coefficient_step). W's
+    singular values and m-side vectors come from the m x m eigenproblem of
+    B^T K B (eigenvalues at or below 1e-14 of the largest, rank noise, read
+    as 0, as in update_omega). The smooth part's curvature is at most
     max_t (2/n_t) lambda_max(K~_tt) + lam1 (_gram_curvature, or curvature
     if the caller holds it), and some G_t is singular here, so lam1 is its
     least.
     """
     tasks, rows, n = ds.point_task, np.arange(ds.total), _loss_weights(ds)
-    y = np.concatenate([_centred(t.inputs, t.targets)[3] for t in ds.tasks])
-    indicator = _spread(tasks, ds.m, 1.0)
-
-    def centre(b):
-        return b - (indicator.T @ b / ds.counts[:, None])[tasks]
+    y = _centred_targets(ds)
 
     def image(alpha):
-        b = centre(_spread(tasks, ds.m, alpha))
-        return np.stack([b, centre((b.T @ base).T)])
+        b = _spread(tasks, ds.m, alpha)
+        return np.stack([b, (b.T @ base).T])
 
     def dual_point(point):
-        return 2.0 * (y - point[1][rows, tasks]) / n
+        fitted = point[1][rows, tasks]
+        return 2.0 * (y - fitted + (np.bincount(tasks, fitted) / ds.counts)[tasks]) / n
 
     def singular(point):
         gram = point[0].T @ point[1]
@@ -598,11 +597,11 @@ def _gram_form(ds, base, step, hp, curvature=None):
     def dual(point):
         alpha = dual_point(point)
         spread, product = image(alpha)
-        return _dual_value(ds, alpha, spread.T @ product, hp)
+        return _dual_value(ds, y, alpha, spread.T @ product, hp)
 
     def covariance_step(coupling, point):
         alpha, _, product = step(coupling, dual_point(point))
-        return np.stack([centre(_spread(tasks, ds.m, alpha)), centre(product)]) @ coupling
+        return np.stack([_spread(tasks, ds.m, alpha), product]) @ coupling
 
     convexity, lipschitz = _gram_curvature(ds, base) if curvature is None else curvature
     return _Form(
@@ -630,10 +629,11 @@ def _certify(form, hp, traces, start=None):
     extrapolated point, with step 1/L and momentum
     (sqrt L - sqrt mu) / (sqrt L + sqrt mu): the prox of the squared trace
     norm shrinks the singular values (_shrink). Then, unless the prox
-    point is 0, the exact covariance step from it: solve at the coupling
-    of its covariance (_svd_coupling). The lower P of the two is kept if
-    it is below the kept one, and appended to the trace; otherwise the
-    momentum restarts from the kept point. Each kept point gives a dual
+    point W is 0, the exact covariance step from it, W' solving at the
+    coupling of W's covariance (_svd_coupling): P(W') <= P(W), since that
+    step is optimal at the covariance it is given, so W' (W where W is 0)
+    is the one candidate. It is kept if its P is below the kept one, and
+    appended to the trace; otherwise the momentum restarts from the kept point. Each kept point gives a dual
     bound, and the best one is kept. A problem stops on
     P - D <= hp.tol |P|, and is frozen from then on; the loop ends when
     every problem has stopped or after hp.max_iters iterations. Returns
@@ -663,15 +663,12 @@ def _certify(form, hp, traces, start=None):
     for _ in range(hp.max_iters):
         left, values, rebuild = form.singular(ahead - step * form.gradient(ahead))
         values = _shrink(values, shrink)
-        best = rebuild(values)
-        best_value = _floats(form.primal(best, values.sum(axis=-1)))
-        nonzero = _floats(values[..., 0])
+        best, norm = rebuild(values), values.sum(axis=-1)
+        nonzero = [z > 0.0 for z in _floats(values[..., 0])]
         if any(nonzero):
             solved = form.solve(_svd_coupling(left, values, hp)[1], best)
-            solved_value = _floats(form.primal(solved))
-            better = [z > 0.0 and s < b for z, s, b in zip(nonzero, solved_value, best_value)]
-            best = pick(better, solved, best)
-            best_value = [s if u else b for u, s, b in zip(better, solved_value, best_value)]
+            best, norm = pick(nonzero, solved, best), None
+        best_value = _floats(form.primal(best, norm))
         kept = [on and b < v for on, b, v in zip(active, best_value, value)]
         best = pick(kept, best, weights)
         ahead = best + momentum * (best - weights)  # the kept point itself on a restart
@@ -785,26 +782,19 @@ def _path(group, kernel, hps, solver):
         else:
             held, gram = (group, moments), np.array([mo[4] for mo in moments])
         curvature = _moment_curvature(gram)
+        targets = [mo[3] for mo in moments]
 
         def form_at(hp):
             return _moment_form(*held, hp, curvature)
-
-        def starts(form, weights):
-            if solver == "auto":  # the step is the low-rank solve, which takes no start
-                return [None] * len(group)
-            points = form.dual_point(weights)
-            return points if len(group) > 1 else [points]
     else:
         ds, = group
         base = base_kernel_matrix(kernel, ds.inputs)
         steps = [_coefficient_step(ds, kernel, solver, base=base)]
         curvature = _gram_curvature(ds, base)
+        targets = [_centred_targets(ds)]
 
         def form_at(hp):
             return _gram_form(ds, base, steps[0], hp, curvature)
-
-        def starts(form, weights):
-            return [form.dual_point(weights)]
     weights = None
     for i, hp in enumerate(hps):
         form = form_at(hp)
@@ -812,13 +802,15 @@ def _path(group, kernel, hps, solver):
         weights, gapped, bounds = _certify(form, hp, traces, weights if warm else None)
         mapped = _svd_coupling(*form.singular(weights)[:2], hp)
         omegas, couplings = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
-        for k, (ds, step, trace, omega, coupling, start, stopped, bound) in enumerate(zip(
-                group, steps, traces, omegas, couplings, starts(form, weights), gapped, bounds)):
+        # a stack runs only under solver='auto', whose low-rank step takes no start
+        starts = [None] * len(group) if warm and solver == "auto" else [form.dual_point(weights)]
+        for k, (ds, y, step, trace, omega, coupling, start, stopped, bound) in enumerate(zip(
+                group, targets, steps, traces, omegas, couplings, starts, gapped, bounds)):
             alpha, b, product = step(coupling, start)
             final, blocked = _fitted_state(ds, coupling, alpha, b, product)
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)
-            bound = max(bound, _dual_value(ds, alpha, blocked, hp))
+            bound = max(bound, _dual_value(ds, y, alpha, blocked, hp))
             report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]))
             yield i, k, _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report)
 

@@ -2,6 +2,7 @@ import dataclasses
 import re
 
 import numpy as np
+import pytest
 
 import taskcov as tc
 from taskcov.cli import _train_status, cli_main
@@ -278,6 +279,31 @@ def test_non_utf8_files_fail_cleanly(tmp_path, capsys):
         code, _, err = run(capsys, *argv(str(bad)))
         assert code == 1 and err.count("\n") == 1, err
         assert err.startswith(f"error: {kind}: {bad}: not UTF-8 text: "), err
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["train", "--l1", "0"], None),
+    (["train", "--kernel", "rbf", "--rbf-width", "-1"], None),
+    (["train", "--max-iters", "0"], None),
+    (["cv", "--folds", "1"], None),
+    (["prior-train"], "kind=clustered\nclusters=a,a,b\nalpha=-1\nbeta=0.5\ngamma=0.7\n"),
+    (["prior-train"], "kind=clustered\nclusters=a,a,b\nalpha=x\nbeta=0.5\ngamma=0.7\n"),
+    (["prior-train"], "kind=clustered\nclusters=a,a,b\nbeta=0.5\ngamma=0.7\n"),
+    (["prior-train"], "kind=network\nedges=0-x\n"),
+    (["prior-train"], "kind=similarity\nmatrix=0,1;1\n"),
+])
+def test_refused_flag_or_prior_spec_prints_one_error_line(tmp_path, capsys, argv, spec):
+    data, prior = tmp_path / "toy.csv", tmp_path / "prior.spec"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    command, *flags = argv
+    if spec is not None:
+        prior.write_text(spec)
+        flags += ["--prior", str(prior)]
+    code, out, err = run(capsys, command, str(data), *flags)
+    assert code != 0 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    if spec is not None and "alpha=-1" not in spec:
+        assert err.startswith(f"error: ParseError: {prior}: ") and re.search("'(alpha|edges|matrix)'", err), err
 
 
 def test_usage_error_single_line(capsys):

@@ -43,9 +43,10 @@ def test_duplicate_task_id_rejected():
         tc.validate_dataset(tc.MultiTaskDataset(tasks))
 
 
-@pytest.mark.parametrize("tid", ["a,b", "a\nb", "a\rb", "\ud800"])
+@pytest.mark.parametrize("tid", ["a,b", "a\nb", "a\rb", "\ud800", " a", "a\t"])
 def test_task_id_the_model_file_cannot_hold_rejected(tid):
-    # the model file stores the ids comma-joined on one line, as UTF-8
+    # the model file stores the ids comma-joined on one line, as UTF-8,
+    # and the CSV reader strips each id
     ds = tc.MultiTaskDataset([(tid, [[1.0], [2.0]], [1.0, 2.0]), ("ok", [[0.0]], [0.0])])
     hp = tc.Hyperparams(lam1=0.1, lam2=0.1)
     config = tc.ExperimentConfig("linear", (0.1,), (0.1,), folds=2, seed=0)
@@ -109,6 +110,26 @@ def test_hyperparams_validation():
         tc.Hyperparams(lam1=1.0, lam2=1.0, max_iters=0)
     hp = tc.Hyperparams(lam1=0.0, lam2=0.0)  # allowed for evaluation-only use
     assert hp.tol == 1e-6
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: tc.Hyperparams(np.nan, 0.1), "finite and nonnegative", id="lam1-nan"),
+    pytest.param(lambda: tc.Hyperparams(np.inf, 0.1), "finite and nonnegative", id="lam1-inf"),
+    pytest.param(lambda: tc.Hyperparams(0.1, np.nan), "finite and nonnegative", id="lam2-nan"),
+    pytest.param(lambda: tc.Hyperparams(0.1, np.inf), "finite and nonnegative", id="lam2-inf"),
+    pytest.param(lambda: tc.Hyperparams(0.1, 0.1, tol=np.nan), "tol must be positive and finite", id="tol-nan"),
+    pytest.param(lambda: tc.Hyperparams(0.1, 0.1, max_iters=2.5), "max_iters must be an integer",
+                 id="max-iters-fraction"),
+    pytest.param(lambda: tc.KernelSpec("rbf", np.nan), "finite positive width", id="width-nan"),
+    pytest.param(lambda: tc.KernelSpec("rbf", np.inf), "finite positive width", id="width-inf"),
+    pytest.param(lambda: tc.ExperimentConfig("linear", (0.1,), (0.1,), folds=2.5), "folds must be an integer",
+                 id="folds-fraction"),
+])
+def test_constructors_refuse_values_that_would_fail_later(build, message):
+    # each once failed only inside a fit: in LAPACK, at the iteration cap or
+    # with a TypeError in the loop or the fold split
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_kernel_spec_validation():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ class TestCsv:
         path = tmp_path / "comma.csv"
         path.write_text('task,y,x1\n"a,b",1.0,2.0\nc,2.0,3.0\n')
         with pytest.raises(errors.InvalidTaskId, match="'a,b'"):
+            tc.load_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("task,x1,y\na,1.0,2.0\n", "header must be task,y,x1"),
+        ("task,y\na,1.0\n", "header must be task,y,x1"),
+        ("task,y,x1\na,1.0,2.0\na,2.0\n", ":3: expected 3 columns, got 2"),
+    ])
+    def test_bad_header_or_column_count(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(errors.ParseError, match=message):
             tc.load_csv(path)
 
     def test_empty_file(self, tmp_path):
@@ -112,6 +125,17 @@ class TestModelFile:
         path.write_text(text[: int(len(text) * 0.7)])
         with pytest.raises(errors.CorruptModel):
             tc.load_model(path)
+
+    def test_support_block_must_match_counts(self, tmp_path, toy, toy_hp):
+        # one support row dropped, under a checksum that matches the damage
+        tc.save_model(self.fitted(toy, toy_hp), tmp_path / "model.txt")
+        header, checksum, *payload = (tmp_path / "model.txt").read_text().split("\n")
+        payload.remove(next(line for line in payload if line.startswith("x: ")))
+        payload = "\n".join(payload)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        (tmp_path / "model.txt").write_text(f"{header}\nchecksum: {digest}\n{payload}")
+        with pytest.raises(errors.CorruptModel, match="support block does not match counts"):
+            tc.load_model(tmp_path / "model.txt")
 
     def test_version_bump_detected(self, tmp_path, toy, toy_hp):
         model = self.fitted(toy, toy_hp)

@@ -141,6 +141,15 @@ class TestSolveLinear:
         with pytest.raises(errors.SingularSystem):
             tc.solve_linear(np.zeros((2, 2)), [1.0, 0.0])
 
+    def test_residual_gate_refuses_a_numerically_singular_system(self):
+        # the factorization succeeds, but its answer does not solve the system
+        rng = np.random.default_rng(3)
+        left, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        right, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = (left * np.logspace(0, -17, 6)) @ right.T
+        with pytest.raises(errors.SingularSystem, match="solve residual .* too large"):
+            tc.solve_linear(a, rng.normal(size=6))
+
 
 class TestCorrelation:
     def test_diagonal_covariance(self):

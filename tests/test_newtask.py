@@ -342,6 +342,12 @@ class TestIncorporate:
         sigma_min = newtask.SIGMA_MIN_DEFAULT
         assert sigma_min <= solution.variance <= sigma_min * (1.0 + 1e-6)
 
+    def test_new_task_without_points_refused(self):
+        rng = np.random.default_rng(8)
+        _, model, hp, _ = self.fit_base(rng)
+        with pytest.raises(errors.DegenerateGram, match="no points"):
+            tc.incorporate_new_task(model, ("new", np.zeros((0, 3)), np.zeros(0)), hp)
+
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(8)
         ds, model, hp, base = self.fit_base(rng, m=3)

@@ -318,6 +318,15 @@ def rescaled(instances):
 class TestLowRankStep:
     kernel = tc.KernelSpec("linear")
 
+    def test_singular_coupled_system_is_refused(self):
+        # I + G (C (x) I) = 0 at G = -I and C = I: LAPACK's LinAlgError
+        # comes out as SingularSystem, for one system and for a stack
+        gram, cross, coupling = -np.eye(2)[None], np.ones((1, 2)), np.eye(1)
+        with pytest.raises(errors.SingularSystem, match="Singular matrix"):
+            solver._coupled_solve(gram, cross, coupling)
+        with pytest.raises(errors.SingularSystem, match="Singular matrix"):
+            solver._coupled_solve(np.stack([gram, -gram]), np.stack([cross, cross]), np.stack([coupling] * 2))
+
     def test_matches_dense_direct_solve(self):
         for ds, hp, omega in rescaled(low_rank_instances()):
             c = tc.coupling_matrix(omega, hp)
@@ -810,7 +819,8 @@ class TestCertificate:
     def test_centred_loss_forms_agree(self):
         # the moment form of a linear fit (m*d < N) and the Gram form
         # (otherwise) with K = X X^T, on the same data: W = B~^T X~ for the
-        # centred coefficients B~ and centred rows X~
+        # centred coefficients B~ and centred rows X~, the Gram form's point
+        # holding (B~, K B~) with K uncentred
         rng = np.random.default_rng(65)
         for trial in range(20):
             m, d = int(rng.integers(1, 5)), int(rng.integers(1, 8))
@@ -824,7 +834,7 @@ class TestCertificate:
             gram_form = solver._gram_form(ds, base, step, hp)
             b = rng.normal(size=(ds.total, m))
             b -= (solver._spread(ds.point_task, m, 1.0).T @ b / ds.counts[:, None])[ds.point_task]
-            point = np.stack([b, x @ (x.T @ b)])
+            point = np.stack([b, base @ b])
             weights = (x.T @ b).T
             coupling = tc.coupling_matrix(unit_trace_psd(rng, m), hp)
 

@@ -292,6 +292,8 @@ def _cmd_new_task(args):
     print(f"new task {record.task_id!r}: w = [{coeffs}], b = {solution.bias:.4f}")
     print("covariance column: " + " ".join(f"{v:.6g}" for v in solution.cov_column))
     print(f"new-task variance: {solution.variance:.6g}")
+    report = solution.report
+    print(f"slack: {report.slack:.6g}, bound: {report.bound}, slack values solved at: {report.slack_values}")
     _print_correlations(
         tuple(model.task_ids) + (record.task_id,), solution.augmented_covariance
     )

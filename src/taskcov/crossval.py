@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (isinstance(self.folds, numbers.Integral) and self.folds >= 2):
             raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.task_type not in ("regression", "classification"):
             raise ValueError(f"unknown task_type {self.task_type!r}")
         if self.solver not in SOLVERS:

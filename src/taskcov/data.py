@@ -316,8 +316,21 @@ class TrainedModel:
 
 
 @dataclass(frozen=True)
+class _SlackReport:
+    """How incorporate_new_task ended: the final Schur slack, the bound
+    that binds there ('slack floor', 'variance ceiling' or 'none') and
+    the number of slack values solved at."""
+
+    slack: float
+    bound: str
+    slack_values: int
+
+
+@dataclass(frozen=True)
 class NewTaskSolution:
-    """Result of grafting one new task onto a trained model."""
+    """Result of grafting one new task onto a trained model. report is
+    how the incorporation ended; it takes no part in comparisons, and a
+    hand-built solution has None."""
 
     weights: np.ndarray
     bias: float
@@ -325,6 +338,7 @@ class NewTaskSolution:
     variance: float
     augmented_covariance: TaskCovariance
     objective_trace: tuple = field(default=())
+    report: _SlackReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))

@@ -2,31 +2,30 @@
 
 With the existing tasks' weights and covariance frozen, the problem in the
 new task's weights, bias, covariance column and own variance is convex;
-incorporate_new_task solves it exactly (one linear solve per value of the
-Schur slack, and a golden-section search over the slack). The weight step
-solve_wb_newtask and the cone step solve_omega_sigma remain standalone
-steps. The cone step maximises t subject to the augmented covariance
-dominating t times the augmented weight Gram, and has a closed form: the
-diagonal blocks bound t by (1 - sigma) / lam and sigma / psi22 (lam the
-top eigenvalue of the whitened existing-weight Gram), the column
-t psi12 attains the bound, and sigma = psi22 / (lam + psi22), clipped to
-[sigma_min, 1 - sigma_min] with sigma_min = SIGMA_MIN_DEFAULT, balances
-the two. Linear kernel only.
+incorporate_new_task solves it exactly: the column in closed form, one
+d-square solve per value of the Schur slack, and bracketed Newton steps on
+the slack. The weight step solve_wb_newtask and the cone step
+solve_omega_sigma, which maximises t subject to the augmented covariance
+dominating t times the augmented weight Gram in closed form, remain
+standalone steps. Linear kernel only.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NewTaskSolution, TaskCovariance, TaskData, _require_finite_task
+from .data import NewTaskSolution, TaskCovariance, TaskData, _require_finite_task, _SlackReport
 from .errors import DegenerateGram, DimensionMismatch, SigmaOutOfRange
 from .linalg import PSD_EIG_FLOOR, solve_linear, sym_eig
 from .solver import _centred_moments, reconstruct_weights
 
 OMEGA_RIDGE = 1e-8
 SIGMA_MIN_DEFAULT = 1e-4  # floors the new task's variance and Schur slack
-SEARCH_ITERS = 60  # golden-section steps over s; bisection steps on the bound's multiplier
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+SEARCH_ITERS = 60  # bisection steps on the multiplier of the bound sigma <= 1 - sigma_min
+# incorporate_new_task's minimiser at slack s: t = log(s / (1 - s)), g = 2 V'(s), mu,
+# a = 1 / (1 / (1 - s) + mu), the spectrum s + a beta of M, the system, z, z / spectrum, q
+_Slack = namedtuple("_Slack", "s t g mu a spectrum system z zm q")
 
 
 def augmented_covariance(omega, omega_col, sigma):
@@ -39,13 +38,7 @@ def augmented_covariance(omega, omega_col, sigma):
         raise SigmaOutOfRange(f"new-task variance {sigma!r} not in (0, 1)")
     base = omega.matrix if hasattr(omega, "matrix") else np.asarray(omega, dtype=float)
     col = np.asarray(omega_col, dtype=float).ravel()
-    m = base.shape[0]
-    out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = (1.0 - sigma) * base
-    out[:m, m] = col
-    out[m, :m] = col
-    out[m, m] = sigma
-    return out
+    return np.block([[(1.0 - sigma) * base, col[:, None]], [col, sigma]])
 
 
 def _ridged(omega, *fs):
@@ -194,22 +187,27 @@ def incorporate_new_task(model, new_data, hp):
 
         ||r||^2 / n + lam1/2 ||w||^2 + lam2/2 [F (1 + q) / (1 - s) + ||w - W u||^2 / s],
 
-    jointly convex in (w, b, u, s). With b = y_mean - x_mean . w eliminated
-    by centring (solver._centred_moments), its minimiser at a fixed s is
-    one (d+m)-square linear solve, and that minimum is convex in s, so a
-    golden-section search of SEARCH_ITERS steps over s in
-    [sigma_min, 1 - sigma_min], sigma_min = SIGMA_MIN_DEFAULT, finishes the
-    problem. sigma_min floors the Schur slack as well as sigma
-    (sigma >= s). The bound sigma <= 1 - sigma_min reads
-    q <= (1 - s) / sigma_min - 1; where a solve breaks it, a multiple
-    mu Omega_r of the bound's gradient joins the u block and mu is bisected
-    until q meets the bound. With lam2 = 0 or W = 0 there is nothing to
-    relate and the column stays zero.
+    jointly convex in (w, b, u, s). Centring (solver._centred_moments)
+    eliminates b, and u goes in closed form: with P = W Omega_r^{-1} W^T / F
+    = U diag(beta) U^T and M = s I + (1 - s) P, the bracket's minimum over u
+    is F / (1 - s) + w^T M^{-1} w, at q = (1 - s)^2 (M^{-1} w)^T P (M^{-1} w) / F
+    and col = (1 - sigma) (1 - s) W^T M^{-1} w / F. At a fixed s, w = U z is
+    one d-square solve, (U^T (G + lam1 I) U + lam2 diag(1 / (s + (1 - s) beta))) z
+    = U^T c, and the minimum V(s) is convex, with V'(s) = lam2/2 [F / (1 - s)^2
+    - sum_i (1 - beta_i) z_i^2 / (s + (1 - s) beta_i)^2]. On [sigma_min,
+    1 - sigma_min], sigma_min = SIGMA_MIN_DEFAULT, an end is the answer where
+    V' does not point inwards; otherwise bracketed Newton steps on V' in
+    t = log(s / (1 - s)) find its root to 1e-13 relative in s. Where a solve
+    breaks sigma <= 1 - sigma_min, i.e. q <= (1 - s) / sigma_min - 1, its
+    multiplier mu is bisected until q meets the bound, 1 / (1 / (1 - s) + mu)
+    standing for 1 - s; lam2/2 mu F / sigma_min then joins V' and the step is
+    a secant one. With lam2 = 0 or W = 0, P is 0 and the column stays zero.
 
     objective_trace holds newtask_objective at the start point (zero
     column, sigma = 1/(m+1) clipped to the bounds, its ridge solve) and at
-    the returned point. hp.tol and hp.max_iters are not read. Returns a
-    NewTaskSolution; the input model is not modified.
+    the returned point; report gives the final slack, the bound binding there
+    and the number of slack values solved at. hp.tol and hp.max_iters are not
+    read; the input model is not modified.
     """
     if model.kernel.kind != "linear":
         raise ValueError("new-task incorporation supports only the linear kernel")
@@ -218,85 +216,86 @@ def incorporate_new_task(model, new_data, hp):
         raise DegenerateGram("new task has no points")
     if record.inputs.shape[1] != model.dim:
         raise DimensionMismatch(
-            f"new task inputs have dimension {record.inputs.shape[1]}, model expects {model.dim}"
-        )
+            f"new task inputs have dimension {record.inputs.shape[1]}, model expects {model.dim}")
     _require_finite_task(record)
 
-    x, y = record.inputs, record.targets
+    x, y, d, m = record.inputs, record.targets, model.dim, model.m
     weights_existing = reconstruct_weights(model)
-    omega = model.covariance
-    (n, d), m = x.shape, model.m
 
-    x_mean, y_mean, x_c, y_c, gram, loss_rhs = _centred_moments(x, y)
+    x_mean, y_mean, _, _, gram, loss_rhs = _centred_moments(x, y)
     # the start point: zero column, so the ridge is lam1 + lam2 / sigma0
     sigma0 = min(max(1.0 / (m + 1), SIGMA_MIN_DEFAULT), 1.0 - SIGMA_MIN_DEFAULT)
-    col0 = np.zeros(m)
     w0 = solve_linear(gram + (hp.lam1 + hp.lam2 / sigma0) * np.eye(d), loss_rhs)
     b0 = float(y_mean - x_mean @ w0)
 
-    # u is solved in units of 1/sqrt(F), so the u block is of order lam2
-    # whatever the scale of the existing weights
-    omega_r, inv = _ridged(omega, lambda v: v, np.reciprocal)
-    fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
-    k = m if hp.lam2 > 0.0 and fixed_trace > 0.0 else 0
-    scale = np.sqrt(fixed_trace) if k else 1.0
-    basis = weights_existing[:, :k] / scale
-    metric = omega_r[:k, :k]
-    rhs = np.concatenate([loss_rhs, np.zeros(k)])
+    (inv,) = _ridged(model.covariance, np.reciprocal)
+    related = weights_existing @ inv @ weights_existing.T
+    fixed_trace = float(np.trace(related))
+    relate = hp.lam2 > 0.0 and fixed_trace > 0.0
+    dec = sym_eig(related / fixed_trace if relate else np.zeros((d, d)))
+    beta, vectors = np.clip(dec.values, 0.0, None), dec.vectors
+    weight = beta / fixed_trace if relate else beta  # q = a^2 sum_i weight_i zm_i^2
+    hess, rhs = vectors.T @ (gram + hp.lam1 * np.eye(d)) @ vectors, vectors.T @ loss_rhs
+    lo, hi, solved = SIGMA_MIN_DEFAULT, 1.0 - SIGMA_MIN_DEFAULT, []
 
     def at_slack(s):
-        """(objective, s, solution (w, u), F q) of the minimiser at slack s."""
-        top = gram + (hp.lam1 + hp.lam2 / s) * np.eye(d)
-        cross = -(hp.lam2 / s) * basis
-        u_block = (hp.lam2 / (1.0 - s)) * metric + (hp.lam2 / s) * basis.T @ basis
-        limit = fixed_trace * ((1.0 - s) / SIGMA_MIN_DEFAULT - 1.0)  # the upper bound as F q <= limit
+        solved.append(s)
+        limit = (hi - s) / SIGMA_MIN_DEFAULT  # sigma <= 1 - sigma_min as q <= limit
 
         def solve(mu):
-            sol = solve_linear(np.block([[top, cross], [cross.T, u_block + mu * metric]]), rhs)
-            return sol, float(sol[d:] @ metric @ sol[d:])
+            a = 1.0 / (1.0 / (1.0 - s) + mu)
+            spectrum = s + a * beta  # of M
+            system = hess + np.diag(hp.lam2 / spectrum)
+            z = solve_linear(system, rhs)
+            zm = z / spectrum
+            q = a * a * float(weight @ zm**2)
+            g = hp.lam2 * (fixed_trace * ((1.0 + q) / (1.0 - s) ** 2 + mu / SIGMA_MIN_DEFAULT) - float(zm @ zm))
+            return _Slack(s, np.log(s / (1.0 - s)), g, mu, a, spectrum, system, z, zm, q)
 
-        sol, fq = solve(0.0)
-        if fq > limit:
-            lo, hi = 0.0, hp.lam2
-            while solve(hi)[1] > limit:
-                lo, hi = hi, 2.0 * hi
+        point = solve(0.0)
+        if point.q > limit:
+            if s == hi:  # only q = 0 is feasible at the ceiling, and V' is +inf there
+                return point._replace(g=np.inf)
+            mu_lo, mu_hi = 0.0, 1.0
+            while solve(mu_hi).q > limit:
+                mu_lo, mu_hi = mu_hi, 2.0 * mu_hi
             for _ in range(SEARCH_ITERS):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if solve(mid)[1] > limit else (lo, mid)
-            sol, fq = solve(hi)
-        w = sol[:d]
-        residuals = y_c - x_c @ w
-        diff = w - basis @ sol[d:]
-        rel = (fixed_trace + fq) / (1.0 - s) + float(diff @ diff) / s
-        value = float(residuals @ residuals) / n + 0.5 * hp.lam1 * float(w @ w) + 0.5 * hp.lam2 * rel
-        return value, s, sol, fq
+                mid = 0.5 * (mu_lo + mu_hi)
+                mu_lo, mu_hi = (mid, mu_hi) if solve(mid).q > limit else (mu_lo, mid)
+            point = solve(mu_hi)
+        return point
 
-    lo, hi = SIGMA_MIN_DEFAULT, 1.0 - SIGMA_MIN_DEFAULT
-    inner = [at_slack(hi - _GOLDEN * (hi - lo)), at_slack(lo + _GOLDEN * (hi - lo))]
-    for _ in range(SEARCH_ITERS):
-        if inner[0][0] <= inner[1][0]:
-            hi = inner[1][1]
-            inner = [at_slack(hi - _GOLDEN * (hi - lo)), inner[0]]
-        else:
-            lo = inner[0][1]
-            inner = [inner[1], at_slack(lo + _GOLDEN * (hi - lo))]
-    _, s, sol, fq = min(inner, key=lambda point: point[0])
+    point = at_slack(lo)
+    if point.g < 0.0:
+        left, point = point, at_slack(hi)
+        if point.g > 0.0:
+            right, prev, step, point = point, None, point.t - left.t, at_slack(np.sqrt(lo * hi))
+            while point.g != 0.0:
+                left, right = (point, right) if point.g < 0.0 else (left, point)
+                s = point.s
+                if point.mu > 0.0:  # a secant, as mu moves with s
+                    slope = (point.g - prev.g) / (point.t - prev.t) if prev else 0.0
+                else:  # dg/dt, with dz/ds = lam2 system^{-1} h
+                    h = (1.0 - beta) * point.zm / point.spectrum
+                    slope = 2.0 * hp.lam2 * s * (1.0 - s) * (fixed_trace / (1.0 - s) ** 3 + float(
+                        h @ ((1.0 - beta) * point.zm)) - hp.lam2 * float(h @ solve_linear(point.system, h)))
+                newton = -point.g / slope if slope > 0.0 else np.inf
+                if right.s - left.s <= 1e-13 * right.s or abs(newton) * (1.0 - s) <= 1e-13:
+                    break
+                if not left.t < point.t + newton < right.t or abs(2.0 * newton) > abs(step):
+                    newton = 0.5 * (left.t + right.t) - point.t
+                step = newton
+                prev, point = point, at_slack(1.0 / (1.0 + np.exp(-point.t - step)))
 
-    q = fq / fixed_trace if k else 0.0
-    sigma = min(max((s + q) / (1.0 + q), SIGMA_MIN_DEFAULT), 1.0 - SIGMA_MIN_DEFAULT)
-    col = np.zeros(m)
-    col[:k] = (1.0 - sigma) * (metric @ sol[d:]) / scale
-    w = sol[:d]
+    sigma = min(max((point.s + point.q) / (1.0 + point.q), lo), hi)
+    col = ((1.0 - sigma) * point.a / fixed_trace * (weights_existing.T @ (vectors @ point.zm))
+           if relate else np.zeros(m))
+    w = vectors @ point.z
     b = float(y_mean - x_mean @ w)
-    trace = [
-        _newtask_value(x, y, w_, b_, weights_existing, inv, col_, sigma_, hp)
-        for w_, b_, col_, sigma_ in ((w0, b0, col0, sigma0), (w, b, col, sigma))
-    ]
+    trace = [_newtask_value(x, y, w_, b_, weights_existing, inv, col_, sigma_, hp)
+             for w_, b_, col_, sigma_ in ((w0, b0, np.zeros(m), sigma0), (w, b, col, sigma))]
+    bound = "slack floor" if point.s == lo else "variance ceiling" if point.s == hi or point.mu > 0.0 else "none"
     return NewTaskSolution(
-        weights=w,
-        bias=b,
-        cov_column=col,
-        variance=sigma,
-        augmented_covariance=TaskCovariance(augmented_covariance(omega, col, sigma)),
-        objective_trace=trace,
-    )
+        weights=w, bias=b, cov_column=col, variance=sigma, objective_trace=trace,
+        augmented_covariance=TaskCovariance(augmented_covariance(model.covariance, col, sigma)),
+        report=_SlackReport(float(point.s), bound, len(solved)))

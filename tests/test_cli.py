@@ -146,6 +146,11 @@ def test_new_task_command(tmp_path, capsys):
     assert code == 0, err
     assert "new-task variance:" in out
     assert "covariance column:" in out
+    slack = [line for line in out.splitlines() if line.startswith("slack: ")]
+    assert len(slack) == 1
+    assert re.fullmatch(
+        r"slack: \S+, bound: (slack floor|variance ceiling|none), slack values solved at: [1-9]\d*", slack[0]
+    ), slack[0]
 
 
 def test_new_task_refuses_fit_flags(tmp_path, capsys):

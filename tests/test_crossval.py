@@ -97,6 +97,9 @@ def test_folds_minimum():
     ({"lam2_grid": (0.1, -1.0)}, "nonnegative"),
     ({"kernel_kind": "rbf", "width_grid": (1.0, 0.0)}, "positive width"),
     ({"tol": 0.0}, "tol must be positive"),
+    ({"seed": 2.5}, "seed must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": "0"}, "seed must be a non-negative integer"),
 ])
 def test_config_refuses_bad_settings_at_construction(change, message):
     settings = {"kernel_kind": "linear", "lam1_grid": (0.1,), "lam2_grid": (0.1,), **change}

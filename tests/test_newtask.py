@@ -305,6 +305,36 @@ ALTERNATION_OBJECTIVES = (
 ALTERNATION_BIG_TARGETS_OBJECTIVE = 283872297210.22424
 
 
+def joint_system_values(model, inputs, targets, hp, slacks):
+    """The incorporation objective's minimum at each Schur slack s, each
+    solved as one (d+m)-square system in the weights w and the whitened
+    column u (in units of 1/sqrt(F)) with the bias centred out, and the
+    variance sigma = (s + q) / (1 + q) each minimiser implies."""
+    weights = tc.reconstruct_weights(model)
+    omega_r, inv = newtask._ridged(model.covariance, lambda v: v, np.reciprocal)
+    fixed_trace = float(np.trace(weights @ inv @ weights.T))
+    basis = weights / np.sqrt(fixed_trace)
+    (d, m), n = weights.shape, len(targets)
+    x_c, y_c = inputs - inputs.mean(axis=0), targets - targets.mean()
+    s = np.asarray(slacks, dtype=float)
+    coupling = -(hp.lam2 / s)[:, None, None] * basis
+    system = np.zeros((s.size, d + m, d + m))
+    system[:, :d, :d] = 2.0 / n * x_c.T @ x_c + (hp.lam1 + hp.lam2 / s)[:, None, None] * np.eye(d)
+    system[:, :d, d:] = coupling
+    system[:, d:, :d] = coupling.transpose(0, 2, 1)
+    system[:, d:, d:] = ((hp.lam2 / (1.0 - s))[:, None, None] * omega_r
+                         + (hp.lam2 / s)[:, None, None] * (basis.T @ basis))
+    rhs = np.concatenate([2.0 / n * x_c.T @ y_c, np.zeros(m)])
+    sol = np.linalg.solve(system, np.broadcast_to(rhs, (s.size, d + m))[..., None])[..., 0]
+    w, u = sol[:, :d], sol[:, d:]
+    q = np.einsum("ki,ij,kj->k", u, omega_r, u)
+    residuals = y_c - w @ x_c.T
+    diff = w - u @ basis.T
+    values = ((residuals**2).sum(axis=1) / n + 0.5 * hp.lam1 * (w**2).sum(axis=1)
+              + 0.5 * hp.lam2 * (fixed_trace * (1.0 + q) / (1.0 - s) + (diff**2).sum(axis=1) / s))
+    return values, (s + q) / (1.0 + q)
+
+
 def assert_within_bounds(model, solution, sigma_min=newtask.SIGMA_MIN_DEFAULT):
     assert sigma_min <= solution.variance <= 1.0 - sigma_min
     assert tc.schur_feasible(model.covariance, solution.cov_column, solution.variance)
@@ -341,6 +371,8 @@ class TestIncorporate:
         # nothing to explain: the Schur slack, and so sigma, sits on sigma_min
         sigma_min = newtask.SIGMA_MIN_DEFAULT
         assert sigma_min <= solution.variance <= sigma_min * (1.0 + 1e-6)
+        # V' is positive on the floor, so one slack value settles it
+        assert solution.report == newtask._SlackReport(sigma_min, "slack floor", 1)
 
     def test_new_task_without_points_refused(self):
         rng = np.random.default_rng(8)
@@ -411,6 +443,35 @@ class TestIncorporate:
                 x, y, solution.weights, solution.bias, tc.reconstruct_weights(model),
                 model.covariance, solution.cov_column, solution.variance, hp,
             )
+
+    def test_no_higher_than_a_slack_grid_of_the_joint_system(self):
+        sigma_min = newtask.SIGMA_MIN_DEFAULT
+        slacks = np.geomspace(sigma_min, 1.0 - sigma_min, 2001)
+        for model, (_, x, y), hp in criterion_7_instances():
+            solution = tc.incorporate_new_task(model, ("new", x, y), hp)
+            values, sigmas = joint_system_values(model, x, y, hp, slacks)
+            best = np.min(values[sigmas <= 1.0 - sigma_min])
+            assert solution.objective_trace[-1] <= best * (1.0 + 1e-9)
+
+    def test_few_slack_values_where_no_bound_binds(self):
+        # the slack's bracketed Newton steps: at most 16 slack values, each
+        # one d-square solve (two with the Newton step's derivative)
+        bounds = []
+        for model, new_task, hp in criterion_7_instances():
+            report = tc.incorporate_new_task(model, new_task, hp).report
+            bounds.append(report.bound)
+            if report.bound == "none":
+                assert 3 <= report.slack_values <= 16
+            else:
+                assert (report.bound, report.slack_values) == ("slack floor", 1)
+        assert bounds.count("none") >= 10
+
+    def test_large_new_targets_end_on_the_variance_ceiling(self):
+        model, new_task, hp = self.big_new_targets()
+        solution = tc.incorporate_new_task(model, new_task, hp)
+        assert solution.report.bound == "variance ceiling"
+        assert abs(solution.variance - (1.0 - newtask.SIGMA_MIN_DEFAULT)) <= 1e-12
+        assert newtask.SIGMA_MIN_DEFAULT < solution.report.slack < solution.variance
 
     def big_new_targets(self):
         """New-task targets a million times the existing tasks' targets."""

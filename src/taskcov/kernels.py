@@ -3,7 +3,8 @@
 The coupling matrix C = Omega (lam1 Omega + lam2 I)^{-1} shares the
 covariance's eigenvectors; an eigenvalue mu maps to mu / (lam1 mu + lam2).
 The combined kernel between point x1 of task i1 and point x2 of task i2
-is C[i1, i2] * k(x1, x2).
+is C[i1, i2] * k(x1, x2). RBF blocks are built about the inputs' median,
+from one product and one exp (base_kernel_matrix).
 """
 
 import numpy as np
@@ -20,26 +21,61 @@ def base_kernel(kernel, x, z):
         raise DimensionMismatch(f"kernel inputs of dimension {x.size} vs {z.size}")
     if kernel.kind == "linear":
         return float(x @ z)
-    diff = x - z
-    return float(np.exp(-(diff @ diff) / (2.0 * kernel.width**2)))
+    with np.errstate(over="ignore"):  # far inputs: kernel 0
+        diff = x - z
+        return float(np.exp(-(diff @ diff) / (2.0 * kernel.width**2)))
 
 
 def base_kernel_matrix(kernel, xa, xb=None):
-    """Base-kernel Gram block between two stacked input sets."""
+    """Base-kernel block between two stacked input sets; the Gram of xa
+    when xb is None.
+
+    The RBF block is one matrix product and one exp. Both sets are
+    centred on a coordinatewise median of xa and scaled by 1 / width,
+    which is exact (the Gaussian depends only on differences) and makes
+    the block independent of where the inputs sit; unlike a mean, a
+    median is not dragged off the bulk by one far input. With
+    h = |u|^2 / 2 per scaled row u, the exponent -|u - v|^2 / 2 of a
+    cross block is the product of rows [u, -h_u, 1] and [v, 1, -h_v], so
+    no N x Q temporary is made. The Gram's u u^T is a symmetric product
+    and h_i + h_j commutes, so the Gram is bit-symmetric, with a diagonal
+    of exactly 1. Inputs so far apart that the product could overflow
+    are summed from their differences instead, without a warning.
+    """
+    gram = xb is None
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = xa if xb is None else np.atleast_2d(np.asarray(xb, dtype=float))
+    xb = xa if gram else np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatch(
             f"kernel inputs of dimension {xa.shape[1]} vs {xb.shape[1]}"
         )
     if kernel.kind == "linear":
         return xa @ xb.T
-    sq = (
-        np.sum(xa**2, axis=1)[:, None]
-        + np.sum(xb**2, axis=1)[None, :]
-        - 2.0 * (xa @ xb.T)
-    )
-    return np.exp(-np.clip(sq, 0.0, None) / (2.0 * kernel.width**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (xa.shape[0] - 1) // 2
+        centre = np.partition(xa, mid, axis=0)[mid] if xa.shape[0] else 0.0
+        u = (xa - centre) / kernel.width
+        v = u if gram else (xb - centre) / kernel.width
+        hu, hv = (0.5 * np.einsum("ij,ij->i", a, a) for a in (u, v))
+        if gram:
+            t = u @ u.T
+            step = max(1, (1 << 15) // max(1, hu.size))  # h_i + h_j in 256 kB blocks
+            for lo in range(0, hu.size, step):
+                t[lo:lo + step] -= np.add.outer(hu[lo:lo + step], hu)
+        else:
+            t = np.column_stack([u, -hu, np.ones_like(hu)]) @ np.column_stack(
+                [v, np.ones_like(hv), -hv]).T
+        # below h = 1e307 no partial sum of the product overflows; the rows
+        # and columns of farther inputs are summed from their differences
+        for i in np.flatnonzero(hu >= 1e307):
+            t[i] = -0.5 * np.sum(((xa[i] - xb) / kernel.width) ** 2, axis=1)
+        for j in np.flatnonzero(hv >= 1e307):
+            t[:, j] = -0.5 * np.sum(((xa - xb[j]) / kernel.width) ** 2, axis=1)
+        np.minimum(t, 0.0, out=t)
+        np.exp(t, out=t)
+    if gram:
+        np.fill_diagonal(t, 1.0)
+    return t
 
 
 def coupling_matrix(omega, hp):

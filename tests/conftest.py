@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,26 @@ def planted_dataset(seed, tasks, points, dim, rank):
         x = rng.normal(size=(points, dim))
         out.append((f"t{i}", x, x @ weights[:, i] + 0.5 + 0.3 * rng.normal(size=points)))
     return tc.MultiTaskDataset(out)
+
+
+def smooth_dataset(seed, tasks, points, dim, shift=0.0):
+    """Tasks that mix two sine features of inputs drawn uniformly from
+    [-1.5, 1.5]^dim, all inputs then moved by shift: the shape of the
+    benchmark's rbf-smo data (6 tasks x 150 points, dim 4)."""
+    rng = np.random.default_rng(seed)
+    directions, mix = rng.normal(size=(dim, 2)), rng.normal(size=(2, tasks))
+    out = []
+    for i in range(tasks):
+        x = rng.uniform(-1.5, 1.5, size=(points, dim))
+        y = np.sin(x @ directions) @ mix[:, i] + 0.1 * rng.normal(size=points)
+        out.append((f"t{i}", x + shift, y))
+    return tc.MultiTaskDataset(out)
+
+
+def traced_peak(f, *args, **kwargs):
+    """f's result and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return f(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

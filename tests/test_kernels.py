@@ -6,7 +6,7 @@ import pytest
 import taskcov as tc
 from taskcov import errors
 from taskcov.linalg import spectral_map
-from conftest import random_dataset
+from conftest import random_dataset, traced_peak
 
 
 class TestBaseKernel:
@@ -26,15 +26,71 @@ class TestBaseKernel:
 
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(0)
-        xa = rng.normal(size=(4, 3))
-        xb = rng.normal(size=(5, 3))
-        for kernel in (tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.3)):
-            full = tc.base_kernel_matrix(kernel, xa, xb)
-            for i in range(4):
-                for j in range(5):
-                    np.testing.assert_allclose(
-                        full[i, j], tc.base_kernel(kernel, xa[i], xb[j]), rtol=1e-12
-                    )
+        for shift in (0.0, 1e4):  # |x|^2 ~ 3e8 here: no expansion about the origin
+            xa = rng.normal(size=(4, 3)) + shift
+            xb = rng.normal(size=(5, 3)) + shift
+            for kernel in (tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.3)):
+                full = tc.base_kernel_matrix(kernel, xa, xb)
+                for i in range(4):
+                    for j in range(5):
+                        np.testing.assert_allclose(
+                            full[i, j], tc.base_kernel(kernel, xa[i], xb[j]), rtol=1e-12
+                        )
+
+
+class TestRbfBlock:
+    def test_gram_is_bit_symmetric_with_unit_diagonal(self):
+        rng = np.random.default_rng(6)
+        for shift in (0.0, 1e6):
+            x = rng.normal(size=(301, 4)) + shift
+            for width in (0.5, 2.0):
+                k = tc.base_kernel_matrix(tc.KernelSpec("rbf", width), x)
+                assert np.array_equal(k, k.T)
+                assert np.all(np.diag(k) == 1.0)
+                assert np.all((k >= 0.0) & (k <= 1.0))
+
+    def test_gram_matches_explicit_differences(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(301, 4))
+        for width in (0.5, 0.8, 2.0):
+            k = tc.base_kernel_matrix(tc.KernelSpec("rbf", width), x)
+            exact = np.exp(-np.sum((x[:, None] - x[None]) ** 2, axis=2) / (2.0 * width**2))
+            np.testing.assert_allclose(k, exact, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("xb", [None, 500])
+    def test_build_holds_one_block(self, xb):
+        # one N x Q result and no temporary of its size
+        rng = np.random.default_rng(8)
+        xa = rng.uniform(-1.5, 1.5, size=(900, 4))
+        xb = None if xb is None else rng.uniform(-1.5, 1.5, size=(xb, 4))
+        k, peak = traced_peak(tc.base_kernel_matrix, tc.KernelSpec("rbf", 1.0), xa, xb)
+        assert peak <= 1.2 * k.nbytes
+
+    def test_one_outlier_leaves_the_others_exact(self):
+        # a mean would move 1e6 towards the outlier: |u|^2 ~ 1e12 and 1e-4 errors
+        kernel = tc.KernelSpec("rbf", 1.0)
+        x = np.random.default_rng(10).normal(size=(100, 3))
+        x[0] = 1e8
+        k = tc.base_kernel_matrix(kernel, x)
+        scalar = np.array([[tc.base_kernel(kernel, a, b) for b in x] for a in x])
+        np.testing.assert_allclose(k, scalar, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+    def test_far_inputs_agree_with_scalar(self, width):
+        # warnings are errors in this suite: no overflow may be reported
+        kernel = tc.KernelSpec("rbf", width)
+        rng = np.random.default_rng(9)
+        xa = rng.normal(size=(7, 2))
+        xa[3, 0] = 1e200
+        xb = np.array([[1e155, 0.0], xa[3], [1e308, 1.0], [-1e308, 1e308], [0.1, -0.2]])
+        for full, rows in ((tc.base_kernel_matrix(kernel, xa), xa),
+                           (tc.base_kernel_matrix(kernel, xa, xb), xb)):
+            scalar = np.array([[tc.base_kernel(kernel, a, b) for b in rows] for a in xa])
+            np.testing.assert_allclose(full, scalar, rtol=1e-12, atol=0)
+        far = tc.base_kernel_matrix(kernel, xa, xb)[:, :4]
+        assert far[3, 1] == 1.0  # the far input with itself
+        far[3, 1] = 0.0
+        assert np.all(far == 0.0)
 
 
 class TestCoupling:

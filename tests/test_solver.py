@@ -7,7 +7,7 @@ import taskcov as tc
 from taskcov import errors
 from taskcov import solver
 from taskcov.solver import DIRECT_SOLVE_LIMIT
-from conftest import planted_dataset, random_dataset
+from conftest import planted_dataset, random_dataset, smooth_dataset, traced_peak
 from test_acceptance import _convergence_instance
 
 
@@ -1071,3 +1071,69 @@ class TestPredict:
         ):
             np.testing.assert_array_equal(tc.predict_batch(model, tuple(ids), rows), expected)
         assert tc.predict(model, "t1", xs[1][None, :]) == tc.predict(model, "t1", xs[1])
+
+
+class TestRbfInputs:
+    @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+    def test_far_queries_return_the_bias(self, width):
+        # every support input is beyond the double range from these: kernel 0, no warning
+        rng = np.random.default_rng(44)
+        ds = random_dataset(rng, m=2, d=1, n_lo=5, n_hi=8)
+        model = tc.fit(ds, tc.KernelSpec("rbf", width), tc.Hyperparams(lam1=0.1, lam2=0.05))
+        ids = ["t0", "t1"] * 3
+        xs = [[1e155], [-1e155], [1e200], [-1e250], [1e308], [-1e308]]
+        preds = tc.predict_batch(model, ids, xs)
+        np.testing.assert_array_equal(preds, model.biases[[0, 1] * 3])
+        np.testing.assert_array_equal(preds, dual_oracle(model, ids, xs)[0])
+
+    def test_fit_with_a_far_input(self):
+        # |x|^2 overflows for the far input: its Gram row must still be finite
+        rng = np.random.default_rng(45)
+        tasks = [(f"t{i}", rng.normal(size=(7, 2)), rng.normal(size=7)) for i in range(2)]
+        tasks[0][1][2, 0] = 1e200
+        ds = tc.MultiTaskDataset(tasks)
+        model = tc.fit(ds, tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.1, lam2=0.05))
+        assert model.report.stop_reason == "gap"
+        ids = [ds.task_ids[i] for i in ds.point_task]
+        preds = tc.predict_batch(model, ids, ds.inputs)
+        oracle, scale = dual_oracle(model, ids, ds.inputs)
+        assert np.max(np.abs(preds - oracle) / scale) <= 1e-12
+
+    def test_fit_does_not_depend_on_the_origin(self):
+        # the Gaussian depends only on differences, so a shift may move only roundoff
+        kernel, hp = tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03)
+        rng = np.random.default_rng(46)
+        xs = rng.uniform(-1.5, 1.5, size=(50, 4))
+        ids = [f"t{i % 4}" for i in range(50)]
+        base = tc.fit(smooth_dataset(5, 4, 60, 4), kernel, hp, solver="smo")
+        expected = tc.predict_batch(base, ids, xs)
+        for shift in (1e4, 1e6):
+            model = tc.fit(smooth_dataset(5, 4, 60, 4, shift), kernel, hp, solver="smo")
+            np.testing.assert_allclose(model.dual_coefs, base.dual_coefs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(model.biases, base.biases, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(tc.predict_batch(model, ids, xs + shift), expected, rtol=0, atol=1e-9)
+
+
+class TestRbfMemory:
+    """tracemalloc peaks on the benchmark's rbf-smo shape, N = 900: the
+    base Gram's build must not set either of them."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        ds = smooth_dataset(54321, 6, 150, 4)
+        kernel, hp = tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03)
+        model, peak = traced_peak(tc.fit, ds, kernel, hp, solver="smo")
+        return model, peak
+
+    def test_smo_fit_peak(self, fitted):
+        # the base Gram and the combined buffer, 2 N x N, and little else
+        model, peak = fitted
+        assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
+
+    def test_serving_peak(self, fitted):
+        model, _ = fitted
+        rng = np.random.default_rng(47)
+        xs = rng.uniform(-1.5, 1.5, size=(500, 4))
+        ids = [model.task_ids[i] for i in rng.integers(0, model.m, size=500)]
+        _, peak = traced_peak(tc.predict_batch, model, ids, xs)
+        assert peak <= 1.3 * 8 * model.support_inputs.shape[0] * 500

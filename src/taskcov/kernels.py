@@ -116,11 +116,13 @@ def assemble_kernel_matrix(ds, kernel, coupling):
 def _combined_kernel(ds, base, coupling, out=None):
     """assemble_kernel_matrix from an already built base Gram, so that a
     fit can build the base Gram once and re-couple it every iteration,
-    into out when given. The coupling is symmetrised first, so that with
-    the exactly symmetric base Gram of base_kernel_matrix the product is
-    exactly symmetric, and no N x N array besides the result is made
-    (np.take's default mode would fill out through a temporary copy)."""
+    into out when given (any N x N view, strided or not). The coupling is
+    symmetrised, so that with the exactly symmetric base Gram of
+    base_kernel_matrix the product is exactly symmetric, and the result is
+    written per task row band: base rows times the task's coupling row."""
     coupling = (coupling + coupling.T) / 2.0
-    k = np.take(coupling[ds.point_task], ds.point_task, axis=1, out=out, mode="clip")
-    k *= base
+    k = np.empty_like(base) if out is None else out
+    ends = np.cumsum(ds.counts)
+    for t, (lo, hi) in enumerate(zip(ends - ds.counts, ends)):
+        np.multiply(base[lo:hi], coupling[t, ds.point_task], out=k[lo:hi])
     return k

@@ -47,11 +47,12 @@ independent problems; every other fit starts cold at each point.
 The coefficient step is chosen once per fit. With solver='auto', a
 linear kernel and m*d < N, the saddle system is solved exactly in m*d
 dimensions from the centred moments. Otherwise the combined kernel is
-written into one N x N buffer per fit and solved densely: directly up to
-2000 points, by SMO beyond (or as the solver argument says), SMO starting
-from the dual point of the weights at hand. Either path also returns
-K spread(alpha), K the base Gram, off which _fitted_state reads the fitted
-values and the objective in closed form.
+written into one N x N array per fit (a saddle block's top-left for the
+direct solve) and solved densely: directly up to 2000 points, by SMO
+beyond (or as the solver argument says), SMO starting from the dual
+point of the weights at hand. Either path also returns K spread(alpha),
+K the base Gram, off which _fitted_state reads the fitted values and the
+objective in closed form.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -117,20 +118,26 @@ def solve_alpha_b_direct(ds, kernel, coupling):
     where K is the combined-kernel Gram and E holds per-task indicator
     columns. Raises SingularSystem if the factorization fails.
     """
-    return _saddle_solve(ds, assemble_kernel_matrix(ds, kernel, coupling))
+    return _saddle_solve(ds, _saddle_block(ds, assemble_kernel_matrix(ds, kernel, coupling)))
 
 
-def _saddle_solve(ds, k):
-    """solve_alpha_b_direct for the combined-kernel Gram k."""
-    n, m = ds.total, ds.m
-    ind = _spread(ds.point_task, ds.m, 1.0)
-    block = np.zeros((n + m, n + m))
-    block[:n, :n] = k
+def _saddle_block(ds, k=None):
+    """The (N+m)-square saddle block with its borders E and E^T set and the
+    combined-kernel Gram k in its top-left N x N, left for it when None."""
+    n, ind = ds.total, _spread(ds.point_task, ds.m, 1.0)
+    block = np.zeros((n + ds.m, n + ds.m))
+    block[:n, n:], block[n:, :n] = ind, ind.T
+    if k is not None:
+        block[:n, :n] = k
+    return block
+
+
+def _saddle_solve(ds, block):
+    """solve_alpha_b_direct for a _saddle_block holding the combined-kernel
+    Gram, which it shifts by diag(n_i)/2 in place."""
+    n = ds.total
     block[np.arange(n), np.arange(n)] += _loss_weights(ds) / 2.0
-    block[:n, n:] = ind
-    block[n:, :n] = ind.T
-    rhs = np.concatenate([ds.targets, np.zeros(m)])
-    sol = solve_linear(block, rhs)
+    sol = solve_linear(block, np.concatenate([ds.targets, np.zeros(ds.m)]))
     return sol[:n], sol[n:]
 
 
@@ -157,8 +164,8 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     """
     if not (np.isfinite(kkt_tol) and kkt_tol > 0):
         raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds!r}")
+    if not (isinstance(max_rounds, (int, np.integer)) and max_rounds >= 1):
+        raise ValueError(f"max_rounds must be an integer of at least 1, got {max_rounds!r}")
     return _smo_solve(ds, assemble_kernel_matrix(ds, kernel, coupling), kkt_tol, max_rounds)
 
 
@@ -170,7 +177,10 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     A round visits every task once and stops the loop when no task moves,
     which happens exactly when the KKT spread at its start is at most
     kkt_tol * min(1, max |y|). Gradient updates read rows of K~, which
-    equal its columns because k is exactly symmetric.
+    equal its columns because k is exactly symmetric. A visit takes an
+    argmax and argmin of its task's gradient view, arithmetic on Python
+    floats, then buf = row_hi - row_lo, buf *= step, grad -= buf in place:
+    the operations of the tests' two_pass_smo, in its order.
     """
     n = ds.total
     tol = kkt_tol * min(1.0, float(np.max(np.abs(ds.targets))))
@@ -180,28 +190,29 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     ends = np.cumsum(ds.counts)
     task_slices = [slice(int(end - c), int(end)) for c, end in zip(ds.counts, ends)]
     # single-point tasks: zero-sum pins alpha at 0
-    paired = [sl for sl in task_slices if sl.stop - sl.start >= 2]
+    paired = [(grad[sl], sl.start) for sl in task_slices if sl.stop - sl.start >= 2]
+    alpha, diag, rows, buf = alpha.tolist(), k.diagonal().tolist(), list(k), np.empty(n)
+    subtract, multiply = np.subtract, np.multiply
 
     for _ in range(max_rounds):
         moved = False
-        for sl in paired:
-            g = grad[sl]
-            hi = int(g.argmax()) + sl.start
-            lo = int(g.argmin()) + sl.start
-            viol = grad[hi] - grad[lo]
+        for g, first in paired:
+            hi, lo = int(g.argmax()) + first, int(g.argmin()) + first
+            viol = grad.item(hi) - grad.item(lo)
             if viol <= tol:
                 continue
             # curvature >= min task size thanks to the diag(n_i)/2 shift
-            curv = k[hi, hi] + k[lo, lo] - 2.0 * k[hi, lo]
-            step = viol / curv
+            step = viol / (diag[hi] + diag[lo] - 2.0 * rows[hi].item(lo))
             alpha[hi] -= step
             alpha[lo] += step
-            grad -= step * (k[hi] - k[lo])
+            subtract(rows[hi], rows[lo], buf)
+            multiply(buf, step, buf)
+            subtract(grad, buf, grad)
             moved = True
         if not moved:
             break
-    b = np.array([-grad[sl].mean() for sl in task_slices])
-    spread = max([0.0] + [float(grad[sl].max() - grad[sl].min()) for sl in paired])
+    alpha, b = np.array(alpha), np.array([-grad[sl].mean() for sl in task_slices])
+    spread = max([0.0] + [float(g.max() - g.min()) for g, _ in paired])
     if spread > tol:
         raise MaxIterationsExceeded(
             f"KKT spread {spread:.3e} above {tol:.1e} after {max_rounds} rounds",
@@ -232,11 +243,12 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     base Gram K times alpha's task columns (_fitted_state). moments and
     base, the dataset's _task_moments and base Gram if the caller already
     holds them, save forming them again. The dense path writes the
-    combined kernel into one N x N buffer that every call reuses (SMO
-    shifts it in place). Products with the symmetric base Gram are formed
-    as (B^T K)^T: with OpenBLAS this orientation is faster and touches less
-    of the library's work buffers than K B (on the rbf-smo data, 1.5 MB
-    less resident).
+    combined kernel into one N x N array that every call reuses and the
+    solve shifts in place: SMO's buffer, or the top-left of a saddle block
+    whose borders are set once. Products with the symmetric base Gram are
+    formed as (B^T K)^T: with OpenBLAS this orientation is faster and
+    touches less of the library's work buffers than K B (on the rbf-smo
+    data, 1.5 MB less resident).
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -245,11 +257,12 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
         return lambda coupling, start=None: _low_rank_solve(ds, moments, coupling)
     use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
-    buffer = np.empty_like(base)
+    block = None if use_smo else _saddle_block(ds)
+    buffer = np.empty_like(base) if use_smo else block[:ds.total, :ds.total]
 
     def dense_step(coupling, start=None):
         k = _combined_kernel(ds, base, coupling, out=buffer)
-        alpha, b = _smo_solve(ds, k, start=start) if use_smo else _saddle_solve(ds, k)
+        alpha, b = _smo_solve(ds, k, start=start) if use_smo else _saddle_solve(ds, block)
         return alpha, b, (_spread(ds.point_task, ds.m, alpha).T @ base).T
 
     return dense_step

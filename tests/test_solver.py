@@ -33,21 +33,26 @@ def saddle_system_oracle(ds, kernel, coupling):
     return sol[:n], sol[n:]
 
 
-def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS):
+def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
+                 start=None):
     """Reference SMO loop: a KKT-spread scan against kkt_tol * min(1, max |y|)
     before each round, then the round's updates from columns of K~, from
-    alpha = 0."""
+    alpha = 0 or from a copy of start."""
     n = ds.total
     kkt_tol *= min(1.0, float(np.max(np.abs(ds.targets))))
     kt = k.copy()
     kt[np.diag_indices(n)] += ds.counts[ds.point_task] / 2.0
-    alpha = np.zeros(n)
-    grad = -ds.targets.copy()
+    if start is None:
+        alpha = np.zeros(n)
+        grad = -ds.targets.copy()
+    else:
+        alpha = np.array(start, dtype=float)
+        grad = kt @ alpha - ds.targets
     task_slices = []
-    start = 0
+    first = 0
     for c in ds.counts:
-        task_slices.append(slice(start, start + int(c)))
-        start += int(c)
+        task_slices.append(slice(first, first + int(c)))
+        first += int(c)
 
     def kkt_spread():
         worst = 0.0
@@ -179,6 +184,31 @@ class TestSmo:
             assert np.array_equal(alpha, alpha_ref) and np.array_equal(b, b_ref)
         assert single >= 3
 
+    def test_warm_starts_match_two_pass_reference(self, monkeypatch):
+        # random per-task zero-sum starts (0 on single-point tasks), and the
+        # starts of every solve of an RBF fit
+        rng = np.random.default_rng(48)
+        cases = []
+        for ds, kernel, c in smo_instances():
+            start = rng.normal(size=ds.total)
+            start -= (np.bincount(ds.point_task, weights=start) / ds.counts)[ds.point_task]
+            cases.append((ds, tc.assemble_kernel_matrix(ds, kernel, c), start))
+        ds = smooth_dataset(5, 4, 60, 4)
+        smo_solve = solver._smo_solve
+
+        def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
+                      start=None):
+            cases.append((ds, k.copy(), start))
+            return smo_solve(ds, k, kkt_tol, max_rounds, start)
+
+        monkeypatch.setattr(solver, "_smo_solve", recording)
+        tc.fit(ds, tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03), solver="smo")
+        assert len(cases) >= 23 and all(start is not None for _, _, start in cases[20:])
+        for ds, k, start in cases:
+            alpha, b = smo_solve(ds, k.copy(), start=start)
+            alpha_ref, b_ref = two_pass_smo(ds, k, start=start)
+            assert np.array_equal(alpha, alpha_ref) and np.array_equal(b, b_ref)
+
     def test_iteration_cap_matches_two_pass_reference(self, toy, toy_hp):
         c = tc.coupling_matrix(tc.TaskCovariance.unrelated(3), toy_hp)
         kernel = tc.KernelSpec("linear")
@@ -213,7 +243,7 @@ class TestSmo:
         with pytest.raises(ValueError, match="kkt_tol"):
             tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, kkt_tol=kkt_tol)
 
-    @pytest.mark.parametrize("max_rounds", [0, -1])
+    @pytest.mark.parametrize("max_rounds", [0, -1, 2.5, float("nan"), "3"])
     def test_rejects_bad_round_cap(self, toy, toy_hp, max_rounds):
         c = tc.coupling_matrix(tc.TaskCovariance.unrelated(3), toy_hp)
         with pytest.raises(ValueError, match="max_rounds"):
@@ -1119,16 +1149,44 @@ class TestRbfMemory:
     base Gram's build must not set either of them."""
 
     @pytest.fixture(scope="class")
-    def fitted(self):
+    def problem(self):
         ds = smooth_dataset(54321, 6, 150, 4)
-        kernel, hp = tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03)
-        model, peak = traced_peak(tc.fit, ds, kernel, hp, solver="smo")
-        return model, peak
+        return ds, tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03)
+
+    @pytest.fixture(scope="class")
+    def fitted(self, problem):
+        return traced_peak(tc.fit, *problem, solver="smo")
+
+    @pytest.fixture(scope="class")
+    def direct(self, problem):
+        return traced_peak(tc.fit, *problem, solver="direct")
 
     def test_smo_fit_peak(self, fitted):
         # the base Gram and the combined buffer, 2 N x N, and little else
         model, peak = fitted
         assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
+
+    def test_direct_fit_peak(self, direct):
+        # the base Gram and the saddle block, whose top-left holds the
+        # combined kernel: 2 N x N, and little else
+        model, peak = direct
+        assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
+
+    def test_direct_fit_matches_public_solve(self, problem, direct):
+        # the same bits, and the public solve holds its kernel and the block
+        ds, kernel, _ = problem
+        model, _ = direct
+        (alpha, b), peak = traced_peak(tc.solve_alpha_b_direct, ds, kernel, model.coupling)
+        assert np.array_equal(model.dual_coefs, alpha) and np.array_equal(model.biases, b)
+        assert peak <= 2.2 * 8 * ds.total ** 2
+
+    def test_smo_solve_allocates_little(self, problem, fitted):
+        # beyond the kernel it is given, the SMO loop allocates no N x N
+        ds, kernel, _ = problem
+        model, _ = fitted
+        k = tc.assemble_kernel_matrix(ds, kernel, model.coupling)
+        _, peak = traced_peak(solver._smo_solve, ds, k)
+        assert peak <= 0.05 * 8 * ds.total ** 2
 
     def test_serving_peak(self, fitted):
         model, _ = fitted

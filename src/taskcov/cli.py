@@ -188,14 +188,14 @@ def _cmd_make_toy(args):
 
 def _train_status(model):
     """One line from the fit's report: how it stopped, after how many
-    iterations, its final relative duality gap and objective."""
+    iterations, its final relative duality gap, objective and CG products."""
     trace = model.objective_trace
     iterations = len(trace) - 2  # trace also holds the initial value and final refresh
     report = model.report
     capped = report.stop_reason == "iteration cap"
     label = "hit the iteration cap at" if capped else "converged after"
     return (f"{label} {iterations} iterations, stop: {report.stop_reason}, "
-            f"relative gap {report.gap:.3g}, objective {trace[-1]!r}")
+            f"relative gap {report.gap:.3g}, objective {trace[-1]!r}, CG products {report.products}")
 
 
 def _cmd_train(args):

@@ -245,11 +245,13 @@ class FitReport:
     cap' (max_iters reached), for every kernel. gap is the final relative
     duality gap (P - D) / |P| of the stored state against the best dual
     bound the fit found: the stored objective P lies at most gap * |P|
-    above the optimum.
+    above the optimum. products counts the combined-kernel products of the
+    fit's CG covariance steps (0 on a moment-form fit, which takes none).
     """
 
     stop_reason: str
     gap: float
+    products: int = 0
 
 
 @dataclass(frozen=True)

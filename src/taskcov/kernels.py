@@ -108,18 +108,20 @@ def assemble_kernel_matrix(ds, kernel, coupling):
     """N x N combined-kernel Gram over all points of all tasks.
 
     Entry (p, q) couples the tasks of flat points p and q and multiplies
-    by the base kernel of their inputs.
-    """
-    return _combined_kernel(ds, base_kernel_matrix(kernel, ds.inputs), coupling)
+    by the base kernel of their inputs. It is written over the base Gram,
+    so the call holds one N x N array."""
+    base = base_kernel_matrix(kernel, ds.inputs)
+    return _combined_kernel(ds, base, coupling, out=base)
 
 
 def _combined_kernel(ds, base, coupling, out=None):
     """assemble_kernel_matrix from an already built base Gram, so that a
     fit can build the base Gram once and re-couple it every iteration,
-    into out when given (any N x N view, strided or not). The coupling is
-    symmetrised, so that with the exactly symmetric base Gram of
-    base_kernel_matrix the product is exactly symmetric, and the result is
-    written per task row band: base rows times the task's coupling row."""
+    into out when given (any N x N view, strided or not, or base itself).
+    The coupling is symmetrised, so that with the exactly symmetric base
+    Gram of base_kernel_matrix the product is exactly symmetric, and the
+    result is written per task row band, elementwise: base rows times the
+    task's coupling row."""
     coupling = (coupling + coupling.T) / 2.0
     k = np.empty_like(base) if out is None else out
     ends = np.cumsum(ds.counts)

@@ -19,22 +19,22 @@ lam1/2 ||s||^2 + lam2/2 (sum s)^2 over s >= 0.
 
 Every fit runs one loop (_certify). Each iteration takes one accelerated
 proximal-gradient step on P (the prox of the squared trace norm shrinks
-singular values by a common amount), then the exact covariance step from
-that point: Omega from W, and the weights minimising the objective at
-that Omega, which can only lower P. That point is kept unless P rises
-above the kept one, when the momentum restarts, so the trace never
-increases. It stops when the relative duality gap (P - D) / |P| falls to
-hp.tol, D taken at alpha_p = 2 r_p / n_p. One coefficient step at the
-final covariance then gives the stored alpha, b and coupling. Every
-Omega and C of a fit, the stored ones included, is read off its weights'
-m-side singular vectors and values, the ones the prox step takes, by one
-map (_svd_coupling); update_omega is the reference form of that
-covariance step, and the fit does not call it.
-A linear kernel with m*d < N, whatever the solver argument, holds W as
-(m, d) rows over per-task centred moments formed once (_moment_form);
-every other fit holds it as N x m coefficients against the base Gram,
-built once, and takes its covariance steps with the fit's coefficient
-step (_gram_form).
+singular values by a common amount), then the covariance step from that
+point: Omega from W, and the weights minimising the objective at that
+Omega, which can only lower P. That point is kept unless P rises above
+the kept one, when the momentum restarts, so the trace never increases,
+even where a covariance step is inexact. It stops when the relative
+duality gap (P - D) / |P| falls to hp.tol, D taken at alpha_p =
+2 r_p / n_p. One coefficient step at the final covariance then gives the
+stored alpha, b and coupling. Every Omega and C of a fit, the stored
+ones included, is read off its weights' m-side singular vectors and
+values, the ones the prox step takes, by one map (_svd_coupling);
+update_omega is the reference form of that covariance step, and the fit
+does not call it. A linear kernel with m*d < N holds W as (m, d) rows
+over per-task centred moments formed once (_moment_form); every other
+fit holds it as N x m coefficients against the base Gram, built once,
+and solves each covariance step by projected CG (_gram_form, _cg_solve),
+whatever the solver argument, which picks only the final step.
 
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
@@ -44,15 +44,15 @@ point before, and with solver='auto' the moment-form datasets that share
 (m, d) run through the loop together, stacked on a leading axis of
 independent problems; every other fit starts cold at each point.
 
-The coefficient step is chosen once per fit. With solver='auto', a
-linear kernel and m*d < N, the saddle system is solved exactly in m*d
+The final coefficient step is chosen once per fit. With solver='auto',
+a linear kernel and m*d < N, the saddle system is solved exactly in m*d
 dimensions from the centred moments. Otherwise the combined kernel is
 written into one N x N array per fit (a saddle block's top-left for the
-direct solve) and solved densely: directly up to 2000 points, by SMO
-beyond (or as the solver argument says), SMO starting from the dual
-point of the weights at hand. Either path also returns K spread(alpha),
-K the base Gram, off which _fitted_state reads the fitted values and the
-objective in closed form.
+direct solve), the array the CG steps also work on, and solved densely:
+directly up to 2000 points, by SMO beyond (or as the solver argument
+says), SMO starting from the dual point of the certified weights. Every
+path also returns K spread(alpha), K the base Gram, off which
+_fitted_state reads the fitted values and the objective in closed form.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -83,7 +83,7 @@ from .kernels import (
 )
 from .linalg import _check_residual, solve_linear, spectral_map
 
-SOLVERS = ("direct", "smo", "auto")  # the paths of the coefficient step
+SOLVERS = ("direct", "smo", "auto")  # the paths of the final coefficient step
 # Dense direct saddle solve up to this many points; SMO beyond.
 DIRECT_SOLVE_LIMIT = 2000
 SMO_DEFAULT_TOL = 1e-6
@@ -151,8 +151,8 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     violating pair, and tasks are visited round-robin. Biases come from
     per-task stationarity of the gradient.
 
-    This call starts at alpha = 0; within a fit, SMO starts from the dual
-    point of the weights at hand.
+    This call starts at alpha = 0; a fit's final step by SMO starts from
+    the dual point of its certified weights.
 
     The stop rule is scaled to the targets: the KKT spread must fall to
     kkt_tol * min(1, max |y|), so targets in small units are solved to the
@@ -222,6 +222,35 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     return alpha, b
 
 
+def _cg_solve(ds, k, start, cap=None):
+    """The saddle system at the combined-kernel Gram k by projected CG
+    (Hestenes & Stiefel; Gould, Hribar & Nocedal): CG on P K~ P, k shifted
+    to K~ in place and P the per-task centring, from start, which sums to
+    0 per task, as every iterate then does. Stops at ||P (y - K~ alpha)||
+    <= 1e-10 ||P y|| or after cap iterations (N, CG's finite-termination
+    bound, by default). Returns alpha, the biases and the number of
+    products with K~: one per iteration and one for the start's residual."""
+    tasks, n, means = ds.point_task, ds.total, _spread(ds.point_task, ds.m, 1.0) / ds.counts
+    k[np.diag_indices(n)] += _loss_weights(ds) / 2.0
+    alpha = np.array(start, dtype=float)
+    rest = ds.targets - k @ alpha  # y - K~ alpha
+    residual = rest - (rest @ means)[tasks]
+    stop = 1e-10 * np.linalg.norm(ds.targets - (ds.targets @ means)[tasks])
+    direction, size, products = residual, residual @ residual, 1
+    for _ in range(n if cap is None else cap):
+        if np.sqrt(size) <= stop:
+            break
+        image = k @ direction
+        products += 1
+        step = size / (direction @ image)
+        alpha += step * direction
+        rest -= step * image
+        residual = rest - (rest @ means)[tasks]
+        size, previous = residual @ residual, size
+        direction = residual + (size / previous) * direction
+    return alpha, rest @ means, products
+
+
 def gram_wtw(alpha, ds, kernel, omega, hp):
     """m x m weight Gram matrix W^T W implied by the dual coefficients.
 
@@ -238,17 +267,18 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
 def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     """The coefficient step of one fit, its path chosen once.
 
-    Returns a function of the coupling matrix C and an optional SMO start
-    giving (alpha, b, K spread(alpha)): the exact saddle solution and the
-    base Gram K times alpha's task columns (_fitted_state). moments and
-    base, the dataset's _task_moments and base Gram if the caller already
-    holds them, save forming them again. The dense path writes the
-    combined kernel into one N x N array that every call reuses and the
-    solve shifts in place: SMO's buffer, or the top-left of a saddle block
-    whose borders are set once. Products with the symmetric base Gram are
-    formed as (B^T K)^T: with OpenBLAS this orientation is faster and
-    touches less of the library's work buffers than K B (on the rbf-smo
-    data, 1.5 MB less resident).
+    Returns a function of the coupling matrix C and an optional start
+    giving (alpha, b, K spread(alpha)): the saddle solution and the base
+    Gram K times alpha's task columns (_fitted_state). moments and base,
+    the dataset's _task_moments and base Gram if the caller already holds
+    them, save forming them again. The dense path writes the combined
+    kernel into one N x N array that every call reuses and the solve
+    shifts in place: SMO's buffer, or the top-left of a saddle block whose
+    borders are set once; given a list products, it solves by projected CG
+    (_cg_solve) and appends its product count. Products with the symmetric
+    base Gram are formed as (B^T K)^T: with OpenBLAS this orientation is
+    faster and touches less of the library's work buffers than K B (on the
+    rbf-smo data, 1.5 MB less resident).
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -260,9 +290,13 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     block = None if use_smo else _saddle_block(ds)
     buffer = np.empty_like(base) if use_smo else block[:ds.total, :ds.total]
 
-    def dense_step(coupling, start=None):
+    def dense_step(coupling, start=None, products=None):
         k = _combined_kernel(ds, base, coupling, out=buffer)
-        alpha, b = _smo_solve(ds, k, start=start) if use_smo else _saddle_solve(ds, block)
+        if products is None:
+            alpha, b = _smo_solve(ds, k, start=start) if use_smo else _saddle_solve(ds, block)
+        else:
+            alpha, b, count = _cg_solve(ds, k, start)
+            products.append(count)
         return alpha, b, (_spread(ds.point_task, ds.m, alpha).T @ base).T
 
     return dense_step
@@ -437,7 +471,7 @@ def _dual_value(ds, y, alpha, blocked, hp):
     alpha^T y is the same as on the targets for such alpha."""
     z = np.sqrt(np.clip(np.linalg.eigvalsh(blocked)[::-1], 0.0, None))
     loss = float(alpha @ y) - 0.25 * float(np.sum(_loss_weights(ds) * alpha**2))
-    return loss - _penalty_conjugate(z, hp)
+    return float(loss - _penalty_conjugate(z, hp))
 
 
 def _relative_gap(value, bound, scale):
@@ -478,7 +512,7 @@ def _svd_coupling(left, values, hp):
 
 
 # The certified loop's view of one fit's weights (_certify).
-_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve")
+_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve products")
 
 
 def _moment_curvature(gram):
@@ -543,7 +577,7 @@ def _moment_form(ds, moments, hp, curvature=None):
         zero=np.zeros_like(cross), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=lambda coupling, weights: coupling @ _coupled_solve(gram, cross, coupling),
+        solve=lambda coupling, weights: coupling @ _coupled_solve(gram, cross, coupling), products=(),
     )
 
 
@@ -569,15 +603,15 @@ def _gram_form(ds, base, step, hp, curvature=None):
     columns' span: B <- B U diag(s'/s) U^T), so B^T K B = W^T W, and the
     centred fitted value at point p is (K B)[p, t_p] centred over p's task.
     A gradient step's B-part is lam1 B - spread(alpha) at the dual point
-    alpha, and a covariance step gives B = spread(alpha) C from step, the
-    fit's coefficient step, with K B read off its own K spread(alpha); each
-    takes one product with K, formed as (B^T K)^T (_coefficient_step). W's
-    singular values and m-side vectors come from the m x m eigenproblem of
-    B^T K B (eigenvalues at or below 1e-14 of the largest, rank noise, read
-    as 0, as in update_omega). The smooth part's curvature is at most
-    max_t (2/n_t) lambda_max(K~_tt) + lam1 (_gram_curvature, or curvature
-    if the caller holds it), and some G_t is singular here, so lam1 is its
-    least.
+    alpha, and a covariance step gives B = spread(alpha) C by CG from the
+    dual point (step, counting into products), with K B read off its own
+    K spread(alpha); each takes one product with K, formed as (B^T K)^T
+    (_coefficient_step). W's singular values and m-side vectors come from
+    the m x m eigenproblem of B^T K B (eigenvalues at or below 1e-14 of
+    the largest, rank noise, read as 0, as in update_omega). The smooth
+    part's curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1
+    (_gram_curvature, or curvature if the caller holds it), and some G_t
+    is singular here, so lam1 is its least.
     """
     tasks, rows, n = ds.point_task, np.arange(ds.total), _loss_weights(ds)
     y = _centred_targets(ds)
@@ -613,15 +647,16 @@ def _gram_form(ds, base, step, hp, curvature=None):
         return _dual_value(ds, y, alpha, spread.T @ product, hp)
 
     def covariance_step(coupling, point):
-        alpha, _, product = step(coupling, dual_point(point))
+        alpha, _, product = step(coupling, dual_point(point), products)
         return np.stack([_spread(tasks, ds.m, alpha), product]) @ coupling
 
     convexity, lipschitz = _gram_curvature(ds, base) if curvature is None else curvature
+    products = []
     return _Form(
         zero=np.zeros((2, ds.total, ds.m)), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda point: hp.lam1 * point - image(dual_point(point)),
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=covariance_step,
+        solve=covariance_step, products=products,
     )
 
 
@@ -711,16 +746,16 @@ def fit(ds, kernel, hp, solver="auto"):
     ds : MultiTaskDataset
     kernel : KernelSpec
     hp : Hyperparams (lam1 must be positive)
-    solver : 'direct', 'smo' or 'auto', the path of the coefficient step.
-        'auto' solves the linear kernel exactly in low-rank form when
-        m*d < N; otherwise it takes the direct saddle solve up to 2000
-        points and SMO beyond.
+    solver : 'direct', 'smo' or 'auto', the path of the final
+        coefficient step, for every fit. 'auto' solves the linear kernel
+        exactly in low-rank form when m*d < N; otherwise it takes the
+        direct saddle solve up to 2000 points and SMO beyond.
 
     Every kernel minimises P by proximal-gradient and covariance steps
     (module docstring): a linear kernel with m*d < N on the centred
-    moments, whatever the solver, and every other fit on coefficients
-    against the base Gram, its covariance steps taken by the coefficient
-    step. The fit stops when the relative duality gap (P - D) / |P| is at
+    moments, and every other fit on coefficients against the base Gram,
+    each covariance step one projected-CG solve, whatever the solver.
+    The fit stops when the relative duality gap (P - D) / |P| is at
     most hp.tol or after hp.max_iters iterations. One coefficient step at
     the final covariance then gives the stored coefficients, biases and
     coupling; all-zero or constant targets end at Omega = I/m.
@@ -729,7 +764,7 @@ def fit(ds, kernel, hp, solver="auto"):
     one value per iteration and the final state's, non-increasing; a rise
     beyond 1e-8 relative raises NonDecreaseDetected. Its report gives the
     stop reason and the final relative duality gap, against the best dual
-    bound found.
+    bound found, and the number of CG products its covariance steps took.
     """
     validate_dataset(ds)
     _, _, model = next(_fit_path([ds], kernel, [hp], solver))
@@ -780,11 +815,11 @@ def _path(group, kernel, hps, solver):
     each point from its certified weights at the point before; a
     Gram-form fit starts each point cold.
 
-    The final refresh of each model: the stored covariance and coupling
-    are the certified weights' (_svd_coupling), and the stored
-    coefficients solve the coefficient step at that coupling, SMO starting
-    from the certified point's dual. At a fixed covariance that step can
-    only lower the objective.
+    The final refresh of each model, the one step on the path solver
+    picks: the stored covariance and coupling are the certified weights'
+    (_svd_coupling), and the stored coefficients solve the coefficient
+    step at that coupling, SMO starting from the certified point's dual.
+    At a fixed covariance that step can only lower the objective.
     """
     warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)
     if warm:
@@ -824,7 +859,8 @@ def _path(group, kernel, hps, solver):
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)
             bound = max(bound, _dual_value(ds, y, alpha, blocked, hp))
-            report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]))
+            report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]),
+                               sum(form.products))
             yield i, k, _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report)
 
 

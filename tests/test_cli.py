@@ -198,18 +198,20 @@ def test_train_status_is_scale_invariant():
 
 
 def test_train_reports_stop_reason_and_gap(tmp_path, capsys):
+    status_line = (r"converged after \d+ iterations, stop: gap, relative gap (\S+), "
+                   r"objective \S+, CG products (\d+)")
     data = tmp_path / "toy.csv"
     run(capsys, "make-toy", "--seed", "35", "--out", str(data))
     code, out, _ = run(capsys, "train", str(data), "--tol", "1e-10")
     assert code == 0
     status = out.splitlines()[0]
-    hit = re.fullmatch(r"converged after \d+ iterations, stop: gap, relative gap (\S+), objective \S+", status)
-    assert hit and 0.0 <= float(hit.group(1)) <= 1e-10, status
+    hit = re.fullmatch(status_line, status)
+    assert hit and 0.0 <= float(hit.group(1)) <= 1e-10 and hit.group(2) == "0", status  # moment form
     code, out, _ = run(capsys, "train", str(data), "--kernel", "rbf", "--rbf-width", "2.0")
     assert code == 0
     status = out.splitlines()[0]
-    hit = re.fullmatch(r"converged after \d+ iterations, stop: gap, relative gap (\S+), objective \S+", status)
-    assert hit and 0.0 <= float(hit.group(1)) <= 1e-6, status  # the default tol
+    hit = re.fullmatch(status_line, status)
+    assert hit and 0.0 <= float(hit.group(1)) <= 1e-6 and int(hit.group(2)) > 0, status  # the default tol
 
 
 def test_train_status_reads_the_report():
@@ -217,11 +219,11 @@ def test_train_status_reads_the_report():
     # convergence from the objective trace
     model = tc.fit(tc.generate_toy(35), tc.KernelSpec("linear"), tc.Hyperparams(0.01, 0.005))
     assert _train_status(model).startswith("converged after ")
-    capped = dataclasses.replace(model, report=tc.FitReport("iteration cap", 0.25))
+    capped = dataclasses.replace(model, report=tc.FitReport("iteration cap", 0.25, 17))
     iterations = len(model.objective_trace) - 2
     assert _train_status(capped) == (
         f"hit the iteration cap at {iterations} iterations, stop: iteration cap, "
-        f"relative gap 0.25, objective {model.objective_trace[-1]!r}"
+        f"relative gap 0.25, objective {model.objective_trace[-1]!r}, CG products 17"
     )
 
 

@@ -236,6 +236,9 @@ def test_warm_started_fold_fits_are_certified(name):
     assert all((kind == "linear" and t.m * t.dim < t.total) == moments for t in trains)
     assert len(result.reports) == len(config.grid()) * len(trains)
     assert all(r.stop_reason == "gap" and r.gap <= config.tol for r in result.reports)
+    # the same report types on every path; only Gram-form fits take CG products
+    assert all(type(r.gap) is float and type(r.products) is int for r in result.reports)
+    assert all((r.products == 0) == moments for r in result.reports)
 
     # the same fits along each width's path: (lam1, lam2) in snake order,
     # a moment-form fit warm-started from the point before, a Gram-form

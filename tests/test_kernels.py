@@ -5,8 +5,9 @@ import pytest
 
 import taskcov as tc
 from taskcov import errors
+from taskcov.kernels import _combined_kernel
 from taskcov.linalg import spectral_map
-from conftest import random_dataset, traced_peak
+from conftest import random_dataset, smooth_dataset, traced_peak
 
 
 class TestBaseKernel:
@@ -230,3 +231,16 @@ class TestAssembly:
                 k = tc.assemble_kernel_matrix(ds, kernel, c)
                 assert k.shape[0] <= 40
                 assert np.min(np.linalg.eigvalsh(k)) >= -1e-7
+
+    def test_assembly_holds_one_n_by_n(self):
+        # the combined kernel is written over the base Gram, with the bits
+        # it has when written into an array of its own
+        rng = np.random.default_rng(9)
+        ds = smooth_dataset(54321, 6, 150, 4)
+        b = rng.normal(size=(6, 6))
+        omega = b.T @ b
+        c = tc.coupling_matrix(tc.TaskCovariance(omega / np.trace(omega)), tc.Hyperparams(0.03, 0.03))
+        kernel = tc.KernelSpec("rbf", 1.0)
+        k, peak = traced_peak(tc.assemble_kernel_matrix, ds, kernel, c)
+        assert peak <= 1.1 * 8 * ds.total**2
+        assert np.array_equal(k, _combined_kernel(ds, tc.base_kernel_matrix(kernel, ds.inputs), c))

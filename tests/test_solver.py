@@ -102,6 +102,12 @@ def smo_instances(count=20, seed=41):
         yield ds, kernel, tc.coupling_matrix(unit_trace_psd(rng, m), hp)
 
 
+def zero_sum_start(rng, ds):
+    """A random start summing to 0 per task, so 0 on single-point tasks."""
+    start = rng.normal(size=ds.total)
+    return start - (np.bincount(ds.point_task, weights=start) / ds.counts)[ds.point_task]
+
+
 class TestDirectSolve:
     def test_single_point_forces_zero_dual(self):
         ds = tc.MultiTaskDataset([("a", [[3.0]], [7.0])])
@@ -186,13 +192,11 @@ class TestSmo:
 
     def test_warm_starts_match_two_pass_reference(self, monkeypatch):
         # random per-task zero-sum starts (0 on single-point tasks), and the
-        # starts of every solve of an RBF fit
+        # start of an RBF fit's one SMO solve, its final refresh
         rng = np.random.default_rng(48)
         cases = []
         for ds, kernel, c in smo_instances():
-            start = rng.normal(size=ds.total)
-            start -= (np.bincount(ds.point_task, weights=start) / ds.counts)[ds.point_task]
-            cases.append((ds, tc.assemble_kernel_matrix(ds, kernel, c), start))
+            cases.append((ds, tc.assemble_kernel_matrix(ds, kernel, c), zero_sum_start(rng, ds)))
         ds = smooth_dataset(5, 4, 60, 4)
         smo_solve = solver._smo_solve
 
@@ -203,7 +207,7 @@ class TestSmo:
 
         monkeypatch.setattr(solver, "_smo_solve", recording)
         tc.fit(ds, tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03), solver="smo")
-        assert len(cases) >= 23 and all(start is not None for _, _, start in cases[20:])
+        assert len(cases) == 21 and cases[20][2] is not None
         for ds, k, start in cases:
             alpha, b = smo_solve(ds, k.copy(), start=start)
             alpha_ref, b_ref = two_pass_smo(ds, k, start=start)
@@ -283,26 +287,41 @@ class TestSmo:
             assert np.max(np.abs(gap)) <= 1e-4 * np.max(np.abs(want))
 
     def test_fit_warm_starts_after_the_first_solve(self, toy, toy_hp, monkeypatch):
-        # every SMO solve of a fit starts from a dual point, which sums to 0
-        # per task, and the final refresh from the certified point's
-        starts, seen = [], []
-        smo_solve, certify, gram_form = solver._smo_solve, solver._certify, solver._gram_form
+        # each covariance step of the loop is one CG solve from the prox
+        # point's dual point, which sums to 0 per task; the fit's one SMO
+        # solve is the final refresh, from the certified point's dual point
+        smo_starts, cg_starts, cg_products, steps, seen = [], [], [], [], []
+        smo_solve, cg_solve = solver._smo_solve, solver._cg_solve
+        certify, gram_form = solver._certify, solver._gram_form
 
         def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
                       start=None):
-            starts.append(start)
+            smo_starts.append(start)
             return smo_solve(ds, k, kkt_tol, max_rounds, start)
 
+        def cg_recording(ds, k, start):
+            cg_starts.append(start)
+            alpha, b, products = cg_solve(ds, k, start)
+            cg_products.append(products)
+            return alpha, b, products
+
+        def counted(*args):
+            form = gram_form(*args)
+            seen.append(form)
+            return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
+
         monkeypatch.setattr(solver, "_smo_solve", recording)
-        monkeypatch.setattr(solver, "_gram_form", lambda *args: seen.append(gram_form(*args)) or seen[-1])
+        monkeypatch.setattr(solver, "_cg_solve", cg_recording)
+        monkeypatch.setattr(solver, "_gram_form", counted)
         monkeypatch.setattr(solver, "_certify", lambda *args: seen.append(certify(*args)) or seen[-1])
-        tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp, solver="smo")
-        assert len(starts) >= 3
-        for start in starts:
+        model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp, solver="smo")
+        assert len(steps) >= 2 and len(cg_starts) == len(steps) and len(smo_starts) == 1
+        assert model.report.products == sum(cg_products)
+        for start in cg_starts + smo_starts:
             sums = np.bincount(toy.point_task, weights=start)
             assert np.max(np.abs(sums)) <= 1e-12 * np.max(np.abs(start))
         form, (weights, _, _) = seen
-        np.testing.assert_array_equal(starts[-1], form.dual_point(weights))
+        np.testing.assert_array_equal(smo_starts[0], form.dual_point(weights))
 
     def test_fixed_inverse_fit_matches_public_solve(self):
         rng = np.random.default_rng(52)
@@ -316,6 +335,53 @@ class TestSmo:
             alpha, biases = tc.solve_alpha_b_smo(ds, kernel, model.coupling)
             assert np.array_equal(model.dual_coefs, alpha)
             assert np.array_equal(model.biases, biases)
+
+
+class TestCgStep:
+    """The certified loop's covariance step: projected CG (_cg_solve)."""
+
+    def test_matches_saddle_oracle(self):
+        # from 0 and from a random feasible start, on a contiguous buffer
+        # and on a saddle block's strided top-left
+        rng = np.random.default_rng(49)
+        single = 0
+        for ds, kernel, c in smo_instances():
+            single += int(np.any(ds.counts == 1))
+            alpha_ref, b_ref = saddle_system_oracle(ds, kernel, c)
+            scale = max(1.0, np.max(np.abs(alpha_ref)), np.max(np.abs(b_ref)))
+            k = tc.assemble_kernel_matrix(ds, kernel, c)
+            for start in (np.zeros(ds.total), zero_sum_start(rng, ds)):
+                for buffer in (k.copy(), solver._saddle_block(ds, k)[:ds.total, :ds.total]):
+                    alpha, b, products = solver._cg_solve(ds, buffer, start)
+                    np.testing.assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-9 * scale)
+                    np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-9 * scale)
+                    assert 1 <= products <= ds.total + 1
+                    assert not np.any(alpha[ds.counts[ds.point_task] == 1])
+        assert single >= 3
+
+    def test_capped_solve_stays_feasible(self):
+        rng = np.random.default_rng(50)
+        for ds, kernel, c in smo_instances(count=10, seed=44):
+            start = zero_sum_start(rng, ds)
+            alpha, _, products = solver._cg_solve(ds, tc.assemble_kernel_matrix(ds, kernel, c), start, cap=1)
+            sums = np.bincount(ds.point_task, weights=alpha)
+            assert np.max(np.abs(sums)) <= 1e-12 * np.max(np.abs(alpha)) and products <= 2
+
+    def test_capped_steps_keep_the_trace_non_increasing(self, monkeypatch):
+        # _certify keeps a candidate only where it lowers P, so a covariance
+        # step of one CG iteration slows a fit but cannot make its trace rise
+        cg_solve, capped = solver._cg_solve, []
+        monkeypatch.setattr(solver, "_cg_solve",
+                            lambda ds, k, start: capped.append(1) or cg_solve(ds, k, start, cap=1))
+        rng = np.random.default_rng(20260811)
+        fits = [_convergence_instance(rng) for _ in range(12)]
+        fits = [(ds, kernel, hp) for ds, kernel, hp in fits if kernel.kind == "rbf"]
+        fits.append((planted_dataset(3, 4, 20, 100, 3), tc.KernelSpec("linear"), tc.Hyperparams(0.03, 0.03)))
+        for ds, kernel, hp in fits:
+            for name in ("direct", "smo"):
+                trace = tc.fit(ds, kernel, hp, solver=name).objective_trace
+                assert all(b <= a + 1e-10 * abs(a) for a, b in zip(trace, trace[1:]))
+        assert len(fits) >= 4 and capped
 
 
 def low_rank_instances(count=50, seed=30):
@@ -402,8 +468,8 @@ class TestLowRankStep:
         def refuse(*args, **kwargs):
             raise AssertionError("the low-rank path ran")
 
-        calls, steps = [], []
-        solve, gram_form = solver.solve_linear, solver._gram_form
+        calls, steps, cg = [], [], []
+        solve, gram_form, cg_solve = solver.solve_linear, solver._gram_form, solver._cg_solve
 
         def counted(*args):
             form = gram_form(*args)
@@ -412,12 +478,13 @@ class TestLowRankStep:
         monkeypatch.setattr(solver, "_low_rank_solve", refuse)
         monkeypatch.setattr(solver, "solve_linear", lambda a, rhs: calls.append(1) or solve(a, rhs))
         monkeypatch.setattr(solver, "_gram_form", counted)
+        monkeypatch.setattr(solver, "_cg_solve", lambda *args: cg.append(1) or cg_solve(*args))
         rng = np.random.default_rng(32)
         ds = random_dataset(rng, m=2, d=5, n_lo=3, n_hi=5)
         assert ds.m * ds.dim >= ds.total
         tc.fit(ds, self.kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
-        # one dense solve per covariance step, and one at the final covariance
-        assert len(steps) >= 1 and len(calls) == len(steps) + 1
+        # one CG solve per covariance step, and one dense solve, the final refresh
+        assert len(steps) >= 1 and len(cg) == len(steps) and len(calls) == 1
 
 
 class TestGram:
@@ -621,6 +688,15 @@ class TestFit:
         np.testing.assert_allclose(
             direct.objective_trace[-1], smo.objective_trace[-1], rtol=1e-4
         )
+
+    def test_report_types_and_products(self, toy, toy_hp):
+        # gap is a Python float on every path; products counts the CG
+        # products of a Gram-form fit's covariance steps, 0 on the moments
+        linear = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+        smo, direct = (tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp, solver=s) for s in ("smo", "direct"))
+        for model in (linear, smo, direct):
+            assert type(model.report.gap) is float and type(model.report.products) is int
+        assert linear.report.products == 0 and smo.report.products > 0 and direct.report.products > 0
 
     def test_auto_threshold_constant(self):
         assert DIRECT_SOLVE_LIMIT == 2000

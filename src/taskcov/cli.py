@@ -47,7 +47,8 @@ def _add_common(parser):
     _add_penalties(parser)
     parser.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     parser.add_argument("--rbf-width", type=float, default=1.0)
-    parser.add_argument("--solver", choices=SOLVERS, default="auto")
+    parser.add_argument("--solver", choices=SOLVERS, default="auto",
+                        help="auto: the low-rank solve or CG; direct, smo: LU or SMO for the final step")
 
 
 def build_parser():
@@ -83,7 +84,8 @@ def build_parser():
     p.add_argument("--rbf-width", default="1.0", help="comma-separated candidates")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", choices=SOLVERS, default="auto")
+    p.add_argument("--solver", choices=SOLVERS, default="auto",
+                   help="auto: the low-rank solve or CG; direct, smo: LU or SMO for the final step")
     p.add_argument("--task-type", choices=["regression", "classification"], default="regression")
 
     p = sub.add_parser("new-task", help="incorporate one new task into a trained model")

@@ -33,8 +33,7 @@ update_omega is the reference form of that covariance step, and the fit
 does not call it. A linear kernel with m*d < N holds W as (m, d) rows
 over per-task centred moments formed once (_moment_form); every other
 fit holds it as N x m coefficients against the base Gram, built once,
-and solves each covariance step by projected CG (_gram_form, _cg_solve),
-whatever the solver argument, which picks only the final step.
+and solves each covariance step by projected CG (_gram_form, _cg_solve).
 
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
@@ -44,15 +43,12 @@ point before, and with solver='auto' the moment-form datasets that share
 (m, d) run through the loop together, stacked on a leading axis of
 independent problems; every other fit starts cold at each point.
 
-The final coefficient step is chosen once per fit. With solver='auto',
-a linear kernel and m*d < N, the saddle system is solved exactly in m*d
-dimensions from the centred moments. Otherwise the combined kernel is
-written into one N x N array per fit (a saddle block's top-left for the
-direct solve), the array the CG steps also work on, and solved densely:
-directly up to 2000 points, by SMO beyond (or as the solver argument
-says), SMO starting from the dual point of the certified weights. Every
-path also returns K spread(alpha), K the base Gram, off which
-_fitted_state reads the fitted values and the objective in closed form.
+The final coefficient step, chosen once per fit, is under solver='auto'
+the exact m*d solve from the centred moments for a linear kernel with
+m*d < N and otherwise one more CG solve, its full saddle residual gated
+(_checked_saddle); 'direct' and 'smo' ask for an LU of the saddle system
+or for SMO. Every path also returns K spread(alpha), K the base Gram, off
+which _fitted_state reads the fitted values and the objective.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -84,8 +80,6 @@ from .kernels import (
 from .linalg import _check_residual, solve_linear, spectral_map
 
 SOLVERS = ("direct", "smo", "auto")  # the paths of the final coefficient step
-# Dense direct saddle solve up to this many points; SMO beyond.
-DIRECT_SOLVE_LIMIT = 2000
 SMO_DEFAULT_TOL = 1e-6
 SMO_MAX_ROUNDS = 200_000
 # Relative rise in the objective treated as a bug rather than noise.
@@ -273,31 +267,34 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     the dataset's _task_moments and base Gram if the caller already holds
     them, save forming them again. The dense path writes the combined
     kernel into one N x N array that every call reuses and the solve
-    shifts in place: SMO's buffer, or the top-left of a saddle block whose
-    borders are set once; given a list products, it solves by projected CG
-    (_cg_solve) and appends its product count. Products with the symmetric
-    base Gram are formed as (B^T K)^T: with OpenBLAS this orientation is
-    faster and touches less of the library's work buffers than K B (on the
-    rbf-smo data, 1.5 MB less resident).
+    shifts in place (under 'direct', a saddle block's top-left). It solves
+    by projected CG (_cg_solve) given a list products, appending its
+    product count, and under 'auto', gating the residual (_checked_saddle).
+    Products with the symmetric base Gram are formed as (B^T K)^T: with
+    OpenBLAS this orientation is faster and touches less of the library's
+    work buffers than K B (on the rbf-smo data, 1.5 MB less resident).
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     if solver == "auto" and _moment_fit(kernel, ds):
         moments = _task_moments(ds) if moments is None else moments
         return lambda coupling, start=None: _low_rank_solve(ds, moments, coupling)
-    use_smo = solver == "smo" or (solver == "auto" and ds.total > DIRECT_SOLVE_LIMIT)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
-    block = None if use_smo else _saddle_block(ds)
-    buffer = np.empty_like(base) if use_smo else block[:ds.total, :ds.total]
+    block = _saddle_block(ds) if solver == "direct" else None
+    buffer = np.empty_like(base) if block is None else block[:ds.total, :ds.total]
 
     def dense_step(coupling, start=None, products=None):
         k = _combined_kernel(ds, base, coupling, out=buffer)
-        if products is None:
-            alpha, b = _smo_solve(ds, k, start=start) if use_smo else _saddle_solve(ds, block)
+        if products is None and solver != "auto":
+            alpha, b = _smo_solve(ds, k, start=start) if solver == "smo" else _saddle_solve(ds, block)
         else:
-            alpha, b, count = _cg_solve(ds, k, start)
+            alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start)
+        product = (_spread(ds.point_task, ds.m, alpha).T @ base).T
+        if products is not None:
             products.append(count)
-        return alpha, b, (_spread(ds.point_task, ds.m, alpha).T @ base).T
+        elif solver == "auto":
+            return _checked_saddle(ds, coupling, alpha, b, product)
+        return alpha, b, product
 
     return dense_step
 
@@ -365,19 +362,21 @@ def _low_rank_solve(ds, moments, coupling):
     the solution of _coupled_solve: Woodbury with C as the middle factor,
     needing no inverse or factor of C. The weights are U C with
     U = X~^T spread(alpha), which equals X^T spread(alpha) for such alpha,
-    so K spread(alpha) = X U and b = y_mean - x_mean . w. The fitted values
-    are read off X U from the uncentred inputs, so the residual gate
-    applies to the full saddle system at C itself.
+    so K spread(alpha) = X U and b = y_mean - x_mean . w; X U is read off
+    the uncentred inputs, so the gate checks the full saddle system at C.
     """
     x_mean, y_mean, x, _, gram, cross = moments
     alpha = _moment_dual_point(ds, moments, coupling @ _coupled_solve(gram, cross, coupling))
-    spread = _spread(ds.point_task, ds.m, alpha)
-    u = x.T @ spread
-    product = ds.inputs @ u
+    u = x.T @ _spread(ds.point_task, ds.m, alpha)
     b = y_mean - np.einsum("ij,ji->i", x_mean, u @ coupling)
+    return _checked_saddle(ds, coupling, alpha, b, ds.inputs @ u)
+
+
+def _checked_saddle(ds, coupling, alpha, b, product):
+    """alpha, b, product once the full saddle system at C passes _check_residual."""
     residual = (_fitted_values(ds, product, coupling) + _loss_weights(ds) / 2.0 * alpha
                 + b[ds.point_task] - ds.targets)
-    _check_residual(np.concatenate([residual, spread.sum(axis=0)]), ds.targets)
+    _check_residual(np.concatenate([residual, np.bincount(ds.point_task, alpha, ds.m)]), ds.targets)
     return alpha, b, product
 
 
@@ -747,9 +746,8 @@ def fit(ds, kernel, hp, solver="auto"):
     kernel : KernelSpec
     hp : Hyperparams (lam1 must be positive)
     solver : 'direct', 'smo' or 'auto', the path of the final
-        coefficient step, for every fit. 'auto' solves the linear kernel
-        exactly in low-rank form when m*d < N; otherwise it takes the
-        direct saddle solve up to 2000 points and SMO beyond.
+        coefficient step: 'auto' is the exact low-rank solve for a linear
+        kernel with m*d < N and projected CG otherwise.
 
     Every kernel minimises P by proximal-gradient and covariance steps
     (module docstring): a linear kernel with m*d < N on the centred
@@ -818,7 +816,7 @@ def _path(group, kernel, hps, solver):
     The final refresh of each model, the one step on the path solver
     picks: the stored covariance and coupling are the certified weights'
     (_svd_coupling), and the stored coefficients solve the coefficient
-    step at that coupling, SMO starting from the certified point's dual.
+    step at that coupling, CG or SMO from the certified point's dual.
     At a fixed covariance that step can only lower the objective.
     """
     warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)

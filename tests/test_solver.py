@@ -6,7 +6,6 @@ import pytest
 import taskcov as tc
 from taskcov import errors
 from taskcov import solver
-from taskcov.solver import DIRECT_SOLVE_LIMIT
 from conftest import planted_dataset, random_dataset, smooth_dataset, traced_peak
 from test_acceptance import _convergence_instance
 
@@ -335,6 +334,12 @@ class TestSmo:
             alpha, biases = tc.solve_alpha_b_smo(ds, kernel, model.coupling)
             assert np.array_equal(model.dual_coefs, alpha)
             assert np.array_equal(model.biases, biases)
+            # auto: the low-rank solve, or CG from 0 (no certified point)
+            auto = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T)
+            alpha, biases = tc.solve_alpha_b_direct(ds, kernel, model.coupling)
+            scale = max(1.0, np.max(np.abs(alpha)), np.max(np.abs(biases)))
+            np.testing.assert_allclose(auto.dual_coefs, alpha, rtol=0, atol=1e-8 * scale)
+            np.testing.assert_allclose(auto.biases, biases, rtol=0, atol=1e-8 * scale)
 
 
 class TestCgStep:
@@ -369,7 +374,8 @@ class TestCgStep:
 
     def test_capped_steps_keep_the_trace_non_increasing(self, monkeypatch):
         # _certify keeps a candidate only where it lowers P, so a covariance
-        # step of one CG iteration slows a fit but cannot make its trace rise
+        # step of one CG iteration slows a fit but cannot make its trace rise;
+        # auto's final refresh is such a solve too, and its gate refuses it
         cg_solve, capped = solver._cg_solve, []
         monkeypatch.setattr(solver, "_cg_solve",
                             lambda ds, k, start: capped.append(1) or cg_solve(ds, k, start, cap=1))
@@ -381,6 +387,8 @@ class TestCgStep:
             for name in ("direct", "smo"):
                 trace = tc.fit(ds, kernel, hp, solver=name).objective_trace
                 assert all(b <= a + 1e-10 * abs(a) for a, b in zip(trace, trace[1:]))
+            with pytest.raises(errors.SingularSystem, match="solve residual"):
+                tc.fit(ds, kernel, hp)
         assert len(fits) >= 4 and capped
 
 
@@ -466,25 +474,25 @@ class TestLowRankStep:
 
     def test_wide_linear_data_takes_dense_path(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the low-rank path ran")
+            raise AssertionError("a path other than projected CG ran")
 
-        calls, steps, cg = [], [], []
-        solve, gram_form, cg_solve = solver.solve_linear, solver._gram_form, solver._cg_solve
+        steps, cg = [], []
+        gram_form, cg_solve = solver._gram_form, solver._cg_solve
 
         def counted(*args):
             form = gram_form(*args)
             return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
 
-        monkeypatch.setattr(solver, "_low_rank_solve", refuse)
-        monkeypatch.setattr(solver, "solve_linear", lambda a, rhs: calls.append(1) or solve(a, rhs))
+        for name in ("_low_rank_solve", "solve_linear", "_smo_solve"):
+            monkeypatch.setattr(solver, name, refuse)
         monkeypatch.setattr(solver, "_gram_form", counted)
         monkeypatch.setattr(solver, "_cg_solve", lambda *args: cg.append(1) or cg_solve(*args))
         rng = np.random.default_rng(32)
         ds = random_dataset(rng, m=2, d=5, n_lo=3, n_hi=5)
         assert ds.m * ds.dim >= ds.total
         tc.fit(ds, self.kernel, tc.Hyperparams(lam1=0.2, lam2=0.1))
-        # one CG solve per covariance step, and one dense solve, the final refresh
-        assert len(steps) >= 1 and len(cg) == len(steps) and len(calls) == 1
+        # one CG solve per covariance step, and one more, the final refresh
+        assert len(steps) >= 1 and len(cg) == len(steps) + 1
 
 
 class TestGram:
@@ -698,9 +706,6 @@ class TestFit:
             assert type(model.report.gap) is float and type(model.report.products) is int
         assert linear.report.products == 0 and smo.report.products > 0 and direct.report.products > 0
 
-    def test_auto_threshold_constant(self):
-        assert DIRECT_SOLVE_LIMIT == 2000
-
     def test_requires_positive_lam1(self, toy):
         with pytest.raises(ValueError):
             tc.fit(toy, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.0, lam2=0.1))
@@ -811,15 +816,23 @@ class TestCertificate:
     def test_kernel_gap_closes_at_the_alternation(self):
         # the alternation ends within 2e-9 relative of the optimum on these
         # instances (the covariance stays full rank), so the certified fit
-        # may end above it, by no more than its tol
-        count = 0
-        for k, (ds, kernel, hp) in enumerate(rbf_certificate_instances()):
-            model = tc.fit(ds, kernel, hp)
-            assert model.report.stop_reason == "gap"
+        # may end above it, by no more than its tol. auto's final refresh,
+        # a CG solve, agrees with direct's LU, also at N = 2000
+        instances = list(rbf_certificate_instances())
+        assert len(instances) == len(ALTERNATION_RBF_FIT_OBJECTIVES)
+        large = (smooth_dataset(7, 8, 250, 4), tc.KernelSpec("rbf", 1.0),
+                 tc.Hyperparams(0.03, 0.03, tol=1e-8))
+        for k, (ds, kernel, hp) in enumerate(instances + [large]):
+            model, direct = (tc.fit(ds, kernel, hp, solver=s) for s in ("auto", "direct"))
+            assert model.report.stop_reason == direct.report.stop_reason == "gap"
             assert 0.0 <= model.report.gap <= hp.tol
-            assert model.objective_trace[-1] <= ALTERNATION_RBF_FIT_OBJECTIVES[k] * (1.0 + hp.tol)
-            count += 1
-        assert count == len(ALTERNATION_RBF_FIT_OBJECTIVES)
+            if k < len(instances):
+                assert model.objective_trace[-1] <= ALTERNATION_RBF_FIT_OBJECTIVES[k] * (1.0 + hp.tol)
+            assert len(model.objective_trace) == len(direct.objective_trace)
+            ids = [ds.task_ids[i] for i in ds.point_task]
+            want = tc.predict_batch(direct, ids, ds.inputs)
+            gap = tc.predict_batch(model, ids, ds.inputs) - want
+            assert np.max(np.abs(gap)) <= 1e-8 * np.max(np.abs(want))
 
     def test_gap_bounds_the_distance_to_any_point(self):
         # P - gap |P| is the dual bound: no weights nearby go below it
@@ -1237,6 +1250,10 @@ class TestRbfMemory:
     def direct(self, problem):
         return traced_peak(tc.fit, *problem, solver="direct")
 
+    @pytest.fixture(scope="class")
+    def auto(self, problem):
+        return traced_peak(tc.fit, *problem, solver="auto")
+
     def test_smo_fit_peak(self, fitted):
         # the base Gram and the combined buffer, 2 N x N, and little else
         model, peak = fitted
@@ -1246,6 +1263,11 @@ class TestRbfMemory:
         # the base Gram and the saddle block, whose top-left holds the
         # combined kernel: 2 N x N, and little else
         model, peak = direct
+        assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
+
+    def test_auto_fit_peak(self, auto):
+        # the base Gram and the combined kernel CG works on: 2 N x N
+        model, peak = auto
         assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
 
     def test_direct_fit_matches_public_solve(self, problem, direct):

@@ -22,6 +22,7 @@ from .errors import (
     SigmaOutOfRange,
     UnknownTask,
 )
+from .kernels import _rbf_rows
 from .linalg import PSD_EIG_FLOOR
 
 
@@ -315,6 +316,12 @@ class TrainedModel:
         """Read-only primal weights of a linear model (solver.reconstruct_weights)."""
         weighted = self.support_inputs * self.dual_coefs[:, None]
         return _readonly(weighted.T @ np.eye(self.m)[self.support_tasks] @ self.coupling)
+
+    @cached_property
+    def _support_rows(self):
+        """The support side of an RBF model's serving blocks
+        (kernels._rbf_rows), prepared once per model."""
+        return _rbf_rows(self.kernel, self.support_inputs)
 
 
 @dataclass(frozen=True)

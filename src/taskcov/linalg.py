@@ -1,8 +1,9 @@
 """Dense symmetric-matrix primitives used by the solvers.
 
-Everything here is a pure function of small (task-count sized) matrices,
-so plain eigendecompositions are used throughout; no sparse or iterative
-paths.
+Everything here but _top_eigenvalues is a pure function of small
+(task-count sized) matrices, so plain eigendecompositions are used; the
+one iterative path is _top_eigenvalues' Lanczos bound on the top
+eigenvalue of large centred kernel blocks.
 
 Every matrix function of a PSD matrix goes through spectral_map (or
 EigenDecomposition.map), under one rule: negative eigenvalues are noise
@@ -25,6 +26,11 @@ from .errors import DegenerateTaskVariance, NotPSD, NotSymmetric, Singular, Sing
 SYM_ATOL = 1e-8
 # An eigenvalue below this is not noise: the matrix is refused as not PSD.
 PSD_EIG_FLOOR = -1e-8
+# Lanczos steps of _top_eigenvalues, the steps between its convergence
+# checks (each an eigensolve of the tridiagonal), and its tolerance.
+_LANCZOS_STEPS = 48
+_LANCZOS_CHECK = 4
+_LANCZOS_RTOL = 1e-11
 
 
 def _check_symmetric(a, what="matrix"):
@@ -158,3 +164,61 @@ def correlation_from_covariance(omega):
     c = a * np.outer(scale, scale)
     np.fill_diagonal(c, 1.0)
     return c
+
+
+def _top_eigenvalues(blocks):
+    """Upper bounds on lambda_max(P A P), each within about _LANCZOS_RTOL
+    relative, for symmetric square blocks A, P the centring; None for a
+    block that _LANCZOS_STEPS Lanczos steps do not bring there (Lanczos
+    1950; the bound as in Zhou & Li 2011). The blocks run in lockstep,
+    zero-padded to the largest, each from a centred start drawn from a
+    fixed seed.
+
+    Each step multiplies by A itself, reorthogonalises fully (two
+    classical Gram-Schmidt passes), then centres the new vector: centring
+    before the passes lets the rounding along the constant vector, P A
+    P's 0 eigenvector, grow by about theta / beta per step. At step k the
+    top Ritz value theta of the tridiagonal T_k has residual
+    beta_k |s_k|, s its eigenvector, and lambda_max <= theta + beta_k |s_k|
+    once theta has converged to it. A block stops when beta_k |s_k| is at
+    most _LANCZOS_RTOL theta plus a rounding margin, 16 n eps max_p A_pp
+    (the products' rounding), and its bound is theta + beta_k |s_k| plus
+    that margin. That is checked every _LANCZOS_CHECK steps, and at once
+    where beta_k falls to the margin: its basis spans an invariant
+    subspace to rounding, and the next vector would be rounding noise."""
+    sizes = np.array([b.shape[0] for b in blocks])
+    count, width, steps = len(blocks), int(sizes.max()), _LANCZOS_STEPS
+    inside = np.arange(width) < sizes[:, None]
+    margins = 16.0 * sizes * np.finfo(float).eps * np.array([np.max(b.diagonal()) for b in blocks])
+    start = np.random.default_rng(0).standard_normal((count, width)) * inside
+    start -= start.sum(axis=1, keepdims=True) / sizes[:, None] * inside
+    # basis[j] is written when step j is reached, each row zero beyond its
+    # block, so the steps never reached leave the end of it untouched
+    basis, diagonal, off = np.empty((steps + 1, count, width)), np.zeros((count, steps)), np.zeros((count, steps))
+    basis[0] = start / np.linalg.norm(start, axis=1, keepdims=True)
+    bounds, w = [None] * count, np.zeros((count, width))
+    for j in range(steps):
+        for t, block in enumerate(blocks):
+            if bounds[t] is None:
+                np.matmul(block, basis[j, t, :sizes[t]], out=w[t, :sizes[t]])
+        kept = basis[:j + 1].transpose(1, 0, 2)
+        for _ in range(2):
+            coefs = kept @ w[:, :, None]
+            w -= (coefs.transpose(0, 2, 1) @ kept)[:, 0]
+            diagonal[:, j] += coefs[:, j, 0]
+        w -= w.sum(axis=1, keepdims=True) / sizes[:, None] * inside
+        beta = np.linalg.norm(w, axis=1)
+        if (j + 1) % _LANCZOS_CHECK == 0 or any(b is None and r <= m for b, r, m in zip(bounds, beta, margins)):
+            tri, k = np.zeros((count, j + 1, j + 1)), np.arange(j + 1)
+            tri[:, k, k] = diagonal[:, :j + 1]
+            tri[:, k[1:], k[:-1]] = tri[:, k[:-1], k[1:]] = off[:, :j]
+            values, vectors = np.linalg.eigh(tri)
+            theta, residual = values[:, -1], beta * np.abs(vectors[:, -1, -1])
+            for t in range(count):
+                if bounds[t] is None and residual[t] <= _LANCZOS_RTOL * theta[t] + margins[t]:
+                    bounds[t], w[t] = float(theta[t] + residual[t] + margins[t]), 0.0
+            if all(b is not None for b in bounds):
+                break
+        basis[j + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
+        off[:, j] = beta
+    return bounds

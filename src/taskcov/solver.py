@@ -25,15 +25,17 @@ Omega, which can only lower P. That point is kept unless P rises above
 the kept one, when the momentum restarts, so the trace never increases,
 even where a covariance step is inexact. It stops when the relative
 duality gap (P - D) / |P| falls to hp.tol, D taken at alpha_p =
-2 r_p / n_p. One coefficient step at the final covariance then gives the
-stored alpha, b and coupling. Every Omega and C of a fit, the stored
-ones included, is read off its weights' m-side singular vectors and
-values, the ones the prox step takes, by one map (_svd_coupling);
-update_omega is the reference form of that covariance step, and the fit
-does not call it. A linear kernel with m*d < N holds W as (m, d) rows
+2 r_p / n_p (or within CG tolerance of it). One coefficient step at the
+final covariance then gives the stored alpha, b and coupling. Every
+Omega and C of a fit, the stored ones included, is read off its
+weights' m-side singular vectors and values, the ones the prox step
+takes, by one map (_svd_coupling); update_omega is the reference form
+of that covariance step, and the fit does not call it. A linear kernel with m*d < N holds W as (m, d) rows
 over per-task centred moments formed once (_moment_form); every other
-fit holds it as N x m coefficients against the base Gram, built once,
+fit holds it as N x m coefficients against the base Gram K, built once,
 and solves each covariance step by projected CG (_gram_form, _cg_solve).
+Its points carry a dual vector's image under K, so an iteration forms
+one product with K, and its step size comes from a Lanczos bound.
 
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
@@ -73,11 +75,12 @@ from .errors import (
 )
 from .kernels import (
     _combined_kernel,
+    _rbf_cross,
     assemble_kernel_matrix,
     base_kernel_matrix,
     coupling_matrix,
 )
-from .linalg import _check_residual, solve_linear, spectral_map
+from .linalg import _LANCZOS_STEPS, _check_residual, _top_eigenvalues, solve_linear, spectral_map
 
 SOLVERS = ("direct", "smo", "auto")  # the paths of the final coefficient step
 SMO_DEFAULT_TOL = 1e-6
@@ -101,6 +104,15 @@ def _spread(tasks, m, alpha):
     spread = np.zeros((len(tasks), m))
     spread[np.arange(len(tasks)), tasks] = alpha
     return spread
+
+
+def _times_base(ds, base, alpha):
+    """(K spread(alpha))^T for the symmetric base Gram K, as spread(alpha)^T
+    K: with OpenBLAS faster, and 1.5 MB less resident on the rbf-smo data,
+    than K spread(alpha). Every product of a Gram-form fit with K is one
+    call: one per covariance step, one for its zero point (_gram_point)
+    and one in the final refresh."""
+    return _spread(ds.point_task, ds.m, alpha).T @ base
 
 
 def solve_alpha_b_direct(ds, kernel, coupling):
@@ -270,9 +282,7 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     shifts in place (under 'direct', a saddle block's top-left). It solves
     by projected CG (_cg_solve) given a list products, appending its
     product count, and under 'auto', gating the residual (_checked_saddle).
-    Products with the symmetric base Gram are formed as (B^T K)^T: with
-    OpenBLAS this orientation is faster and touches less of the library's
-    work buffers than K B (on the rbf-smo data, 1.5 MB less resident).
+    Its one product with the base Gram is _times_base's.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -289,7 +299,7 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
             alpha, b = _smo_solve(ds, k, start=start) if solver == "smo" else _saddle_solve(ds, block)
         else:
             alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start)
-        product = (_spread(ds.point_task, ds.m, alpha).T @ base).T
+        product = _times_base(ds, base, alpha).T
         if products is not None:
             products.append(count)
         elif solver == "auto":
@@ -428,7 +438,7 @@ def objective_value(ds, alpha, b, omega, kernel, hp):
     alpha = np.asarray(alpha, dtype=float)
     # W = 0 carries no penalty, even where lam1 = lam2 = 0 leaves C undefined
     coupling = coupling_matrix(omega, hp) if np.any(alpha) else np.zeros((ds.m, ds.m))
-    product = (_spread(ds.point_task, ds.m, alpha).T @ base_kernel_matrix(kernel, ds.inputs)).T
+    product = _times_base(ds, base_kernel_matrix(kernel, ds.inputs), alpha).T
     return _fitted_state(ds, coupling, alpha, np.asarray(b, dtype=float), product)[0]
 
 
@@ -583,77 +593,125 @@ def _moment_form(ds, moments, hp, curvature=None):
 def _gram_curvature(ds, base):
     """Bounds (0, L) on the curvature of the centred loss against the base
     Gram: L = max_t (2/n_t) lambda_max(K~_tt), K~_tt task t's centred
-    block."""
+    block: the Lanczos bound _top_eigenvalues on the views of the blocks
+    of more than _LANCZOS_STEPS + 1 points, and a full eigensolve of the
+    others (whose Krylov basis would span their range within those steps)
+    and where Lanczos does not converge."""
+    ends = np.cumsum(ds.counts)
+    spans = [(int(hi - n), int(hi)) for n, hi in zip(ds.counts, ends)]
+    large = [(lo, hi) for lo, hi in spans if hi - lo > _LANCZOS_STEPS + 1]
+    tops = dict(zip(large, _top_eigenvalues([base[lo:hi, lo:hi] for lo, hi in large]))) if large else {}
     high = 0.0
-    for block in np.split(np.arange(ds.total), np.cumsum(ds.counts)[:-1]):
-        k = base[np.ix_(block, block)]
-        k = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
-        high = max(high, 2.0 / block.size * float(np.linalg.eigvalsh(k)[-1]))
+    for lo, hi in spans:
+        top = tops.get((lo, hi))
+        if top is None:
+            k = base[lo:hi, lo:hi]
+            k = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+            top = float(np.linalg.eigvalsh(k)[-1])
+        high = max(high, 2.0 / (hi - lo) * top)
     return 0.0, high
 
 
-def _gram_form(ds, base, step, hp, curvature=None):
+def _gram_dual_point(ds, y, kb):
+    """alpha_p = 2 r_p / n_p at coefficients B given K B, N x m: the
+    centred fitted value at p is (K B)[p, t_p] centred over p's task. y is
+    the per-task centred targets."""
+    fitted = kb[np.arange(ds.total), ds.point_task]
+    return 2.0 * (y - fitted + (np.bincount(ds.point_task, fitted) / ds.counts)[ds.point_task]) / _loss_weights(ds)
+
+
+def _gram_point(ds, base, y, pair):
+    """The _gram_form point of coefficients B given as the flat pair
+    (B, K B), carrying the exact image of its dual point: one product with
+    K (_times_base)."""
+    alpha = _gram_dual_point(ds, y, pair[ds.total * ds.m:].reshape(-1, ds.m))
+    return np.concatenate([pair, _times_base(ds, base, alpha).T.ravel(), alpha])
+
+
+def _gram_form(ds, base, step, hp, curvature=None, zero=None):
     """Every other fit (a non-linear kernel, or m*d >= N) on N x m
     coefficients B: W = Phi~^T B, Phi~ the per-task centred features.
 
-    A point is the pair (B, K B), stacked, with K the base Gram, so that
-    the loop's linear combinations carry the product along. Every B the
-    loop forms sums to 0 per task (alpha does, and the prox keeps B's
-    columns' span: B <- B U diag(s'/s) U^T), so B^T K B = W^T W, and the
-    centred fitted value at point p is (K B)[p, t_p] centred over p's task.
-    A gradient step's B-part is lam1 B - spread(alpha) at the dual point
-    alpha, and a covariance step gives B = spread(alpha) C by CG from the
-    dual point (step, counting into products), with K B read off its own
-    K spread(alpha); each takes one product with K, formed as (B^T K)^T
-    (_coefficient_step). W's singular values and m-side vectors come from
-    the m x m eigenproblem of B^T K B (eigenvalues at or below 1e-14 of
-    the largest, rank noise, read as 0, as in update_omega). The smooth
-    part's curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1
+    A point is one flat array of B, K B (K the base Gram) and the image
+    K spread(a) of a dual vector a, each N x m, then a (parts): the loop's
+    affine combinations carry all four along. Every B the loop forms sums
+    to 0 per task (alpha does, and the prox keeps B's columns' span:
+    B <- B U diag(s'/s) U^T), so B^T K B = W^T W, and the centred fitted
+    value at point p is (K B)[p, t_p] centred over p's task: the exact
+    dual point (dual_point) and P read it. The gradient, lam1 (B, K B) -
+    (spread(a), K spread(a)), and D, taken at a, read the carried image,
+    so neither forms a product with K. A covariance step gives
+    B = spread(alpha) C by CG from the dual point (step, counting into
+    products), K B read off its own K spread(alpha), the step's one
+    product with K; the candidate carries alpha and that product, alpha
+    differing from its exact dual point alpha + 2 P r / n (r the CG
+    residual, P the per-task centring) at CG tolerance. zero is W = 0
+    with its dual point 2 y~ / n and that point's image (_gram_point), one
+    product that a path builds once. A prox point is only (B, K B), or
+    zero. W's singular values and m-side vectors come from the m x m
+    eigenproblem of B^T K B (eigenvalues at or below 1e-14 of the largest,
+    rank noise, read as 0, as in update_omega). The smooth part's
+    curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1
     (_gram_curvature, or curvature if the caller holds it), and some G_t
     is singular here, so lam1 is its least.
     """
-    tasks, rows, n = ds.point_task, np.arange(ds.total), _loss_weights(ds)
-    y = _centred_targets(ds)
+    m, tasks, rows, n = ds.m, ds.point_task, np.arange(ds.total), _loss_weights(ds)
+    y, size = _centred_targets(ds), ds.total * m
+    zero = _gram_point(ds, base, y, np.zeros(2 * size)) if zero is None else zero
 
-    def image(alpha):
-        b = _spread(tasks, ds.m, alpha)
-        return np.stack([b, (b.T @ base).T])
+    def parts(point):
+        """B, K B and K spread(a), N x m views, and a; a pair has the first two."""
+        return [point[k * size:(k + 1) * size].reshape(-1, m) for k in range(3)] + [point[3 * size:]]
 
     def dual_point(point):
-        fitted = point[1][rows, tasks]
-        return 2.0 * (y - fitted + (np.bincount(tasks, fitted) / ds.counts)[tasks]) / n
+        return _gram_dual_point(ds, y, parts(point)[1])
+
+    def gradient(point):
+        out = hp.lam1 * point
+        coefs, product = parts(out)[:2]
+        product -= parts(point)[2]
+        coefs[rows, tasks] -= point[3 * size:]
+        out[2 * size:] = 0.0
+        return out
 
     def singular(point):
-        gram = point[0].T @ point[1]
+        coefs, product = parts(point)[:2]
+        gram = coefs.T @ product
         values, vectors = np.linalg.eigh((gram + gram.T) / 2.0)
         values, vectors = values[::-1], vectors[:, ::-1]
         values = np.sqrt(np.where(values > 1e-14 * max(values[0], 0.0), values, 0.0))
 
         def rebuild(shrunk):
+            if not shrunk.any():
+                return zero
             ratio = np.divide(shrunk, values, out=np.zeros_like(values), where=values > 0.0)
-            return point @ ((vectors * ratio) @ vectors.T)
+            return (point[:2 * size].reshape(2, -1, m) @ ((vectors * ratio) @ vectors.T)).ravel()
 
         return vectors, values, rebuild
 
     def primal(point, norm=None):
         norm = float(singular(point)[1].sum()) if norm is None else norm
+        coefs, product = parts(point)[:2]
         loss = 0.25 * float(np.sum(n * dual_point(point) ** 2))
-        return loss + 0.5 * hp.lam1 * float(np.sum(point[0] * point[1])) + 0.5 * hp.lam2 * norm * norm
+        return loss + 0.5 * hp.lam1 * float(np.sum(coefs * product)) + 0.5 * hp.lam2 * norm * norm
 
     def dual(point):
-        alpha = dual_point(point)
-        spread, product = image(alpha)
-        return _dual_value(ds, y, alpha, spread.T @ product, hp)
+        _, _, image, alpha = parts(point)
+        return _dual_value(ds, y, alpha, _spread(tasks, m, alpha).T @ image, hp)
 
     def covariance_step(coupling, point):
         alpha, _, product = step(coupling, dual_point(point), products)
-        return np.stack([_spread(tasks, ds.m, alpha), product]) @ coupling
+        out = np.empty_like(zero)
+        coefs, carried, image, carried_alpha = parts(out)
+        image[:], carried_alpha[:] = product, alpha
+        np.multiply(alpha[:, None], coupling[tasks], out=coefs)  # spread(alpha) C
+        np.matmul(image, coupling, out=carried)
+        return out
 
     convexity, lipschitz = _gram_curvature(ds, base) if curvature is None else curvature
     products = []
     return _Form(
-        zero=np.zeros((2, ds.total, ds.m)), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
-        gradient=lambda point: hp.lam1 * point - image(dual_point(point)),
+        zero=zero, lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1, gradient=gradient,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
         solve=covariance_step, products=products,
     )
@@ -665,11 +723,13 @@ def _certify(form, hp, traces, start=None):
     plus lam1/2 ||W||_F^2), and functions of W: that part's gradient;
     (left, values, rebuild), W's m-side singular vectors and values
     (descending) and the map from new values to weights; P, given the
-    trace norm when known; D, and the dual point alpha_p = 2 r_p / n_p it
-    is taken at; and the weights minimising the objective at a coupling C.
-    A form may hold independent problems along a leading axis (a stacked
-    _moment_form); each then runs the loop below on its own, and traces
-    holds one list per problem (one list for a form without that axis).
+    trace norm when known; D at a dual vector summing to 0 per task; the
+    dual point alpha_p = 2 r_p / n_p; and the weights minimising the
+    objective at a coupling C. A form may hold independent problems along
+    a leading axis (a stacked _moment_form); each then runs the loop
+    below on its own, and traces holds one list per problem (one list for
+    a form without that axis). Points are combined only affinely, so a
+    point may carry values affine in W (_gram_form).
 
     The loop starts at W = 0, or at start where P(start) < P(0). Each
     iteration takes an accelerated proximal-gradient step from the
@@ -680,8 +740,9 @@ def _certify(form, hp, traces, start=None):
     coupling of W's covariance (_svd_coupling): P(W') <= P(W), since that
     step is optimal at the covariance it is given, so W' (W where W is 0)
     is the one candidate. It is kept if its P is below the kept one, and
-    appended to the trace; otherwise the momentum restarts from the kept point. Each kept point gives a dual
-    bound, and the best one is kept. A problem stops on
+    appended to the trace; otherwise the momentum restarts from the kept
+    point. Each kept point gives a dual bound, and the best one is kept.
+    A problem stops on
     P - D <= hp.tol |P|, and is frozen from then on; the loop ends when
     every problem has stopped or after hp.max_iters iterations. Returns
     the weights, and per problem whether it stopped on the gap and its
@@ -708,9 +769,12 @@ def _certify(form, hp, traces, start=None):
         weights, value = pick(better, start, zero), [min(s, v) for s, v in zip(start_value, value)]
     bound, ahead, active = _floats(form.dual(weights)), weights, [True] * len(value)
     for _ in range(hp.max_iters):
-        left, values, rebuild = form.singular(ahead - step * form.gradient(ahead))
+        prox = form.gradient(ahead)  # ahead - step * gradient, in place
+        prox *= -step
+        prox += ahead
+        left, values, rebuild = form.singular(prox)
         values = _shrink(values, shrink)
-        best, norm = rebuild(values), values.sum(axis=-1)
+        best, norm, prox, rebuild = rebuild(values), values.sum(axis=-1), None, None  # drops the prox input
         nonzero = [z > 0.0 for z in _floats(values[..., 0])]
         if any(nonzero):
             solved = form.solve(_svd_coupling(left, values, hp)[1], best)
@@ -718,7 +782,9 @@ def _certify(form, hp, traces, start=None):
         best_value = _floats(form.primal(best, norm))
         kept = [on and b < v for on, b, v in zip(active, best_value, value)]
         best = pick(kept, best, weights)
-        ahead = best + momentum * (best - weights)  # the kept point itself on a restart
+        ahead = best - weights  # best + momentum (best - weights): the kept point on a restart
+        ahead *= momentum
+        ahead += best
         weights, value = best, [b if k else v for k, b, v in zip(kept, best_value, value)]
         if any(kept):
             dual = _floats(form.dual(weights))
@@ -838,9 +904,10 @@ def _path(group, kernel, hps, solver):
         steps = [_coefficient_step(ds, kernel, solver, base=base)]
         curvature = _gram_curvature(ds, base)
         targets = [_centred_targets(ds)]
+        zero = _gram_point(ds, base, targets[0], np.zeros(2 * ds.total * ds.m))
 
         def form_at(hp):
-            return _gram_form(ds, base, steps[0], hp, curvature)
+            return _gram_form(ds, base, steps[0], hp, curvature, zero)
     weights = None
     for i, hp in enumerate(hps):
         form = form_at(hp)
@@ -950,13 +1017,13 @@ def _require_finite(queries):
 def _dual_predictions(model, index, x):
     """sum_j C[j, i_q] A[j, q] + b[i_q] with A = spread(alpha)^T K(support, x),
     taking queries in blocks so that each N x block array stays under
-    _SERVE_BLOCK_BYTES."""
+    _SERVE_BLOCK_BYTES, against support rows prepared once per model."""
     n = model.support_inputs.shape[0]
     spread_t = _spread(model.support_tasks, model.m, model.dual_coefs).T
     block = max(1, _SERVE_BLOCK_BYTES // (8 * n))
     sums = np.empty((model.m, x.shape[0]))
     for lo in range(0, x.shape[0], block):
-        base = base_kernel_matrix(model.kernel, model.support_inputs, x[lo:lo + block])
+        base = _rbf_cross(model.kernel, model._support_rows, x[lo:lo + block])
         sums[:, lo:lo + block] = spread_t @ base
     return np.einsum("jq,jq->q", model.coupling[:, index], sums) + model.biases[index]
 

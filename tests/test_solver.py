@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import taskcov as tc
-from taskcov import errors
+from taskcov import data, errors, linalg
 from taskcov import solver
 from conftest import planted_dataset, random_dataset, smooth_dataset, traced_peak
 from test_acceptance import _convergence_instance
@@ -939,7 +939,8 @@ class TestCertificate:
         # the moment form of a linear fit (m*d < N) and the Gram form
         # (otherwise) with K = X X^T, on the same data: W = B~^T X~ for the
         # centred coefficients B~ and centred rows X~, the Gram form's point
-        # holding (B~, K B~) with K uncentred
+        # holding B~ and K B~, K uncentred, and the exact image of its dual
+        # point
         rng = np.random.default_rng(65)
         for trial in range(20):
             m, d = int(rng.integers(1, 5)), int(rng.integers(1, 8))
@@ -953,12 +954,12 @@ class TestCertificate:
             gram_form = solver._gram_form(ds, base, step, hp)
             b = rng.normal(size=(ds.total, m))
             b -= (solver._spread(ds.point_task, m, 1.0).T @ b / ds.counts[:, None])[ds.point_task]
-            point = np.stack([b, base @ b])
+            point = solver._gram_point(ds, base, solver._centred_targets(ds), np.concatenate([b.ravel(), (base @ b).ravel()]))
             weights = (x.T @ b).T
             coupling = tc.coupling_matrix(unit_trace_psd(rng, m), hp)
 
             def features(p):
-                return (x.T @ p[0]).T
+                return (x.T @ p[:b.size].reshape(b.shape)).T
 
             pairs = [
                 (moment_form.primal(weights), gram_form.primal(point)),
@@ -996,6 +997,100 @@ class TestCertificate:
         message = str(info.value)
         assert re.fullmatch(r"objective rose from \S+ to 4\.0 in the final refresh", message), message
         float(message.split()[3])
+
+
+def centred_top(block):
+    """lambda_max of the centred block, by a full eigensolve."""
+    return float(np.linalg.eigvalsh(block - block.mean(axis=0) - block.mean(axis=1)[:, None] + block.mean())[-1])
+
+
+def task_spans(ds):
+    """(first, end) of each task's points in flat order."""
+    ends = np.cumsum(ds.counts)
+    return [(int(hi - n), int(hi)) for n, hi in zip(ds.counts, ends)]
+
+
+class TestGramSteps:
+    """The Gram form's fixed costs: the step size and the products with
+    the base Gram."""
+
+    @staticmethod
+    def tasks(rng, sizes, dim, shift=0.0):
+        return tc.MultiTaskDataset([
+            (f"t{i}", rng.uniform(-1.5, 1.5, size=(n, dim)) + shift, rng.normal(size=n))
+            for i, n in enumerate(sizes)])
+
+    def test_step_size_bounds_every_task_eigensolve(self):
+        # L, and each Lanczos-sized block's bound (which L can hide behind a
+        # small task's), lies at or above the eigensolve's value and within
+        # 1e-10 of it, relative but floored at the base Gram's largest
+        # diagonal entry, so that a zero block reads against the kernel's
+        # scale; two calls give the same float
+        rng = np.random.default_rng(66)
+        mixed = (1, 2, 3, 31, 150, 400)
+        same = tc.MultiTaskDataset([("same", np.tile([[0.3, -0.2, 1.1]], (150, 1)), rng.normal(size=150))])
+        with_same = tc.MultiTaskDataset([(t.task_id, t.inputs, t.targets) for t in self.tasks(rng, mixed, 3).tasks]
+                                        + [(t.task_id + "s", t.inputs, t.targets) for t in same.tasks])
+        cases = [
+            (self.tasks(rng, mixed, 3), tc.KernelSpec("rbf", 1.0)),
+            (self.tasks(rng, mixed, 3), tc.KernelSpec("rbf", 0.05)),  # K = I to rounding
+            # the spectrum away from 0 in [0.97, 1.03]: with the centring before
+            # the reorthogonalisation this block's bound fell 2.9e-7 short
+            (self.tasks(np.random.default_rng(0), (150,), 10), tc.KernelSpec("rbf", 0.5)),
+            (self.tasks(rng, mixed, 3), tc.KernelSpec("linear")),
+            (self.tasks(rng, mixed, 10), tc.KernelSpec("linear")),
+            (with_same, tc.KernelSpec("rbf", 1.0)),
+            (same, tc.KernelSpec("rbf", 1.0)),  # a zero centred block
+            (same, tc.KernelSpec("linear")),
+            (self.tasks(rng, (150, 400), 1), tc.KernelSpec("linear")),  # rank-one blocks
+        ]
+        for ds, kernel in cases:
+            base = tc.base_kernel_matrix(kernel, ds.inputs)
+            scale = float(np.max(np.diag(base)))
+            large = [(lo, hi) for lo, hi in task_spans(ds) if hi - lo > linalg._LANCZOS_STEPS + 1]
+            for (lo, hi), top in zip(large, linalg._top_eigenvalues([base[lo:hi, lo:hi] for lo, hi in large])):
+                want = centred_top(base[lo:hi, lo:hi])
+                assert top is not None and want <= top <= want + 1e-10 * max(want, scale)
+            _, high = solver._gram_curvature(ds, base)
+            want = max(2.0 / (hi - lo) * centred_top(base[lo:hi, lo:hi]) for lo, hi in task_spans(ds))
+            assert type(high) is float and solver._gram_curvature(ds, base) == (0.0, high)
+            assert want <= high <= want + 1e-10 * max(want, scale)
+
+    def test_step_size_stays_above_far_from_the_origin(self):
+        # a linear Gram far from the origin rounds its products at the scale
+        # of its uncentred diagonal, and so does the margin: L stays above
+        rng = np.random.default_rng(67)
+        for shift in (1e2, 1e3):
+            ds = self.tasks(rng, (150, 400), 4, shift)
+            base = tc.base_kernel_matrix(tc.KernelSpec("linear"), ds.inputs)
+            truth = max(2.0 / n * float(np.linalg.svd(x - x.mean(axis=0), compute_uv=False)[0] ** 2)
+                        for n, x in ((t.n, t.inputs) for t in ds.tasks))
+            _, high = solver._gram_curvature(ds, base)
+            assert truth <= high <= truth * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("name", ["smo", "auto", "direct"])
+    def test_fit_forms_two_products_beyond_its_covariance_steps(self, name, monkeypatch):
+        # one product with K per covariance step, one for the zero point's
+        # dual image and one in the final refresh: 8 on the rbf-smo shape,
+        # whose fit here takes 6 covariance steps, and on wide linear data
+        products, steps = [], []
+        times_base, gram_form = solver._times_base, solver._gram_form
+
+        def counted(*args):
+            form = gram_form(*args)
+            return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
+
+        monkeypatch.setattr(solver, "_times_base", lambda *args: products.append(1) or times_base(*args))
+        monkeypatch.setattr(solver, "_gram_form", counted)
+        fits = [(smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0), tc.Hyperparams(0.03, 0.03)),
+                (planted_dataset(3, 4, 20, 100, 3), tc.KernelSpec("linear"), tc.Hyperparams(0.03, 0.03))]
+        for k, (ds, kernel, hp) in enumerate(fits):
+            products.clear(), steps.clear()
+            model = tc.fit(ds, kernel, hp, solver=name)
+            assert model.report.stop_reason == "gap"
+            assert len(products) == len(steps) + 2 == len(model.objective_trace)
+            if k == 0:
+                assert len(products) == 8
 
 
 def dual_oracle(model, ids, xs):
@@ -1131,13 +1226,13 @@ class TestPredict:
         block = 7
         monkeypatch.setattr(solver, "_SERVE_BLOCK_BYTES", 8 * toy.total * block)
         blocks = []
-        base = solver.base_kernel_matrix
+        cross = solver._rbf_cross
 
-        def counted(kernel, xa, xb=None):
+        def counted(kernel, rows, xb):
             blocks.append(len(xb))
-            return base(kernel, xa, xb)
+            return cross(kernel, rows, xb)
 
-        monkeypatch.setattr(solver, "base_kernel_matrix", counted)
+        monkeypatch.setattr(solver, "_rbf_cross", counted)
         rng = np.random.default_rng(42)
         xs = rng.uniform(-5.0, 15.0, size=(40, 1))
         ids = [toy.task_ids[i] for i in rng.integers(0, toy.m, size=len(xs))]
@@ -1145,6 +1240,41 @@ class TestPredict:
         assert blocks == [block] * 5 + [5]
         oracle, scale = dual_oracle(model, ids, xs)
         assert np.max(np.abs(preds - oracle) / scale) <= 1e-12
+
+    def test_rbf_serving_matches_a_per_call_gram(self, tmp_path, monkeypatch):
+        # the support rows a model holds give the bits of a base Gram built
+        # per call and per block, on fitted and loaded models, whole and in
+        # blocks of 7 queries
+        rng = np.random.default_rng(43)
+        ds = smooth_dataset(44, 3, 40, 3)
+        fitted = tc.fit(ds, tc.KernelSpec("rbf", 0.8), tc.Hyperparams(0.05, 0.05))
+        tc.save_model(fitted, tmp_path / "model.txt")
+        xs = rng.uniform(-2.0, 2.0, size=(30, 3))
+        xs[3] = 1e200  # far: summed from differences
+        ids = [ds.task_ids[i] for i in rng.integers(0, ds.m, size=len(xs))]
+
+        def per_call(model, block):
+            index = np.array([model.task_index(t) for t in ids])
+            spread_t = solver._spread(model.support_tasks, model.m, model.dual_coefs).T
+            sums = np.concatenate([
+                spread_t @ tc.base_kernel_matrix(model.kernel, model.support_inputs, xs[lo:lo + block])
+                for lo in range(0, len(xs), block)], axis=1)
+            return np.einsum("jq,jq->q", model.coupling[:, index], sums) + model.biases[index]
+
+        for model in (fitted, tc.load_model(tmp_path / "model.txt")):
+            np.testing.assert_array_equal(tc.predict_batch(model, ids, xs), per_call(model, len(xs)))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SERVE_BLOCK_BYTES", 8 * ds.total * 7)
+                np.testing.assert_array_equal(tc.predict_batch(model, ids, xs), per_call(model, 7))
+
+    def test_rbf_support_rows_are_prepared_once(self, toy, toy_hp, monkeypatch):
+        model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
+        prepared, rows = [], data._rbf_rows
+        monkeypatch.setattr(data, "_rbf_rows", lambda *args: prepared.append(1) or rows(*args))
+        for _ in range(3):
+            tc.predict_batch(model, ["task1", "task2"], [[0.5], [1.5]])
+        tc.predict(model, "task3", [2.0])
+        assert len(prepared) == 1
 
     @pytest.mark.parametrize("ids, xs, error, message", [
         (["task1", "nope", "task2"], [[np.nan], [1.0], [1.0, 2.0]],

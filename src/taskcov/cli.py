@@ -191,13 +191,11 @@ def _cmd_make_toy(args):
 def _train_status(model):
     """One line from the fit's report: how it stopped, after how many
     iterations, its final relative duality gap, objective and CG products."""
-    trace = model.objective_trace
-    iterations = len(trace) - 2  # trace also holds the initial value and final refresh
     report = model.report
     capped = report.stop_reason == "iteration cap"
     label = "hit the iteration cap at" if capped else "converged after"
-    return (f"{label} {iterations} iterations, stop: {report.stop_reason}, "
-            f"relative gap {report.gap:.3g}, objective {trace[-1]!r}, CG products {report.products}")
+    return (f"{label} {report.iterations} iterations, stop: {report.stop_reason}, relative gap "
+            f"{report.gap:.3g}, objective {model.objective_trace[-1]!r}, CG products {report.products}")
 
 
 def _cmd_train(args):

@@ -248,11 +248,14 @@ class FitReport:
     bound the fit found: the stored objective P lies at most gap * |P|
     above the optimum. products counts the combined-kernel products of the
     fit's CG covariance steps (0 on a moment-form fit, which takes none).
+    iterations counts the fit's proximal-gradient iterations, one value
+    each in the objective trace.
     """
 
     stop_reason: str
     gap: float
     products: int = 0
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -290,12 +293,11 @@ class TrainedModel:
         object.__setattr__(self, "support_tasks", _readonly(self.support_tasks, dtype=int))
         object.__setattr__(self, "counts", _readonly(self.counts, dtype=int))
         object.__setattr__(self, "objective_trace", tuple(float(v) for v in self.objective_trace))
-        for i in range(len(self.task_ids)):
-            s = self.dual_coefs[self.support_tasks == i].sum()
-            if abs(s) > 1e-6:
-                raise ValueError(
-                    f"dual coefficients of task {self.task_ids[i]!r} sum to {s:.3e}"
-                )
+        sums = np.bincount(self.support_tasks, self.dual_coefs, len(self.task_ids))[:len(self.task_ids)]
+        bad = np.abs(sums) > 1e-6
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"dual coefficients of task {self.task_ids[i]!r} sum to {sums[i]:.3e}")
 
     @property
     def m(self):

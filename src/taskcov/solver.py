@@ -30,10 +30,12 @@ final covariance then gives the stored alpha, b and coupling. Every
 Omega and C of a fit, the stored ones included, is read off its
 weights' m-side singular vectors and values, the ones the prox step
 takes, by one map (_svd_coupling); update_omega is the reference form
-of that covariance step, and the fit does not call it. A linear kernel with m*d < N holds W as (m, d) rows
-over per-task centred moments formed once (_moment_form); every other
-fit holds it as N x m coefficients against the base Gram K, built once,
-and solves each covariance step by projected CG (_gram_form, _cg_solve).
+of that covariance step, and the fit does not call it. A linear kernel
+with m*d < N holds W as (m, d) rows over per-task centred moments formed
+once (_moment_form), and solves each covariance step on the coupling's
+range, a rank*d system (_range_solve); every other fit holds it as
+N x m coefficients against the base Gram K, built once, and solves each
+covariance step by projected CG (_gram_form, _cg_solve).
 Its points carry a dual vector's image under K, so an iteration forms
 one product with K, and its step size comes from a Lanczos bound.
 
@@ -46,11 +48,12 @@ point before, and with solver='auto' the moment-form datasets that share
 independent problems; every other fit starts cold at each point.
 
 The final coefficient step, chosen once per fit, is under solver='auto'
-the exact m*d solve from the centred moments for a linear kernel with
-m*d < N and otherwise one more CG solve, its full saddle residual gated
-(_checked_saddle); 'direct' and 'smo' ask for an LU of the saddle system
-or for SMO. Every path also returns K spread(alpha), K the base Gram, off
-which _fitted_state reads the fitted values and the objective.
+the exact rank*d solve on the coupling's range from the centred moments
+(_low_rank_solve) for a linear kernel with m*d < N and otherwise one
+more CG solve, its full saddle residual gated (_checked_saddle);
+'direct' and 'smo' ask for an LU of the saddle system or for SMO. Every
+path also returns K spread(alpha), K the base Gram, off which
+_fitted_state reads the fitted values and the objective.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -349,34 +352,49 @@ def _task_moments(ds):
             np.array(gram), np.array(cross))
 
 
-def _coupled_solve(gram, cross, coupling):
-    """The m*d system of the linear coefficient step at coupling C: z solves
-    (I + G (C (x) I)) z = c, block (t, s) delta_ts I + G_t C[t, s]. The
-    weights minimising the centred loss plus lam1/2 ||W||^2 + lam2/2
-    tr(W Omega^+ W^T) are then w = C z (rows), and z_t = c_t - G_t w_t.
-    Leading axes hold independent systems."""
-    lead, size = cross.shape[:-2], cross.shape[-2] * cross.shape[-1]
-    system = np.eye(size) + np.einsum("...tij,...ts->...tisj", gram, coupling).reshape(lead + (size, size))
+def _range_solve(gram, cross, factor):
+    """The linear coefficient step's weights at the coupling C = F F^T, F
+    m x r: W = F V, V (r x d) solving the SPD r*d system (I + sum_t
+    F_t^T F_t (x) G_t) vec V = vec(F^T c), F_t row t of F, minimise the
+    centred loss plus 1/2 tr(W^T C^+ W) (lam1/2 ||W||^2 + lam2/2
+    tr(W^T Omega^+ W)) on range(C). They are w = C z, z = c - G w (rows),
+    as from the m*d system I + G (C (x) I) in z, which r <= m never
+    exceeds. A zero column of F gives I and a zero row of V. Leading axes
+    hold independent systems."""
+    lead, (m, d), r = cross.shape[:-2], cross.shape[-2:], factor.shape[-1]
+    pairs = (factor[..., None] * factor[..., None, :]).reshape(lead + (m, r * r))
+    system = (pairs.swapaxes(-1, -2) @ gram.reshape(lead + (m, d * d))).reshape(lead + (r, r, d, d))
+    system = system.swapaxes(-2, -3).reshape(lead + (r * d, r * d)) + np.eye(r * d)
     try:
-        return np.linalg.solve(system, cross.reshape(lead + (size, 1))).reshape(cross.shape)
+        v = np.linalg.solve(system, (factor.swapaxes(-1, -2) @ cross).reshape(lead + (r * d, 1)))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
+    return factor @ v.reshape(lead + (r, d))
+
+
+def _factor(coupling):
+    """F (m x r) with C = F F^T for one dense coupling C: one eigh, its
+    eigenvalues at or below 1e-12 of the largest cut."""
+    values, vectors = np.linalg.eigh(coupling)
+    kept = values > 1e-12 * values[-1]
+    return vectors[:, kept] * np.sqrt(values[kept])
 
 
 def _low_rank_solve(ds, moments, coupling):
-    """Exact saddle solve for the linear kernel in m*d dimensions.
+    """Exact saddle solve for the linear kernel, on the rank*d system of
+    the coupling's range.
 
     moments is the dataset's _task_moments. Centring decouples the biases
     (alpha sums to 0 over each task), and task t's saddle rows make alpha
-    the dual point of w = C z (_moment_dual_point), z_t = X~_t^T alpha_t
-    the solution of _coupled_solve: Woodbury with C as the middle factor,
-    needing no inverse or factor of C. The weights are U C with
+    the dual point (_moment_dual_point) of w = C z, z_t = X~_t^T alpha_t:
+    the weights of _range_solve at C's factor (_factor, the one
+    decomposition of C). The weights are U C with
     U = X~^T spread(alpha), which equals X^T spread(alpha) for such alpha,
     so K spread(alpha) = X U and b = y_mean - x_mean . w; X U is read off
     the uncentred inputs, so the gate checks the full saddle system at C.
     """
     x_mean, y_mean, x, _, gram, cross = moments
-    alpha = _moment_dual_point(ds, moments, coupling @ _coupled_solve(gram, cross, coupling))
+    alpha = _moment_dual_point(ds, moments, _range_solve(gram, cross, _factor(coupling)))
     u = x.T @ _spread(ds.point_task, ds.m, alpha)
     b = y_mean - np.einsum("ij,ji->i", x_mean, u @ coupling)
     return _checked_saddle(ds, coupling, alpha, b, ds.inputs @ u)
@@ -494,14 +512,17 @@ def _relative_gap(value, bound, scale):
 
 
 def _svd_coupling(left, values, hp):
-    """(Omega, C) of weights W with m-side singular vectors left (m x k) and
-    singular values values, descending, read off with no decomposition:
-    Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}) has eigenvectors left and
-    eigenvalues mu = values / sum(values), and C = Omega (lam1 Omega +
-    lam2 I)^{-1} maps each mu to mu / (lam1 mu + lam2). Values at or below
-    1e-7 of the largest are cut, as update_omega cuts W^T W's eigenvalues
-    at 1e-14. Zero weights give I/m and its coupling. Leading axes hold
-    independent problems."""
+    """(Omega, C, F) of weights W with m-side singular vectors left (m x k)
+    and singular values values, descending, read off with no
+    decomposition: Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}) has
+    eigenvectors left and eigenvalues mu = values / sum(values), and C =
+    Omega (lam1 Omega + lam2 I)^{-1} maps each mu to its gain
+    mu / (lam1 mu + lam2). Values at or below 1e-7 of the largest are cut,
+    as update_omega cuts W^T W's eigenvalues at 1e-14. Zero weights give
+    I/m and its coupling. Leading axes hold independent problems. C's
+    factor is F = left diag(sqrt(gain)) on the kept columns, C = F F^T: a
+    stack keeps its largest kept rank, a cut column of F is 0, and zero
+    weights give F = sqrt(gain) I."""
     kept = values > 1e-7 * values[..., :1]
     values = values * kept
     total = np.add.reduce(values, axis=-1, keepdims=True)
@@ -511,17 +532,20 @@ def _svd_coupling(left, values, hp):
     gain = mu / (hp.lam1 * mu + (hp.lam2 if hp.lam2 > 0.0 else ~kept))
     right = left.swapaxes(-1, -2)
     omega, coupling = (left * mu[..., None, :]) @ right, (left * gain[..., None, :]) @ right
+    factor = (left * np.sqrt(gain)[..., None, :])[..., :int(kept.sum(axis=-1).max())]
     if zero.any():
         m, zero = left.shape[-2], zero[..., None]
         unrelated = 1.0 / m
         gain = unrelated / (hp.lam1 * unrelated + hp.lam2)
         omega = np.where(zero, np.eye(m) * unrelated, omega)
         coupling = np.where(zero, np.eye(m) * gain, coupling)
-    return omega, coupling
+        factor = np.concatenate([factor, np.zeros(factor.shape[:-1] + (m - factor.shape[-1],))], axis=-1)
+        factor = np.where(zero, np.eye(m) * np.sqrt(gain), factor)
+    return omega, coupling, factor
 
 
 # The certified loop's view of one fit's weights (_certify).
-_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve products")
+_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve products factored")
 
 
 def _moment_curvature(gram):
@@ -541,7 +565,9 @@ def _moment_dual_point(ds, moments, weights):
 def _moment_form(ds, moments, hp, curvature=None):
     """A linear fit with m*d < N on the (m, d) weight rows, from the
     centred moments: G_t w_t in O(m d^2), and the covariance step is the
-    m*d system of _coupled_solve. The smooth part's curvature lies between
+    rank*d system on the coupling's range (_range_solve), given C's factor
+    from _svd_coupling (factored) or, for one problem, a dense C that
+    _factor factors (solve). The smooth part's curvature lies between
     min_t lambda_min(G_t) + lam1 and max_t lambda_max(G_t) + lam1
     (_moment_curvature, or curvature if the caller holds it).
 
@@ -586,7 +612,8 @@ def _moment_form(ds, moments, hp, curvature=None):
         zero=np.zeros_like(cross), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=lambda coupling, weights: coupling @ _coupled_solve(gram, cross, coupling), products=(),
+        solve=lambda coupling, weights: _range_solve(gram, cross, _factor(coupling)), products=(),
+        factored=lambda factor, weights: _range_solve(gram, cross, factor),
     )
 
 
@@ -713,7 +740,7 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
     return _Form(
         zero=zero, lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1, gradient=gradient,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=covariance_step, products=products,
+        solve=covariance_step, products=products, factored=None,
     )
 
 
@@ -725,11 +752,12 @@ def _certify(form, hp, traces, start=None):
     (descending) and the map from new values to weights; P, given the
     trace norm when known; D at a dual vector summing to 0 per task; the
     dual point alpha_p = 2 r_p / n_p; and the weights minimising the
-    objective at a coupling C. A form may hold independent problems along
-    a leading axis (a stacked _moment_form); each then runs the loop
-    below on its own, and traces holds one list per problem (one list for
-    a form without that axis). Points are combined only affinely, so a
-    point may carry values affine in W (_gram_form).
+    objective at a coupling C, or at its factor F where the form takes
+    one (factored, the moment form's). A form may hold independent
+    problems along a leading axis (a stacked _moment_form); each then runs
+    the loop below on its own, and traces holds one list per problem (one
+    list for a form without that axis). Points are combined only affinely,
+    so a point may carry values affine in W (_gram_form).
 
     The loop starts at W = 0, or at start where P(start) < P(0). Each
     iteration takes an accelerated proximal-gradient step from the
@@ -777,7 +805,8 @@ def _certify(form, hp, traces, start=None):
         best, norm, prox, rebuild = rebuild(values), values.sum(axis=-1), None, None  # drops the prox input
         nonzero = [z > 0.0 for z in _floats(values[..., 0])]
         if any(nonzero):
-            solved = form.solve(_svd_coupling(left, values, hp)[1], best)
+            _, coupling, factor = _svd_coupling(left, values, hp)
+            solved = form.solve(coupling, best) if form.factored is None else form.factored(factor, best)
             best, norm = pick(nonzero, solved, best), None
         best_value = _floats(form.primal(best, norm))
         kept = [on and b < v for on, b, v in zip(active, best_value, value)]
@@ -914,7 +943,7 @@ def _path(group, kernel, hps, solver):
         traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
         weights, gapped, bounds = _certify(form, hp, traces, weights if warm else None)
         mapped = _svd_coupling(*form.singular(weights)[:2], hp)
-        omegas, couplings = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
+        omegas, couplings = (a.reshape((-1,) + a.shape[-2:]) for a in mapped[:2])  # one per problem
         # a stack runs only under solver='auto', whose low-rank step takes no start
         starts = [None] * len(group) if warm and solver == "auto" else [form.dual_point(weights)]
         for k, (ds, y, step, trace, omega, coupling, start, stopped, bound) in enumerate(zip(
@@ -925,7 +954,7 @@ def _path(group, kernel, hps, solver):
             trace.append(final)
             bound = max(bound, _dual_value(ds, y, alpha, blocked, hp))
             report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]),
-                               sum(form.products))
+                               sum(form.products), len(trace) - 2)
             yield i, k, _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report)
 
 

@@ -219,12 +219,26 @@ def test_train_status_reads_the_report():
     # convergence from the objective trace
     model = tc.fit(tc.generate_toy(35), tc.KernelSpec("linear"), tc.Hyperparams(0.01, 0.005))
     assert _train_status(model).startswith("converged after ")
-    capped = dataclasses.replace(model, report=tc.FitReport("iteration cap", 0.25, 17))
-    iterations = len(model.objective_trace) - 2
+    capped = dataclasses.replace(model, report=tc.FitReport("iteration cap", 0.25, 17, 40))
     assert _train_status(capped) == (
-        f"hit the iteration cap at {iterations} iterations, stop: iteration cap, "
+        "hit the iteration cap at 40 iterations, stop: iteration cap, "
         f"relative gap 0.25, objective {model.objective_trace[-1]!r}, CG products 17"
     )
+
+
+@pytest.mark.parametrize("kernel", [tc.KernelSpec("linear"), tc.KernelSpec("rbf", 2.0)])
+def test_report_counts_iterations(kernel):
+    # the report counts the fit's iterations, one trace value each between
+    # the starting value and the final refresh, and the status line says so
+    ds = tc.generate_toy(35)
+    model = tc.fit(ds, kernel, tc.Hyperparams(0.01, 0.005))
+    iterations = model.report.iterations
+    assert model.report.stop_reason == "gap" and iterations == len(model.objective_trace) - 2 >= 1
+    assert _train_status(model).startswith(f"converged after {iterations} iterations, stop: gap, ")
+    capped = tc.fit(ds, kernel, tc.Hyperparams(0.01, 0.005, tol=1e-15, max_iters=2))
+    assert capped.report.stop_reason == "iteration cap" and capped.report.iterations == 2
+    assert len(capped.objective_trace) == 4
+    assert _train_status(capped).startswith("hit the iteration cap at 2 iterations, stop: iteration cap, ")
 
 
 def test_prior_train_refuses_stop_flags(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,22 @@ def test_trained_model_rejects_unbalanced_duals(toy, toy_hp):
             counts=model.counts,
             hyperparams=model.hyperparams,
         )
+
+
+def test_unbalanced_duals_name_the_first_offending_task():
+    # the per-task sums come from one bincount; the error still names the
+    # first task whose coefficients do not sum to 0, and its sum
+    ds = tc.MultiTaskDataset([(f"t{i}", np.arange(4.0)[:, None] + i, np.arange(4.0) * (i + 1)) for i in range(4)])
+    model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))
+    for first, later in ((1, 3), (0, 2)):
+        bad = model.dual_coefs.copy()
+        bad[4 * first] += 0.5
+        bad[4 * later + 1] -= 0.25
+        with pytest.raises(ValueError, match=f"of task 't{first}' sum to 5.000e-01"):
+            dataclasses.replace(model, dual_coefs=bad)
+    bad = model.dual_coefs.copy()
+    bad[5] += 1e-7  # within the 1e-6 tolerance
+    assert dataclasses.replace(model, dual_coefs=bad).dual_coefs[5] == bad[5]
 
 
 def test_new_task_solution_rejects_bad_variance():

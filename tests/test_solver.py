@@ -419,17 +419,102 @@ def rescaled(instances):
                 yield tc.MultiTaskDataset(tasks), tc.Hyperparams(a * a * hp.lam1, a * a * hp.lam2), omega
 
 
+def coupled_oracle(gram, cross, coupling):
+    """The m*d form of the linear coefficient step: z solves
+    (I + G (C (x) I)) z = c, block (t, s) delta_ts I + G_t C[t, s], and the
+    weights are w = C z (rows)."""
+    m, d = cross.shape
+    system = np.eye(m * d) + np.einsum("tij,ts->tisj", gram, coupling).reshape(m * d, m * d)
+    return coupling @ np.linalg.solve(system, cross.ravel()).reshape(m, d)
+
+
+def assert_weights_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(want))))
+
+
 class TestLowRankStep:
     kernel = tc.KernelSpec("linear")
 
     def test_singular_coupled_system_is_refused(self):
-        # I + G (C (x) I) = 0 at G = -I and C = I: LAPACK's LinAlgError
-        # comes out as SingularSystem, for one system and for a stack
-        gram, cross, coupling = -np.eye(2)[None], np.ones((1, 2)), np.eye(1)
+        # I + F^T F (x) G = 0 at G = -I and C = F F^T = I: LAPACK's
+        # LinAlgError comes out as SingularSystem, for one system and for a stack
+        gram, cross, factor = -np.eye(2)[None], np.ones((1, 2)), np.eye(1)
         with pytest.raises(errors.SingularSystem, match="Singular matrix"):
-            solver._coupled_solve(gram, cross, coupling)
+            solver._range_solve(gram, cross, factor)
         with pytest.raises(errors.SingularSystem, match="Singular matrix"):
-            solver._coupled_solve(np.stack([gram, -gram]), np.stack([cross, cross]), np.stack([coupling] * 2))
+            solver._range_solve(np.stack([gram, -gram]), np.stack([cross, cross]), np.stack([factor] * 2))
+
+    def test_range_solve_matches_the_m_d_system(self):
+        # weights of every rank, lam2 > 0 and lam2 = 0 (C a scaled projection)
+        rng = np.random.default_rng(33)
+        for trial in range(60):
+            m, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            gram, cross = solver._task_moments(random_dataset(rng, m=m, d=d, n_lo=1, n_hi=2 * d + 3))[4:]
+            rank = int(rng.integers(1, min(m, d) + 1))
+            w = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, d))
+            lam1 = float(10 ** rng.uniform(-2, 0))
+            hp = tc.Hyperparams(lam1, 0.0 if trial % 3 == 0 else lam1 * float(10 ** rng.uniform(-1.5, 0.5)))
+            left, values, _ = np.linalg.svd(w, full_matrices=False)
+            _, coupling, factor = solver._svd_coupling(left, values, hp)
+            assert factor.shape == (m, rank)
+            np.testing.assert_allclose(factor @ factor.T, coupling, rtol=0, atol=1e-12 * np.max(np.abs(coupling)))
+            want = coupled_oracle(gram, cross, coupling)
+            assert_weights_close(solver._range_solve(gram, cross, factor), want)
+            assert_weights_close(solver._range_solve(gram, cross, solver._factor(coupling)), want)
+
+    def test_stacked_range_solve_pads_to_the_largest_rank(self):
+        # a stack of members of mixed rank, one of them with zero weights:
+        # each member's weights are its own m*d solution
+        rng = np.random.default_rng(34)
+        m, d = 4, 3
+        for lam2 in (0.0, 0.05):
+            hp = tc.Hyperparams(0.1, lam2)
+            for ranks in ((1, 3, 2), (2, 0, 1), (0, 0), (3, 3)):
+                moments = [solver._task_moments(random_dataset(rng, m=m, d=d, n_lo=2, n_hi=9)) for _ in ranks]
+                gram, cross = np.array([mo[4] for mo in moments]), np.array([mo[5] for mo in moments])
+                w = np.array([rng.normal(size=(m, r)) @ rng.normal(size=(r, d)) for r in ranks])
+                left, values, _ = np.linalg.svd(w, full_matrices=False)
+                _, coupling, factor = solver._svd_coupling(left, values, hp)
+                assert factor.shape[-1] == (m if 0 in ranks else max(ranks))
+                solved = solver._range_solve(gram, cross, factor)
+                for k in range(len(ranks)):
+                    np.testing.assert_allclose(factor[k] @ factor[k].T, coupling[k], rtol=0, atol=1e-12)
+                    assert_weights_close(solved[k], coupled_oracle(gram[k], cross[k], coupling[k]))
+
+    def test_range_solve_on_fixed_inverse_couplings(self):
+        # (lam1 I + lam2 L)^{-1} has full rank: the factor keeps all m columns
+        rng = np.random.default_rng(35)
+        for trial in range(30):
+            m, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            ds = random_dataset(rng, m=m, d=d, n_lo=1, n_hi=2 * d + 3)
+            gram, cross = solver._task_moments(ds)[4:]
+            b = rng.normal(size=(m, m))
+            inverse = b @ b.T if trial % 2 else tc.laplacian_mean_regularization(m)
+            coupling = np.linalg.inv(0.1 * np.eye(m) + 0.5 * inverse)
+            factor = solver._factor(coupling)
+            assert factor.shape == (m, m)
+            assert_weights_close(solver._range_solve(gram, cross, factor), coupled_oracle(gram, cross, coupling))
+
+    def test_linear_2k_fit_solves_on_the_weights_rank(self, monkeypatch):
+        # the benchmark's linear-2k data has rank-3 weights: the systems have
+        # side rank*d (30 at the certified weights), never m*d = 100
+        ds = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3)
+        sides, ranks, range_solve = [], [], solver._range_solve
+
+        def spy(gram, cross, factor):
+            ranks.append(factor.shape[-1])
+            return range_solve(gram, cross, factor)
+
+        def solve(system, rhs):
+            sides.append(system.shape[-1])
+            return np.linalg.inv(system) @ rhs
+
+        monkeypatch.setattr(solver, "_range_solve", spy)
+        monkeypatch.setattr(solver.np.linalg, "solve", solve)
+        model = tc.fit(ds, self.kernel, tc.Hyperparams(0.03, 0.03))
+        assert model.report.stop_reason == "gap" and len(model.objective_trace) == 9
+        assert sides == [10 * r for r in ranks] and len(sides) == 8
+        assert 100 not in sides and sides[-3:] == [30, 30, 30]
 
     def test_matches_dense_direct_solve(self):
         for ds, hp, omega in rescaled(low_rank_instances()):
@@ -672,7 +757,7 @@ class TestFit:
         model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.1, lam2=0.1))
         np.testing.assert_allclose(model.dual_coefs, 0.0, atol=1e-12)
         np.testing.assert_allclose(model.covariance.matrix, np.eye(2) / 2)
-        assert model.report == tc.FitReport("gap", 0.0)
+        assert model.report == tc.FitReport("gap", 0.0, 0, 1)
 
     @pytest.mark.parametrize("level", [1e-13, 1e-6, 0.1, 1.0, 1e6])
     def test_constant_targets_end_unrelated(self, level):
@@ -909,13 +994,13 @@ class TestCertificate:
                 w[0] = 0.0  # rank deficient: a task with zero weights
             hp = tc.Hyperparams(0.1, 0.0 if trial % 5 == 0 else 0.05)
             left, values, _ = np.linalg.svd(w, full_matrices=False)
-            omega, coupling = solver._svd_coupling(left, values, hp)
+            omega, coupling, _ = solver._svd_coupling(left, values, hp)
             want = tc.update_omega(w @ w.T)
             np.testing.assert_allclose(omega, want.matrix, rtol=0, atol=1e-12)
             want = tc.coupling_matrix(want, hp)
             np.testing.assert_allclose(coupling, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
         # zero weights: the unrelated covariance
-        omega, coupling = solver._svd_coupling(np.eye(2), np.zeros(2), hp)
+        omega, coupling, _ = solver._svd_coupling(np.eye(2), np.zeros(2), hp)
         unrelated = tc.TaskCovariance.unrelated(2)
         assert np.array_equal(omega, unrelated.matrix)
         assert np.array_equal(coupling, tc.coupling_matrix(unrelated, hp))

@@ -26,7 +26,7 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import SOLVERS, fit, predict, predict_batch, reconstruct_weights
+from .solver import SOLVERS, fit, predict_batch, reconstruct_weights
 
 
 class _UsageError(TaskcovError):
@@ -219,8 +219,9 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    for tid, x in _load_query_rows(args.inputs):
-        value = predict(model, tid, x)
+    rows = _load_query_rows(args.inputs)
+    values = predict_batch(model, [tid for tid, _ in rows], [x for _, x in rows])
+    for (tid, _), value in zip(rows, values.tolist()):
         print(f"{tid},{value!r}")
     return 0
 

@@ -207,10 +207,12 @@ def incorporate_new_task(model, new_data, hp):
     column, sigma = 1/(m+1) clipped to the bounds, its ridge solve) and at
     the returned point; report gives the final slack, the bound binding there
     and the number of slack values solved at. hp.tol and hp.max_iters are not
-    read; the input model is not modified.
+    read; the input model is not modified; lam1 = lam2 = 0 raises ValueError.
     """
     if model.kernel.kind != "linear":
         raise ValueError("new-task incorporation supports only the linear kernel")
+    if hp.lam1 <= 0 and hp.lam2 <= 0:
+        raise ValueError("new-task incorporation needs lam1 > 0 or lam2 > 0")
     record = new_data if isinstance(new_data, TaskData) else TaskData(*new_data)
     if record.n < 1:
         raise DegenerateGram("new task has no points")

@@ -6,7 +6,7 @@ multi-task penalty (pull to the mean, similarity-graph smoothness, task
 network smoothness, or cluster structure). Fitting holds L fixed: only
 the dual solve runs, with the coupling (lam1 I + lam2 L)^{-1}. L is
 decomposed once per fit, and that one decomposition gives the PSD check,
-the coupling and the reported covariance.
+the coupling, its factor and the reported covariance.
 """
 
 import numpy as np
@@ -108,7 +108,8 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     only - the stored coupling is what predictions use). One
     decomposition L = V diag(v) V^T gives the PSD check, the coupling
     (lam1 I + lam2 L)^{-1} = V diag(1 / (lam1 + lam2 v)) V^T, well-defined
-    for singular L because lam1 > 0, and the pseudo-inverse.
+    for singular L because lam1 > 0, its factor F = V diag(1 / (lam1 +
+    lam2 v))^{1/2}, and the pseudo-inverse.
     """
     validate_dataset(ds)
     if hp.lam1 <= 0:
@@ -123,6 +124,7 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     pinv = dec.map(np.reciprocal, rel_cutoff=1e-12)
     total = float(np.trace(pinv))
     omega = pinv / total if total > 1e-12 else np.eye(ds.m) / ds.m
-    alpha, b, product = _coefficient_step(ds, kernel, solver)(coupling)
+    factor = dec.vectors / np.sqrt(hp.lam1 + hp.lam2 * np.clip(dec.values, 0.0, None))
+    alpha, b, product = _coefficient_step(ds, kernel, solver)(coupling, factor)
     objective, _ = _fitted_state(ds, coupling, alpha, b, product)
     return _model(ds, kernel, hp, alpha, b, omega, coupling, (objective,))

@@ -27,13 +27,13 @@ even where a covariance step is inexact. It stops when the relative
 duality gap (P - D) / |P| falls to hp.tol, D taken at alpha_p =
 2 r_p / n_p (or within CG tolerance of it). One coefficient step at the
 final covariance then gives the stored alpha, b and coupling. Every
-Omega and C of a fit, the stored ones included, is read off its
-weights' m-side singular vectors and values, the ones the prox step
-takes, by one map (_svd_coupling); update_omega is the reference form
-of that covariance step, and the fit does not call it. A linear kernel
-with m*d < N holds W as (m, d) rows over per-task centred moments formed
-once (_moment_form), and solves each covariance step on the coupling's
-range, a rank*d system (_range_solve); every other fit holds it as
+Omega, C and factor F (C = F F^T) of a fit, the stored ones included,
+is read off its weights' m-side singular vectors and values, the ones
+the prox step takes, by one map (_svd_coupling); update_omega is the
+reference form of that covariance step, and the fit does not call it.
+A linear kernel with m*d < N holds W as (m, d) rows over per-task
+centred moments formed once (_moment_form), and solves each covariance
+step at F, a rank*d system (_range_solve); every other fit holds it as
 N x m coefficients against the base Gram K, built once, and solves each
 covariance step by projected CG (_gram_form, _cg_solve).
 Its points carry a dual vector's image under K, so an iteration forms
@@ -48,12 +48,12 @@ point before, and with solver='auto' the moment-form datasets that share
 independent problems; every other fit starts cold at each point.
 
 The final coefficient step, chosen once per fit, is under solver='auto'
-the exact rank*d solve on the coupling's range from the centred moments
-(_low_rank_solve) for a linear kernel with m*d < N and otherwise one
-more CG solve, its full saddle residual gated (_checked_saddle);
-'direct' and 'smo' ask for an LU of the saddle system or for SMO. Every
-path also returns K spread(alpha), K the base Gram, off which
-_fitted_state reads the fitted values and the objective.
+the exact rank*d solve on the coupling's range from the centred moments,
+at the F that map gave (_low_rank_solve), for a linear kernel with
+m*d < N and otherwise one more CG solve, its full saddle residual gated
+(_checked_saddle); 'direct' and 'smo' ask for an LU of the saddle system
+or for SMO. Every path also returns K spread(alpha), K the base Gram, off
+which _fitted_state reads the fitted values and the objective.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -276,9 +276,9 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
 def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     """The coefficient step of one fit, its path chosen once.
 
-    Returns a function of the coupling matrix C and an optional start
-    giving (alpha, b, K spread(alpha)): the saddle solution and the base
-    Gram K times alpha's task columns (_fitted_state). moments and base,
+    Returns a function of the coupling C, its factor F and an optional
+    start giving (alpha, b, K spread(alpha)): the saddle solution and the
+    base Gram K times alpha's task columns (_fitted_state). moments and base,
     the dataset's _task_moments and base Gram if the caller already holds
     them, save forming them again. The dense path writes the combined
     kernel into one N x N array that every call reuses and the solve
@@ -291,12 +291,12 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
         raise ValueError(f"unknown solver {solver!r}")
     if solver == "auto" and _moment_fit(kernel, ds):
         moments = _task_moments(ds) if moments is None else moments
-        return lambda coupling, start=None: _low_rank_solve(ds, moments, coupling)
+        return lambda coupling, factor, start=None: _low_rank_solve(ds, moments, coupling, factor)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
     block = _saddle_block(ds) if solver == "direct" else None
     buffer = np.empty_like(base) if block is None else block[:ds.total, :ds.total]
 
-    def dense_step(coupling, start=None, products=None):
+    def dense_step(coupling, factor, start=None, products=None):
         k = _combined_kernel(ds, base, coupling, out=buffer)
         if products is None and solver != "auto":
             alpha, b = _smo_solve(ds, k, start=start) if solver == "smo" else _saddle_solve(ds, block)
@@ -372,29 +372,21 @@ def _range_solve(gram, cross, factor):
     return factor @ v.reshape(lead + (r, d))
 
 
-def _factor(coupling):
-    """F (m x r) with C = F F^T for one dense coupling C: one eigh, its
-    eigenvalues at or below 1e-12 of the largest cut."""
-    values, vectors = np.linalg.eigh(coupling)
-    kept = values > 1e-12 * values[-1]
-    return vectors[:, kept] * np.sqrt(values[kept])
-
-
-def _low_rank_solve(ds, moments, coupling):
+def _low_rank_solve(ds, moments, coupling, factor):
     """Exact saddle solve for the linear kernel, on the rank*d system of
     the coupling's range.
 
     moments is the dataset's _task_moments. Centring decouples the biases
     (alpha sums to 0 over each task), and task t's saddle rows make alpha
     the dual point (_moment_dual_point) of w = C z, z_t = X~_t^T alpha_t:
-    the weights of _range_solve at C's factor (_factor, the one
-    decomposition of C). The weights are U C with
+    the weights of _range_solve at factor, the F with C = F F^T from the
+    decomposition that built C. The weights are U C with
     U = X~^T spread(alpha), which equals X^T spread(alpha) for such alpha,
     so K spread(alpha) = X U and b = y_mean - x_mean . w; X U is read off
     the uncentred inputs, so the gate checks the full saddle system at C.
     """
     x_mean, y_mean, x, _, gram, cross = moments
-    alpha = _moment_dual_point(ds, moments, _range_solve(gram, cross, _factor(coupling)))
+    alpha = _moment_dual_point(ds, moments, _range_solve(gram, cross, factor))
     u = x.T @ _spread(ds.point_task, ds.m, alpha)
     b = y_mean - np.einsum("ij,ji->i", x_mean, u @ coupling)
     return _checked_saddle(ds, coupling, alpha, b, ds.inputs @ u)
@@ -545,7 +537,7 @@ def _svd_coupling(left, values, hp):
 
 
 # The certified loop's view of one fit's weights (_certify).
-_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve products factored")
+_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve products")
 
 
 def _moment_curvature(gram):
@@ -564,12 +556,12 @@ def _moment_dual_point(ds, moments, weights):
 
 def _moment_form(ds, moments, hp, curvature=None):
     """A linear fit with m*d < N on the (m, d) weight rows, from the
-    centred moments: G_t w_t in O(m d^2), and the covariance step is the
-    rank*d system on the coupling's range (_range_solve), given C's factor
-    from _svd_coupling (factored) or, for one problem, a dense C that
-    _factor factors (solve). The smooth part's curvature lies between
-    min_t lambda_min(G_t) + lam1 and max_t lambda_max(G_t) + lam1
-    (_moment_curvature, or curvature if the caller holds it).
+    centred moments: G_t w_t in O(m d^2), and the covariance step (solve)
+    is the rank*d system on the coupling's range (_range_solve) at C's
+    factor from _svd_coupling; it does not read C. The smooth part's
+    curvature lies between min_t lambda_min(G_t) + lam1 and
+    max_t lambda_max(G_t) + lam1 (_moment_curvature, or curvature if the
+    caller holds it).
 
     ds and moments may also be tuples of datasets sharing (m, d) and their
     _task_moments: the form then holds one independent problem per
@@ -612,8 +604,7 @@ def _moment_form(ds, moments, hp, curvature=None):
         zero=np.zeros_like(cross), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=lambda coupling, weights: _range_solve(gram, cross, _factor(coupling)), products=(),
-        factored=lambda factor, weights: _range_solve(gram, cross, factor),
+        solve=lambda coupling, factor, weights: _range_solve(gram, cross, factor), products=(),
     )
 
 
@@ -726,8 +717,8 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
         _, _, image, alpha = parts(point)
         return _dual_value(ds, y, alpha, _spread(tasks, m, alpha).T @ image, hp)
 
-    def covariance_step(coupling, point):
-        alpha, _, product = step(coupling, dual_point(point), products)
+    def covariance_step(coupling, factor, point):
+        alpha, _, product = step(coupling, factor, dual_point(point), products)
         out = np.empty_like(zero)
         coefs, carried, image, carried_alpha = parts(out)
         image[:], carried_alpha[:] = product, alpha
@@ -740,7 +731,7 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
     return _Form(
         zero=zero, lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1, gradient=gradient,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
-        solve=covariance_step, products=products, factored=None,
+        solve=covariance_step, products=products,
     )
 
 
@@ -752,8 +743,8 @@ def _certify(form, hp, traces, start=None):
     (descending) and the map from new values to weights; P, given the
     trace norm when known; D at a dual vector summing to 0 per task; the
     dual point alpha_p = 2 r_p / n_p; and the weights minimising the
-    objective at a coupling C, or at its factor F where the form takes
-    one (factored, the moment form's). A form may hold independent
+    objective at a coupling C given with its factor F, C = F F^T (the
+    Gram form reads C, the moment form F). A form may hold independent
     problems along a leading axis (a stacked _moment_form); each then runs
     the loop below on its own, and traces holds one list per problem (one
     list for a form without that axis). Points are combined only affinely,
@@ -806,8 +797,7 @@ def _certify(form, hp, traces, start=None):
         nonzero = [z > 0.0 for z in _floats(values[..., 0])]
         if any(nonzero):
             _, coupling, factor = _svd_coupling(left, values, hp)
-            solved = form.solve(coupling, best) if form.factored is None else form.factored(factor, best)
-            best, norm = pick(nonzero, solved, best), None
+            best, norm = pick(nonzero, form.solve(coupling, factor, best), best), None
         best_value = _floats(form.primal(best, norm))
         kept = [on and b < v for on, b, v in zip(active, best_value, value)]
         best = pick(kept, best, weights)
@@ -911,8 +901,9 @@ def _path(group, kernel, hps, solver):
     The final refresh of each model, the one step on the path solver
     picks: the stored covariance and coupling are the certified weights'
     (_svd_coupling), and the stored coefficients solve the coefficient
-    step at that coupling, CG or SMO from the certified point's dual.
-    At a fixed covariance that step can only lower the objective.
+    step at that coupling and that map's factor, CG or SMO from the
+    certified point's dual. At a fixed covariance that step can only
+    lower the objective.
     """
     warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)
     if warm:
@@ -943,12 +934,12 @@ def _path(group, kernel, hps, solver):
         traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
         weights, gapped, bounds = _certify(form, hp, traces, weights if warm else None)
         mapped = _svd_coupling(*form.singular(weights)[:2], hp)
-        omegas, couplings = (a.reshape((-1,) + a.shape[-2:]) for a in mapped[:2])  # one per problem
+        omegas, couplings, factors = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
         # a stack runs only under solver='auto', whose low-rank step takes no start
         starts = [None] * len(group) if warm and solver == "auto" else [form.dual_point(weights)]
-        for k, (ds, y, step, trace, omega, coupling, start, stopped, bound) in enumerate(zip(
-                group, targets, steps, traces, omegas, couplings, starts, gapped, bounds)):
-            alpha, b, product = step(coupling, start)
+        for k, (ds, y, step, trace, omega, coupling, factor, start, stopped, bound) in enumerate(zip(
+                group, targets, steps, traces, omegas, couplings, factors, starts, gapped, bounds)):
+            alpha, b, product = step(coupling, factor, start)
             final, blocked = _fitted_state(ds, coupling, alpha, b, product)
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)

@@ -84,6 +84,38 @@ def test_predict_unknown_task_fails_cleanly(tmp_path, capsys):
     assert re.match(r"error: UnknownTask: ", err)
 
 
+def test_predict_is_all_or_nothing(tmp_path, capsys):
+    # the file is served as one batch: an unknown task on its last row
+    # fails it before any row's prediction is printed
+    data = tmp_path / "toy.csv"
+    model_path = tmp_path / "model.txt"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    run(capsys, "train", str(data), "--out", str(model_path))
+    queries = tmp_path / "queries.csv"
+    queries.write_text("task,x1\ntask1,0.0\ntask2,1.0\nnope,2.0\n")
+    code, out, err = run(capsys, "predict", "--model", str(model_path), str(queries))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: UnknownTask: ")
+
+
+def test_predict_serves_rows_as_predict_does(tmp_path, capsys):
+    # each printed value is the row's own predict, bit for bit for a
+    # linear model, in file order, an empty file printing nothing
+    data = tmp_path / "toy.csv"
+    model_path = tmp_path / "model.txt"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    run(capsys, "train", str(data), "--out", str(model_path))
+    model = tc.load_model(model_path)
+    rows = [("task3", 0.25), ("task1", -1.5), ("task2", 2.0), ("task1", 0.0)]
+    queries = tmp_path / "queries.csv"
+    queries.write_text("task,x1\n" + "".join(f"{t},{x!r}\n" for t, x in rows))
+    code, out, _ = run(capsys, "predict", "--model", str(model_path), str(queries))
+    assert code == 0
+    assert out.splitlines() == [f"{t},{tc.predict(model, t, [x])!r}" for t, x in rows]
+    queries.write_text("task,x1\n")
+    assert run(capsys, "predict", "--model", str(model_path), str(queries)) == (0, "", "")
+
+
 def test_cv_singleton_grid(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     run(capsys, "make-toy", "--seed", "35", "--out", str(data))

@@ -380,6 +380,23 @@ class TestIncorporate:
         with pytest.raises(errors.DegenerateGram, match="no points"):
             tc.incorporate_new_task(model, ("new", np.zeros((0, 3)), np.zeros(0)), hp)
 
+    def test_refuses_both_penalties_zero(self, monkeypatch):
+        # with lam1 = lam2 = 0 a 2-point task's d-square weight step is
+        # singular: refused, as coupling_matrix refuses it, before any
+        # solve; lam1 = 0 with lam2 > 0 still fits
+        rng = np.random.default_rng(12)
+        _, model, _, _ = self.fit_base(rng)
+        x, y = rng.normal(size=(2, 3)), rng.normal(size=2)
+        solution = tc.incorporate_new_task(model, ("new", x, y), tc.Hyperparams(0.0, 0.05))
+        assert np.all(np.isfinite(solution.weights)) and np.any(solution.weights)
+
+        def no_solve(*args):
+            raise AssertionError("a solve ran without a penalty")
+
+        monkeypatch.setattr(newtask, "solve_linear", no_solve)
+        with pytest.raises(ValueError, match=r"needs lam1 > 0 or lam2 > 0"):
+            tc.incorporate_new_task(model, ("new", x, y), tc.Hyperparams(0.0, 0.0))
+
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(8)
         ds, model, hp, base = self.fit_base(rng, m=3)

@@ -307,7 +307,7 @@ class TestSmo:
         def counted(*args):
             form = gram_form(*args)
             seen.append(form)
-            return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
+            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
 
         monkeypatch.setattr(solver, "_smo_solve", recording)
         monkeypatch.setattr(solver, "_cg_solve", cg_recording)
@@ -428,6 +428,15 @@ def coupled_oracle(gram, cross, coupling):
     return coupling @ np.linalg.solve(system, cross.ravel()).reshape(m, d)
 
 
+def eigh_factor(coupling):
+    """F (m x r) with C = F F^T for a dense coupling C, by one eigh, its
+    eigenvalues at or below 1e-12 of the largest cut: an oracle for the
+    factors a fit takes from the decomposition that built C."""
+    values, vectors = np.linalg.eigh(coupling)
+    kept = values > 1e-12 * values[-1]
+    return vectors[:, kept] * np.sqrt(values[kept])
+
+
 def assert_weights_close(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(want))))
 
@@ -460,7 +469,7 @@ class TestLowRankStep:
             np.testing.assert_allclose(factor @ factor.T, coupling, rtol=0, atol=1e-12 * np.max(np.abs(coupling)))
             want = coupled_oracle(gram, cross, coupling)
             assert_weights_close(solver._range_solve(gram, cross, factor), want)
-            assert_weights_close(solver._range_solve(gram, cross, solver._factor(coupling)), want)
+            assert_weights_close(solver._range_solve(gram, cross, eigh_factor(coupling)), want)
 
     def test_stacked_range_solve_pads_to_the_largest_rank(self):
         # a stack of members of mixed rank, one of them with zero weights:
@@ -491,7 +500,7 @@ class TestLowRankStep:
             b = rng.normal(size=(m, m))
             inverse = b @ b.T if trial % 2 else tc.laplacian_mean_regularization(m)
             coupling = np.linalg.inv(0.1 * np.eye(m) + 0.5 * inverse)
-            factor = solver._factor(coupling)
+            factor = eigh_factor(coupling)
             assert factor.shape == (m, m)
             assert_weights_close(solver._range_solve(gram, cross, factor), coupled_oracle(gram, cross, coupling))
 
@@ -516,10 +525,24 @@ class TestLowRankStep:
         assert sides == [10 * r for r in ranks] and len(sides) == 8
         assert 100 not in sides and sides[-3:] == [30, 30, 30]
 
+    def test_no_fit_eigendecomposes_its_coupling(self, monkeypatch):
+        # C's factor comes from the decomposition that built C: the SVD of
+        # the weights, or a fixed inverse's one sym_eig of L
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+        ds = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3)
+        assert tc.fit(ds, self.kernel, tc.Hyperparams(0.03, 0.03)).report.stop_reason == "gap"
+        assert shapes == []
+        folds = planted_dataset(777, tasks=8, points=40, dim=5, rank=2)
+        result = tc.cross_validate(tc.ExperimentConfig("linear", (0.01, 0.1), (0.01,), folds=5), folds)
+        assert len(result.reports) == 10 and shapes == []
+        tc.fit_with_fixed_inverse(ds, self.kernel, tc.Hyperparams(0.03, 0.03), tc.laplacian_mean_regularization(10))
+        assert shapes == [(10, 10)]
+
     def test_matches_dense_direct_solve(self):
         for ds, hp, omega in rescaled(low_rank_instances()):
             c = tc.coupling_matrix(omega, hp)
-            alpha, b, product = solver._coefficient_step(ds, self.kernel, "auto")(c)
+            alpha, b, product = solver._coefficient_step(ds, self.kernel, "auto")(c, eigh_factor(c))
             a_ref, b_ref = tc.solve_alpha_b_direct(ds, self.kernel, c)
             np.testing.assert_allclose(alpha, a_ref, rtol=0, atol=1e-8 * np.max(np.abs(a_ref)))
             np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-8 * np.max(np.abs(b_ref)))
@@ -566,7 +589,7 @@ class TestLowRankStep:
 
         def counted(*args):
             form = gram_form(*args)
-            return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
+            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
 
         for name in ("_low_rank_solve", "solve_linear", "_smo_solve"):
             monkeypatch.setattr(solver, name, refuse)
@@ -1042,6 +1065,7 @@ class TestCertificate:
             point = solver._gram_point(ds, base, solver._centred_targets(ds), np.concatenate([b.ravel(), (base @ b).ravel()]))
             weights = (x.T @ b).T
             coupling = tc.coupling_matrix(unit_trace_psd(rng, m), hp)
+            factor = eigh_factor(coupling)
 
             def features(p):
                 return (x.T @ p[:b.size].reshape(b.shape)).T
@@ -1051,7 +1075,7 @@ class TestCertificate:
                 (moment_form.dual(weights), gram_form.dual(point)),
                 (moment_form.dual_point(weights), gram_form.dual_point(point)),
                 (moment_form.gradient(weights), features(gram_form.gradient(point))),
-                (moment_form.solve(coupling, weights), features(gram_form.solve(coupling, point))),
+                (moment_form.solve(coupling, factor, weights), features(gram_form.solve(coupling, factor, point))),
                 (solver._svd_coupling(*moment_form.singular(weights)[:2], hp)[0],
                  solver._svd_coupling(*gram_form.singular(point)[:2], hp)[0]),
                 (moment_form.lipschitz, gram_form.lipschitz),
@@ -1163,7 +1187,7 @@ class TestGramSteps:
 
         def counted(*args):
             form = gram_form(*args)
-            return form._replace(solve=lambda coupling, point: steps.append(1) or form.solve(coupling, point))
+            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
 
         monkeypatch.setattr(solver, "_times_base", lambda *args: products.append(1) or times_base(*args))
         monkeypatch.setattr(solver, "_gram_form", counted)

@@ -142,6 +142,12 @@ def assemble_kernel_matrix(ds, kernel, coupling):
     return _combined_kernel(ds, base, coupling, out=base)
 
 
+def _spans(ds):
+    """(first, end) of each task's points in flat order."""
+    ends = np.cumsum(ds.counts)
+    return [(int(hi - n), int(hi)) for n, hi in zip(ds.counts, ends)]
+
+
 def _combined_kernel(ds, base, coupling, out=None):
     """assemble_kernel_matrix from an already built base Gram, so that a
     fit can build the base Gram once and re-couple it every iteration,
@@ -152,7 +158,6 @@ def _combined_kernel(ds, base, coupling, out=None):
     task's coupling row."""
     coupling = (coupling + coupling.T) / 2.0
     k = np.empty_like(base) if out is None else out
-    ends = np.cumsum(ds.counts)
-    for t, (lo, hi) in enumerate(zip(ends - ds.counts, ends)):
+    for t, (lo, hi) in enumerate(_spans(ds)):
         np.multiply(base[lo:hi], coupling[t, ds.point_task], out=k[lo:hi])
     return k

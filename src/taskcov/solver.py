@@ -35,9 +35,12 @@ A linear kernel with m*d < N holds W as (m, d) rows over per-task
 centred moments formed once (_moment_form), and solves each covariance
 step at F, a rank*d system (_range_solve); every other fit holds it as
 N x m coefficients against the base Gram K, built once, and solves each
-covariance step by projected CG (_gram_form, _cg_solve).
+covariance step by projected CG (_gram_form, _cg_solve), stopped at a
+residual tied to hp.tol (_loop_cg_rtol): the loop keeps a step only on
+its exact P, whose error is second order in the residual.
 Its points carry a dual vector's image under K, so an iteration forms
-one product with K, and its step size comes from a Lanczos bound.
+one product with K, one task band at a time (_times_base), and its step
+size comes from a Lanczos bound.
 
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
@@ -50,10 +53,11 @@ independent problems; every other fit starts cold at each point.
 The final coefficient step, chosen once per fit, is under solver='auto'
 the exact rank*d solve on the coupling's range from the centred moments,
 at the F that map gave (_low_rank_solve), for a linear kernel with
-m*d < N and otherwise one more CG solve, its full saddle residual gated
-(_checked_saddle); 'direct' and 'smo' ask for an LU of the saddle system
-or for SMO. Every path also returns K spread(alpha), K the base Gram, off
-which _fitted_state reads the fitted values and the objective.
+m*d < N and otherwise one more CG solve, to 1e-10, its full saddle
+residual gated (_checked_saddle); 'direct' and 'smo' ask for an LU of
+the saddle system or for SMO. Every path also returns K spread(alpha), K
+the base Gram, off which _fitted_state reads the fitted values and the
+objective.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -79,6 +83,7 @@ from .errors import (
 from .kernels import (
     _combined_kernel,
     _rbf_cross,
+    _spans,
     assemble_kernel_matrix,
     base_kernel_matrix,
     coupling_matrix,
@@ -90,6 +95,9 @@ SMO_DEFAULT_TOL = 1e-6
 SMO_MAX_ROUNDS = 200_000
 # Relative rise in the objective treated as a bug rather than noise.
 NONDECREASE_RTOL = 1e-8
+# Relative CG residual of a solve whose alpha is stored: the final
+# refresh and a fixed structure's solve (_cg_solve).
+_CG_RTOL = 1e-10
 # Bytes of one support x query-block array when serving a non-linear
 # kernel: under 4 MiB, where numpy starts asking for huge pages.
 _SERVE_BLOCK_BYTES = 4_000_000
@@ -111,11 +119,15 @@ def _spread(tasks, m, alpha):
 
 def _times_base(ds, base, alpha):
     """(K spread(alpha))^T for the symmetric base Gram K, as spread(alpha)^T
-    K: with OpenBLAS faster, and 1.5 MB less resident on the rbf-smo data,
-    than K spread(alpha). Every product of a Gram-form fit with K is one
-    call: one per covariance step, one for its zero point (_gram_point)
-    and one in the final refresh."""
-    return _spread(ds.point_task, ds.m, alpha).T @ base
+    K one task band at a time: row t is alpha_t K[band t], N^2 flops in
+    all where the product with the N x m spread(alpha) takes m N^2. Every
+    product of a Gram-form fit with K is one call: one per covariance
+    step, one for its zero point (_gram_point) and one in the final
+    refresh."""
+    out = np.empty((ds.m, ds.total))
+    for t, (lo, hi) in enumerate(_spans(ds)):
+        np.matmul(alpha[lo:hi], base[lo:hi], out=out[t])
+    return out
 
 
 def solve_alpha_b_direct(ds, kernel, coupling):
@@ -196,8 +208,7 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     k[np.diag_indices(n)] += _loss_weights(ds) / 2.0  # k is now K~
     alpha = np.zeros(n) if start is None else np.array(start, dtype=float)
     grad = k @ alpha - ds.targets  # gradient of h
-    ends = np.cumsum(ds.counts)
-    task_slices = [slice(int(end - c), int(end)) for c, end in zip(ds.counts, ends)]
+    task_slices = [slice(lo, hi) for lo, hi in _spans(ds)]
     # single-point tasks: zero-sum pins alpha at 0
     paired = [(grad[sl], sl.start) for sl in task_slices if sl.stop - sl.start >= 2]
     alpha, diag, rows, buf = alpha.tolist(), k.diagonal().tolist(), list(k), np.empty(n)
@@ -231,20 +242,22 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     return alpha, b
 
 
-def _cg_solve(ds, k, start, cap=None):
+def _cg_solve(ds, k, start, rtol=_CG_RTOL, cap=None):
     """The saddle system at the combined-kernel Gram k by projected CG
     (Hestenes & Stiefel; Gould, Hribar & Nocedal): CG on P K~ P, k shifted
     to K~ in place and P the per-task centring, from start, which sums to
     0 per task, as every iterate then does. Stops at ||P (y - K~ alpha)||
-    <= 1e-10 ||P y|| or after cap iterations (N, CG's finite-termination
-    bound, by default). Returns alpha, the biases and the number of
-    products with K~: one per iteration and one for the start's residual."""
+    <= rtol ||P y|| (the recurred residual), 1e-10 for a stored solve and
+    _loop_cg_rtol for a covariance step of the certified loop, or after
+    cap iterations (N, CG's finite-termination bound, by default). Returns
+    alpha, the biases and the number of products with K~: one per
+    iteration and one for the start's residual."""
     tasks, n, means = ds.point_task, ds.total, _spread(ds.point_task, ds.m, 1.0) / ds.counts
     k[np.diag_indices(n)] += _loss_weights(ds) / 2.0
     alpha = np.array(start, dtype=float)
     rest = ds.targets - k @ alpha  # y - K~ alpha
     residual = rest - (rest @ means)[tasks]
-    stop = 1e-10 * np.linalg.norm(ds.targets - (ds.targets @ means)[tasks])
+    stop = rtol * np.linalg.norm(ds.targets - (ds.targets @ means)[tasks])
     direction, size, products = residual, residual @ residual, 1
     for _ in range(n if cap is None else cap):
         if np.sqrt(size) <= stop:
@@ -258,6 +271,17 @@ def _cg_solve(ds, k, start, cap=None):
         size, previous = residual @ residual, size
         direction = residual + (size / previous) * direction
     return alpha, rest @ means, products
+
+
+def _loop_cg_rtol(tol):
+    """The relative CG residual e at which a covariance step of the
+    certified loop stops, for a fit's gap tolerance tol:
+    min(1e-6, max(1e-10, 1e-3 sqrt(tol))). The step only proposes a
+    candidate, which the loop keeps or drops on its exactly evaluated P,
+    and P's error is second order in the residual: for tol >= 1e-14,
+    e^2 <= 1e-6 tol, a millionth of the gap the fit must close (a forcing
+    term of inexact Newton, Dembo, Eisenstat & Steihaug 1982)."""
+    return min(1e-6, max(_CG_RTOL, 1e-3 * tol ** 0.5))
 
 
 def gram_wtw(alpha, ds, kernel, omega, hp):
@@ -284,8 +308,9 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     kernel into one N x N array that every call reuses and the solve
     shifts in place (under 'direct', a saddle block's top-left). It solves
     by projected CG (_cg_solve) given a list products, appending its
-    product count, and under 'auto', gating the residual (_checked_saddle).
-    Its one product with the base Gram is _times_base's.
+    product count, to the relative residual rtol, and under 'auto', to
+    1e-10 with the residual gated (_checked_saddle). Its one product with
+    the base Gram is _times_base's.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -296,12 +321,12 @@ def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     block = _saddle_block(ds) if solver == "direct" else None
     buffer = np.empty_like(base) if block is None else block[:ds.total, :ds.total]
 
-    def dense_step(coupling, factor, start=None, products=None):
+    def dense_step(coupling, factor, start=None, products=None, rtol=_CG_RTOL):
         k = _combined_kernel(ds, base, coupling, out=buffer)
         if products is None and solver != "auto":
             alpha, b = _smo_solve(ds, k, start=start) if solver == "smo" else _saddle_solve(ds, block)
         else:
-            alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start)
+            alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start, rtol)
         product = _times_base(ds, base, alpha).T
         if products is not None:
             products.append(count)
@@ -615,8 +640,7 @@ def _gram_curvature(ds, base):
     of more than _LANCZOS_STEPS + 1 points, and a full eigensolve of the
     others (whose Krylov basis would span their range within those steps)
     and where Lanczos does not converge."""
-    ends = np.cumsum(ds.counts)
-    spans = [(int(hi - n), int(hi)) for n, hi in zip(ds.counts, ends)]
+    spans = _spans(ds)
     large = [(lo, hi) for lo, hi in spans if hi - lo > _LANCZOS_STEPS + 1]
     tops = dict(zip(large, _top_eigenvalues([base[lo:hi, lo:hi] for lo, hi in large]))) if large else {}
     high = 0.0
@@ -660,15 +684,16 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
     (spread(a), K spread(a)), and D, taken at a, read the carried image,
     so neither forms a product with K. A covariance step gives
     B = spread(alpha) C by CG from the dual point (step, counting into
-    products), K B read off its own K spread(alpha), the step's one
-    product with K; the candidate carries alpha and that product, alpha
-    differing from its exact dual point alpha + 2 P r / n (r the CG
-    residual, P the per-task centring) at CG tolerance. zero is W = 0
-    with its dual point 2 y~ / n and that point's image (_gram_point), one
-    product that a path builds once. A prox point is only (B, K B), or
-    zero. W's singular values and m-side vectors come from the m x m
-    eigenproblem of B^T K B (eigenvalues at or below 1e-14 of the largest,
-    rank noise, read as 0, as in update_omega). The smooth part's
+    products), stopped at the relative residual _loop_cg_rtol(hp.tol), K B
+    read off its own K spread(alpha), the step's one product with K; the
+    candidate carries alpha and that product, alpha differing from its
+    exact dual point alpha + 2 P r / n (r the CG residual, P the per-task
+    centring) at that tolerance. zero is W = 0 with its dual point 2 y~ / n
+    and that point's image (_gram_point), one product that a path builds
+    once. A prox point is only (B, K B), or zero. W's singular values and
+    m-side vectors come from the m x m eigenproblem of B^T K B
+    (eigenvalues at or below 1e-14 of the largest, rank noise, read as 0,
+    as in update_omega). The smooth part's
     curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1
     (_gram_curvature, or curvature if the caller holds it), and some G_t
     is singular here, so lam1 is its least.
@@ -718,7 +743,7 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
         return _dual_value(ds, y, alpha, _spread(tasks, m, alpha).T @ image, hp)
 
     def covariance_step(coupling, factor, point):
-        alpha, _, product = step(coupling, factor, dual_point(point), products)
+        alpha, _, product = step(coupling, factor, dual_point(point), products, rtol)
         out = np.empty_like(zero)
         coefs, carried, image, carried_alpha = parts(out)
         image[:], carried_alpha[:] = product, alpha
@@ -727,7 +752,7 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
         return out
 
     convexity, lipschitz = _gram_curvature(ds, base) if curvature is None else curvature
-    products = []
+    products, rtol = [], _loop_cg_rtol(hp.tol)
     return _Form(
         zero=zero, lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1, gradient=gradient,
         singular=singular, primal=primal, dual=dual, dual_point=dual_point,
@@ -902,8 +927,10 @@ def _path(group, kernel, hps, solver):
     picks: the stored covariance and coupling are the certified weights'
     (_svd_coupling), and the stored coefficients solve the coefficient
     step at that coupling and that map's factor, CG or SMO from the
-    certified point's dual. At a fixed covariance that step can only
-    lower the objective.
+    certified point's dual. A stacked problem's factor, padded to the
+    stack's largest rank (_svd_coupling), loses its zero columns first, so
+    its refresh solves at its own rank. At a fixed covariance that step
+    can only lower the objective.
     """
     warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)
     if warm:
@@ -939,7 +966,7 @@ def _path(group, kernel, hps, solver):
         starts = [None] * len(group) if warm and solver == "auto" else [form.dual_point(weights)]
         for k, (ds, y, step, trace, omega, coupling, factor, start, stopped, bound) in enumerate(zip(
                 group, targets, steps, traces, omegas, couplings, factors, starts, gapped, bounds)):
-            alpha, b, product = step(coupling, factor, start)
+            alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start)
             final, blocked = _fitted_state(ds, coupling, alpha, b, product)
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)

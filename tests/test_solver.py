@@ -298,9 +298,9 @@ class TestSmo:
             smo_starts.append(start)
             return smo_solve(ds, k, kkt_tol, max_rounds, start)
 
-        def cg_recording(ds, k, start):
+        def cg_recording(ds, k, start, rtol):
             cg_starts.append(start)
-            alpha, b, products = cg_solve(ds, k, start)
+            alpha, b, products = cg_solve(ds, k, start, rtol)
             cg_products.append(products)
             return alpha, b, products
 
@@ -378,7 +378,7 @@ class TestCgStep:
         # auto's final refresh is such a solve too, and its gate refuses it
         cg_solve, capped = solver._cg_solve, []
         monkeypatch.setattr(solver, "_cg_solve",
-                            lambda ds, k, start: capped.append(1) or cg_solve(ds, k, start, cap=1))
+                            lambda ds, k, start, rtol: capped.append(1) or cg_solve(ds, k, start, rtol, cap=1))
         rng = np.random.default_rng(20260811)
         fits = [_convergence_instance(rng) for _ in range(12)]
         fits = [(ds, kernel, hp) for ds, kernel, hp in fits if kernel.kind == "rbf"]
@@ -390,6 +390,65 @@ class TestCgStep:
             with pytest.raises(errors.SingularSystem, match="solve residual"):
                 tc.fit(ds, kernel, hp)
         assert len(fits) >= 4 and capped
+
+    def test_loop_tolerance_follows_the_fit_tolerance(self):
+        # min(1e-6, max(1e-10, 1e-3 sqrt(tol))): its square is 1e-6 tol
+        # between tol 1e-14 and 1
+        for tol, want in ((10.0, 1e-6), (1e-6, 1e-6), (1e-8, 1e-7), (1e-10, 1e-8), (1e-14, 1e-10), (1e-20, 1e-10)):
+            assert solver._loop_cg_rtol(tol) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_loop_steps_stop_at_the_loop_tolerance(self, tol, monkeypatch):
+        # every covariance step's CG stops at _loop_cg_rtol(tol); auto's
+        # final refresh and a fixed structure's solve at 1e-10
+        cg_solve, tolerances, steps = solver._cg_solve, [], []
+        gram_form = solver._gram_form
+
+        def counted(*args):
+            form = gram_form(*args)
+            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
+
+        def recording(ds, k, start, rtol):
+            tolerances.append(rtol)
+            return cg_solve(ds, k, start, rtol)
+
+        monkeypatch.setattr(solver, "_cg_solve", recording)
+        monkeypatch.setattr(solver, "_gram_form", counted)
+        ds, kernel = smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0)
+        hp, loop = tc.Hyperparams(0.03, 0.03, tol=tol), solver._loop_cg_rtol(tol)
+        for name in ("auto", "smo"):
+            tolerances.clear(), steps.clear()
+            assert tc.fit(ds, kernel, hp, solver=name).report.stop_reason == "gap"
+            refresh = [solver._CG_RTOL] if name == "auto" else []
+            assert len(steps) >= 2 and tolerances == [loop] * len(steps) + refresh
+        tolerances.clear()
+        tc.fit_with_fixed_inverse(ds, kernel, hp, tc.laplacian_mean_regularization(ds.m))
+        assert tolerances == [solver._CG_RTOL]
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_loop_tolerance_keeps_the_exact_steps_fits(self, tol, monkeypatch):
+        # against fits whose covariance steps run CG to 1e-10, on criterion
+        # 2's RBF instances and the rbf-smo shape: the same iterations and
+        # stop reasons, the same objectives within 1e-9 relative and the
+        # same predictions within 1e-6
+        fits = [(ds, kernel, tc.Hyperparams(hp.lam1, hp.lam2, tol=tol))
+                for ds, kernel, hp in rbf_certificate_instances()]
+        fits.append((smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0), tc.Hyperparams(0.03, 0.03, tol=tol)))
+        models = [tc.fit(ds, kernel, hp) for ds, kernel, hp in fits]
+        monkeypatch.setattr(solver, "_loop_cg_rtol", lambda tol: solver._CG_RTOL)
+        products = [0, 0]
+        for (ds, kernel, hp), model in zip(fits, models):
+            exact = tc.fit(ds, kernel, hp)
+            assert len(model.objective_trace) == len(exact.objective_trace)
+            assert model.report.stop_reason == exact.report.stop_reason
+            final = exact.objective_trace[-1]
+            assert abs(model.objective_trace[-1] - final) <= 1e-9 * abs(final)
+            ids = [ds.task_ids[i] for i in ds.point_task]
+            want = tc.predict_batch(exact, ids, ds.inputs)
+            np.testing.assert_allclose(tc.predict_batch(model, ids, ds.inputs), want, rtol=0, atol=1e-6)
+            products[0] += model.report.products
+            products[1] += exact.report.products
+        assert len(fits) > 100 and products[0] < products[1]
 
 
 def low_rank_instances(count=50, seed=30):
@@ -524,6 +583,26 @@ class TestLowRankStep:
         assert model.report.stop_reason == "gap" and len(model.objective_trace) == 9
         assert sides == [10 * r for r in ranks] and len(sides) == 8
         assert 100 not in sides and sides[-3:] == [30, 30, 30]
+
+    def test_stacked_refreshes_solve_on_each_problems_rank(self, monkeypatch):
+        # the benchmark's cv-grid data: its 5 folds run as one stack, whose
+        # factors are padded to the stack's largest rank; each fold's final
+        # refresh drops its zero columns and solves at its own rank * d
+        ds = planted_dataset(777, tasks=8, points=40, dim=5, rank=2)
+        factors, low_rank_solve = [], solver._low_rank_solve
+
+        def spy(fold, moments, coupling, factor):
+            factors.append(factor)
+            np.testing.assert_allclose(factor @ factor.T, coupling, rtol=0, atol=1e-12 * np.max(np.abs(coupling)))
+            return low_rank_solve(fold, moments, coupling, factor)
+
+        monkeypatch.setattr(solver, "_low_rank_solve", spy)
+        grid = (0.01, 0.03, 0.1)
+        result = tc.cross_validate(tc.ExperimentConfig("linear", grid, grid, folds=5, seed=1), ds)
+        assert len(factors) == 45 and all(f.any(axis=0).all() for f in factors)
+        ranks = [f.shape[1] for f in factors]
+        assert any(len(set(ranks[k:k + 5])) > 1 for k in range(0, 45, 5))  # mixed ranks in one stack
+        assert (result.lam1, result.lam2) == (0.01, 0.01)  # the point chosen with padded refreshes
 
     def test_no_fit_eigendecomposes_its_coupling(self, monkeypatch):
         # C's factor comes from the decomposition that built C: the SVD of
@@ -1043,12 +1122,14 @@ class TestCertificate:
         model = tc.fit(ds, self.kernel, tc.Hyperparams(0.03, 0.03))
         assert model.report.stop_reason == "gap" and model.report.gap <= 1e-6
 
-    def test_centred_loss_forms_agree(self):
+    def test_centred_loss_forms_agree(self, monkeypatch):
         # the moment form of a linear fit (m*d < N) and the Gram form
         # (otherwise) with K = X X^T, on the same data: W = B~^T X~ for the
         # centred coefficients B~ and centred rows X~, the Gram form's point
         # holding B~ and K B~, K uncentred, and the exact image of its dual
-        # point
+        # point. The covariance steps agree where the Gram form's CG runs
+        # to the refresh's 1e-10; at the loop's own tolerance its CG
+        # residual meets _loop_cg_rtol(tol) ||P y||
         rng = np.random.default_rng(65)
         for trial in range(20):
             m, d = int(rng.integers(1, 5)), int(rng.integers(1, 8))
@@ -1060,6 +1141,9 @@ class TestCertificate:
             moment_form = solver._moment_form(ds, moments, hp)
             step = solver._coefficient_step(ds, self.kernel, "direct", base=base)
             gram_form = solver._gram_form(ds, base, step, hp)
+            with monkeypatch.context() as exact:
+                exact.setattr(solver, "_loop_cg_rtol", lambda tol: solver._CG_RTOL)
+                exact_form = solver._gram_form(ds, base, step, hp)
             b = rng.normal(size=(ds.total, m))
             b -= (solver._spread(ds.point_task, m, 1.0).T @ b / ds.counts[:, None])[ds.point_task]
             point = solver._gram_point(ds, base, solver._centred_targets(ds), np.concatenate([b.ravel(), (base @ b).ravel()]))
@@ -1075,7 +1159,7 @@ class TestCertificate:
                 (moment_form.dual(weights), gram_form.dual(point)),
                 (moment_form.dual_point(weights), gram_form.dual_point(point)),
                 (moment_form.gradient(weights), features(gram_form.gradient(point))),
-                (moment_form.solve(coupling, factor, weights), features(gram_form.solve(coupling, factor, point))),
+                (moment_form.solve(coupling, factor, weights), features(exact_form.solve(coupling, factor, point))),
                 (solver._svd_coupling(*moment_form.singular(weights)[:2], hp)[0],
                  solver._svd_coupling(*gram_form.singular(point)[:2], hp)[0]),
                 (moment_form.lipschitz, gram_form.lipschitz),
@@ -1091,6 +1175,14 @@ class TestCertificate:
             for want, got in pairs:
                 scale = max(1.0, np.max(np.abs(want), initial=0.0))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+
+            def centred(v):
+                return v - (np.bincount(ds.point_task, v) / ds.counts)[ds.point_task]
+
+            alpha = gram_form.solve(coupling, factor, point)[3 * b.size:]
+            k = tc.assemble_kernel_matrix(ds, self.kernel, coupling) + np.diag(ds.counts[ds.point_task] / 2.0)
+            residual = np.linalg.norm(centred(ds.targets - k @ alpha))
+            assert residual <= solver._loop_cg_rtol(hp.tol) * np.linalg.norm(centred(ds.targets))
 
     def test_non_decrease_message_prints_plain_floats(self, toy, toy_hp, monkeypatch):
         # _fitted_state gives each fit's final refresh's value
@@ -1176,6 +1268,22 @@ class TestGramSteps:
                         for n, x in ((t.n, t.inputs) for t in ds.tasks))
             _, high = solver._gram_curvature(ds, base)
             assert truth <= high <= truth * (1.0 + 1e-6)
+
+    def test_band_product_matches_the_spread_product(self):
+        # spread(alpha)^T K one task band at a time, tasks of one point
+        # included: each entry within 1e-12 of the sum of its terms' magnitudes
+        rng, single = np.random.default_rng(68), 0
+        for trial in range(30):
+            ds = random_dataset(rng, m=int(rng.integers(1, 6)), d=3, n_lo=1, n_hi=40 if trial % 3 else 3)
+            single += int(np.any(ds.counts == 1))
+            kernel = tc.KernelSpec("rbf", 1.0) if trial % 2 else tc.KernelSpec("linear")
+            base = tc.base_kernel_matrix(kernel, ds.inputs)
+            alpha = rng.normal(size=ds.total)
+            spread = solver._spread(ds.point_task, ds.m, alpha)
+            got = solver._times_base(ds, base, alpha)
+            assert got.shape == (ds.m, ds.total)
+            assert np.all(np.abs(got - spread.T @ base) <= 1e-12 * (np.abs(spread).T @ np.abs(base)))
+        assert single >= 3
 
     @pytest.mark.parametrize("name", ["smo", "auto", "direct"])
     def test_fit_forms_two_products_beyond_its_covariance_steps(self, name, monkeypatch):

@@ -28,6 +28,8 @@ from .priors import (
 )
 from .solver import SOLVERS, fit, predict_batch, reconstruct_weights
 
+_SOLVER_HELP = "final step of a fit on the base Gram (rbf, or linear with m*d >= N): auto CG, direct LU, smo SMO"
+
 
 class _UsageError(TaskcovError):
     pass
@@ -47,8 +49,7 @@ def _add_common(parser):
     _add_penalties(parser)
     parser.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     parser.add_argument("--rbf-width", type=float, default=1.0)
-    parser.add_argument("--solver", choices=SOLVERS, default="auto",
-                        help="auto: the low-rank solve or CG; direct, smo: LU or SMO for the final step")
+    parser.add_argument("--solver", choices=SOLVERS, default="auto", help=_SOLVER_HELP)
 
 
 def build_parser():
@@ -84,8 +85,7 @@ def build_parser():
     p.add_argument("--rbf-width", default="1.0", help="comma-separated candidates")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", choices=SOLVERS, default="auto",
-                   help="auto: the low-rank solve or CG; direct, smo: LU or SMO for the final step")
+    p.add_argument("--solver", choices=SOLVERS, default="auto", help=_SOLVER_HELP)
     p.add_argument("--task-type", choices=["regression", "classification"], default="regression")
 
     p = sub.add_parser("new-task", help="incorporate one new task into a trained model")

@@ -6,12 +6,11 @@ along a path through its (lam1, lam2) points in snake order: lam1 by
 lam1, with the lam2 grid reversed on every other lam1, so that each point
 follows a neighbour. The path runs through solver's one hook for it
 (_fit_path). Under a linear kernel, the folds whose training sets have
-m*d < N are fitted on their centred moments: each such fold fit at a
-point starts from that fold's certified weights at the point before,
-and under solver='auto' the folds that share (m, d) run as one stacked
-certified loop ('smo' and 'direct' hold a base Gram per fold, so fit
-one fold at a time). Every other fold fit (an rbf kernel, or wide
-linear data) starts cold at each point, as fit does. Each fit stops on
+m*d < N are fitted on their centred moments, under every solver: each
+such fold fit at a point starts from that fold's certified weights at
+the point before, and the folds that share (m, d) run as one stacked
+certified loop. Every other fold fit (an rbf kernel, or wide linear
+data) starts cold at each point, as fit does. Each fit stops on
 its own duality gap, so a fold score moves from a cold fit's only as far
 as two fits within tol of the optimum differ. Each fold's score is taken
 as its model arrives, and the model is then dropped. The table keeps
@@ -36,6 +35,8 @@ class ExperimentConfig:
     Grids are lists of candidate values; width_grid is ignored for the
     linear kernel. Tasks with fewer points than folds simply appear in
     fewer validation folds (each point still lands in exactly one fold).
+    solver is fit's: it picks only the final step of a fold fit on the
+    base Gram (an rbf kernel, or linear folds with m*d >= N).
     """
 
     kernel_kind: str
@@ -157,10 +158,9 @@ def cross_validate(config, ds):
     validation metric (normalized MSE for regression, error rate for
     classification); ties keep the earliest grid point. Deterministic
     under config.seed. The grid is fitted along paths that, on the centred
-    moments, warm-start each fold fit from the point before and, under
-    solver='auto', stack the folds of a point (module docstring); every
-    fit stops on its own duality gap at tol, so a score can move from a
-    cold fit's only within that tolerance.
+    moments, warm-start each fold fit from the point before and stack the
+    folds of a point (module docstring); every fit stops on its own
+    duality gap at tol, so a score moves from a cold fit's only within it.
     """
     validate_dataset(ds)
     grid = config.grid()

@@ -262,13 +262,14 @@ class FitReport:
 class TrainedModel:
     """Fitted multi-task model in dual form.
 
-    dual_coefs are indexed by flat point order; biases by task order.
-    coupling is the task-coupling matrix the dual expansion was solved
-    with, retained so predictions are exactly reproducible (for models
-    trained against a fixed relationship prior it is not derivable from
-    the reported covariance). report is the FitReport of the fit that
-    made the model; it is not saved and takes no part in comparisons, so
-    a loaded or hand-built model has None.
+    Support points and dual_coefs come in task order, counts[t] for task
+    t, as a model file holds them; biases by task order. coupling is the
+    task-coupling matrix the dual expansion was solved with, retained so
+    predictions are exactly reproducible (for models trained against a
+    fixed relationship prior it is not derivable from the reported
+    covariance). report is the FitReport of the fit that made the model;
+    it is not saved and takes no part in comparisons, so a loaded or
+    hand-built model has None.
     """
 
     task_ids: tuple
@@ -293,6 +294,8 @@ class TrainedModel:
         object.__setattr__(self, "support_tasks", _readonly(self.support_tasks, dtype=int))
         object.__setattr__(self, "counts", _readonly(self.counts, dtype=int))
         object.__setattr__(self, "objective_trace", tuple(float(v) for v in self.objective_trace))
+        if not np.array_equal(self.support_tasks, np.repeat(np.arange(len(self.task_ids)), self.counts)):
+            raise ValueError("support points must come in task order, counts[t] of them for task t")
         sums = np.bincount(self.support_tasks, self.dual_coefs, len(self.task_ids))[:len(self.task_ids)]
         bad = np.abs(sums) > 1e-6
         if bad.any():
@@ -315,9 +318,16 @@ class TrainedModel:
 
     @cached_property
     def _weights(self):
-        """Read-only primal weights of a linear model (solver.reconstruct_weights)."""
-        weighted = self.support_inputs * self.dual_coefs[:, None]
-        return _readonly(weighted.T @ np.eye(self.m)[self.support_tasks] @ self.coupling)
+        """Read-only primal weights of a linear model (solver.reconstruct_weights),
+        X^T spread(alpha) C from each task's inputs about their mean (one
+        reduceat), exact as its coefficients sum to 0: far inputs lose no digits."""
+        x, counts = self.support_inputs, self.counts
+        held = np.flatnonzero(counts)  # tasks with support points
+        first, sizes = (np.cumsum(counts) - counts)[held], counts[held]
+        centred = x - np.repeat(np.add.reduceat(x, first) / sizes[:, None], sizes, axis=0)
+        sums = np.zeros((self.m, self.dim))
+        sums[held] = np.add.reduceat(centred * self.dual_coefs[:, None], first)
+        return _readonly(sums.T @ self.coupling)
 
     @cached_property
     def _support_rows(self):

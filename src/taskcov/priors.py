@@ -125,6 +125,6 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     total = float(np.trace(pinv))
     omega = pinv / total if total > 1e-12 else np.eye(ds.m) / ds.m
     factor = dec.vectors / np.sqrt(hp.lam1 + hp.lam2 * np.clip(dec.values, 0.0, None))
-    alpha, b, product = _coefficient_step(ds, kernel, solver)(coupling, factor)
+    alpha, b, product = _coefficient_step(ds, kernel, solver)(coupling, factor, tol=hp.tol)
     objective, _ = _fitted_state(ds, coupling, alpha, b, product)
     return _model(ds, kernel, hp, alpha, b, omega, coupling, (objective,))

@@ -44,20 +44,17 @@ size comes from a Lanczos bound.
 
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
-dataset's moments or base Gram are built once for the whole path. A
-moment-form fit starts at each point from its certified weights at the
-point before, and with solver='auto' the moment-form datasets that share
-(m, d) run through the loop together, stacked on a leading axis of
-independent problems; every other fit starts cold at each point.
+dataset's moments or base Gram are built once for the whole path, and
+moment-form fits start warm from the point before and run stacked.
 
-The final coefficient step, chosen once per fit, is under solver='auto'
-the exact rank*d solve on the coupling's range from the centred moments,
-at the F that map gave (_low_rank_solve), for a linear kernel with
-m*d < N and otherwise one more CG solve, to 1e-10, its full saddle
-residual gated (_checked_saddle); 'direct' and 'smo' ask for an LU of
-the saddle system or for SMO. Every path also returns K spread(alpha), K
-the base Gram, off which _fitted_state reads the fitted values and the
-objective.
+The final coefficient step of a linear fit with m*d < N is the exact
+rank*d solve on the coupling's range from the centred moments, at the F
+that map gave (_low_rank_solve). On the base Gram, solver picks it:
+'auto' one more CG solve to 1e-10, its saddle residual gated
+(_checked_saddle), 'direct' an LU of the saddle system and 'smo' SMO to
+the KKT spread _loop_cg_rtol(hp.tol). Every path also returns K
+spread(alpha), K the base Gram, off which _fitted_state reads the fitted
+values and the objective.
 
 Serving is batched: predict_batch checks a whole batch in bulk and
 computes it with a few array operations, and predict is a batch of one.
@@ -280,7 +277,9 @@ def _loop_cg_rtol(tol):
     candidate, which the loop keeps or drops on its exactly evaluated P,
     and P's error is second order in the residual: for tol >= 1e-14,
     e^2 <= 1e-6 tol, a millionth of the gap the fit must close (a forcing
-    term of inexact Newton, Dembo, Eisenstat & Steihaug 1982)."""
+    term of inexact Newton, Dembo, Eisenstat & Steihaug 1982). A fit's
+    final SMO step stops at the KKT spread e too (SMO_DEFAULT_TOL at the
+    default tol)."""
     return min(1e-6, max(_CG_RTOL, 1e-3 * tol ** 0.5))
 
 
@@ -300,31 +299,31 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
 def _coefficient_step(ds, kernel, solver, moments=None, base=None):
     """The coefficient step of one fit, its path chosen once.
 
-    Returns a function of the coupling C, its factor F and an optional
-    start giving (alpha, b, K spread(alpha)): the saddle solution and the
-    base Gram K times alpha's task columns (_fitted_state). moments and base,
-    the dataset's _task_moments and base Gram if the caller already holds
-    them, save forming them again. The dense path writes the combined
-    kernel into one N x N array that every call reuses and the solve
-    shifts in place (under 'direct', a saddle block's top-left). It solves
-    by projected CG (_cg_solve) given a list products, appending its
-    product count, to the relative residual rtol, and under 'auto', to
-    1e-10 with the residual gated (_checked_saddle). Its one product with
-    the base Gram is _times_base's.
+    Returns a function of the coupling C, its factor F, an optional start
+    and the fit's tol giving (alpha, b, K spread(alpha)): the saddle
+    solution and the base Gram K times alpha's task columns. moments and
+    base, the dataset's _task_moments and base Gram, save forming them
+    again. A linear kernel with m*d < N takes _low_rank_solve, whatever the
+    solver. Every other fit writes the combined kernel into one N x N
+    array that every call reuses and the solve shifts in place (under
+    'direct', a saddle block's top-left): given a list products, by CG
+    (_cg_solve) to rtol, appending its product count, else by the
+    solver's step (module docstring), with one _times_base product.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    if solver == "auto" and _moment_fit(kernel, ds):
+    if _moment_fit(kernel, ds):
         moments = _task_moments(ds) if moments is None else moments
-        return lambda coupling, factor, start=None: _low_rank_solve(ds, moments, coupling, factor)
+        return lambda coupling, factor, start=None, tol=None: _low_rank_solve(ds, moments, coupling, factor)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
     block = _saddle_block(ds) if solver == "direct" else None
     buffer = np.empty_like(base) if block is None else block[:ds.total, :ds.total]
 
-    def dense_step(coupling, factor, start=None, products=None, rtol=_CG_RTOL):
+    def dense_step(coupling, factor, start=None, tol=None, products=None, rtol=_CG_RTOL):
         k = _combined_kernel(ds, base, coupling, out=buffer)
         if products is None and solver != "auto":
-            alpha, b = _smo_solve(ds, k, start=start) if solver == "smo" else _saddle_solve(ds, block)
+            alpha, b = (_smo_solve(ds, k, _loop_cg_rtol(tol), start=start) if solver == "smo"
+                        else _saddle_solve(ds, block))
         else:
             alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start, rtol)
         product = _times_base(ds, base, alpha).T
@@ -574,9 +573,12 @@ def _moment_curvature(gram):
 
 
 def _moment_dual_point(ds, moments, weights):
-    """alpha_p = 2 r_p / n_p at the (m, d) weight rows of a moment-form fit."""
+    """alpha_p = 2 r_p / n_p at the (m, d) weight rows of a moment-form fit,
+    made to sum to 0 per task, not only to rounding, which K spread(alpha)
+    would multiply by the inputs' offset from the origin."""
     _, _, x, y, _, _ = moments
-    return 2.0 * (y - np.einsum("pj,pj->p", x, weights[ds.point_task])) / _loss_weights(ds)
+    alpha = 2.0 * (y - np.einsum("pj,pj->p", x, weights[ds.point_task])) / _loss_weights(ds)
+    return alpha - (np.bincount(ds.point_task, alpha, ds.m) / ds.counts)[ds.point_task]
 
 
 def _moment_form(ds, moments, hp, curvature=None):
@@ -586,23 +588,18 @@ def _moment_form(ds, moments, hp, curvature=None):
     factor from _svd_coupling; it does not read C. The smooth part's
     curvature lies between min_t lambda_min(G_t) + lam1 and
     max_t lambda_max(G_t) + lam1 (_moment_curvature, or curvature if the
-    caller holds it).
+    caller holds it). Its final step takes no start: dual_point is None.
 
     ds and moments may also be tuples of datasets sharing (m, d) and their
     _task_moments: the form then holds one independent problem per
-    dataset along a leading axis of every array and value; a stack runs
-    only under solver='auto', whose step takes no start, so has no dual_point.
+    dataset along a leading axis of every array and value.
     """
     if isinstance(ds, tuple):
         gram, cross = np.array([mo[4] for mo in moments]), np.array([mo[5] for mo in moments])
         constant = np.array([np.sum(mo[3] ** 2 / _loss_weights(d)) for d, mo in zip(ds, moments)])
-        dual_point = None
     else:
         gram, cross = moments[4], moments[5]
         constant = np.sum(moments[3] ** 2 / _loss_weights(ds))
-
-        def dual_point(weights):
-            return _moment_dual_point(ds, moments, weights)
     convexity, lipschitz = _moment_curvature(gram) if curvature is None else curvature
 
     def times(weights):
@@ -628,7 +625,7 @@ def _moment_form(ds, moments, hp, curvature=None):
     return _Form(
         zero=np.zeros_like(cross), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
-        singular=singular, primal=primal, dual=dual, dual_point=dual_point,
+        singular=singular, primal=primal, dual=dual, dual_point=None,
         solve=lambda coupling, factor, weights: _range_solve(gram, cross, factor), products=(),
     )
 
@@ -743,7 +740,7 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
         return _dual_value(ds, y, alpha, _spread(tasks, m, alpha).T @ image, hp)
 
     def covariance_step(coupling, factor, point):
-        alpha, _, product = step(coupling, factor, dual_point(point), products, rtol)
+        alpha, _, product = step(coupling, factor, dual_point(point), products=products, rtol=rtol)
         out = np.empty_like(zero)
         coefs, carried, image, carried_alpha = parts(out)
         image[:], carried_alpha[:] = product, alpha
@@ -855,18 +852,16 @@ def fit(ds, kernel, hp, solver="auto"):
     ds : MultiTaskDataset
     kernel : KernelSpec
     hp : Hyperparams (lam1 must be positive)
-    solver : 'direct', 'smo' or 'auto', the path of the final
-        coefficient step: 'auto' is the exact low-rank solve for a linear
-        kernel with m*d < N and projected CG otherwise.
+    solver : 'direct', 'smo' or 'auto', the final coefficient step of a
+        fit on the base Gram (module docstring); a linear kernel with
+        m*d < N takes the exact low-rank solve under every solver.
 
     Every kernel minimises P by proximal-gradient and covariance steps
-    (module docstring): a linear kernel with m*d < N on the centred
-    moments, and every other fit on coefficients against the base Gram,
-    each covariance step one projected-CG solve, whatever the solver.
-    The fit stops when the relative duality gap (P - D) / |P| is at
-    most hp.tol or after hp.max_iters iterations. One coefficient step at
-    the final covariance then gives the stored coefficients, biases and
-    coupling; all-zero or constant targets end at Omega = I/m.
+    (module docstring), whatever the solver. The fit stops when the
+    relative duality gap (P - D) / |P| is at most hp.tol or after
+    hp.max_iters iterations. One coefficient step at the final covariance
+    then gives the stored coefficients, biases and coupling; all-zero or
+    constant targets end at Omega = I/m.
 
     Returns a TrainedModel whose objective trace holds the starting value,
     one value per iteration and the final state's, non-increasing; a rise
@@ -888,29 +883,26 @@ def _fit_path(datasets, kernel, hps, solver="auto"):
     """Fit every dataset at every hyperparameter point of a path, yielding
     (i, j, model), the model of datasets[j] at hps[i], as each is fitted:
     group by group (below), each group point by point, so a caller that
-    drops each model on arrival holds one model at a time. fit is the path
-    of one dataset and one point; cross-validation fits its folds along
-    its grid through this hook. The datasets are taken as valid.
+    drops each model on arrival holds one model at a time. The datasets
+    are taken as valid.
 
     Each dataset's hp-free parts are built once: its centred moments and
     their spectra, or its base Gram, curvature bound and coefficient step.
-    With solver='auto', linear datasets with m*d < N that share (m, d) run
-    as one stacked _moment_form (their coefficient step needs no base
-    Gram; a group of one runs without the stack's leading axis); every
-    other dataset runs alone, so at most one base Gram is alive at a time.
-    A moment-form problem starts at every point after the first from its
-    certified weights at the point before (_certify keeps the start only
-    where it lowers P), so a path should step between nearby points; a
-    Gram-form fit starts cold at every point, as fit does, because there a
-    warm start was seen to cost iterations. Every model ends with the same
-    final refresh (_path).
+    Linear datasets with m*d < N that share (m, d) run as one stacked
+    _moment_form (a group of one runs without the stack's leading axis);
+    every other dataset runs alone, so at most one base Gram is alive at a
+    time. A moment-form problem starts at every point after the first
+    from its certified weights at the point before (_certify keeps the
+    start only where it lowers P), so a path should step between nearby
+    points; a Gram-form fit starts cold at every point, as fit does,
+    because there a warm start was seen to cost iterations. Every model
+    ends with the same final refresh (_path).
     """
     if any(hp.lam1 <= 0 for hp in hps):
         raise ValueError("fitting requires lam1 > 0")
     groups = {}
     for j, ds in enumerate(datasets):
-        stacked = solver == "auto" and _moment_fit(kernel, ds)
-        groups.setdefault((ds.m, ds.dim) if stacked else j, []).append(j)
+        groups.setdefault((ds.m, ds.dim) if _moment_fit(kernel, ds) else j, []).append(j)
     for members in groups.values():
         for i, k, model in _path(tuple(datasets[j] for j in members), kernel, hps, solver):
             yield i, members[k], model
@@ -919,15 +911,13 @@ def _fit_path(datasets, kernel, hps, solver="auto"):
 def _path(group, kernel, hps, solver):
     """Yields (i, k, model), the model of group[k] at hps[i], point by
     point, each model as soon as its refresh is done; group is a tuple, one
-    stack or one dataset alone (_fit_path). A moment-form group starts
-    each point from its certified weights at the point before; a
-    Gram-form fit starts each point cold.
+    stack or one dataset alone, warm-started as _fit_path says.
 
-    The final refresh of each model, the one step on the path solver
-    picks: the stored covariance and coupling are the certified weights'
-    (_svd_coupling), and the stored coefficients solve the coefficient
-    step at that coupling and that map's factor, CG or SMO from the
-    certified point's dual. A stacked problem's factor, padded to the
+    The final refresh of each model: the stored covariance and coupling
+    are the certified weights' (_svd_coupling), and the stored
+    coefficients solve the coefficient step at that coupling and that
+    map's factor, a Gram-form fit's CG or SMO from the certified point's
+    dual (_coefficient_step). A stacked problem's factor, padded to the
     stack's largest rank (_svd_coupling), loses its zero columns first, so
     its refresh solves at its own rank. At a fixed covariance that step
     can only lower the objective.
@@ -962,11 +952,10 @@ def _path(group, kernel, hps, solver):
         weights, gapped, bounds = _certify(form, hp, traces, weights if warm else None)
         mapped = _svd_coupling(*form.singular(weights)[:2], hp)
         omegas, couplings, factors = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
-        # a stack runs only under solver='auto', whose low-rank step takes no start
-        starts = [None] * len(group) if warm and solver == "auto" else [form.dual_point(weights)]
-        for k, (ds, y, step, trace, omega, coupling, factor, start, stopped, bound) in enumerate(zip(
-                group, targets, steps, traces, omegas, couplings, factors, starts, gapped, bounds)):
-            alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start)
+        start = None if form.dual_point is None else form.dual_point(weights)
+        for k, (ds, y, step, trace, omega, coupling, factor, stopped, bound) in enumerate(zip(
+                group, targets, steps, traces, omegas, couplings, factors, gapped, bounds)):
+            alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start, hp.tol)
             final, blocked = _fitted_state(ds, coupling, alpha, b, product)
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)

@@ -161,6 +161,19 @@ def test_trained_model_rejects_unbalanced_duals(toy, toy_hp):
         )
 
 
+def test_trained_model_rejects_support_out_of_task_order(toy, toy_hp):
+    # support points come in task order, counts[t] for task t, as a model
+    # file holds them: interleaved tasks, or counts that do not match, are
+    # refused (an interleaved model could be saved but not loaded)
+    model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+    order = np.argsort(np.arange(toy.total) % 7, kind="stable")
+    with pytest.raises(ValueError, match="task order"):
+        dataclasses.replace(model, dual_coefs=model.dual_coefs[order], support_inputs=model.support_inputs[order],
+                            support_tasks=model.support_tasks[order])
+    with pytest.raises(ValueError, match="task order"):
+        dataclasses.replace(model, counts=model.counts + np.array([1, -1, 0]))
+
+
 def test_unbalanced_duals_name_the_first_offending_task():
     # the per-task sums come from one bincount; the error still names the
     # first task whose coefficients do not sum to 0, and its sum

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -87,6 +88,23 @@ def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MA
             b=b,
         )
     return alpha, b
+
+
+def assert_same_fit(got, want):
+    """Two models bit for bit: alpha, b, coupling, covariance, objective
+    trace and report."""
+    for name in ("dual_coefs", "biases", "coupling"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.covariance.matrix, want.covariance.matrix)
+    assert got.objective_trace == want.objective_trace and got.report == want.report
+
+
+def wide_linear_dataset():
+    """Linear data with m*d >= N (4 tasks x 20 points, d = 100), whose fits
+    run on the base Gram."""
+    ds = planted_dataset(3, tasks=4, points=20, dim=100, rank=3)
+    assert ds.m * ds.dim >= ds.total
+    return ds
 
 
 def smo_instances(count=20, seed=41):
@@ -276,10 +294,11 @@ class TestSmo:
 
     def test_small_targets_match_direct(self, toy, toy_hp):
         # the KKT stop scales with the targets, so targets times 1e-6 are
-        # solved to the direct path's relative accuracy
-        small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-6 * t.targets) for t in toy.tasks])
-        ids = [small.task_ids[i] for i in small.point_task]
-        for kernel in (tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.0)):
+        # solved to the direct path's relative accuracy; linear data ends on
+        # the base Gram, where the solver picks the final step, if m*d >= N
+        for data, kernel in ((wide_linear_dataset(), tc.KernelSpec("linear")), (toy, tc.KernelSpec("rbf", 1.0))):
+            small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-6 * t.targets) for t in data.tasks])
+            ids = [small.task_ids[i] for i in small.point_task]
             smo, direct = (tc.fit(small, kernel, toy_hp, solver=s) for s in ("smo", "direct"))
             want = tc.predict_batch(direct, ids, small.inputs)
             gap = tc.predict_batch(smo, ids, small.inputs) - want
@@ -323,7 +342,11 @@ class TestSmo:
         np.testing.assert_array_equal(smo_starts[0], form.dual_point(weights))
 
     def test_fixed_inverse_fit_matches_public_solve(self):
+        # on the base Gram, SMO stops at the default tol's KKT spread: the
+        # public solve bit for bit; a linear fit with m*d < N takes auto's
+        # low-rank solve under every solver
         rng = np.random.default_rng(52)
+        moment = 0
         for trial in range(6):
             m = int(rng.integers(1, 4))
             ds = random_dataset(rng, m=m, d=2, n_lo=2, n_hi=12)
@@ -331,15 +354,44 @@ class TestSmo:
             kernel = tc.KernelSpec("rbf", 1.0) if trial % 2 else tc.KernelSpec("linear")
             b = rng.normal(size=(m, m))
             model = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T, solver="smo")
-            alpha, biases = tc.solve_alpha_b_smo(ds, kernel, model.coupling)
-            assert np.array_equal(model.dual_coefs, alpha)
-            assert np.array_equal(model.biases, biases)
             # auto: the low-rank solve, or CG from 0 (no certified point)
             auto = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T)
+            if solver._moment_fit(kernel, ds):
+                moment += 1
+                assert_same_fit(model, auto)
+            else:
+                alpha, biases = tc.solve_alpha_b_smo(ds, kernel, model.coupling)
+                assert np.array_equal(model.dual_coefs, alpha)
+                assert np.array_equal(model.biases, biases)
             alpha, biases = tc.solve_alpha_b_direct(ds, kernel, model.coupling)
             scale = max(1.0, np.max(np.abs(alpha)), np.max(np.abs(biases)))
             np.testing.assert_allclose(auto.dual_coefs, alpha, rtol=0, atol=1e-8 * scale)
             np.testing.assert_allclose(auto.biases, biases, rtol=0, atol=1e-8 * scale)
+        assert moment == 3
+
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_kkt_stop_follows_the_fit_tolerance(self, tol, monkeypatch):
+        # a fit's SMO refresh and a fixed structure's SMO solve stop at the
+        # KKT spread _loop_cg_rtol(tol), SMO_DEFAULT_TOL at the default tol,
+        # so a smo model tightens toward the direct one with tol
+        smo_solve, stops = solver._smo_solve, []
+
+        def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
+                      start=None):
+            stops.append(kkt_tol)
+            return smo_solve(ds, k, kkt_tol, max_rounds, start)
+
+        monkeypatch.setattr(solver, "_smo_solve", recording)
+        ds, kernel = smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0)
+        hp = tc.Hyperparams(0.03, 0.03, tol=tol)
+        smo, direct = (tc.fit(ds, kernel, hp, solver=name) for name in ("smo", "direct"))
+        tc.fit_with_fixed_inverse(ds, kernel, hp, tc.laplacian_mean_regularization(ds.m), solver="smo")
+        assert stops == [solver._loop_cg_rtol(tol)] * 2 and solver._loop_cg_rtol(1e-6) == solver.SMO_DEFAULT_TOL
+        ids = [ds.task_ids[i] for i in ds.point_task]
+        want = tc.predict_batch(direct, ids, ds.inputs)
+        gap = np.max(np.abs(tc.predict_batch(smo, ids, ds.inputs) - want))
+        assert gap <= 0.2 * solver._loop_cg_rtol(tol) * np.max(np.abs(want))
 
 
 class TestCgStep:
@@ -635,10 +687,12 @@ class TestLowRankStep:
             )
 
     def test_auto_fit_matches_direct_fit(self):
+        # the low-rank refresh against the dense direct solve at its coupling
         rng = np.random.default_rng(31)
         for ds, hp, _ in low_rank_instances():
             auto = tc.fit(ds, self.kernel, hp)
-            direct = tc.fit(ds, self.kernel, hp, solver="direct")
+            alpha, b = tc.solve_alpha_b_direct(ds, self.kernel, auto.coupling)
+            direct = dataclasses.replace(auto, dual_coefs=alpha, biases=b)
             trace = auto.objective_trace
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-10 * abs(a)
@@ -647,6 +701,52 @@ class TestLowRankStep:
             np.testing.assert_allclose(
                 tc.predict_batch(auto, ids, xs), tc.predict_batch(direct, ids, xs), rtol=0, atol=1e-6
             )
+
+    @pytest.mark.parametrize("name", ["direct", "smo"])
+    def test_every_solver_takes_the_low_rank_refresh(self, name, toy, toy_hp, monkeypatch):
+        # on the toy, linear-2k and a fixed inverse: auto's model bit for
+        # bit, and no base Gram
+        ds, hp = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3), tc.Hyperparams(0.03, 0.03)
+        inverse = tc.laplacian_mean_regularization(ds.m)
+        fits = [lambda s: tc.fit(toy, self.kernel, toy_hp, solver=s),
+                lambda s: tc.fit(ds, self.kernel, hp, solver=s),
+                lambda s: tc.fit_with_fixed_inverse(ds, self.kernel, hp, inverse, solver=s)]
+        want = [f("auto") for f in fits]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a base Gram was built")
+
+        monkeypatch.setattr(solver, "base_kernel_matrix", refuse)
+        for f, model in zip(fits, want):
+            assert_same_fit(f(name), model)
+
+    def test_cross_validation_is_the_same_under_every_solver(self):
+        # the benchmark's cv-grid data: every fold runs in one stack
+        ds, grid = planted_dataset(777, tasks=8, points=40, dim=5, rank=2), (0.01, 0.03, 0.1)
+        auto, *others = (tc.cross_validate(tc.ExperimentConfig("linear", grid, grid, folds=5, seed=1, solver=s), ds)
+                         for s in ("auto", "direct", "smo"))
+        assert len(auto.reports) == 45 and all(result == auto for result in others)
+
+    @pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
+    def test_fits_far_from_the_origin(self, shift, tmp_path):
+        # the linear-2k data with shift added to every input: each solver
+        # stops on the gap and predicts the unmoved fit's values, and the
+        # model's file round trip is bit for bit
+        ds, hp = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3), tc.Hyperparams(0.03, 0.03)
+        ids = [ds.task_ids[i] for i in ds.point_task]
+        want = tc.predict_batch(tc.fit(ds, self.kernel, hp), ids, ds.inputs)
+        moved = tc.MultiTaskDataset([(t.task_id, t.inputs + shift, t.targets) for t in ds.tasks])
+        for name in solver.SOLVERS:
+            model = tc.fit(moved, self.kernel, hp, solver=name)
+            assert model.report.stop_reason == "gap"
+            got = tc.predict_batch(model, ids, moved.inputs)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * np.max(np.abs(want)))
+        tc.save_model(model, tmp_path / "model.txt")
+        loaded = tc.load_model(tmp_path / "model.txt")
+        for name in ("dual_coefs", "biases", "coupling", "support_inputs"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+        assert loaded.objective_trace == model.objective_trace
+        np.testing.assert_array_equal(tc.predict_batch(loaded, ids, moved.inputs), got)
 
     def test_auto_builds_no_dense_system(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -874,9 +974,12 @@ class TestFit:
         np.testing.assert_array_equal(tc.reconstruct_weights(model), 0.0)
         assert model.report.stop_reason == "gap"
 
-    def test_smo_path_matches_direct_path(self, toy, toy_hp):
-        direct = tc.fit(toy, tc.KernelSpec("linear"), toy_hp, solver="direct")
-        smo = tc.fit(toy, tc.KernelSpec("linear"), toy_hp, solver="smo")
+    def test_smo_path_matches_direct_path(self, toy_hp):
+        # linear data with m*d >= N ends on the base Gram, where the solver
+        # picks the final step
+        ds = wide_linear_dataset()
+        direct = tc.fit(ds, tc.KernelSpec("linear"), toy_hp, solver="direct")
+        smo = tc.fit(ds, tc.KernelSpec("linear"), toy_hp, solver="smo")
         scale = max(1.0, np.max(np.abs(direct.dual_coefs)))
         assert np.max(np.abs(direct.dual_coefs - smo.dual_coefs)) <= 1e-4 * scale
         assert np.max(np.abs(direct.biases - smo.biases)) <= 1e-4
@@ -892,6 +995,15 @@ class TestFit:
         for model in (linear, smo, direct):
             assert type(model.report.gap) is float and type(model.report.products) is int
         assert linear.report.products == 0 and smo.report.products > 0 and direct.report.products > 0
+
+    @pytest.mark.parametrize("kernel", [tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.0)])
+    def test_unknown_solver_is_refused(self, kernel, toy, toy_hp):
+        # on the moments (the toy's linear fit) and on the base Gram alike
+        inverse = tc.laplacian_mean_regularization(toy.m)
+        with pytest.raises(ValueError, match="unknown solver 'lu'"):
+            tc.fit(toy, kernel, toy_hp, solver="lu")
+        with pytest.raises(ValueError, match="unknown solver 'lu'"):
+            tc.fit_with_fixed_inverse(toy, kernel, toy_hp, inverse, solver="lu")
 
     def test_requires_positive_lam1(self, toy):
         with pytest.raises(ValueError):
@@ -1139,7 +1251,9 @@ class TestCertificate:
             x = moments[2]
             base = tc.base_kernel_matrix(self.kernel, ds.inputs)
             moment_form = solver._moment_form(ds, moments, hp)
-            step = solver._coefficient_step(ds, self.kernel, "direct", base=base)
+            with monkeypatch.context() as dense:  # the Gram form's step, also where m*d < N
+                dense.setattr(solver, "_moment_fit", lambda kernel, ds: False)
+                step = solver._coefficient_step(ds, self.kernel, "direct", base=base)
             gram_form = solver._gram_form(ds, base, step, hp)
             with monkeypatch.context() as exact:
                 exact.setattr(solver, "_loop_cg_rtol", lambda tol: solver._CG_RTOL)
@@ -1157,7 +1271,7 @@ class TestCertificate:
             pairs = [
                 (moment_form.primal(weights), gram_form.primal(point)),
                 (moment_form.dual(weights), gram_form.dual(point)),
-                (moment_form.dual_point(weights), gram_form.dual_point(point)),
+                (solver._moment_dual_point(ds, moments, weights), gram_form.dual_point(point)),
                 (moment_form.gradient(weights), features(gram_form.gradient(point))),
                 (moment_form.solve(coupling, factor, weights), features(exact_form.solve(coupling, factor, point))),
                 (solver._svd_coupling(*moment_form.singular(weights)[:2], hp)[0],
@@ -1434,9 +1548,12 @@ class TestPredict:
         weights = tc.reconstruct_weights(model)
         assert tc.reconstruct_weights(model) is weights
         assert not weights.flags.writeable
-        spread = solver._spread(model.support_tasks, model.m, 1.0)
-        expected = (model.support_inputs * model.dual_coefs[:, None]).T @ spread @ model.coupling
-        np.testing.assert_array_equal(weights, expected)
+        # X^T spread(alpha) C with each task's inputs taken about their mean
+        x, tasks = model.support_inputs, model.support_tasks
+        centred = x - np.array([x[tasks == t].mean(axis=0) for t in range(model.m)])[tasks]
+        spread = solver._spread(tasks, model.m, 1.0)
+        expected = (centred * model.dual_coefs[:, None]).T @ spread @ model.coupling
+        np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
 
     def test_rbf_matches_dual_oracle_across_blocks(self, toy, toy_hp, monkeypatch):
         model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)

@@ -15,17 +15,26 @@ its own duality gap, so a fold score moves from a cold fit's only as far
 as two fits within tol of the optimum differ. Each fold's score is taken
 as its model arrives, and the model is then dropped. The table keeps
 config.grid() order.
+
+Each fold's validation points are laid out once, right after the split
+(_layout), and every fold model is scored from that layout through
+predict_batch's own prediction kernel (solver._predictions), without
+predict_batch's checks of data validated on entry. A task's validation
+MSE is divided by its overall target variance, unless its targets are
+constant to rounding by solver._centred's rule, so the scores and the
+chosen point do not depend on the targets' units.
 """
 
 import itertools
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, validate_dataset
 from .errors import GridEmpty
-from .solver import SOLVERS, _fit_path, predict_batch
+from .solver import SOLVERS, _centred, _fit_path, _predictions
 
 
 @dataclass(frozen=True)
@@ -103,11 +112,13 @@ def _split(ds, assignment, fold):
     """Training set of one fold and its validation points, as (task id,
     inputs, targets) per task that keeps training points."""
     train_tasks, val_tasks = [], []
-    for i, t in enumerate(ds.tasks):
-        mask = assignment[ds.point_task == i] == fold
-        if np.any(~mask):
-            train_tasks.append(TaskData(t.task_id, t.inputs[~mask], t.targets[~mask]))
-            if np.any(mask):
+    held, start = assignment == fold, 0
+    for t in ds.tasks:
+        mask, start = held[start:start + t.n], start + t.n  # the task's points, in flat order
+        if not mask.all():
+            keep = ~mask
+            train_tasks.append(TaskData(t.task_id, t.inputs[keep], t.targets[keep]))
+            if mask.any():
                 val_tasks.append((t.task_id, t.inputs[mask], t.targets[mask]))
         # a task fully inside the validation fold cannot be scored there
     return MultiTaskDataset(train_tasks), val_tasks
@@ -131,23 +142,34 @@ def _paths(config):
     return paths
 
 
-def _fold_score(model, val_tasks, config, variances):
-    """Mean per-task validation metric of one fold's model (_split);
-    variances maps each task id to its overall target variance."""
-    ids = [tid for tid, _, y in val_tasks for _ in y]
-    preds = predict_batch(model, ids, np.concatenate([x for _, x, _ in val_tasks]))
-    bounds = np.cumsum([len(y) for _, _, y in val_tasks])[:-1]
-    scores = []
-    for (tid, _, y), pred in zip(val_tasks, np.split(preds, bounds)):
-        if config.task_type == "classification":
-            scores.append(float(np.mean(np.where(pred >= 0, 1.0, -1.0) != y)))
-            continue
-        # normalize each task's validation MSE by the task's overall target
-        # variance (validation slices can be too small to carry a variance)
-        mse = float(np.mean((pred - y) ** 2))
-        var = variances[tid]
-        scores.append(mse / var if var > 1e-12 else mse)
-    return float(np.mean(scores))
+_Layout = namedtuple("_Layout", "index x y segment weights")
+
+
+def _layout(train, val_tasks, scales):
+    """One fold's validation points (_split) as _fold_score reads them: each
+    point's task index in train, the inputs and targets concatenated, each
+    point's position among val_tasks, and per validation task the weight
+    1/(count * scale * len(val_tasks)) of its summed loss, so that the
+    weighted sum is the mean over tasks; scales maps task ids."""
+    counts = np.array([len(y) for _, _, y in val_tasks])
+    return _Layout(
+        index=np.repeat([train.task_index(tid) for tid, _, _ in val_tasks], counts),
+        x=np.concatenate([x for _, x, _ in val_tasks]),
+        y=np.concatenate([y for _, _, y in val_tasks]),
+        segment=np.repeat(np.arange(len(val_tasks)), counts),
+        weights=1.0 / (counts * np.array([scales[tid] for tid, _, _ in val_tasks]) * len(val_tasks)),
+    )
+
+
+def _fold_score(model, layout, task_type):
+    """Mean per-task validation metric of one fold's model, read off the
+    fold's _layout through predict_batch's prediction kernel."""
+    pred = _predictions(model, layout.index, layout.x)
+    if task_type == "classification":
+        losses = np.where(pred >= 0, 1.0, -1.0) != layout.y
+    else:
+        losses = (pred - layout.y) ** 2
+    return float(np.bincount(layout.segment, losses) @ layout.weights)
 
 
 def cross_validate(config, ds):
@@ -155,7 +177,8 @@ def cross_validate(config, ds):
     one FitReport per fold fit (grid point by grid point, in table order).
 
     The score of a grid point is the mean over folds of the mean per-task
-    validation metric (normalized MSE for regression, error rate for
+    validation metric (MSE over the task's target variance for regression,
+    the plain MSE where its targets are constant, error rate for
     classification); ties keep the earliest grid point. Deterministic
     under config.seed. The grid is fitted along paths that, on the centred
     moments, warm-start each fold fit from the point before and stack the
@@ -170,14 +193,20 @@ def cross_validate(config, ds):
     # every grid point fits the same folds: split each once, keeping those
     # with validation points (a fold's validation tasks also train)
     splits = [_split(ds, assignment, fold) for fold in range(config.folds)]
-    splits = [(train, val_tasks) for train, val_tasks in splits if val_tasks]
-    variances = {t.task_id: float(np.var(t.targets)) for t in ds.tasks}
+    scales = {t.task_id: 1.0 for t in ds.tasks}
+    if config.task_type == "regression":
+        # a task's MSE is divided by its overall target variance, unless its
+        # targets are constant to rounding (solver._centred's rule, whatever
+        # their units), where that variance is 0 and the MSE is taken as it is
+        for t in ds.tasks:
+            scales[t.task_id] = float(np.mean(_centred(t.inputs, t.targets)[3] ** 2)) or 1.0
+    splits = [(train, _layout(train, val_tasks, scales)) for train, val_tasks in splits if val_tasks]
     scores = [[None] * len(splits) for _ in grid]
     reports = [[None] * len(splits) for _ in grid]
     for kernel, path in _paths(config):
         rows, hps = zip(*path)
         for i, j, model in _fit_path([train for train, _ in splits], kernel, hps, config.solver):
-            scores[rows[i]][j] = _fold_score(model, splits[j][1], config, variances)
+            scores[rows[i]][j] = _fold_score(model, splits[j][1], config.task_type)
             reports[rows[i]][j] = model.report
     table = []
     best = None

@@ -249,13 +249,16 @@ class FitReport:
     above the optimum. products counts the combined-kernel products of the
     fit's CG covariance steps (0 on a moment-form fit, which takes none).
     iterations counts the fit's proximal-gradient iterations, one value
-    each in the objective trace.
+    each in the objective trace. restarts counts those iterations whose
+    candidate was not kept, so the momentum restarted and the trace
+    repeated its last value.
     """
 
     stop_reason: str
     gap: float
     products: int = 0
     iterations: int = 0
+    restarts: int = 0
 
 
 @dataclass(frozen=True)

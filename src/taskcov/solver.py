@@ -56,12 +56,11 @@ the KKT spread _loop_cg_rtol(hp.tol). Every path also returns K
 spread(alpha), K the base Gram, off which _fitted_state reads the fitted
 values and the objective.
 
-Serving is batched: predict_batch checks a whole batch in bulk and
-computes it with a few array operations, and predict is a batch of one.
-A linear model is served from its primal weights with a row-wise sum per
-query, so a query's prediction has the same bits in any batch. Other
-kernels sum the dual expansion per task over blocks of queries, each
-support x block array kept under 4 MB.
+Serving checks a whole batch in bulk (predict_batch; predict is a batch
+of one) and computes it in _predictions, which cross-validation scores
+with too: a linear model by a row-wise sum per query over its primal
+weights, the same bits in any batch; other kernels by the dual expansion
+per task over blocks of queries, each support x block array under 4 MB.
 """
 
 from collections import namedtuple
@@ -782,12 +781,11 @@ def _certify(form, hp, traces, start=None):
     step is optimal at the covariance it is given, so W' (W where W is 0)
     is the one candidate. It is kept if its P is below the kept one, and
     appended to the trace; otherwise the momentum restarts from the kept
-    point. Each kept point gives a dual bound, and the best one is kept.
-    A problem stops on
-    P - D <= hp.tol |P|, and is frozen from then on; the loop ends when
-    every problem has stopped or after hp.max_iters iterations. Returns
-    the weights, and per problem whether it stopped on the gap and its
-    bound D, as lists.
+    point (a restart). Each kept point gives a dual bound, and the best
+    one is kept. A problem stops on P - D <= hp.tol |P|, and is frozen
+    from then on; the loop ends when every problem has stopped or after
+    hp.max_iters iterations. Returns the weights, and per problem whether
+    it stopped on the gap, its bound D and its restarts, as lists.
     """
     zero = form.zero
     value = _floats(form.primal(zero, 0.0))
@@ -808,7 +806,7 @@ def _certify(form, hp, traces, start=None):
         start_value = _floats(form.primal(start))
         better = [s < v for s, v in zip(start_value, value)]
         weights, value = pick(better, start, zero), [min(s, v) for s, v in zip(start_value, value)]
-    bound, ahead, active = _floats(form.dual(weights)), weights, [True] * len(value)
+    bound, ahead, active, restarts = _floats(form.dual(weights)), weights, [True] * len(value), [0] * len(value)
     for _ in range(hp.max_iters):
         prox = form.gradient(ahead)  # ahead - step * gradient, in place
         prox *= -step
@@ -822,6 +820,7 @@ def _certify(form, hp, traces, start=None):
             best, norm = pick(nonzero, form.solve(coupling, factor, best), best), None
         best_value = _floats(form.primal(best, norm))
         kept = [on and b < v for on, b, v in zip(active, best_value, value)]
+        restarts = [r + (on and not k) for r, on, k in zip(restarts, active, kept)]
         best = pick(kept, best, weights)
         ahead = best - weights  # best + momentum (best - weights): the kept point on a restart
         ahead *= momentum
@@ -836,7 +835,7 @@ def _certify(form, hp, traces, start=None):
         active = [on and not v - b <= hp.tol * abs(v) for on, v, b in zip(active, value, bound)]
         if not any(active):
             break
-    return weights, [not on for on in active], bound
+    return weights, [not on for on in active], bound, restarts
 
 
 def _floats(x):
@@ -949,19 +948,19 @@ def _path(group, kernel, hps, solver):
     for i, hp in enumerate(hps):
         form = form_at(hp)
         traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
-        weights, gapped, bounds = _certify(form, hp, traces, weights if warm else None)
+        weights, gapped, bounds, restarts = _certify(form, hp, traces, weights if warm else None)
         mapped = _svd_coupling(*form.singular(weights)[:2], hp)
         omegas, couplings, factors = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
         start = None if form.dual_point is None else form.dual_point(weights)
-        for k, (ds, y, step, trace, omega, coupling, factor, stopped, bound) in enumerate(zip(
-                group, targets, steps, traces, omegas, couplings, factors, gapped, bounds)):
+        for k, (ds, y, step, trace, omega, coupling, factor, stopped, bound, restart) in enumerate(zip(
+                group, targets, steps, traces, omegas, couplings, factors, gapped, bounds, restarts)):
             alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start, hp.tol)
             final, blocked = _fitted_state(ds, coupling, alpha, b, product)
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)
             bound = max(bound, _dual_value(ds, y, alpha, blocked, hp))
             report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]),
-                               sum(form.products), len(trace) - 2)
+                               sum(form.products), len(trace) - 2, restart)
             yield i, k, _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report)
 
 
@@ -991,12 +990,7 @@ def predict_batch(model, task_ids, xs):
     The batch is checked in bulk: a DimensionMismatch if the two lengths
     differ, then per query, in order, UnknownTask or DimensionMismatch for
     the first bad query, then NonFiniteValue for the first query holding
-    NaN or inf. A linear model is served from its primal weights
-    (reconstruct_weights) with one row-wise sum per query and no BLAS
-    product, so a query's bits do not depend on the other queries of the
-    call. Other kernels sum the dual expansion per task over blocks of
-    queries, through a matrix product whose last bits may depend on the
-    block.
+    NaN or inf. The predictions are _predictions'.
     """
     task_ids = list(task_ids)
     xs = xs if isinstance(xs, np.ndarray) else list(xs)
@@ -1004,9 +998,15 @@ def predict_batch(model, task_ids, xs):
         raise DimensionMismatch(f"{len(task_ids)} task ids but {len(xs)} inputs")
     index, x = _queries(model, task_ids, xs)
     _require_finite(x)
+    return _predictions(model, index, x)
+
+
+def _predictions(model, index, x):
+    """predict_batch at checked task indices and (Q, d) inputs. A linear
+    model sums each query's row against its primal weights, with no BLAS, so
+    a query's bits do not depend on the batch; other kernels' last bits may."""
     if model.kernel.kind == "linear":
-        weights = reconstruct_weights(model).T
-        return np.sum(x * weights[index], axis=1) + model.biases[index]
+        return np.sum(x * reconstruct_weights(model).T[index], axis=1) + model.biases[index]
     return _dual_predictions(model, index, x)
 
 

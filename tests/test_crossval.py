@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import taskcov as tc
-from taskcov import errors, solver
+from taskcov import crossval, errors, solver
 from conftest import planted_dataset, random_dataset
 
 
@@ -260,3 +260,52 @@ def test_warm_started_fold_fits_are_certified(name):
                 assert model.objective_trace == cold.objective_trace
                 np.testing.assert_array_equal(model.dual_coefs, cold.dual_coefs)
     assert list(result.reports) == [r for point in config.grid() for r in reports[point]]
+
+
+# the make-toy data's cross-validation grids, as CI runs them
+TOY_GRIDS = {
+    "linear": tc.ExperimentConfig("linear", (0.01, 0.1), (0.005, 0.05), folds=2),
+    "rbf": tc.ExperimentConfig("rbf", (0.01, 0.1), (0.005, 0.05), width_grid=(0.5, 2.0), folds=2),
+}
+
+
+@pytest.mark.parametrize("kind", list(TOY_GRIDS))
+def test_fold_scores_come_from_the_prediction_kernel_without_predict_batch(kind, monkeypatch):
+    config, toy, calls = TOY_GRIDS[kind], tc.generate_toy(0), []
+    predictions = solver._predictions
+
+    def refused(*args):
+        raise AssertionError("cross_validate called predict_batch")
+
+    monkeypatch.setattr(solver, "predict_batch", refused)
+    monkeypatch.setattr(tc, "predict_batch", refused)
+    monkeypatch.setattr(crossval, "_predictions", lambda *args: calls.append(args) or predictions(*args))
+    tc.cross_validate(config, toy)
+    monkeypatch.undo()
+    assert not hasattr(crossval, "predict_batch")
+    assert len(calls) == len(config.grid()) * config.folds  # one per fold model
+    for model, index, x in calls:
+        ids = [model.task_ids[i] for i in index]
+        np.testing.assert_array_equal(predictions(model, index, x), tc.predict_batch(model, ids, x))
+
+
+def scaled(ds, factor):
+    return tc.MultiTaskDataset([(t.task_id, t.inputs, factor * t.targets) for t in ds.tasks])
+
+
+@pytest.mark.parametrize("kind", list(TOY_GRIDS))
+def test_fold_scores_do_not_depend_on_target_units(kind):
+    # a task's MSE is normalised by its variance unless its targets are
+    # constant to rounding: at 1e-7 the toy's task3 varies, with variance
+    # 2e-16, and is normalised; the flat task is constant at every scale,
+    # and its MSE (about 0) is taken as it is
+    config, toy = TOY_GRIDS[kind], tc.generate_toy(0)
+    flat = tc.MultiTaskDataset(list(toy.tasks) + [("flat", toy.tasks[0].inputs, np.full(toy.counts[0], 0.1))])
+    for ds in (toy, flat):
+        want = tc.cross_validate(config, ds)
+        for factor in (1e-7, 1e-6, 1e6):
+            got = tc.cross_validate(config, scaled(ds, factor))
+            assert (got.lam1, got.lam2, got.width) == (want.lam1, want.lam2, want.width)
+            assert [row[:3] for row in got.table] == [row[:3] for row in want.table]
+            np.testing.assert_allclose([row[3] + (row[4],) for row in got.table],
+                                       [row[3] + (row[4],) for row in want.table], rtol=1e-9, atol=0)

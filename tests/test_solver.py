@@ -271,19 +271,29 @@ class TestSmo:
             tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, max_rounds=max_rounds)
 
     def test_warm_started_fits_match_direct(self):
+        # linear trials draw wide data, at most d points per task, so
+        # m*d >= N: there the fit ends on the base Gram and the solver
+        # picks its final step (m*d < N takes one step under both). They
+        # fit at tol 1e-8, where SMO stops at the KKT spread 1e-7: at the
+        # default 1e-6, C's 1/lam1 scale on wide data can carry SMO's
+        # residual past 1e-6 in a prediction
         rng = np.random.default_rng(51)
+        compared = 0
         for trial in range(40):
-            m = int(rng.integers(1, 5))
-            ds = random_dataset(rng, m=m, d=int(rng.integers(1, 4)), n_lo=1, n_hi=25)
+            m, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            ds = random_dataset(rng, m=m, d=d, n_lo=1, n_hi=25 if trial % 2 else d)
+            if trial % 2 == 0:
+                assert ds.m * ds.dim >= ds.total and not solver._moment_fit(tc.KernelSpec("linear"), ds)
             lam1 = float(10 ** rng.uniform(-2, 0))
             lam2 = 0.0 if trial % 5 == 0 else lam1 * float(10 ** rng.uniform(-1, 1))
-            hp = tc.Hyperparams(lam1=lam1, lam2=lam2)
+            hp = tc.Hyperparams(lam1=lam1, lam2=lam2, tol=1e-6 if trial % 2 else 1e-8)
             if trial % 2:
                 kernel = tc.KernelSpec("rbf", float(rng.uniform(0.5, 2.0)))
             else:
                 kernel = tc.KernelSpec("linear")
             smo = tc.fit(ds, kernel, hp, solver="smo")
             direct = tc.fit(ds, kernel, hp, solver="direct")
+            compared += not np.array_equal(smo.dual_coefs, direct.dual_coefs)
             ids = [ds.task_ids[i] for i in ds.point_task]
             xs = rng.normal(size=(ds.total, ds.dim))
             gap = tc.predict_batch(smo, ids, xs) - tc.predict_batch(direct, ids, xs)
@@ -291,6 +301,7 @@ class TestSmo:
             trace = smo.objective_trace
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + solver.NONDECREASE_RTOL * max(1.0, abs(a))
+        assert compared >= 30  # the two final steps differ, and are compared, on most trials
 
     def test_small_targets_match_direct(self, toy, toy_hp):
         # the KKT stop scales with the targets, so targets times 1e-6 are
@@ -338,7 +349,7 @@ class TestSmo:
         for start in cg_starts + smo_starts:
             sums = np.bincount(toy.point_task, weights=start)
             assert np.max(np.abs(sums)) <= 1e-12 * np.max(np.abs(start))
-        form, (weights, _, _) = seen
+        form, (weights, *_) = seen
         np.testing.assert_array_equal(smo_starts[0], form.dual_point(weights))
 
     def test_fixed_inverse_fit_matches_public_solve(self):
@@ -959,7 +970,7 @@ class TestFit:
         model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(lam1=0.1, lam2=0.1))
         np.testing.assert_allclose(model.dual_coefs, 0.0, atol=1e-12)
         np.testing.assert_allclose(model.covariance.matrix, np.eye(2) / 2)
-        assert model.report == tc.FitReport("gap", 0.0, 0, 1)
+        assert model.report == tc.FitReport("gap", 0.0, 0, 1, restarts=1)  # W = 0 is not below P(0)
 
     @pytest.mark.parametrize("level", [1e-13, 1e-6, 0.1, 1.0, 1e6])
     def test_constant_targets_end_unrelated(self, level):
@@ -986,6 +997,27 @@ class TestFit:
         np.testing.assert_allclose(
             direct.objective_trace[-1], smo.objective_trace[-1], rtol=1e-4
         )
+
+    def test_restarts_count_the_repeated_trace_values(self, toy):
+        # each iteration of a cold fit appends the kept value: a lower one
+        # where it keeps the candidate, the last one again on a restart
+        def repeats(model):
+            trace = model.objective_trace[:model.report.iterations + 1]
+            return sum(a == b for a, b in zip(trace, trace[1:]))
+
+        wide, rbf, linear = wide_linear_dataset(), tc.KernelSpec("rbf", 1.0), tc.KernelSpec("linear")
+        stack = [planted_dataset(seed, 4, 12, 2, 1) for seed in range(4)]  # four moment-form problems
+        counts = []
+        for lam1, lam2, tol in [(0.01, 0.005, 1e-10), (0.03, 0.3, 1e-6), (0.01, 1.0, 1e-8)]:
+            for max_iters in (50, 3):
+                hp = tc.Hyperparams(lam1, lam2, tol=tol, max_iters=max_iters)
+                models = [tc.fit(toy, rbf, hp), tc.fit(wide, linear, hp)]
+                # the first point of a path is cold, and the stack runs as one
+                models += [model for _, _, model in solver._fit_path(stack, linear, [hp])]
+                for model in models:
+                    assert model.report.restarts == repeats(model)
+                    counts.append(model.report.restarts)
+        assert max(counts) >= 2 and counts.count(0) >= 1
 
     def test_report_types_and_products(self, toy, toy_hp):
         # gap is a Python float on every path; products counts the CG

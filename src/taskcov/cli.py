@@ -26,9 +26,7 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import SOLVERS, fit, predict_batch, reconstruct_weights
-
-_SOLVER_HELP = "final step of a fit on the base Gram (rbf, or linear with m*d >= N): auto CG, direct LU, smo SMO"
+from .solver import fit, predict_batch, reconstruct_weights
 
 
 class _UsageError(TaskcovError):
@@ -49,7 +47,6 @@ def _add_common(parser):
     _add_penalties(parser)
     parser.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     parser.add_argument("--rbf-width", type=float, default=1.0)
-    parser.add_argument("--solver", choices=SOLVERS, default="auto", help=_SOLVER_HELP)
 
 
 def build_parser():
@@ -85,7 +82,6 @@ def build_parser():
     p.add_argument("--rbf-width", default="1.0", help="comma-separated candidates")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", choices=SOLVERS, default="auto", help=_SOLVER_HELP)
     p.add_argument("--task-type", choices=["regression", "classification"], default="regression")
 
     p = sub.add_parser("new-task", help="incorporate one new task into a trained model")
@@ -201,7 +197,7 @@ def _train_status(model):
 def _cmd_train(args):
     ds = load_csv(args.dataset)
     hp = Hyperparams(lam1=args.l1, lam2=args.l2, tol=args.tol, max_iters=args.max_iters)
-    model = fit(ds, _kernel_from_args(args), hp, solver=args.solver)
+    model = fit(ds, _kernel_from_args(args), hp)
     print(_train_status(model))
     print("objective trace: " + " ".join(f"{v:.6g}" for v in model.objective_trace))
     _print_correlations(model.task_ids, model.covariance)
@@ -258,7 +254,6 @@ def _cmd_cv(args):
         width_grid=_parse_grid(args.rbf_width),
         folds=args.folds,
         seed=args.seed,
-        solver=args.solver,
         task_type=args.task_type,
     )
     result = cross_validate(config, ds)
@@ -304,9 +299,7 @@ def _cmd_new_task(args):
 def _cmd_prior_train(args):
     ds = load_csv(args.dataset)
     inverse = _read_prior_spec(args.prior, ds.m)
-    model = fit_with_fixed_inverse(
-        ds, _kernel_from_args(args), Hyperparams(args.l1, args.l2), inverse, solver=args.solver
-    )
+    model = fit_with_fixed_inverse(ds, _kernel_from_args(args), Hyperparams(args.l1, args.l2), inverse)
     print(f"objective {model.objective_trace[-1]!r}")
     _print_correlations(model.task_ids, model.covariance)
     if args.out:

@@ -5,12 +5,12 @@ Each fold is split once. The grid is fitted one kernel width at a time
 along a path through its (lam1, lam2) points in snake order: lam1 by
 lam1, with the lam2 grid reversed on every other lam1, so that each point
 follows a neighbour. The path runs through solver's one hook for it
-(_fit_path). Under a linear kernel, the folds whose training sets have
-m*d < N are fitted on their centred moments, under every solver: each
-such fold fit at a point starts from that fold's certified weights at
-the point before, and the folds that share (m, d) run as one stacked
-certified loop. Every other fold fit (an rbf kernel, or wide linear
-data) starts cold at each point, as fit does. Each fit stops on
+(_fit_path), whose fits take fit's steps. Under a linear kernel, the
+folds whose training sets have m*d < N are fitted on their centred
+moments: each such fold fit at a point starts from that fold's certified
+weights at the point before, and the folds that share (m, d) run as one
+stacked certified loop. Every other fold fit (an rbf kernel, or wide
+linear data) starts cold at each point, as fit does. Each fit stops on
 its own duality gap, so a fold score moves from a cold fit's only as far
 as two fits within tol of the optimum differ. Each fold's score is taken
 as its model arrives, and the model is then dropped. The table keeps
@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, validate_dataset
 from .errors import GridEmpty
-from .solver import SOLVERS, _centred, _fit_path, _predictions
+from .solver import _centred, _fit_path, _predictions
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,6 @@ class ExperimentConfig:
     Grids are lists of candidate values; width_grid is ignored for the
     linear kernel. Tasks with fewer points than folds simply appear in
     fewer validation folds (each point still lands in exactly one fold).
-    solver is fit's: it picks only the final step of a fold fit on the
-    base Gram (an rbf kernel, or linear folds with m*d >= N).
     """
 
     kernel_kind: str
@@ -54,7 +52,6 @@ class ExperimentConfig:
     width_grid: tuple = (1.0,)
     folds: int = 5
     seed: int = 0
-    solver: str = "auto"
     task_type: str = "regression"
     tol: float = 1e-6
     max_iters: int = 50
@@ -66,8 +63,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.task_type not in ("regression", "classification"):
             raise ValueError(f"unknown task_type {self.task_type!r}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
         if not self.lam1_grid or not self.lam2_grid:
             raise GridEmpty("regularization grids must be nonempty")
         if self.kernel_kind == "rbf" and not self.width_grid:
@@ -205,7 +200,7 @@ def cross_validate(config, ds):
     reports = [[None] * len(splits) for _ in grid]
     for kernel, path in _paths(config):
         rows, hps = zip(*path)
-        for i, j, model in _fit_path([train for train, _ in splits], kernel, hps, config.solver):
+        for i, j, model in _fit_path([train for train, _ in splits], kernel, hps):
             scores[rows[i]][j] = _fold_score(model, splits[j][1], config.task_type)
             reports[rows[i]][j] = model.report
     table = []

@@ -151,7 +151,7 @@ def _spans(ds):
 def _combined_kernel(ds, base, coupling, out=None):
     """assemble_kernel_matrix from an already built base Gram, so that a
     fit can build the base Gram once and re-couple it every iteration,
-    into out when given (any N x N view, strided or not, or base itself).
+    into out when given (an N x N array, or base itself).
     The coupling is symmetrised, so that with the exactly symmetric base
     Gram of base_kernel_matrix the product is exactly symmetric, and the
     result is written per task row band, elementwise: base rows times the

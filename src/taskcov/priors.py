@@ -4,9 +4,11 @@ Each constructor returns a symmetric PSD matrix L that plays the role of
 the inverse task covariance; tr(W L W^T) then reproduces a classical
 multi-task penalty (pull to the mean, similarity-graph smoothness, task
 network smoothness, or cluster structure). Fitting holds L fixed: only
-the dual solve runs, with the coupling (lam1 I + lam2 L)^{-1}. L is
-decomposed once per fit, and that one decomposition gives the PSD check,
-the coupling, its factor and the reported covariance.
+the dual solve runs, with the coupling (lam1 I + lam2 L)^{-1}, as fit's
+final coefficient step: the low-rank solve on the moments, or CG to
+1e-10 on the base Gram, gated on its saddle residual. L is decomposed
+once per fit, and that one decomposition gives the PSD check, the
+coupling, its factor and the reported covariance.
 """
 
 import numpy as np
@@ -99,13 +101,13 @@ def clustered_inverse_covariance(m, cluster_assignment, alpha, beta, gamma):
     return combo
 
 
-def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
+def fit_with_fixed_inverse(ds, kernel, hp, inverse):
     """One dual solve with the relationship structure held fixed.
 
-    The solve is fit's coefficient step (solver as in fit). No covariance
-    update runs; the model reports the trace-normalized pseudo-inverse of
-    L (cutoff 1e-12; I/m when L is zero) as its covariance (for inspection
-    only - the stored coupling is what predictions use). One
+    The solve is fit's final coefficient step. No covariance update runs;
+    the model reports the trace-normalized pseudo-inverse of L (cutoff
+    1e-12; I/m when L is zero) as its covariance (for inspection only -
+    the stored coupling is what predictions use). One
     decomposition L = V diag(v) V^T gives the PSD check, the coupling
     (lam1 I + lam2 L)^{-1} = V diag(1 / (lam1 + lam2 v)) V^T, well-defined
     for singular L because lam1 > 0, its factor F = V diag(1 / (lam1 +
@@ -125,6 +127,6 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse, solver="auto"):
     total = float(np.trace(pinv))
     omega = pinv / total if total > 1e-12 else np.eye(ds.m) / ds.m
     factor = dec.vectors / np.sqrt(hp.lam1 + hp.lam2 * np.clip(dec.values, 0.0, None))
-    alpha, b, product = _coefficient_step(ds, kernel, solver)(coupling, factor, tol=hp.tol)
+    alpha, b, product = _coefficient_step(ds, kernel)(coupling, factor)
     objective, _ = _fitted_state(ds, coupling, alpha, b, product)
     return _model(ds, kernel, hp, alpha, b, omega, coupling, (objective,))

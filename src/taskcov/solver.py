@@ -49,12 +49,12 @@ moment-form fits start warm from the point before and run stacked.
 
 The final coefficient step of a linear fit with m*d < N is the exact
 rank*d solve on the coupling's range from the centred moments, at the F
-that map gave (_low_rank_solve). On the base Gram, solver picks it:
-'auto' one more CG solve to 1e-10, its saddle residual gated
-(_checked_saddle), 'direct' an LU of the saddle system and 'smo' SMO to
-the KKT spread _loop_cg_rtol(hp.tol). Every path also returns K
-spread(alpha), K the base Gram, off which _fitted_state reads the fitted
-values and the objective.
+that map gave (_low_rank_solve); on the base Gram it is one more CG
+solve, to 1e-10. Either is gated on its saddle residual (_checked_saddle)
+and also returns K spread(alpha), K the base Gram, off which
+_fitted_state reads the fitted values and the objective. The LU of the
+saddle system (solve_alpha_b_direct) and SMO (solve_alpha_b_smo) are
+reference solves at a given coupling; no fit runs them.
 
 Serving checks a whole batch in bulk (predict_batch; predict is a batch
 of one) and computes it in _predictions, which cross-validation scores
@@ -86,7 +86,7 @@ from .kernels import (
 )
 from .linalg import _LANCZOS_STEPS, _check_residual, _top_eigenvalues, solve_linear, spectral_map
 
-SOLVERS = ("direct", "smo", "auto")  # the paths of the final coefficient step
+SOLVERS = ("direct", "smo", "auto")  # the values fit accepts for solver, all one path
 SMO_DEFAULT_TOL = 1e-6
 SMO_MAX_ROUNDS = 200_000
 # Relative rise in the objective treated as a bug rather than noise.
@@ -135,24 +135,9 @@ def solve_alpha_b_direct(ds, kernel, coupling):
     where K is the combined-kernel Gram and E holds per-task indicator
     columns. Raises SingularSystem if the factorization fails.
     """
-    return _saddle_solve(ds, _saddle_block(ds, assemble_kernel_matrix(ds, kernel, coupling)))
-
-
-def _saddle_block(ds, k=None):
-    """The (N+m)-square saddle block with its borders E and E^T set and the
-    combined-kernel Gram k in its top-left N x N, left for it when None."""
     n, ind = ds.total, _spread(ds.point_task, ds.m, 1.0)
     block = np.zeros((n + ds.m, n + ds.m))
-    block[:n, n:], block[n:, :n] = ind, ind.T
-    if k is not None:
-        block[:n, :n] = k
-    return block
-
-
-def _saddle_solve(ds, block):
-    """solve_alpha_b_direct for a _saddle_block holding the combined-kernel
-    Gram, which it shifts by diag(n_i)/2 in place."""
-    n = ds.total
+    block[:n, :n], block[:n, n:], block[n:, :n] = assemble_kernel_matrix(ds, kernel, coupling), ind, ind.T
     block[np.arange(n), np.arange(n)] += _loss_weights(ds) / 2.0
     sol = solve_linear(block, np.concatenate([ds.targets, np.zeros(ds.m)]))
     return sol[:n], sol[n:]
@@ -168,8 +153,8 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     violating pair, and tasks are visited round-robin. Biases come from
     per-task stationarity of the gradient.
 
-    This call starts at alpha = 0; a fit's final step by SMO starts from
-    the dual point of its certified weights.
+    The solve starts at alpha = 0. No fit runs it: it is a reference for
+    the fit's own coefficient step (_coefficient_step).
 
     The stop rule is scaled to the targets: the KKT spread must fall to
     kkt_tol * min(1, max |y|), so targets in small units are solved to the
@@ -186,10 +171,10 @@ def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=
     return _smo_solve(ds, assemble_kernel_matrix(ds, kernel, coupling), kkt_tol, max_rounds)
 
 
-def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=None):
-    """solve_alpha_b_smo for the combined-kernel Gram k, from alpha = 0 or
-    from a copy of the feasible point start. k is shifted to K~ in place
-    (every caller builds it for this call), which saves a copy of it.
+def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
+    """solve_alpha_b_smo for the combined-kernel Gram k, from alpha = 0. k
+    is shifted to K~ in place (every caller builds it for this call), which
+    saves a copy of it.
 
     A round visits every task once and stops the loop when no task moves,
     which happens exactly when the KKT spread at its start is at most
@@ -202,12 +187,11 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS, start=
     n = ds.total
     tol = kkt_tol * min(1.0, float(np.max(np.abs(ds.targets))))
     k[np.diag_indices(n)] += _loss_weights(ds) / 2.0  # k is now K~
-    alpha = np.zeros(n) if start is None else np.array(start, dtype=float)
-    grad = k @ alpha - ds.targets  # gradient of h
+    grad = -ds.targets  # gradient of h at alpha = 0
     task_slices = [slice(lo, hi) for lo, hi in _spans(ds)]
     # single-point tasks: zero-sum pins alpha at 0
     paired = [(grad[sl], sl.start) for sl in task_slices if sl.stop - sl.start >= 2]
-    alpha, diag, rows, buf = alpha.tolist(), k.diagonal().tolist(), list(k), np.empty(n)
+    alpha, diag, rows, buf = [0.0] * n, k.diagonal().tolist(), list(k), np.empty(n)
     subtract, multiply = np.subtract, np.multiply
 
     for _ in range(max_rounds):
@@ -276,9 +260,8 @@ def _loop_cg_rtol(tol):
     candidate, which the loop keeps or drops on its exactly evaluated P,
     and P's error is second order in the residual: for tol >= 1e-14,
     e^2 <= 1e-6 tol, a millionth of the gap the fit must close (a forcing
-    term of inexact Newton, Dembo, Eisenstat & Steihaug 1982). A fit's
-    final SMO step stops at the KKT spread e too (SMO_DEFAULT_TOL at the
-    default tol)."""
+    term of inexact Newton, Dembo, Eisenstat & Steihaug 1982). Solves
+    whose alpha is stored run to _CG_RTOL."""
     return min(1e-6, max(_CG_RTOL, 1e-3 * tol ** 0.5))
 
 
@@ -295,41 +278,33 @@ def gram_wtw(alpha, ds, kernel, omega, hp):
     return (g + g.T) / 2.0
 
 
-def _coefficient_step(ds, kernel, solver, moments=None, base=None):
+def _coefficient_step(ds, kernel, moments=None, base=None):
     """The coefficient step of one fit, its path chosen once.
 
-    Returns a function of the coupling C, its factor F, an optional start
-    and the fit's tol giving (alpha, b, K spread(alpha)): the saddle
-    solution and the base Gram K times alpha's task columns. moments and
-    base, the dataset's _task_moments and base Gram, save forming them
-    again. A linear kernel with m*d < N takes _low_rank_solve, whatever the
-    solver. Every other fit writes the combined kernel into one N x N
-    array that every call reuses and the solve shifts in place (under
-    'direct', a saddle block's top-left): given a list products, by CG
-    (_cg_solve) to rtol, appending its product count, else by the
-    solver's step (module docstring), with one _times_base product.
+    Returns a function of the coupling C, its factor F and an optional
+    start giving (alpha, b, K spread(alpha)): the saddle solution and the
+    base Gram K times alpha's task columns. moments and base, the
+    dataset's _task_moments and base Gram, save forming them again. A
+    linear kernel with m*d < N takes _low_rank_solve. Every other fit
+    writes the combined kernel into one N x N array that every call reuses
+    and _cg_solve shifts in place, solves by CG from start (0 by default)
+    to rtol and forms one _times_base product. Given a list products, the
+    call appends its product count: a covariance step of the loop. Without
+    one, it is a stored solve, gated on its saddle residual.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
     if _moment_fit(kernel, ds):
         moments = _task_moments(ds) if moments is None else moments
-        return lambda coupling, factor, start=None, tol=None: _low_rank_solve(ds, moments, coupling, factor)
+        return lambda coupling, factor, start=None: _low_rank_solve(ds, moments, coupling, factor)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
-    block = _saddle_block(ds) if solver == "direct" else None
-    buffer = np.empty_like(base) if block is None else block[:ds.total, :ds.total]
+    buffer = np.empty_like(base)
 
-    def dense_step(coupling, factor, start=None, tol=None, products=None, rtol=_CG_RTOL):
+    def dense_step(coupling, factor, start=None, products=None, rtol=_CG_RTOL):
         k = _combined_kernel(ds, base, coupling, out=buffer)
-        if products is None and solver != "auto":
-            alpha, b = (_smo_solve(ds, k, _loop_cg_rtol(tol), start=start) if solver == "smo"
-                        else _saddle_solve(ds, block))
-        else:
-            alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start, rtol)
+        alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start, rtol)
         product = _times_base(ds, base, alpha).T
-        if products is not None:
-            products.append(count)
-        elif solver == "auto":
+        if products is None:
             return _checked_saddle(ds, coupling, alpha, b, product)
+        products.append(count)
         return alpha, b, product
 
     return dense_step
@@ -851,16 +826,16 @@ def fit(ds, kernel, hp, solver="auto"):
     ds : MultiTaskDataset
     kernel : KernelSpec
     hp : Hyperparams (lam1 must be positive)
-    solver : 'direct', 'smo' or 'auto', the final coefficient step of a
-        fit on the base Gram (module docstring); a linear kernel with
-        m*d < N takes the exact low-rank solve under every solver.
+    solver : 'direct', 'smo' or 'auto', checked against SOLVERS and
+        otherwise unused: every value gives the same model. It stays only
+        because the benchmark (bench/workloads.py) still passes it.
 
     Every kernel minimises P by proximal-gradient and covariance steps
-    (module docstring), whatever the solver. The fit stops when the
-    relative duality gap (P - D) / |P| is at most hp.tol or after
-    hp.max_iters iterations. One coefficient step at the final covariance
-    then gives the stored coefficients, biases and coupling; all-zero or
-    constant targets end at Omega = I/m.
+    (module docstring). The fit stops when the relative duality gap
+    (P - D) / |P| is at most hp.tol or after hp.max_iters iterations. One
+    coefficient step at the final covariance then gives the stored
+    coefficients, biases and coupling; all-zero or constant targets end at
+    Omega = I/m.
 
     Returns a TrainedModel whose objective trace holds the starting value,
     one value per iteration and the final state's, non-increasing; a rise
@@ -869,7 +844,9 @@ def fit(ds, kernel, hp, solver="auto"):
     bound found, and the number of CG products its covariance steps took.
     """
     validate_dataset(ds)
-    _, _, model = next(_fit_path([ds], kernel, [hp], solver))
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+    _, _, model = next(_fit_path([ds], kernel, [hp]))
     return model
 
 
@@ -878,7 +855,7 @@ def _moment_fit(kernel, ds):
     return kernel.kind == "linear" and ds.m * ds.dim < ds.total
 
 
-def _fit_path(datasets, kernel, hps, solver="auto"):
+def _fit_path(datasets, kernel, hps):
     """Fit every dataset at every hyperparameter point of a path, yielding
     (i, j, model), the model of datasets[j] at hps[i], as each is fitted:
     group by group (below), each group point by point, so a caller that
@@ -903,11 +880,11 @@ def _fit_path(datasets, kernel, hps, solver="auto"):
     for j, ds in enumerate(datasets):
         groups.setdefault((ds.m, ds.dim) if _moment_fit(kernel, ds) else j, []).append(j)
     for members in groups.values():
-        for i, k, model in _path(tuple(datasets[j] for j in members), kernel, hps, solver):
+        for i, k, model in _path(tuple(datasets[j] for j in members), kernel, hps):
             yield i, members[k], model
 
 
-def _path(group, kernel, hps, solver):
+def _path(group, kernel, hps):
     """Yields (i, k, model), the model of group[k] at hps[i], point by
     point, each model as soon as its refresh is done; group is a tuple, one
     stack or one dataset alone, warm-started as _fit_path says.
@@ -915,8 +892,8 @@ def _path(group, kernel, hps, solver):
     The final refresh of each model: the stored covariance and coupling
     are the certified weights' (_svd_coupling), and the stored
     coefficients solve the coefficient step at that coupling and that
-    map's factor, a Gram-form fit's CG or SMO from the certified point's
-    dual (_coefficient_step). A stacked problem's factor, padded to the
+    map's factor, a Gram-form fit's CG from the certified point's dual
+    (_coefficient_step). A stacked problem's factor, padded to the
     stack's largest rank (_svd_coupling), loses its zero columns first, so
     its refresh solves at its own rank. At a fixed covariance that step
     can only lower the objective.
@@ -924,7 +901,7 @@ def _path(group, kernel, hps, solver):
     warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)
     if warm:
         moments = tuple(_task_moments(ds) for ds in group)
-        steps = [_coefficient_step(ds, kernel, solver, mo) for ds, mo in zip(group, moments)]
+        steps = [_coefficient_step(ds, kernel, mo) for ds, mo in zip(group, moments)]
         if len(group) == 1:  # a group of one runs without the leading axis
             held, gram = (group[0], moments[0]), moments[0][4]
         else:
@@ -937,7 +914,7 @@ def _path(group, kernel, hps, solver):
     else:
         ds, = group
         base = base_kernel_matrix(kernel, ds.inputs)
-        steps = [_coefficient_step(ds, kernel, solver, base=base)]
+        steps = [_coefficient_step(ds, kernel, base=base)]
         curvature = _gram_curvature(ds, base)
         targets = [_centred_targets(ds)]
         zero = _gram_point(ds, base, targets[0], np.zeros(2 * ds.total * ds.m))
@@ -954,7 +931,7 @@ def _path(group, kernel, hps, solver):
         start = None if form.dual_point is None else form.dual_point(weights)
         for k, (ds, y, step, trace, omega, coupling, factor, stopped, bound, restart) in enumerate(zip(
                 group, targets, steps, traces, omegas, couplings, factors, gapped, bounds, restarts)):
-            alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start, hp.tol)
+            alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start)
             final, blocked = _fitted_state(ds, coupling, alpha, b, product)
             _require_descent(trace[-1], final, " in the final refresh")
             trace.append(final)

@@ -363,3 +363,13 @@ def test_usage_error_single_line(capsys):
     code, _, err = run(capsys, "train")
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: usage:")
+
+
+def test_fit_commands_refuse_the_solver_flag(tmp_path, capsys):
+    # every fit ends with one final step, so no command takes --solver
+    data = tmp_path / "toy.csv"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    for command in (["train", str(data)], ["cv", str(data)], ["prior-train", str(data), "--prior", "spec"]):
+        code, out, err = run(capsys, *command, "--solver", "smo")
+        assert code == 2 and err.startswith("error: usage:") and err.count("\n") == 1, command
+        assert out == ""

@@ -91,7 +91,7 @@ def test_folds_minimum():
 
 @pytest.mark.parametrize("change, message", [
     ({"task_type": "classfication"}, "unknown task_type"),
-    ({"solver": "fastest"}, "unknown solver"),
+    ({"max_iters": 0}, "max_iters must be an integer of at least 1"),
     ({"kernel_kind": "poly"}, "unknown kernel kind"),
     ({"lam1_grid": (0.1, 0.0)}, "lam1 > 0"),
     ({"lam2_grid": (0.1, -1.0)}, "nonnegative"),
@@ -119,7 +119,7 @@ def per_point_fold_scores(ds, config, lam1, lam2, width):
         train = tc.MultiTaskDataset(
             [(t.task_id, t.inputs[~mask], t.targets[~mask]) for t, mask in kept]
         )
-        model = tc.fit(train, kernel, hp, solver=config.solver)
+        model = tc.fit(train, kernel, hp)
         per_task = []
         for t, mask in kept:
             if not mask.any():

@@ -35,7 +35,6 @@ problems = st.fixed_dictionaries({
     "lam1": st.floats(1e-3, 1.0),
     "lam2": st.floats(0.0, 1.0),
     "tol": st.sampled_from([1e-4, 1e-6, 1e-8]),
-    "solver": st.sampled_from(["auto", "smo"]),
 })
 
 
@@ -47,7 +46,7 @@ def fitted(problem):
     width = problem["width"]
     kernel = tc.KernelSpec("linear") if width is None else tc.KernelSpec("rbf", width)
     hp = tc.Hyperparams(problem["lam1"], problem["lam2"], tol=problem["tol"])
-    return ds, tc.fit(ds, kernel, hp, solver=problem["solver"])
+    return ds, tc.fit(ds, kernel, hp)
 
 
 def same_model(a, b):
@@ -64,9 +63,9 @@ def same_model(a, b):
 # one point per task: the optimum is 0, and the stored state's objective
 # is the rounding of the final solve
 @example({"seed": 1, "m": 1, "d": 1, "n_hi": 1, "width": None, "lam1": 1e-3, "lam2": 0.0,
-          "tol": 1e-4, "solver": "auto"})
+          "tol": 1e-4})
 @example({"seed": 1, "m": 2, "d": 1, "n_hi": 1, "width": 1.0, "lam1": 1e-3, "lam2": 0.1,
-          "tol": 1e-8, "solver": "smo"})
+          "tol": 1e-8})
 def test_fit_properties(problem):
     ds, model = fitted(problem)
     omega = model.covariance.matrix

@@ -33,21 +33,16 @@ def saddle_system_oracle(ds, kernel, coupling):
     return sol[:n], sol[n:]
 
 
-def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
-                 start=None):
-    """Reference SMO loop: a KKT-spread scan against kkt_tol * min(1, max |y|)
-    before each round, then the round's updates from columns of K~, from
-    alpha = 0 or from a copy of start."""
+def two_pass_smo(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS):
+    """Reference SMO loop from alpha = 0: a KKT-spread scan against
+    kkt_tol * min(1, max |y|) before each round, then the round's updates
+    from columns of K~."""
     n = ds.total
     kkt_tol *= min(1.0, float(np.max(np.abs(ds.targets))))
     kt = k.copy()
     kt[np.diag_indices(n)] += ds.counts[ds.point_task] / 2.0
-    if start is None:
-        alpha = np.zeros(n)
-        grad = -ds.targets.copy()
-    else:
-        alpha = np.array(start, dtype=float)
-        grad = kt @ alpha - ds.targets
+    alpha = np.zeros(n)
+    grad = -ds.targets.copy()
     task_slices = []
     first = 0
     for c in ds.counts:
@@ -156,6 +151,9 @@ class TestDirectSolve:
 
 
 class TestSmo:
+    """The public SMO solve, a reference that no fit runs, and fits checked
+    against the public reference solves."""
+
     def test_zero_targets(self):
         ds = tc.MultiTaskDataset([("a", [[1.0], [2.0]], [0.0, 0.0])])
         hp = tc.Hyperparams(lam1=0.1, lam2=0.1)
@@ -207,29 +205,6 @@ class TestSmo:
             assert np.array_equal(alpha, alpha_ref) and np.array_equal(b, b_ref)
         assert single >= 3
 
-    def test_warm_starts_match_two_pass_reference(self, monkeypatch):
-        # random per-task zero-sum starts (0 on single-point tasks), and the
-        # start of an RBF fit's one SMO solve, its final refresh
-        rng = np.random.default_rng(48)
-        cases = []
-        for ds, kernel, c in smo_instances():
-            cases.append((ds, tc.assemble_kernel_matrix(ds, kernel, c), zero_sum_start(rng, ds)))
-        ds = smooth_dataset(5, 4, 60, 4)
-        smo_solve = solver._smo_solve
-
-        def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
-                      start=None):
-            cases.append((ds, k.copy(), start))
-            return smo_solve(ds, k, kkt_tol, max_rounds, start)
-
-        monkeypatch.setattr(solver, "_smo_solve", recording)
-        tc.fit(ds, tc.KernelSpec("rbf", 1.0), tc.Hyperparams(lam1=0.03, lam2=0.03), solver="smo")
-        assert len(cases) == 21 and cases[20][2] is not None
-        for ds, k, start in cases:
-            alpha, b = smo_solve(ds, k.copy(), start=start)
-            alpha_ref, b_ref = two_pass_smo(ds, k, start=start)
-            assert np.array_equal(alpha, alpha_ref) and np.array_equal(b, b_ref)
-
     def test_iteration_cap_matches_two_pass_reference(self, toy, toy_hp):
         c = tc.coupling_matrix(tc.TaskCovariance.unrelated(3), toy_hp)
         kernel = tc.KernelSpec("linear")
@@ -240,23 +215,6 @@ class TestSmo:
         assert str(info.value) == str(ref.value)
         assert np.array_equal(info.value.alpha, ref.value.alpha)
         assert np.array_equal(info.value.b, ref.value.b)
-
-    def test_start_at_own_output_does_not_move(self):
-        # each call shifts its kernel in place, so each gets a fresh copy
-        for ds, kernel, c in smo_instances(count=10, seed=42):
-            k = tc.assemble_kernel_matrix(ds, kernel, c)
-            cold, _ = solver._smo_solve(ds, k.copy())
-            alpha, b = solver._smo_solve(ds, k.copy(), start=cold)
-            assert np.array_equal(alpha, cold)
-            again, b_again = solver._smo_solve(ds, k.copy(), start=alpha)
-            assert np.array_equal(again, alpha) and np.array_equal(b_again, b)
-
-    def test_start_is_not_modified(self):
-        ds, kernel, c = next(smo_instances(count=1, seed=43))
-        k = tc.assemble_kernel_matrix(ds, kernel, c)
-        start = np.zeros(ds.total)
-        alpha, _ = solver._smo_solve(ds, k, start=start)
-        assert not np.any(start) and np.any(alpha)
 
     @pytest.mark.parametrize("kkt_tol", [float("nan"), float("inf"), 0.0, -1e-6])
     def test_rejects_bad_tolerance(self, toy, toy_hp, kkt_tol):
@@ -270,66 +228,30 @@ class TestSmo:
         with pytest.raises(ValueError, match="max_rounds"):
             tc.solve_alpha_b_smo(toy, tc.KernelSpec("linear"), c, max_rounds=max_rounds)
 
-    def test_warm_started_fits_match_direct(self):
-        # linear trials draw wide data, at most d points per task, so
-        # m*d >= N: there the fit ends on the base Gram and the solver
-        # picks its final step (m*d < N takes one step under both). They
-        # fit at tol 1e-8, where SMO stops at the KKT spread 1e-7: at the
-        # default 1e-6, C's 1/lam1 scale on wide data can carry SMO's
-        # residual past 1e-6 in a prediction
-        rng = np.random.default_rng(51)
-        compared = 0
-        for trial in range(40):
-            m, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-            ds = random_dataset(rng, m=m, d=d, n_lo=1, n_hi=25 if trial % 2 else d)
-            if trial % 2 == 0:
-                assert ds.m * ds.dim >= ds.total and not solver._moment_fit(tc.KernelSpec("linear"), ds)
-            lam1 = float(10 ** rng.uniform(-2, 0))
-            lam2 = 0.0 if trial % 5 == 0 else lam1 * float(10 ** rng.uniform(-1, 1))
-            hp = tc.Hyperparams(lam1=lam1, lam2=lam2, tol=1e-6 if trial % 2 else 1e-8)
-            if trial % 2:
-                kernel = tc.KernelSpec("rbf", float(rng.uniform(0.5, 2.0)))
-            else:
-                kernel = tc.KernelSpec("linear")
-            smo = tc.fit(ds, kernel, hp, solver="smo")
-            direct = tc.fit(ds, kernel, hp, solver="direct")
-            compared += not np.array_equal(smo.dual_coefs, direct.dual_coefs)
-            ids = [ds.task_ids[i] for i in ds.point_task]
-            xs = rng.normal(size=(ds.total, ds.dim))
-            gap = tc.predict_batch(smo, ids, xs) - tc.predict_batch(direct, ids, xs)
-            assert np.max(np.abs(gap)) <= 1e-6
-            trace = smo.objective_trace
-            for a, b in zip(trace, trace[1:]):
-                assert b <= a + solver.NONDECREASE_RTOL * max(1.0, abs(a))
-        assert compared >= 30  # the two final steps differ, and are compared, on most trials
-
     def test_small_targets_match_direct(self, toy, toy_hp):
-        # the KKT stop scales with the targets, so targets times 1e-6 are
-        # solved to the direct path's relative accuracy; linear data ends on
-        # the base Gram, where the solver picks the final step, if m*d >= N
+        # the final refresh's CG stop scales with the targets, so targets
+        # times 1e-6 are solved to the public direct solve's relative
+        # accuracy, on wide linear data and on the toy RBF fit
         for data, kernel in ((wide_linear_dataset(), tc.KernelSpec("linear")), (toy, tc.KernelSpec("rbf", 1.0))):
             small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-6 * t.targets) for t in data.tasks])
             ids = [small.task_ids[i] for i in small.point_task]
-            smo, direct = (tc.fit(small, kernel, toy_hp, solver=s) for s in ("smo", "direct"))
-            want = tc.predict_batch(direct, ids, small.inputs)
-            gap = tc.predict_batch(smo, ids, small.inputs) - want
-            assert np.max(np.abs(gap)) <= 1e-4 * np.max(np.abs(want))
+            model = tc.fit(small, kernel, toy_hp)
+            alpha, b = tc.solve_alpha_b_direct(small, kernel, model.coupling)
+            want = tc.predict_batch(dataclasses.replace(model, dual_coefs=alpha, biases=b), ids, small.inputs)
+            gap = tc.predict_batch(model, ids, small.inputs) - want
+            assert np.max(np.abs(gap)) <= 1e-8 * np.max(np.abs(want))
 
     def test_fit_warm_starts_after_the_first_solve(self, toy, toy_hp, monkeypatch):
         # each covariance step of the loop is one CG solve from the prox
-        # point's dual point, which sums to 0 per task; the fit's one SMO
-        # solve is the final refresh, from the certified point's dual point
-        smo_starts, cg_starts, cg_products, steps, seen = [], [], [], [], []
-        smo_solve, cg_solve = solver._smo_solve, solver._cg_solve
-        certify, gram_form = solver._certify, solver._gram_form
-
-        def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
-                      start=None):
-            smo_starts.append(start)
-            return smo_solve(ds, k, kkt_tol, max_rounds, start)
+        # point's dual point, which sums to 0 per task; the fit's last CG
+        # solve is the final refresh, to 1e-10 from the certified point's
+        # dual point, and its products are not counted in the report
+        cg_starts, cg_products, cg_rtols, steps, seen = [], [], [], [], []
+        cg_solve, certify, gram_form = solver._cg_solve, solver._certify, solver._gram_form
 
         def cg_recording(ds, k, start, rtol):
             cg_starts.append(start)
+            cg_rtols.append(rtol)
             alpha, b, products = cg_solve(ds, k, start, rtol)
             cg_products.append(products)
             return alpha, b, products
@@ -339,23 +261,21 @@ class TestSmo:
             seen.append(form)
             return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
 
-        monkeypatch.setattr(solver, "_smo_solve", recording)
         monkeypatch.setattr(solver, "_cg_solve", cg_recording)
         monkeypatch.setattr(solver, "_gram_form", counted)
         monkeypatch.setattr(solver, "_certify", lambda *args: seen.append(certify(*args)) or seen[-1])
-        model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp, solver="smo")
-        assert len(steps) >= 2 and len(cg_starts) == len(steps) and len(smo_starts) == 1
-        assert model.report.products == sum(cg_products)
-        for start in cg_starts + smo_starts:
+        model = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
+        assert len(steps) >= 2 and len(cg_starts) == len(steps) + 1
+        assert cg_rtols[-1] == solver._CG_RTOL and model.report.products == sum(cg_products[:-1])
+        for start in cg_starts:
             sums = np.bincount(toy.point_task, weights=start)
             assert np.max(np.abs(sums)) <= 1e-12 * np.max(np.abs(start))
         form, (weights, *_) = seen
-        np.testing.assert_array_equal(smo_starts[0], form.dual_point(weights))
+        np.testing.assert_array_equal(cg_starts[-1], form.dual_point(weights))
 
     def test_fixed_inverse_fit_matches_public_solve(self):
-        # on the base Gram, SMO stops at the default tol's KKT spread: the
-        # public solve bit for bit; a linear fit with m*d < N takes auto's
-        # low-rank solve under every solver
+        # the low-rank solve, or CG to 1e-10 from 0 (there is no certified
+        # point), against the public direct solve at the same coupling
         rng = np.random.default_rng(52)
         moment = 0
         for trial in range(6):
@@ -364,53 +284,20 @@ class TestSmo:
             hp = tc.Hyperparams(lam1=0.2, lam2=0.1)
             kernel = tc.KernelSpec("rbf", 1.0) if trial % 2 else tc.KernelSpec("linear")
             b = rng.normal(size=(m, m))
-            model = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T, solver="smo")
-            # auto: the low-rank solve, or CG from 0 (no certified point)
-            auto = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T)
-            if solver._moment_fit(kernel, ds):
-                moment += 1
-                assert_same_fit(model, auto)
-            else:
-                alpha, biases = tc.solve_alpha_b_smo(ds, kernel, model.coupling)
-                assert np.array_equal(model.dual_coefs, alpha)
-                assert np.array_equal(model.biases, biases)
+            model = tc.fit_with_fixed_inverse(ds, kernel, hp, b @ b.T)
+            moment += solver._moment_fit(kernel, ds)
             alpha, biases = tc.solve_alpha_b_direct(ds, kernel, model.coupling)
             scale = max(1.0, np.max(np.abs(alpha)), np.max(np.abs(biases)))
-            np.testing.assert_allclose(auto.dual_coefs, alpha, rtol=0, atol=1e-8 * scale)
-            np.testing.assert_allclose(auto.biases, biases, rtol=0, atol=1e-8 * scale)
+            np.testing.assert_allclose(model.dual_coefs, alpha, rtol=0, atol=1e-8 * scale)
+            np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-8 * scale)
         assert moment == 3
-
-
-    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_kkt_stop_follows_the_fit_tolerance(self, tol, monkeypatch):
-        # a fit's SMO refresh and a fixed structure's SMO solve stop at the
-        # KKT spread _loop_cg_rtol(tol), SMO_DEFAULT_TOL at the default tol,
-        # so a smo model tightens toward the direct one with tol
-        smo_solve, stops = solver._smo_solve, []
-
-        def recording(ds, k, kkt_tol=solver.SMO_DEFAULT_TOL, max_rounds=solver.SMO_MAX_ROUNDS,
-                      start=None):
-            stops.append(kkt_tol)
-            return smo_solve(ds, k, kkt_tol, max_rounds, start)
-
-        monkeypatch.setattr(solver, "_smo_solve", recording)
-        ds, kernel = smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0)
-        hp = tc.Hyperparams(0.03, 0.03, tol=tol)
-        smo, direct = (tc.fit(ds, kernel, hp, solver=name) for name in ("smo", "direct"))
-        tc.fit_with_fixed_inverse(ds, kernel, hp, tc.laplacian_mean_regularization(ds.m), solver="smo")
-        assert stops == [solver._loop_cg_rtol(tol)] * 2 and solver._loop_cg_rtol(1e-6) == solver.SMO_DEFAULT_TOL
-        ids = [ds.task_ids[i] for i in ds.point_task]
-        want = tc.predict_batch(direct, ids, ds.inputs)
-        gap = np.max(np.abs(tc.predict_batch(smo, ids, ds.inputs) - want))
-        assert gap <= 0.2 * solver._loop_cg_rtol(tol) * np.max(np.abs(want))
 
 
 class TestCgStep:
     """The certified loop's covariance step: projected CG (_cg_solve)."""
 
     def test_matches_saddle_oracle(self):
-        # from 0 and from a random feasible start, on a contiguous buffer
-        # and on a saddle block's strided top-left
+        # from 0 and from a random feasible start
         rng = np.random.default_rng(49)
         single = 0
         for ds, kernel, c in smo_instances():
@@ -419,12 +306,11 @@ class TestCgStep:
             scale = max(1.0, np.max(np.abs(alpha_ref)), np.max(np.abs(b_ref)))
             k = tc.assemble_kernel_matrix(ds, kernel, c)
             for start in (np.zeros(ds.total), zero_sum_start(rng, ds)):
-                for buffer in (k.copy(), solver._saddle_block(ds, k)[:ds.total, :ds.total]):
-                    alpha, b, products = solver._cg_solve(ds, buffer, start)
-                    np.testing.assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-9 * scale)
-                    np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-9 * scale)
-                    assert 1 <= products <= ds.total + 1
-                    assert not np.any(alpha[ds.counts[ds.point_task] == 1])
+                alpha, b, products = solver._cg_solve(ds, k.copy(), start)
+                np.testing.assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-9 * scale)
+                np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-9 * scale)
+                assert 1 <= products <= ds.total + 1
+                assert not np.any(alpha[ds.counts[ds.point_task] == 1])
         assert single >= 3
 
     def test_capped_solve_stays_feasible(self):
@@ -438,21 +324,26 @@ class TestCgStep:
     def test_capped_steps_keep_the_trace_non_increasing(self, monkeypatch):
         # _certify keeps a candidate only where it lowers P, so a covariance
         # step of one CG iteration slows a fit but cannot make its trace rise;
-        # auto's final refresh is such a solve too, and its gate refuses it
-        cg_solve, capped = solver._cg_solve, []
-        monkeypatch.setattr(solver, "_cg_solve",
-                            lambda ds, k, start, rtol: capped.append(1) or cg_solve(ds, k, start, rtol, cap=1))
+        # the final refresh capped the same way is refused by its gate
+        cg_solve, capped, refresh = solver._cg_solve, [], {"cap": None}
+
+        def capped_loop(ds, k, start, rtol):
+            capped.append(rtol)
+            return cg_solve(ds, k, start, rtol, cap=1 if rtol > solver._CG_RTOL else refresh["cap"])
+
+        monkeypatch.setattr(solver, "_cg_solve", capped_loop)
         rng = np.random.default_rng(20260811)
         fits = [_convergence_instance(rng) for _ in range(12)]
         fits = [(ds, kernel, hp) for ds, kernel, hp in fits if kernel.kind == "rbf"]
         fits.append((planted_dataset(3, 4, 20, 100, 3), tc.KernelSpec("linear"), tc.Hyperparams(0.03, 0.03)))
         for ds, kernel, hp in fits:
-            for name in ("direct", "smo"):
-                trace = tc.fit(ds, kernel, hp, solver=name).objective_trace
-                assert all(b <= a + 1e-10 * abs(a) for a, b in zip(trace, trace[1:]))
+            refresh["cap"] = None
+            trace = tc.fit(ds, kernel, hp).objective_trace
+            assert all(b <= a + 1e-10 * abs(a) for a, b in zip(trace, trace[1:]))
+            refresh["cap"] = 1
             with pytest.raises(errors.SingularSystem, match="solve residual"):
                 tc.fit(ds, kernel, hp)
-        assert len(fits) >= 4 and capped
+        assert len(fits) >= 4 and solver._CG_RTOL < max(capped)
 
     def test_loop_tolerance_follows_the_fit_tolerance(self):
         # min(1e-6, max(1e-10, 1e-3 sqrt(tol))): its square is 1e-6 tol
@@ -462,7 +353,7 @@ class TestCgStep:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_loop_steps_stop_at_the_loop_tolerance(self, tol, monkeypatch):
-        # every covariance step's CG stops at _loop_cg_rtol(tol); auto's
+        # every covariance step's CG stops at _loop_cg_rtol(tol); the
         # final refresh and a fixed structure's solve at 1e-10
         cg_solve, tolerances, steps = solver._cg_solve, [], []
         gram_form = solver._gram_form
@@ -479,11 +370,8 @@ class TestCgStep:
         monkeypatch.setattr(solver, "_gram_form", counted)
         ds, kernel = smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0)
         hp, loop = tc.Hyperparams(0.03, 0.03, tol=tol), solver._loop_cg_rtol(tol)
-        for name in ("auto", "smo"):
-            tolerances.clear(), steps.clear()
-            assert tc.fit(ds, kernel, hp, solver=name).report.stop_reason == "gap"
-            refresh = [solver._CG_RTOL] if name == "auto" else []
-            assert len(steps) >= 2 and tolerances == [loop] * len(steps) + refresh
+        assert tc.fit(ds, kernel, hp).report.stop_reason == "gap"
+        assert len(steps) >= 2 and tolerances == [loop] * len(steps) + [solver._CG_RTOL]
         tolerances.clear()
         tc.fit_with_fixed_inverse(ds, kernel, hp, tc.laplacian_mean_regularization(ds.m))
         assert tolerances == [solver._CG_RTOL]
@@ -684,7 +572,7 @@ class TestLowRankStep:
     def test_matches_dense_direct_solve(self):
         for ds, hp, omega in rescaled(low_rank_instances()):
             c = tc.coupling_matrix(omega, hp)
-            alpha, b, product = solver._coefficient_step(ds, self.kernel, "auto")(c, eigh_factor(c))
+            alpha, b, product = solver._coefficient_step(ds, self.kernel)(c, eigh_factor(c))
             a_ref, b_ref = tc.solve_alpha_b_direct(ds, self.kernel, c)
             np.testing.assert_allclose(alpha, a_ref, rtol=0, atol=1e-8 * np.max(np.abs(a_ref)))
             np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-8 * np.max(np.abs(b_ref)))
@@ -715,13 +603,10 @@ class TestLowRankStep:
 
     @pytest.mark.parametrize("name", ["direct", "smo"])
     def test_every_solver_takes_the_low_rank_refresh(self, name, toy, toy_hp, monkeypatch):
-        # on the toy, linear-2k and a fixed inverse: auto's model bit for
-        # bit, and no base Gram
+        # on the toy and linear-2k: auto's model bit for bit, and no base Gram
         ds, hp = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3), tc.Hyperparams(0.03, 0.03)
-        inverse = tc.laplacian_mean_regularization(ds.m)
         fits = [lambda s: tc.fit(toy, self.kernel, toy_hp, solver=s),
-                lambda s: tc.fit(ds, self.kernel, hp, solver=s),
-                lambda s: tc.fit_with_fixed_inverse(ds, self.kernel, hp, inverse, solver=s)]
+                lambda s: tc.fit(ds, self.kernel, hp, solver=s)]
         want = [f("auto") for f in fits]
 
         def refuse(*args, **kwargs):
@@ -731,18 +616,11 @@ class TestLowRankStep:
         for f, model in zip(fits, want):
             assert_same_fit(f(name), model)
 
-    def test_cross_validation_is_the_same_under_every_solver(self):
-        # the benchmark's cv-grid data: every fold runs in one stack
-        ds, grid = planted_dataset(777, tasks=8, points=40, dim=5, rank=2), (0.01, 0.03, 0.1)
-        auto, *others = (tc.cross_validate(tc.ExperimentConfig("linear", grid, grid, folds=5, seed=1, solver=s), ds)
-                         for s in ("auto", "direct", "smo"))
-        assert len(auto.reports) == 45 and all(result == auto for result in others)
-
     @pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
     def test_fits_far_from_the_origin(self, shift, tmp_path):
-        # the linear-2k data with shift added to every input: each solver
-        # stops on the gap and predicts the unmoved fit's values, and the
-        # model's file round trip is bit for bit
+        # the linear-2k data with shift added to every input: the fit under
+        # each solver value stops on the gap and predicts the unmoved fit's
+        # values, and the model's file round trip is bit for bit
         ds, hp = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3), tc.Hyperparams(0.03, 0.03)
         ids = [ds.task_ids[i] for i in ds.point_task]
         want = tc.predict_batch(tc.fit(ds, self.kernel, hp), ids, ds.inputs)
@@ -758,6 +636,23 @@ class TestLowRankStep:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         assert loaded.objective_trace == model.objective_trace
         np.testing.assert_array_equal(tc.predict_batch(loaded, ids, moved.inputs), got)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=errors.SingularSystem,
+        reason="ROADMAP item 5: wide linear data fits on the uncentred base Gram, whose entries grow "
+        "as shift^2 d, so at a shift of 1e4 the final refresh's saddle residual fails its gate",
+    )
+    def test_wide_fit_far_from_the_origin(self):
+        # the wide planted data (m*d >= N, so the Gram form) with 1e4 added to
+        # every input: at the shifted queries, the unshifted fit's predictions
+        # within 1e-6 relative
+        ds, hp = planted_dataset(3, 10, 30, 200, 3), tc.Hyperparams(0.03, 0.03)
+        ids = [ds.task_ids[i] for i in ds.point_task]
+        want = tc.predict_batch(tc.fit(ds, self.kernel, hp), ids, ds.inputs)
+        moved = tc.MultiTaskDataset([(t.task_id, t.inputs + 1e4, t.targets) for t in ds.tasks])
+        got = tc.predict_batch(tc.fit(moved, self.kernel, hp), ids, moved.inputs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.max(np.abs(want)))
 
     def test_auto_builds_no_dense_system(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -986,17 +881,28 @@ class TestFit:
         assert model.report.stop_reason == "gap"
 
     def test_smo_path_matches_direct_path(self, toy_hp):
-        # linear data with m*d >= N ends on the base Gram, where the solver
-        # picks the final step
+        # linear data with m*d >= N ends on the base Gram: the two give one
+        # model, bit for bit
         ds = wide_linear_dataset()
         direct = tc.fit(ds, tc.KernelSpec("linear"), toy_hp, solver="direct")
-        smo = tc.fit(ds, tc.KernelSpec("linear"), toy_hp, solver="smo")
-        scale = max(1.0, np.max(np.abs(direct.dual_coefs)))
-        assert np.max(np.abs(direct.dual_coefs - smo.dual_coefs)) <= 1e-4 * scale
-        assert np.max(np.abs(direct.biases - smo.biases)) <= 1e-4
-        np.testing.assert_allclose(
-            direct.objective_trace[-1], smo.objective_trace[-1], rtol=1e-4
-        )
+        assert_same_fit(tc.fit(ds, tc.KernelSpec("linear"), toy_hp, solver="smo"), direct)
+
+    @pytest.mark.parametrize("problem", ["rbf-smo", "wide-planted", "toy-rbf", "uneven-toy-rbf"])
+    def test_every_solver_gives_the_same_model(self, problem, toy):
+        # solver is checked and otherwise unused: every accepted value runs
+        # the one final step
+        uneven = tc.MultiTaskDataset([(t.task_id, t.inputs[1:], t.targets[1:]) if t.task_id == "task2"
+                                      else (t.task_id, t.inputs, t.targets) for t in toy.tasks])
+        ds, kernel = {
+            "rbf-smo": (smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0)),
+            "wide-planted": (planted_dataset(3, 10, 30, 200, 3), tc.KernelSpec("linear")),
+            "toy-rbf": (toy, tc.KernelSpec("rbf", 1.0)),
+            "uneven-toy-rbf": (uneven, tc.KernelSpec("rbf", 1.0)),
+        }[problem]
+        hp = tc.Hyperparams(0.03, 0.03)
+        auto = tc.fit(ds, kernel, hp)
+        for name in ("auto", "direct", "smo"):
+            assert_same_fit(tc.fit(ds, kernel, hp, solver=name), auto)
 
     def test_restarts_count_the_repeated_trace_values(self, toy):
         # each iteration of a cold fit appends the kept value: a lower one
@@ -1022,20 +928,16 @@ class TestFit:
     def test_report_types_and_products(self, toy, toy_hp):
         # gap is a Python float on every path; products counts the CG
         # products of a Gram-form fit's covariance steps, 0 on the moments
-        linear = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
-        smo, direct = (tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp, solver=s) for s in ("smo", "direct"))
-        for model in (linear, smo, direct):
+        linear, rbf = (tc.fit(toy, kernel, toy_hp) for kernel in (tc.KernelSpec("linear"), tc.KernelSpec("rbf", 2.0)))
+        for model in (linear, rbf):
             assert type(model.report.gap) is float and type(model.report.products) is int
-        assert linear.report.products == 0 and smo.report.products > 0 and direct.report.products > 0
+        assert linear.report.products == 0 and rbf.report.products > 0
 
     @pytest.mark.parametrize("kernel", [tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.0)])
     def test_unknown_solver_is_refused(self, kernel, toy, toy_hp):
         # on the moments (the toy's linear fit) and on the base Gram alike
-        inverse = tc.laplacian_mean_regularization(toy.m)
         with pytest.raises(ValueError, match="unknown solver 'lu'"):
             tc.fit(toy, kernel, toy_hp, solver="lu")
-        with pytest.raises(ValueError, match="unknown solver 'lu'"):
-            tc.fit_with_fixed_inverse(toy, kernel, toy_hp, inverse, solver="lu")
 
     def test_requires_positive_lam1(self, toy):
         with pytest.raises(ValueError):
@@ -1147,19 +1049,21 @@ class TestCertificate:
     def test_kernel_gap_closes_at_the_alternation(self):
         # the alternation ends within 2e-9 relative of the optimum on these
         # instances (the covariance stays full rank), so the certified fit
-        # may end above it, by no more than its tol. auto's final refresh,
-        # a CG solve, agrees with direct's LU, also at N = 2000
+        # may end above it, by no more than its tol. The final refresh, a
+        # CG solve, agrees with the public LU solve at its coupling, also at
+        # N = 2000
         instances = list(rbf_certificate_instances())
         assert len(instances) == len(ALTERNATION_RBF_FIT_OBJECTIVES)
         large = (smooth_dataset(7, 8, 250, 4), tc.KernelSpec("rbf", 1.0),
                  tc.Hyperparams(0.03, 0.03, tol=1e-8))
         for k, (ds, kernel, hp) in enumerate(instances + [large]):
-            model, direct = (tc.fit(ds, kernel, hp, solver=s) for s in ("auto", "direct"))
-            assert model.report.stop_reason == direct.report.stop_reason == "gap"
+            model = tc.fit(ds, kernel, hp)
+            alpha, b = tc.solve_alpha_b_direct(ds, kernel, model.coupling)
+            direct = dataclasses.replace(model, dual_coefs=alpha, biases=b)
+            assert model.report.stop_reason == "gap"
             assert 0.0 <= model.report.gap <= hp.tol
             if k < len(instances):
                 assert model.objective_trace[-1] <= ALTERNATION_RBF_FIT_OBJECTIVES[k] * (1.0 + hp.tol)
-            assert len(model.objective_trace) == len(direct.objective_trace)
             ids = [ds.task_ids[i] for i in ds.point_task]
             want = tc.predict_batch(direct, ids, ds.inputs)
             gap = tc.predict_batch(model, ids, ds.inputs) - want
@@ -1285,7 +1189,7 @@ class TestCertificate:
             moment_form = solver._moment_form(ds, moments, hp)
             with monkeypatch.context() as dense:  # the Gram form's step, also where m*d < N
                 dense.setattr(solver, "_moment_fit", lambda kernel, ds: False)
-                step = solver._coefficient_step(ds, self.kernel, "direct", base=base)
+                step = solver._coefficient_step(ds, self.kernel, base=base)
             gram_form = solver._gram_form(ds, base, step, hp)
             with monkeypatch.context() as exact:
                 exact.setattr(solver, "_loop_cg_rtol", lambda tol: solver._CG_RTOL)
@@ -1731,7 +1635,7 @@ class TestRbfInputs:
 
 class TestRbfMemory:
     """tracemalloc peaks on the benchmark's rbf-smo shape, N = 900: the
-    base Gram's build must not set either of them."""
+    base Gram's build must not set any of them."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -1740,38 +1644,19 @@ class TestRbfMemory:
 
     @pytest.fixture(scope="class")
     def fitted(self, problem):
-        return traced_peak(tc.fit, *problem, solver="smo")
+        return traced_peak(tc.fit, *problem)
 
-    @pytest.fixture(scope="class")
-    def direct(self, problem):
-        return traced_peak(tc.fit, *problem, solver="direct")
-
-    @pytest.fixture(scope="class")
-    def auto(self, problem):
-        return traced_peak(tc.fit, *problem, solver="auto")
-
-    def test_smo_fit_peak(self, fitted):
-        # the base Gram and the combined buffer, 2 N x N, and little else
+    def test_auto_fit_peak(self, fitted):
+        # the base Gram and the combined kernel CG works on: 2 N x N
         model, peak = fitted
         assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
 
-    def test_direct_fit_peak(self, direct):
-        # the base Gram and the saddle block, whose top-left holds the
-        # combined kernel: 2 N x N, and little else
-        model, peak = direct
-        assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
-
-    def test_auto_fit_peak(self, auto):
-        # the base Gram and the combined kernel CG works on: 2 N x N
-        model, peak = auto
-        assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
-
-    def test_direct_fit_matches_public_solve(self, problem, direct):
-        # the same bits, and the public solve holds its kernel and the block
+    def test_direct_solve_peak(self, problem, fitted):
+        # the public LU solve at the fit's coupling holds its kernel and the
+        # saddle block: 2 N x N, and little else
         ds, kernel, _ = problem
-        model, _ = direct
-        (alpha, b), peak = traced_peak(tc.solve_alpha_b_direct, ds, kernel, model.coupling)
-        assert np.array_equal(model.dual_coefs, alpha) and np.array_equal(model.biases, b)
+        model, _ = fitted
+        _, peak = traced_peak(tc.solve_alpha_b_direct, ds, kernel, model.coupling)
         assert peak <= 2.2 * 8 * ds.total ** 2
 
     def test_smo_solve_allocates_little(self, problem, fitted):

@@ -25,33 +25,10 @@ from .data import (
     validate_dataset,
 )
 from .io import generate_toy, load_csv, load_model, save_csv, save_model
-from .kernels import (
-    assemble_kernel_matrix,
-    base_kernel,
-    base_kernel_matrix,
-    coupling_matrix,
-    multitask_kernel,
-)
-from .linalg import (
-    EigenDecomposition,
-    correlation_from_covariance,
-    psd_inverse,
-    psd_sqrt,
-    solve_linear,
-    sym_eig,
-    trace_pinv_product,
-)
+from .kernels import base_kernel_matrix
+from .linalg import EigenDecomposition, correlation_from_covariance, solve_linear, sym_eig, trace_pinv_product
 from .metrics import Metrics, compute_metrics
-from .newtask import (
-    SocpInstance,
-    augmented_covariance,
-    incorporate_new_task,
-    newtask_objective,
-    schur_feasible,
-    socp_instance,
-    solve_omega_sigma,
-    solve_wb_newtask,
-)
+from .newtask import augmented_covariance, incorporate_new_task
 from .priors import (
     clustered_inverse_covariance,
     fit_with_fixed_inverse,
@@ -59,16 +36,25 @@ from .priors import (
     laplacian_from_task_network,
     laplacian_mean_regularization,
 )
-from .solver import (
-    fit,
+from .reference import (
+    SocpInstance,
+    assemble_kernel_matrix,
+    base_kernel,
+    coupling_matrix,
     gram_wtw,
+    multitask_kernel,
+    newtask_objective,
     objective_value,
-    predict,
-    predict_batch,
-    reconstruct_weights,
+    psd_inverse,
+    psd_sqrt,
+    schur_feasible,
+    socp_instance,
     solve_alpha_b_direct,
     solve_alpha_b_smo,
+    solve_omega_sigma,
+    solve_wb_newtask,
     update_omega,
 )
+from .solver import fit, predict, predict_batch, reconstruct_weights
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, validate_dataset
+from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, _real, validate_dataset
 from .errors import GridEmpty
 from .solver import _centred, _fit_path, _predictions
 
@@ -41,9 +41,10 @@ from .solver import _centred, _fit_path, _predictions
 class ExperimentConfig:
     """Everything a cross-validation run needs.
 
-    Grids are lists of candidate values; width_grid is ignored for the
-    linear kernel. Tasks with fewer points than folds simply appear in
-    fewer validation folds (each point still lands in exactly one fold).
+    Grids are sequences of candidate values, stored as tuples of Python
+    floats; width_grid is ignored for the linear kernel. Tasks with fewer
+    points than folds simply appear in fewer validation folds (each point
+    still lands in exactly one fold).
     """
 
     kernel_kind: str
@@ -63,6 +64,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.task_type not in ("regression", "classification"):
             raise ValueError(f"unknown task_type {self.task_type!r}")
+        for name in ("lam1_grid", "lam2_grid", "width_grid"):
+            object.__setattr__(self, name, tuple(_real(v, f"{name} entry") for v in getattr(self, name)))
         if not self.lam1_grid or not self.lam2_grid:
             raise GridEmpty("regularization grids must be nonempty")
         if self.kernel_kind == "rbf" and not self.width_grid:
@@ -72,7 +75,7 @@ class ExperimentConfig:
             raise ValueError("fitting requires lam1 > 0")
 
     def grid(self):
-        widths = tuple(self.width_grid) if self.kernel_kind == "rbf" else (None,)
+        widths = self.width_grid if self.kernel_kind == "rbf" else (None,)
         return tuple(itertools.product(self.lam1_grid, self.lam2_grid, widths))
 
 
@@ -124,7 +127,7 @@ def _paths(config):
     (lam1, lam2) points in snake order, as (table row, Hyperparams) pairs;
     rows follow config.grid(). Builds every point's KernelSpec and
     Hyperparams, so their checks raise here."""
-    widths = tuple(config.width_grid) if config.kernel_kind == "rbf" else (None,)
+    widths = config.width_grid if config.kernel_kind == "rbf" else (None,)
     count = len(config.lam2_grid)
     paths = []
     for w, width in enumerate(widths):
@@ -182,8 +185,6 @@ def cross_validate(config, ds):
     """
     validate_dataset(ds)
     grid = config.grid()
-    if not grid:
-        raise GridEmpty("hyperparameter grid is empty")
     assignment = assign_folds(ds, config.folds, config.seed)
     # every grid point fits the same folds: split each once, keeping those
     # with validation points (a fold's validation tasks also train)

@@ -26,6 +26,14 @@ from .kernels import _rbf_rows
 from .linalg import PSD_EIG_FLOOR
 
 
+def _real(value, what):
+    """value as a Python float, so that a model file writes it as one; a
+    bool, which float() would read as 0 or 1, is refused with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -126,14 +134,17 @@ def validate_dataset(ds):
     EmptyTask : some task has no points (or there are no tasks)
     DimensionMismatch : input vectors do not share one dimension d >= 1
     DuplicateTaskId : two tasks carry the same id
-    InvalidTaskId : a task id holds a comma, a line break or a surrogate,
-        or begins or ends with whitespace (the CSV reader strips ids)
+    InvalidTaskId : a task id is not a str, holds a comma, a line break or
+        a surrogate, or begins or ends with whitespace (the CSV reader
+        strips ids)
     NonFiniteValue : some input or target is NaN or infinite
     """
     if ds.m < 1:
         raise EmptyTask("dataset has no tasks")
     seen = set()
     for tid in ds.task_ids:
+        if not isinstance(tid, str):
+            raise InvalidTaskId(f"task id {tid!r} is not a string")
         if tid in seen:
             raise DuplicateTaskId(f"task id {tid!r} appears more than once")
         if set(tid) & set(",\r\n") or any("\ud800" <= c <= "\udfff" for c in tid):
@@ -171,7 +182,8 @@ class Hyperparams:
     must be positive for fitting (strict convexity of the weight step);
     lam2 weights the relationship penalty. A fit, whatever its kernel,
     stops when its relative duality gap is at most tol or after max_iters
-    iterations.
+    iterations. lam1, lam2 and tol are stored as Python floats and
+    max_iters as an int.
     """
 
     lam1: float
@@ -180,23 +192,30 @@ class Hyperparams:
     max_iters: int = 50
 
     def __post_init__(self):
+        for name in ("lam1", "lam2", "tol"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (0 <= self.lam1 < np.inf and 0 <= self.lam2 < np.inf):
             raise ValueError(f"regularization weights must be finite and nonnegative, "
                              f"got {self.lam1!r}, {self.lam2!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", int(iters))
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Base kernel choice: 'linear' or 'rbf' with a positive width."""
+    """Base kernel choice: 'linear' or 'rbf' with a positive width, stored
+    as a Python float."""
 
     kind: str
     width: float | None = None
 
     def __post_init__(self):
+        if self.width is not None:
+            object.__setattr__(self, "width", _real(self.width, "kernel width"))
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and (self.width is None or not 0 < self.width < np.inf):

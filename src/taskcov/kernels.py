@@ -1,29 +1,14 @@
-"""Base kernels, the task-coupling matrix and the combined kernel.
+"""Base kernel blocks and the combined kernel.
 
-The coupling matrix C = Omega (lam1 Omega + lam2 I)^{-1} shares the
-covariance's eigenvectors; an eigenvalue mu maps to mu / (lam1 mu + lam2).
 The combined kernel between point x1 of task i1 and point x2 of task i2
-is C[i1, i2] * k(x1, x2). RBF blocks are built about the inputs' median,
-from one product and one exp (base_kernel_matrix).
+is C[i1, i2] * k(x1, x2), C the task-coupling matrix; a fit builds it
+from its base Gram (_combined_kernel). RBF blocks are built about the
+inputs' median, from one product and one exp (base_kernel_matrix).
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, TaskIndexOutOfRange
-from .linalg import spectral_map
-
-
-def base_kernel(kernel, x, z):
-    """Evaluate the base kernel between two input vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if x.shape != z.shape:
-        raise DimensionMismatch(f"kernel inputs of dimension {x.size} vs {z.size}")
-    if kernel.kind == "linear":
-        return float(x @ z)
-    with np.errstate(over="ignore"):  # far inputs: kernel 0
-        diff = x - z
-        return float(np.exp(-(diff @ diff) / (2.0 * kernel.width**2)))
+from .errors import DimensionMismatch
 
 
 def base_kernel_matrix(kernel, xa, xb=None):
@@ -106,42 +91,6 @@ def _exp_block(kernel, t, hu, hv, xa, xb):
     np.exp(t, out=t)
 
 
-def coupling_matrix(omega, hp):
-    """Task-coupling matrix C = Omega (lam1 Omega + lam2 I)^{-1}.
-
-    Computed spectrally: negative noise eigenvalues of the covariance are
-    clipped to zero, and a null direction maps to zero coupling (the
-    pseudo-inverse limit), which keeps the weight matrix confined to the
-    covariance's range in degenerate iterations. With lam2 > 0 the map is
-    continuous at 0, so the cutoff is 0. With lam2 = 0 it jumps from
-    1/lam1 to 0 there, so the pseudo-inverse cutoff 1e-12 keeps a
-    roundoff-level eigenvalue from counting as a direction of the range.
-    """
-    if hp.lam1 <= 0 and hp.lam2 <= 0:
-        raise ValueError("coupling needs lam1 > 0 or lam2 > 0")
-    a = omega.matrix if hasattr(omega, "matrix") else omega
-    cutoff = 1e-12 if hp.lam2 == 0 else 0.0
-    return spectral_map(a, lambda mu: mu / (hp.lam1 * mu + hp.lam2), rel_cutoff=cutoff)
-
-
-def multitask_kernel(kernel, coupling, i1, x1, i2, x2):
-    """Combined kernel value: coupling[i1, i2] * k(x1, x2)."""
-    m = coupling.shape[0]
-    if not (0 <= i1 < m and 0 <= i2 < m):
-        raise TaskIndexOutOfRange(f"task indices ({i1}, {i2}) outside 0..{m - 1}")
-    return float(coupling[i1, i2] * base_kernel(kernel, x1, x2))
-
-
-def assemble_kernel_matrix(ds, kernel, coupling):
-    """N x N combined-kernel Gram over all points of all tasks.
-
-    Entry (p, q) couples the tasks of flat points p and q and multiplies
-    by the base kernel of their inputs. It is written over the base Gram,
-    so the call holds one N x N array."""
-    base = base_kernel_matrix(kernel, ds.inputs)
-    return _combined_kernel(ds, base, coupling, out=base)
-
-
 def _spans(ds):
     """(first, end) of each task's points in flat order."""
     ends = np.cumsum(ds.counts)
@@ -149,9 +98,10 @@ def _spans(ds):
 
 
 def _combined_kernel(ds, base, coupling, out=None):
-    """assemble_kernel_matrix from an already built base Gram, so that a
-    fit can build the base Gram once and re-couple it every iteration,
-    into out when given (an N x N array, or base itself).
+    """The N x N combined-kernel Gram over all points of all tasks, from an
+    already built base Gram, so that a fit can build the base Gram once
+    and re-couple it every iteration, into out when given (an N x N
+    array, or base itself).
     The coupling is symmetrised, so that with the exactly symmetric base
     Gram of base_kernel_matrix the product is exactly symmetric, and the
     result is written per task row band, elementwise: base rows times the

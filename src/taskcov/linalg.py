@@ -10,18 +10,15 @@ EigenDecomposition.map), under one rule: negative eigenvalues are noise
 and are clipped to 0 before f is applied, and with rel_cutoff an
 eigenvalue at or below rel_cutoff * lambda_max maps to 0 without f seeing
 it. Refusing a matrix as not PSD is a separate check against
-PSD_EIG_FLOOR. The cutoffs: 0 for the coupling with lam2 > 0 (its map
-is continuous and is 0 at 0); 1e-12 for the coupling with lam2 = 0 and
-for pseudo-inverses (the map jumps at 0, and 1/lambda would blow up
-roundoff); 1e-14 for the covariance update (the square root would
-amplify rank noise by seven orders of magnitude).
+PSD_EIG_FLOOR. A pseudo-inverse cuts at 1e-12 (its map jumps at 0, and
+1/lambda would blow up roundoff).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTaskVariance, NotPSD, NotSymmetric, Singular, SingularSystem
+from .errors import DegenerateTaskVariance, NotSymmetric, SingularSystem
 
 SYM_ATOL = 1e-8
 # An eigenvalue below this is not noise: the matrix is refused as not PSD.
@@ -81,30 +78,6 @@ def sym_eig(a):
 def spectral_map(a, f, rel_cutoff=None):
     """f of the symmetric PSD matrix a, under the module's rule."""
     return sym_eig(a).map(f, rel_cutoff)
-
-
-def psd_sqrt(a):
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in [-1e-8, 0] are treated as numerical noise and clipped
-    to zero; anything below that raises NotPSD.
-    """
-    dec = sym_eig(a)
-    if dec.values.size and dec.values[-1] < PSD_EIG_FLOOR:
-        raise NotPSD(f"matrix has eigenvalue {dec.values[-1]:.3e}")
-    return dec.map(np.sqrt)
-
-
-def psd_inverse(a, ridge=0.0):
-    """Inverse of (a + ridge*I) through the eigendecomposition of PSD a.
-
-    With ridge = 0 the smallest eigenvalue must exceed 1e-10, otherwise
-    Singular is raised.
-    """
-    dec = sym_eig(a)
-    if ridge == 0.0 and (not dec.values.size or dec.values[-1] <= 1e-10):
-        raise Singular("matrix is singular and no ridge was given")
-    return dec.map(lambda v: 1.0 / (v + ridge))
 
 
 def trace_pinv_product(a, g, rel_cutoff=1e-12):

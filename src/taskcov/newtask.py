@@ -4,20 +4,16 @@ With the existing tasks' weights and covariance frozen, the problem in the
 new task's weights, bias, covariance column and own variance is convex;
 incorporate_new_task solves it exactly: the column in closed form, one
 d-square solve per value of the Schur slack, and bracketed Newton steps on
-the slack. The weight step solve_wb_newtask and the cone step
-solve_omega_sigma, which maximises t subject to the augmented covariance
-dominating t times the augmented weight Gram in closed form, remain
-standalone steps. Linear kernel only.
+the slack. Linear kernel only.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import NewTaskSolution, TaskCovariance, TaskData, _require_finite_task, _SlackReport
 from .errors import DegenerateGram, DimensionMismatch, SigmaOutOfRange
-from .linalg import PSD_EIG_FLOOR, solve_linear, sym_eig
+from .linalg import solve_linear, sym_eig
 from .solver import _centred_moments, reconstruct_weights
 
 OMEGA_RIDGE = 1e-8
@@ -49,94 +45,10 @@ def _ridged(omega, *fs):
     return tuple(dec.map(lambda v, f=f: f(v + shift)) for f in fs)
 
 
-def schur_feasible(omega, omega_col, sigma, tol=1e-10):
-    """Whether the augmented covariance is PSD, via the Schur condition.
-
-    True iff omega_col^T Omega^{-1} omega_col <= sigma - sigma^2 (+tol);
-    a ridge is applied when the covariance is not positive definite.
-    """
-    (inv,) = _ridged(omega, np.reciprocal)
-    col = np.asarray(omega_col, dtype=float).ravel()
-    return float(col @ inv @ col) <= sigma - sigma**2 + tol
-
-
-@dataclass(frozen=True)
-class SocpInstance:
-    """The pieces of the covariance-column cone program that its solution
-    reads: the eigenvalues (descending) of the whitened existing-weight
-    Gram Omega^{-1/2} Psi11 Omega^{-1/2}, and the cross and own blocks
-    psi12 and psi22 of the augmented weight Gram.
-    """
-
-    eigvals: np.ndarray
-    psi12: np.ndarray
-    psi22: float
-
-    def __post_init__(self):
-        if self.eigvals.size and self.eigvals[-1] < PSD_EIG_FLOOR:
-            raise ValueError(f"whitened Gram eigenvalue {self.eigvals[-1]:.3e}")
-        if self.psi22 < -1e-10:
-            raise ValueError(f"negative own Gram block {self.psi22!r}")
-
-
-def socp_instance(psi11, psi12, psi22, omega):
-    """Build the cone-program data from weight-Gram blocks and the
-    existing covariance (ridged if semidefinite)."""
-    (inv_sqrt,) = _ridged(omega, lambda v: 1.0 / np.sqrt(v))
-    return SocpInstance(
-        eigvals=np.clip(sym_eig(inv_sqrt @ psi11 @ inv_sqrt).values, 0.0, None),
-        psi12=np.asarray(psi12, dtype=float).ravel(),
-        psi22=float(psi22),
-    )
-
-
-def solve_omega_sigma(socp, omega):
-    """Covariance column and variance for the new task: the exact maximiser
-    of t subject to Om~(col, sigma) >= t Psi~ and sigma in
-    [sigma_min, 1 - sigma_min], sigma_min = SIGMA_MIN_DEFAULT.
-
-    The diagonal blocks of any feasible point give (1 - sigma) Omega >=
-    t Psi11 and sigma >= t psi22, so t <= min((1 - sigma) / lam,
-    sigma / psi22) with lam the top eigenvalue of the whitened Psi11 (a
-    term is +inf where its denominator is 0). col = t psi12 zeroes the
-    off-diagonal block of Om~ - t Psi~ and so attains the bound, which is
-    largest at sigma = psi22 / (lam + psi22), clipped to the interval.
-    Where the clip binds at sigma_min, other columns reach the same t;
-    this one, t psi12, is returned. omega is not read: the instance
-    already holds its whitening. Raises DegenerateGram when
-    lam + psi22 is not positive (t is then unbounded).
-    Returns (omega_col, sigma, t).
-    """
-    lam = float(socp.eigvals[0]) if socp.eigvals.size else 0.0
-    psi22 = max(socp.psi22, 0.0)
-    if lam + psi22 <= 0.0:
-        raise DegenerateGram("all weight-Gram blocks are zero; t is unbounded")
-    sigma = min(max(psi22 / (lam + psi22), SIGMA_MIN_DEFAULT), 1.0 - SIGMA_MIN_DEFAULT)
-    t = min((1.0 - sigma) / lam if lam > 0.0 else np.inf, sigma / psi22 if psi22 > 0.0 else np.inf)
-    return t * socp.psi12, sigma, t
-
-
-def _input_block(inputs):
-    arr = np.asarray(inputs, dtype=float)
-    return arr[:, None] if arr.ndim == 1 else arr
-
-
-def newtask_objective(inputs, targets, w, b, weights_existing, omega, omega_col, sigma, hp):
-    """Objective of the incorporation problem at an explicit point:
-    task-averaged squared loss plus the weight-norm and relationship
-    penalties of the augmented model.
-
-    The relationship trace tr(W~ Om~^{-1} W~^T) takes the stable block form
-    tr(Wm B^{-1} Wm^T) + ||w - Wm B^{-1} col||^2 / s, with B = (1 - sigma)
-    Omega the scaled existing block and s the Schur slack (floored at 1e-14,
-    so an infeasible point evaluates huge rather than negative).
-    """
-    (inv,) = _ridged(omega, np.reciprocal)
-    return _newtask_value(_input_block(inputs), targets, w, b, weights_existing, inv, omega_col, sigma, hp)
-
-
 def _newtask_value(inputs, targets, w, b, weights_existing, inv, omega_col, sigma, hp):
-    """newtask_objective on (n, d) inputs, given the ridged inverse of Omega."""
+    """The incorporation objective at an explicit point
+    (reference.newtask_objective) on (n, d) inputs, given the ridged
+    inverse of Omega."""
     w = np.asarray(w, dtype=float).ravel()
     col = np.asarray(omega_col, dtype=float).ravel()
     fixed_trace = float(np.trace(weights_existing @ inv @ weights_existing.T))
@@ -147,33 +59,6 @@ def _newtask_value(inputs, targets, w, b, weights_existing, inv, omega_col, sigm
     diff = w - (weights_existing @ inv_col) / (1.0 - sigma)
     rel = fixed_trace / (1.0 - sigma) + float(diff @ diff) / slack
     return fixed + 0.5 * hp.lam2 * rel
-
-
-def solve_wb_newtask(inputs, targets, weights_existing, omega_tilde, hp):
-    """New-task weights and bias with the augmented covariance fixed.
-
-    A d-square ridge solve on the task's centred moments, with effective
-    ridge lam1 + lam2 (Om~^{-1})_{new,new} and a linear pull toward the
-    combination of existing weights selected by the covariance column;
-    the bias is then y_mean - x_mean . w.
-    """
-    inputs = _input_block(inputs)
-    targets = np.ravel(targets)
-    d = inputs.shape[1]
-    if weights_existing.shape[0] != d:
-        raise DimensionMismatch(
-            f"existing weights have dimension {weights_existing.shape[0]}, data has {d}"
-        )
-    m = omega_tilde.shape[0] - 1
-    sigma = float(omega_tilde[m, m])
-    col = omega_tilde[:m, m]
-    binv_col = _ridged(omega_tilde[:m, :m], np.reciprocal)[0] @ col  # B = (1 - sigma) Omega
-    slack = max(sigma - float(col @ binv_col), 1e-14)
-    x_mean, y_mean, _, _, gram, cross = _centred_moments(inputs, targets)
-    pull = hp.lam2 / slack
-    target = cross + pull * (weights_existing @ binv_col)
-    w = solve_linear(gram + (hp.lam1 + pull) * np.eye(d), target)
-    return w, float(y_mean - x_mean @ w)
 
 
 def incorporate_new_task(model, new_data, hp):
@@ -203,11 +88,12 @@ def incorporate_new_task(model, new_data, hp):
     standing for 1 - s; lam2/2 mu F / sigma_min then joins V' and the step is
     a secant one. With lam2 = 0 or W = 0, P is 0 and the column stays zero.
 
-    objective_trace holds newtask_objective at the start point (zero
-    column, sigma = 1/(m+1) clipped to the bounds, its ridge solve) and at
-    the returned point; report gives the final slack, the bound binding there
-    and the number of slack values solved at. hp.tol and hp.max_iters are not
-    read; the input model is not modified; lam1 = lam2 = 0 raises ValueError.
+    objective_trace holds the objective (_newtask_value) at the start
+    point (zero column, sigma = 1/(m+1) clipped to the bounds, its ridge
+    solve) and at the returned point; report gives the final slack, the
+    bound binding there and the number of slack values solved at. hp.tol
+    and hp.max_iters are not read; the input model is not modified;
+    lam1 = lam2 = 0 raises ValueError.
     """
     if model.kernel.kind != "linear":
         raise ValueError("new-task incorporation supports only the linear kernel")

@@ -29,8 +29,7 @@ duality gap (P - D) / |P| falls to hp.tol, D taken at alpha_p =
 final covariance then gives the stored alpha, b and coupling. Every
 Omega, C and factor F (C = F F^T) of a fit, the stored ones included,
 is read off its weights' m-side singular vectors and values, the ones
-the prox step takes, by one map (_svd_coupling); update_omega is the
-reference form of that covariance step, and the fit does not call it.
+the prox step takes, by one map (_svd_coupling).
 A linear kernel with m*d < N holds W as (m, d) rows over per-task
 centred moments formed once (_moment_form), and solves each covariance
 step at F, a rank*d system (_range_solve); every other fit holds it as
@@ -52,9 +51,7 @@ rank*d solve on the coupling's range from the centred moments, at the F
 that map gave (_low_rank_solve); on the base Gram it is one more CG
 solve, to 1e-10. Either is gated on its saddle residual (_checked_saddle)
 and also returns K spread(alpha), K the base Gram, off which
-_fitted_state reads the fitted values and the objective. The LU of the
-saddle system (solve_alpha_b_direct) and SMO (solve_alpha_b_smo) are
-reference solves at a given coupling; no fit runs them.
+_fitted_state reads the fitted values and the objective.
 
 Serving checks a whole batch in bulk (predict_batch; predict is a batch
 of one) and computes it in _predictions, which cross-validation scores
@@ -68,27 +65,11 @@ from collections import namedtuple
 import numpy as np
 
 from .data import FitReport, TaskCovariance, TrainedModel, validate_dataset
-from .errors import (
-    DegenerateGram,
-    DimensionMismatch,
-    MaxIterationsExceeded,
-    NonDecreaseDetected,
-    NonFiniteValue,
-    SingularSystem,
-)
-from .kernels import (
-    _combined_kernel,
-    _rbf_cross,
-    _spans,
-    assemble_kernel_matrix,
-    base_kernel_matrix,
-    coupling_matrix,
-)
-from .linalg import _LANCZOS_STEPS, _check_residual, _top_eigenvalues, solve_linear, spectral_map
+from .errors import DimensionMismatch, NonDecreaseDetected, NonFiniteValue, SingularSystem
+from .kernels import _combined_kernel, _rbf_cross, _spans, base_kernel_matrix
+from .linalg import _LANCZOS_STEPS, _check_residual, _top_eigenvalues
 
 SOLVERS = ("direct", "smo", "auto")  # the values fit accepts for solver, all one path
-SMO_DEFAULT_TOL = 1e-6
-SMO_MAX_ROUNDS = 200_000
 # Relative rise in the objective treated as a bug rather than noise.
 NONDECREASE_RTOL = 1e-8
 # Relative CG residual of a solve whose alpha is stored: the final
@@ -124,102 +105,6 @@ def _times_base(ds, base, alpha):
     for t, (lo, hi) in enumerate(_spans(ds)):
         np.matmul(alpha[lo:hi], base[lo:hi], out=out[t])
     return out
-
-
-def solve_alpha_b_direct(ds, kernel, coupling):
-    """Exact dual coefficients and biases for a fixed coupling matrix.
-
-    Solves the saddle system
-        [K + diag(n_i)/2   E] [alpha]   [y]
-        [E^T               0] [b    ] = [0]
-    where K is the combined-kernel Gram and E holds per-task indicator
-    columns. Raises SingularSystem if the factorization fails.
-    """
-    n, ind = ds.total, _spread(ds.point_task, ds.m, 1.0)
-    block = np.zeros((n + ds.m, n + ds.m))
-    block[:n, :n], block[:n, n:], block[n:, :n] = assemble_kernel_matrix(ds, kernel, coupling), ind, ind.T
-    block[np.arange(n), np.arange(n)] += _loss_weights(ds) / 2.0
-    sol = solve_linear(block, np.concatenate([ds.targets, np.zeros(ds.m)]))
-    return sol[:n], sol[n:]
-
-
-def solve_alpha_b_smo(ds, kernel, coupling, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
-    """Dual coefficients by pairwise coordinate descent on the dual.
-
-    Minimizes h(alpha) = alpha^T K~ alpha / 2 - alpha^T y subject to the
-    per-task zero-sum constraints, with K~ = K + diag(n_i)/2. Working
-    pairs are always drawn within one task (the equality constraints
-    forbid cross-task moves); each visit takes the task's maximal
-    violating pair, and tasks are visited round-robin. Biases come from
-    per-task stationarity of the gradient.
-
-    The solve starts at alpha = 0. No fit runs it: it is a reference for
-    the fit's own coefficient step (_coefficient_step).
-
-    The stop rule is scaled to the targets: the KKT spread must fall to
-    kkt_tol * min(1, max |y|), so targets in small units are solved to the
-    same relative accuracy, and the rule is never looser than kkt_tol.
-
-    Raises ValueError unless kkt_tol is finite and positive and
-    max_rounds is at least 1, and MaxIterationsExceeded (carrying the
-    best iterate) if the KKT spread does not fall to that bound in time.
-    """
-    if not (np.isfinite(kkt_tol) and kkt_tol > 0):
-        raise ValueError(f"kkt_tol must be finite and positive, got {kkt_tol!r}")
-    if not (isinstance(max_rounds, (int, np.integer)) and max_rounds >= 1):
-        raise ValueError(f"max_rounds must be an integer of at least 1, got {max_rounds!r}")
-    return _smo_solve(ds, assemble_kernel_matrix(ds, kernel, coupling), kkt_tol, max_rounds)
-
-
-def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
-    """solve_alpha_b_smo for the combined-kernel Gram k, from alpha = 0. k
-    is shifted to K~ in place (every caller builds it for this call), which
-    saves a copy of it.
-
-    A round visits every task once and stops the loop when no task moves,
-    which happens exactly when the KKT spread at its start is at most
-    kkt_tol * min(1, max |y|). Gradient updates read rows of K~, which
-    equal its columns because k is exactly symmetric. A visit takes an
-    argmax and argmin of its task's gradient view, arithmetic on Python
-    floats, then buf = row_hi - row_lo, buf *= step, grad -= buf in place:
-    the operations of the tests' two_pass_smo, in its order.
-    """
-    n = ds.total
-    tol = kkt_tol * min(1.0, float(np.max(np.abs(ds.targets))))
-    k[np.diag_indices(n)] += _loss_weights(ds) / 2.0  # k is now K~
-    grad = -ds.targets  # gradient of h at alpha = 0
-    task_slices = [slice(lo, hi) for lo, hi in _spans(ds)]
-    # single-point tasks: zero-sum pins alpha at 0
-    paired = [(grad[sl], sl.start) for sl in task_slices if sl.stop - sl.start >= 2]
-    alpha, diag, rows, buf = [0.0] * n, k.diagonal().tolist(), list(k), np.empty(n)
-    subtract, multiply = np.subtract, np.multiply
-
-    for _ in range(max_rounds):
-        moved = False
-        for g, first in paired:
-            hi, lo = int(g.argmax()) + first, int(g.argmin()) + first
-            viol = grad.item(hi) - grad.item(lo)
-            if viol <= tol:
-                continue
-            # curvature >= min task size thanks to the diag(n_i)/2 shift
-            step = viol / (diag[hi] + diag[lo] - 2.0 * rows[hi].item(lo))
-            alpha[hi] -= step
-            alpha[lo] += step
-            subtract(rows[hi], rows[lo], buf)
-            multiply(buf, step, buf)
-            subtract(grad, buf, grad)
-            moved = True
-        if not moved:
-            break
-    alpha, b = np.array(alpha), np.array([-grad[sl].mean() for sl in task_slices])
-    spread = max([0.0] + [float(g.max() - g.min()) for g, _ in paired])
-    if spread > tol:
-        raise MaxIterationsExceeded(
-            f"KKT spread {spread:.3e} above {tol:.1e} after {max_rounds} rounds",
-            alpha=alpha,
-            b=b,
-        )
-    return alpha, b
 
 
 def _cg_solve(ds, k, start, rtol=_CG_RTOL, cap=None):
@@ -263,19 +148,6 @@ def _loop_cg_rtol(tol):
     term of inexact Newton, Dembo, Eisenstat & Steihaug 1982). Solves
     whose alpha is stored run to _CG_RTOL."""
     return min(1e-6, max(_CG_RTOL, 1e-3 * tol ** 0.5))
-
-
-def gram_wtw(alpha, ds, kernel, omega, hp):
-    """m x m weight Gram matrix W^T W implied by the dual coefficients.
-
-    With C the coupling of the given covariance and S the task-blocked
-    quadratic form of alpha against the base Gram, W^T W = C S C. For a
-    linear kernel this equals the explicit-feature product.
-    """
-    spread = _spread(ds.point_task, ds.m, alpha)
-    coupling = coupling_matrix(omega, hp)
-    g = coupling @ (spread.T @ base_kernel_matrix(kernel, ds.inputs) @ spread) @ coupling
-    return (g + g.T) / 2.0
 
 
 def _coefficient_step(ds, kernel, moments=None, base=None):
@@ -419,37 +291,6 @@ def _fitted_state(ds, coupling, alpha, b, product):
     return loss + 0.5 * float(np.sum(coupling * blocked)), blocked
 
 
-def update_omega(gram):
-    """Analytic covariance update: sqrt of the weight Gram, trace-normalized.
-
-    The Gram is first scaled to a largest diagonal entry of 1 (Omega does
-    not depend on its scale), so that a Gram in any units has the same
-    covariance. Its eigenvalues at or below 1e-14 of the largest are rank
-    noise and are zeroed before rooting (the square root would otherwise
-    amplify them by seven orders of magnitude and destabilize the
-    objective). Raises DegenerateGram when the Gram is zero.
-    """
-    gram = np.asarray(gram, dtype=float)
-    scale = float(np.max(np.diag(gram)))
-    if not scale > 0.0:
-        raise DegenerateGram("weight Gram is zero; covariance update undefined")
-    root = spectral_map(gram / scale, np.sqrt, rel_cutoff=1e-14)
-    return TaskCovariance(root / float(np.trace(root)))
-
-
-def objective_value(ds, alpha, b, omega, kernel, hp):
-    """Objective at a self-consistent state (weights implied by alpha
-    through the coupling C of the given covariance), as the loss plus
-    1/2 <S, C> (_fitted_state): the penalties lam1/2 tr(W^T W) +
-    lam2/2 tr(Omega^+ W^T W), the pseudo-inverse on the covariance's range.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    # W = 0 carries no penalty, even where lam1 = lam2 = 0 leaves C undefined
-    coupling = coupling_matrix(omega, hp) if np.any(alpha) else np.zeros((ds.m, ds.m))
-    product = _times_base(ds, base_kernel_matrix(kernel, ds.inputs), alpha).T
-    return _fitted_state(ds, coupling, alpha, np.asarray(b, dtype=float), product)[0]
-
-
 def _require_descent(previous, value, where=""):
     """Raise NonDecreaseDetected if the objective rose from previous to
     value by more than NONDECREASE_RTOL relative."""
@@ -508,8 +349,9 @@ def _svd_coupling(left, values, hp):
     eigenvectors left and eigenvalues mu = values / sum(values), and C =
     Omega (lam1 Omega + lam2 I)^{-1} maps each mu to its gain
     mu / (lam1 mu + lam2). Values at or below 1e-7 of the largest are cut,
-    as update_omega cuts W^T W's eigenvalues at 1e-14. Zero weights give
-    I/m and its coupling. Leading axes hold independent problems. C's
+    as reference.update_omega cuts W^T W's eigenvalues at 1e-14. Zero
+    weights give I/m and its coupling. Leading axes hold independent
+    problems. C's
     factor is F = left diag(sqrt(gain)) on the kept columns, C = F F^T: a
     stack keeps its largest kept rank, a cut column of F is 0, and zero
     weights give F = sqrt(gain) I."""
@@ -664,7 +506,7 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
     once. A prox point is only (B, K B), or zero. W's singular values and
     m-side vectors come from the m x m eigenproblem of B^T K B
     (eigenvalues at or below 1e-14 of the largest, rank noise, read as 0,
-    as in update_omega). The smooth part's
+    as in reference.update_omega). The smooth part's
     curvature is at most max_t (2/n_t) lambda_max(K~_tt) + lam1
     (_gram_curvature, or curvature if the caller holds it), and some G_t
     is singular here, so lam1 is its least.

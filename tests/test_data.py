@@ -199,3 +199,34 @@ def test_new_task_solution_rejects_bad_variance():
             variance=1.5,
             augmented_covariance=tc.TaskCovariance.unrelated(2),
         )
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: tc.Hyperparams(True, 0.1), "lam1 must be a real number", id="lam1"),
+    pytest.param(lambda: tc.Hyperparams(0.1, np.bool_(False)), "lam2 must be a real number", id="lam2"),
+    pytest.param(lambda: tc.Hyperparams(0.1, 0.1, tol=True), "tol must be a real number", id="tol"),
+    pytest.param(lambda: tc.Hyperparams(0.1, 0.1, max_iters=True), "max_iters must be an integer", id="max-iters"),
+    pytest.param(lambda: tc.KernelSpec("rbf", True), "kernel width must be a real number", id="width"),
+    pytest.param(lambda: tc.ExperimentConfig("linear", (0.1, True), (0.1,)), "lam1_grid entry", id="grid"),
+    pytest.param(lambda: tc.ExperimentConfig("rbf", (0.1,), (0.1,), width_grid=[True]), "width_grid entry",
+                 id="width-grid"),
+])
+def test_constructors_refuse_bools(build, message):
+    # a bool reads as 0 or 1 in arithmetic, and a model file once wrote it as 'True'
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("tid", [5, None, b"a"])
+def test_task_id_that_is_not_a_string_rejected(tid):
+    ds = tc.MultiTaskDataset([(tid, [[1.0], [2.0]], [1.0, 2.0]), ("ok", [[0.0], [1.0]], [0.0, 1.0])])
+    with pytest.raises(errors.InvalidTaskId, match="not a string"):
+        tc.validate_dataset(ds)
+    with pytest.raises(errors.InvalidTaskId):
+        tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))
+
+
+def test_numpy_string_task_ids_fit():
+    ds = tc.MultiTaskDataset([(np.str_("a"), [[1.0], [2.0]], [1.0, 2.0]), (np.str_("b"), [[0.0], [1.0]], [0.0, 1.0])])
+    model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))
+    assert model.task_ids == ("a", "b")

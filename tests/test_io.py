@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -160,3 +161,43 @@ class TestModelFile:
         x = rng.normal(size=2)
         for tid in ds.task_ids:
             assert tc.predict(loaded, tid, x) == tc.predict(model, tid, x)
+
+
+def round_trip(model, path):
+    """The model as load_model reads it back after save_model, checked
+    equal to the original, field by field, with its predictions bit for
+    bit."""
+    tc.save_model(model, path)
+    loaded = tc.load_model(path)
+    for field in dataclasses.fields(model):
+        if field.compare:
+            got, want = getattr(loaded, field.name), getattr(model, field.name)
+            if isinstance(want, tc.TaskCovariance):
+                got, want = got.matrix, want.matrix
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
+    ids = [model.task_ids[i] for i in model.support_tasks]
+    np.testing.assert_array_equal(tc.predict_batch(loaded, ids, model.support_inputs),
+                                  tc.predict_batch(model, ids, model.support_inputs))
+    return loaded
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(tc.KernelSpec("linear"), id="linear"),
+    pytest.param(tc.KernelSpec("rbf", np.float64(2.0)), id="rbf"),
+])
+def test_numpy_scalar_hyperparameters_round_trip(tmp_path, toy, kernel):
+    # numpy 2 writes repr(np.float64(0.1)) as 'np.float64(0.1)', which the
+    # model file once stored and could not read back
+    hp = tc.Hyperparams(np.float64(0.1), np.float64(0.05), tol=np.float32(1e-6), max_iters=np.int64(50))
+    assert type(hp.lam1) is type(hp.tol) is float and type(hp.max_iters) is int
+    model = tc.fit(toy, kernel, hp)
+    assert round_trip(model, tmp_path / "model.txt").hyperparams == hp
+
+
+def test_cross_validated_point_round_trips(tmp_path, toy):
+    grid = np.logspace(-2, -1, 2)
+    config = tc.ExperimentConfig("linear", grid, grid, folds=2)
+    assert config.lam1_grid == tuple(float(v) for v in grid)
+    result = tc.cross_validate(config, toy)
+    model = tc.fit(toy, tc.KernelSpec("linear"), tc.Hyperparams(result.lam1, result.lam2))
+    round_trip(model, tmp_path / "model.txt")

@@ -257,18 +257,24 @@ def _cmd_cv(args):
         task_type=args.task_type,
     )
     result = cross_validate(config, ds)
+
+    def point(lam1, lam2, width):
+        return f"l1={lam1!r} l2={lam2!r}" + (f" width={width!r}" if config.kernel_kind == "rbf" else "")
+
     for lam1, lam2, width, scores, mean in result.table:
-        tag = f" width={width!r}" if config.kernel_kind == "rbf" else ""
         folds = " ".join(f"{s:.6f}" for s in scores)
-        print(f"l1={lam1!r} l2={lam2!r}{tag}: folds [{folds}] mean {mean:.6f}")
+        print(f"{point(lam1, lam2, width)}: folds [{folds}] mean {mean:.6f}")
     stops = [r.stop_reason for r in result.reports]
     largest = max((r.gap for r in result.reports), default=0.0)
     print(f"fold fits: {len(stops)}, stop: gap {stops.count('gap')}, "
           f"iteration cap {stops.count('iteration cap')}, largest relative gap {largest:.3e}")
-    chosen = f"chosen: l1={result.lam1!r} l2={result.lam2!r}"
-    if config.kernel_kind == "rbf":
-        chosen += f" width={result.width!r}"
-    print(chosen)
+    # the reports come grid point by grid point, one per fold fit, in table order
+    per_point = len(stops) // len(result.table)
+    capped = [point(*row[:3]) for k, row in enumerate(result.table)
+              if "iteration cap" in stops[k * per_point:(k + 1) * per_point]]
+    if capped:
+        print(f"capped: {', '.join(capped)}")
+    print(f"chosen: {point(result.lam1, result.lam2, result.width)}")
     return 0
 
 

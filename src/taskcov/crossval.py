@@ -11,15 +11,17 @@ moments: each such fold fit at a point starts from that fold's certified
 weights at the point before, and the folds that share (m, d) run as one
 stacked certified loop. Every other fold fit (an rbf kernel, or wide
 linear data) starts cold at each point, as fit does. Each fit stops on
-its own duality gap, so a fold score moves from a cold fit's only as far
-as two fits within tol of the optimum differ. Each fold's score is taken
-as its model arrives, and the model is then dropped. The table keeps
+its own duality gap, and is scored at the point its loop certified, as
+it arrives, with no final refresh and no model: a fold score moves from
+a fitted model's only as far as two points within tol of the optimum
+differ, and a fold fit's report gives its loop's gap. The table keeps
 config.grid() order.
 
 Each fold's validation points are laid out once, right after the split
-(_layout), and every fold model is scored from that layout through
-predict_batch's own prediction kernel (solver._predictions), without
-predict_batch's checks of data validated on entry. A task's validation
+(_layout), and what its scores read of its training set once per kernel
+width (_basis): the cross block K(train, val) under an rbf kernel, and
+a linear fit on the base Gram's centred inputs, whose primal weight rows
+B^T X~ then score it as a moment-form fit's rows do. A task's validation
 MSE is divided by its overall target variance, unless its targets are
 constant to rounding by solver._centred's rule, so the scores and the
 chosen point do not depend on the targets' units.
@@ -34,7 +36,8 @@ import numpy as np
 
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, _real, validate_dataset
 from .errors import GridEmpty
-from .solver import _centred, _fit_path, _predictions
+from .kernels import base_kernel_matrix
+from .solver import _centred, _fit_path, _moment_fit
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,9 @@ class ExperimentConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if not (isinstance(self.folds, numbers.Integral) and self.folds >= 2):
+        if isinstance(self.folds, bool) or not (isinstance(self.folds, numbers.Integral) and self.folds >= 2):
             raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.task_type not in ("regression", "classification"):
             raise ValueError(f"unknown task_type {self.task_type!r}")
@@ -159,10 +162,31 @@ def _layout(train, val_tasks, scales):
     )
 
 
-def _fold_score(model, layout, task_type):
-    """Mean per-task validation metric of one fold's model, read off the
-    fold's _layout through predict_batch's prediction kernel."""
-    pred = _predictions(model, layout.index, layout.x)
+def _basis(kernel, train, layout):
+    """What _fold_score reads the fits of one fold through, built once per
+    fold and kernel width: for an rbf kernel the cross block K(train, val);
+    for a linear fit on the base Gram the training inputs centred per task,
+    as TrainedModel._weights centres them; None for a moment-form fit."""
+    if kernel.kind == "rbf":
+        return base_kernel_matrix(kernel, train.inputs, layout.x)
+    if _moment_fit(kernel, train):
+        return None
+    return np.concatenate([_centred(t.inputs, t.targets)[2] for t in train.tasks])
+
+
+def _fold_score(fitted, layout, kernel, basis, task_type):
+    """Mean per-task validation metric of one fold's fit, read off its
+    certified point (solver._path) and the fold's _layout and _basis: an rbf
+    fit predicts (K(train, val)^T B)[q, task of q], a linear one sums each
+    query's row against its primal weight rows, the moment form's own or
+    B^T X~, as predict_batch does; each adds its task's bias."""
+    coefs, index = fitted.weights, layout.index
+    if kernel.kind == "rbf":
+        pred = (coefs.T @ basis)[index, np.arange(index.size)]
+    else:
+        rows = coefs if basis is None else coefs.T @ basis
+        pred = np.sum(layout.x * rows[index], axis=1)
+    pred += fitted.biases[index]
     if task_type == "classification":
         losses = np.where(pred >= 0, 1.0, -1.0) != layout.y
     else:
@@ -181,7 +205,8 @@ def cross_validate(config, ds):
     under config.seed. The grid is fitted along paths that, on the centred
     moments, warm-start each fold fit from the point before and stack the
     folds of a point (module docstring); every fit stops on its own
-    duality gap at tol, so a score moves from a cold fit's only within it.
+    duality gap at tol and is scored at its certified point, so a score
+    moves from a fitted model's only within that gap.
     """
     validate_dataset(ds)
     grid = config.grid()
@@ -201,9 +226,12 @@ def cross_validate(config, ds):
     reports = [[None] * len(splits) for _ in grid]
     for kernel, path in _paths(config):
         rows, hps = zip(*path)
-        for i, j, model in _fit_path([train for train, _ in splits], kernel, hps):
-            scores[rows[i]][j] = _fold_score(model, splits[j][1], config.task_type)
-            reports[rows[i]][j] = model.report
+        held = None
+        for i, j, fitted in _fit_path([train for train, _ in splits], kernel, hps):
+            if j != held:  # a fold fitted on the base Gram comes point after point
+                held, basis = j, _basis(kernel, *splits[j])
+            scores[rows[i]][j] = _fold_score(fitted, splits[j][1], kernel, basis, config.task_type)
+            reports[rows[i]][j] = fitted.report
     table = []
     best = None
     for (lam1, lam2, width), fold_scores in zip(grid, scores):

@@ -207,8 +207,8 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Base kernel choice: 'linear' or 'rbf' with a positive width, stored
-    as a Python float."""
+    """Base kernel choice: 'linear', which takes no width, or 'rbf' with a
+    positive width, stored as a Python float."""
 
     kind: str
     width: float | None = None
@@ -218,6 +218,8 @@ class KernelSpec:
             object.__setattr__(self, "width", _real(self.width, "kernel width"))
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "linear" and self.width is not None:
+            raise ValueError(f"the linear kernel takes no width, got {self.width!r}")
         if self.kind == "rbf" and (self.width is None or not 0 < self.width < np.inf):
             raise ValueError(f"rbf kernel needs a finite positive width, got {self.width!r}")
 
@@ -263,9 +265,11 @@ class FitReport:
 
     stop_reason is 'gap' (relative duality gap at most tol) or 'iteration
     cap' (max_iters reached), for every kernel. gap is the final relative
-    duality gap (P - D) / |P| of the stored state against the best dual
-    bound the fit found: the stored objective P lies at most gap * |P|
-    above the optimum. products counts the combined-kernel products of the
+    duality gap (P - D) / |P| against the best dual bound the fit found,
+    of a model's stored state, after its final refresh, or of the point
+    that a cross-validation fold fit's loop certified and its fold score
+    reads (CvResult.reports): that P lies at most gap * |P| above the
+    optimum. products counts the combined-kernel products of the
     fit's CG covariance steps (0 on a moment-form fit, which takes none).
     iterations counts the fit's proximal-gradient iterations, one value
     each in the objective trace. restarts counts those iterations whose

@@ -25,9 +25,9 @@ Omega, which can only lower P. That point is kept unless P rises above
 the kept one, when the momentum restarts, so the trace never increases,
 even where a covariance step is inexact. It stops when the relative
 duality gap (P - D) / |P| falls to hp.tol, D taken at alpha_p =
-2 r_p / n_p (or within CG tolerance of it). One coefficient step at the
-final covariance then gives the stored alpha, b and coupling. Every
-Omega, C and factor F (C = F F^T) of a fit, the stored ones included,
+2 r_p / n_p (or within CG tolerance of it). A model's alpha, b and
+coupling come from one more coefficient step at the final covariance.
+Every Omega, C and factor F (C = F F^T) of a fit, a model's included,
 is read off its weights' m-side singular vectors and values, the ones
 the prox step takes, by one map (_svd_coupling).
 A linear kernel with m*d < N holds W as (m, d) rows over per-task
@@ -44,7 +44,9 @@ size comes from a Lanczos bound.
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
 dataset's moments or base Gram are built once for the whole path, and
-moment-form fits start warm from the point before and run stacked.
+moment-form fits start warm from the point before and run stacked. The
+path yields each fit's certified point, which cross-validation scores
+as it is; only fit asks for its model, and with it the final refresh.
 
 The final coefficient step of a linear fit with m*d < N is the exact
 rank*d solve on the coupling's range from the centred moments, at the F
@@ -54,13 +56,15 @@ and also returns K spread(alpha), K the base Gram, off which
 _fitted_state reads the fitted values and the objective.
 
 Serving checks a whole batch in bulk (predict_batch; predict is a batch
-of one) and computes it in _predictions, which cross-validation scores
-with too: a linear model by a row-wise sum per query over its primal
-weights, the same bits in any batch; other kernels by the dual expansion
-per task over blocks of queries, each support x block array under 4 MB.
+of one) and computes it in _predictions: a linear model by a row-wise
+sum per query over its primal weights, the same bits in any batch; other
+kernels by the dual expansion per task over blocks of queries, each
+support x block array under 4 MB.
 """
 
 from collections import namedtuple
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -688,8 +692,8 @@ def fit(ds, kernel, hp, solver="auto"):
     validate_dataset(ds)
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    _, _, model = next(_fit_path([ds], kernel, [hp]))
-    return model
+    _, _, fitted = next(_fit_path([ds], kernel, [hp]))
+    return fitted.model()
 
 
 def _moment_fit(kernel, ds):
@@ -699,10 +703,10 @@ def _moment_fit(kernel, ds):
 
 def _fit_path(datasets, kernel, hps):
     """Fit every dataset at every hyperparameter point of a path, yielding
-    (i, j, model), the model of datasets[j] at hps[i], as each is fitted:
-    group by group (below), each group point by point, so a caller that
-    drops each model on arrival holds one model at a time. The datasets
-    are taken as valid.
+    (i, j, fitted), the fit of datasets[j] at hps[i] (a _Fitted, _path), as
+    each is certified: group by group (below), each group point by point,
+    so a caller that drops each fit on arrival holds one at a time. The
+    datasets are taken as valid.
 
     Each dataset's hp-free parts are built once: its centred moments and
     their spectra, or its base Gram, curvature bound and coefficient step.
@@ -713,8 +717,8 @@ def _fit_path(datasets, kernel, hps):
     from its certified weights at the point before (_certify keeps the
     start only where it lowers P), so a path should step between nearby
     points; a Gram-form fit starts cold at every point, as fit does,
-    because there a warm start was seen to cost iterations. Every model
-    ends with the same final refresh (_path).
+    because there a warm start was seen to cost iterations. Only a caller
+    that asks for a fit's model runs its final refresh (_refreshed).
     """
     if any(hp.lam1 <= 0 for hp in hps):
         raise ValueError("fitting requires lam1 > 0")
@@ -722,23 +726,25 @@ def _fit_path(datasets, kernel, hps):
     for j, ds in enumerate(datasets):
         groups.setdefault((ds.m, ds.dim) if _moment_fit(kernel, ds) else j, []).append(j)
     for members in groups.values():
-        for i, k, model in _path(tuple(datasets[j] for j in members), kernel, hps):
-            yield i, members[k], model
+        for i, k, fitted in _path(tuple(datasets[j] for j in members), kernel, hps):
+            yield i, members[k], fitted
+
+
+# One fit's certified point, as _path yields it.
+_Fitted = namedtuple("_Fitted", "weights biases report model")
 
 
 def _path(group, kernel, hps):
-    """Yields (i, k, model), the model of group[k] at hps[i], point by
-    point, each model as soon as its refresh is done; group is a tuple, one
+    """Yields (i, k, fitted), the fit of group[k] at hps[i], point by point,
+    each as soon as its certified loop has stopped; group is a tuple, one
     stack or one dataset alone, warm-started as _fit_path says.
 
-    The final refresh of each model: the stored covariance and coupling
-    are the certified weights' (_svd_coupling), and the stored
-    coefficients solve the coefficient step at that coupling and that
-    map's factor, a Gram-form fit's CG from the certified point's dual
-    (_coefficient_step). A stacked problem's factor, padded to the
-    stack's largest rank (_svd_coupling), loses its zero columns first, so
-    its refresh solves at its own rank. At a fixed covariance that step
-    can only lower the objective.
+    fitted is a _Fitted holding the certified point: a moment-form fit's
+    (m, d) weight rows w_t and biases y_mean - x_mean . w, or a Gram-form
+    fit's N x m coefficients B and biases y_mean_t - the mean over task t
+    of (K B)[p, t]; the loop's FitReport, its gap that of the last trace
+    value against the best bound; and model, a function of no arguments
+    that runs the final refresh and returns the TrainedModel (_refreshed).
     """
     warm = _moment_fit(kernel, group[0])  # only moment-form fits start warm (_fit_path)
     if warm:
@@ -753,6 +759,9 @@ def _path(group, kernel, hps):
 
         def form_at(hp):
             return _moment_form(*held, hp, curvature)
+
+        def certified(weights, k):
+            return weights, moments[k][1] - np.einsum("ij,ij->i", moments[k][0], weights)
     else:
         ds, = group
         base = base_kernel_matrix(kernel, ds.inputs)
@@ -760,27 +769,43 @@ def _path(group, kernel, hps):
         curvature = _gram_curvature(ds, base)
         targets = [_centred_targets(ds)]
         zero = _gram_point(ds, base, targets[0], np.zeros(2 * ds.total * ds.m))
+        means = np.array([t.targets.mean() for t in ds.tasks])
 
         def form_at(hp):
             return _gram_form(ds, base, steps[0], hp, curvature, zero)
+
+        def certified(point, k):
+            coefs, product = point[:2 * ds.total * ds.m].reshape(2, -1, ds.m)
+            values = product[np.arange(ds.total), ds.point_task]  # fitted, without biases
+            return coefs, means - np.bincount(ds.point_task, values, ds.m) / ds.counts
     weights = None
     for i, hp in enumerate(hps):
         form = form_at(hp)
         traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
         weights, gapped, bounds, restarts = _certify(form, hp, traces, weights if warm else None)
-        mapped = _svd_coupling(*form.singular(weights)[:2], hp)
-        omegas, couplings, factors = (a.reshape((-1,) + a.shape[-2:]) for a in mapped)  # one per problem
-        start = None if form.dual_point is None else form.dual_point(weights)
-        for k, (ds, y, step, trace, omega, coupling, factor, stopped, bound, restart) in enumerate(zip(
-                group, targets, steps, traces, omegas, couplings, factors, gapped, bounds, restarts)):
-            alpha, b, product = step(coupling, factor[:, factor.any(axis=0)], start)
-            final, blocked = _fitted_state(ds, coupling, alpha, b, product)
-            _require_descent(trace[-1], final, " in the final refresh")
-            trace.append(final)
-            bound = max(bound, _dual_value(ds, y, alpha, blocked, hp))
-            report = FitReport("gap" if stopped else "iteration cap", _relative_gap(final, bound, trace[0]),
-                               sum(form.products), len(trace) - 2, restart)
-            yield i, k, _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report)
+        for k, (ds, own, y, step, trace, stopped, bound, restart) in enumerate(zip(
+                group, [weights] if len(group) == 1 else weights, targets, steps, traces, gapped, bounds, restarts)):
+            report = FitReport("gap" if stopped else "iteration cap", _relative_gap(trace[-1], bound, trace[0]),
+                               sum(form.products), len(trace) - 1, restart)
+            refresh = partial(_refreshed, ds, kernel, hp, form, own, step, y, trace, bound, report)
+            yield i, k, _Fitted(*certified(own, k), report, refresh)
+
+
+def _refreshed(ds, kernel, hp, form, weights, step, y, trace, bound, report):
+    """The TrainedModel of a fit that _path certified at weights (one
+    problem of form), after the final refresh: the coefficient step at the
+    certified weights' coupling and factor (_svd_coupling), a Gram-form
+    fit's CG from the certified point's dual (_coefficient_step). At a
+    fixed covariance that step can only lower the objective; its value
+    ends the trace, and the report's gap is taken against it."""
+    omega, coupling, factor = _svd_coupling(*form.singular(weights)[:2], hp)
+    start = None if form.dual_point is None else form.dual_point(weights)
+    alpha, b, product = step(coupling, factor, start)
+    final, blocked = _fitted_state(ds, coupling, alpha, b, product)
+    _require_descent(trace[-1], final, " in the final refresh")
+    bound = max(bound, _dual_value(ds, y, alpha, blocked, hp))
+    report = replace(report, gap=_relative_gap(final, bound, trace[0]))
+    return _model(ds, kernel, hp, alpha, b, omega, coupling, trace + [final], report)
 
 
 def _model(ds, kernel, hp, alpha, b, omega, coupling, trace, report=None):

@@ -142,6 +142,28 @@ def test_cv_reports_its_fold_fits(tmp_path, capsys):
     assert int(gap) == int(fits) and 0.0 <= float(largest) <= 1e-6
 
 
+@pytest.mark.parametrize("seed, kernel, l1, capped", [
+    pytest.param(0, "linear", (0.01, 0.1), 4, id="toy-linear"),
+    pytest.param(1, "linear", (0.01, 0.1), 0, id="none-capped"),
+    pytest.param(35, "rbf", (0.0001, 0.001), 1, id="toy-rbf"),  # at the fifth grid point
+])
+def test_cv_names_the_grid_points_of_capped_fold_fits(seed, kernel, l1, capped, tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    run(capsys, "make-toy", "--seed", str(seed), "--out", str(data))
+    code, out, _ = run(capsys, "cv", str(data), "--kernel", kernel, "--rbf-width", "0.5,2",
+                       "--l1", ",".join(map(str, l1)), "--l2", "0.005,0.05", "--folds", "2")
+    assert code == 0
+    config = tc.ExperimentConfig(kernel, l1, (0.005, 0.05), width_grid=(0.5, 2.0), folds=2)
+    result = tc.cross_validate(config, tc.load_csv(data))
+    stops = [r.stop_reason == "iteration cap" for r in result.reports]
+    assert sum(stops) == capped
+    points = [f"l1={lam1!r} l2={lam2!r}" + (f" width={width!r}" if kernel == "rbf" else "")
+              for k, (lam1, lam2, width, _, _) in enumerate(result.table) if any(stops[2 * k:2 * k + 2])]
+    lines = out.splitlines()
+    assert lines[-2 - bool(capped)].startswith("fold fits: ") and lines[-1].startswith("chosen: ")
+    assert [line for line in lines if line.startswith("capped")] == ([f"capped: {', '.join(points)}"] if capped else [])
+
+
 def test_cv_deterministic_reports(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     run(capsys, "make-toy", "--seed", "35", "--out", str(data))

@@ -142,6 +142,17 @@ def test_kernel_spec_validation():
     assert tc.KernelSpec("rbf", 2.0).width == 2.0
 
 
+@pytest.mark.parametrize("width", [1.0, 0, np.float64(2.0)])
+def test_linear_kernel_refuses_a_width(width, tmp_path, toy, toy_hp):
+    # a model file writes no width for the linear kernel, so a loaded
+    # model's kernel would differ from the one it was fitted with
+    with pytest.raises(ValueError, match="the linear kernel takes no width"):
+        tc.KernelSpec("linear", width)
+    model = tc.fit(toy, tc.KernelSpec("linear", None), toy_hp)
+    tc.save_model(model, tmp_path / "model.txt")
+    assert tc.load_model(tmp_path / "model.txt").kernel == model.kernel == tc.KernelSpec("linear")
+
+
 def test_trained_model_rejects_unbalanced_duals(toy, toy_hp):
     model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
     bad = model.dual_coefs.copy()
@@ -210,6 +221,12 @@ def test_new_task_solution_rejects_bad_variance():
     pytest.param(lambda: tc.ExperimentConfig("linear", (0.1, True), (0.1,)), "lam1_grid entry", id="grid"),
     pytest.param(lambda: tc.ExperimentConfig("rbf", (0.1,), (0.1,), width_grid=[True]), "width_grid entry",
                  id="width-grid"),
+    pytest.param(lambda: tc.ExperimentConfig("linear", (0.1,), (0.1,), folds=True), "folds must be an integer",
+                 id="folds"),
+    pytest.param(lambda: tc.ExperimentConfig("linear", (0.1,), (0.1,), seed=True), "seed must be a non-negative",
+                 id="seed"),
+    pytest.param(lambda: tc.ExperimentConfig("linear", (0.1,), (0.1,), seed=False), "seed must be a non-negative",
+                 id="seed-false"),
 ])
 def test_constructors_refuse_bools(build, message):
     # a bool reads as 0 or 1 in arithmetic, and a model file once wrote it as 'True'

@@ -535,25 +535,19 @@ class TestLowRankStep:
         assert sides == [10 * r for r in ranks] and len(sides) == 8
         assert 100 not in sides and sides[-3:] == [30, 30, 30]
 
-    def test_stacked_refreshes_solve_on_each_problems_rank(self, monkeypatch):
-        # the benchmark's cv-grid data: its 5 folds run as one stack, whose
-        # factors are padded to the stack's largest rank; each fold's final
-        # refresh drops its zero columns and solves at its own rank * d
+    def test_cross_validation_runs_no_low_rank_refresh(self, monkeypatch):
+        # the benchmark's cv-grid data: its 5 folds run as one stack, and
+        # each fold fit is scored at its certified weights, with no final
+        # refresh; the refit at the chosen point runs one
         ds = planted_dataset(777, tasks=8, points=40, dim=5, rank=2)
-        factors, low_rank_solve = [], solver._low_rank_solve
-
-        def spy(fold, moments, coupling, factor):
-            factors.append(factor)
-            np.testing.assert_allclose(factor @ factor.T, coupling, rtol=0, atol=1e-12 * np.max(np.abs(coupling)))
-            return low_rank_solve(fold, moments, coupling, factor)
-
-        monkeypatch.setattr(solver, "_low_rank_solve", spy)
+        calls, low_rank_solve = [], solver._low_rank_solve
+        monkeypatch.setattr(solver, "_low_rank_solve", lambda *args: calls.append(args) or low_rank_solve(*args))
         grid = (0.01, 0.03, 0.1)
         result = tc.cross_validate(tc.ExperimentConfig("linear", grid, grid, folds=5, seed=1), ds)
-        assert len(factors) == 45 and all(f.any(axis=0).all() for f in factors)
-        ranks = [f.shape[1] for f in factors]
-        assert any(len(set(ranks[k:k + 5])) > 1 for k in range(0, 45, 5))  # mixed ranks in one stack
-        assert (result.lam1, result.lam2) == (0.01, 0.01)  # the point chosen with padded refreshes
+        assert len(calls) == 0 and len(result.reports) == 45
+        assert (result.lam1, result.lam2) == (0.01, 0.01)  # the point chosen with refreshed fold models
+        tc.fit(ds, self.kernel, tc.Hyperparams(result.lam1, result.lam2))
+        assert len(calls) == 1
 
     def test_no_fit_eigendecomposes_its_coupling(self, monkeypatch):
         # C's factor comes from the decomposition that built C: the SVD of
@@ -918,7 +912,7 @@ class TestFit:
                 hp = tc.Hyperparams(lam1, lam2, tol=tol, max_iters=max_iters)
                 models = [tc.fit(toy, rbf, hp), tc.fit(wide, linear, hp)]
                 # the first point of a path is cold, and the stack runs as one
-                models += [model for _, _, model in solver._fit_path(stack, linear, [hp])]
+                models += [fitted.model() for _, _, fitted in solver._fit_path(stack, linear, [hp])]
                 for model in models:
                     assert model.report.restarts == repeats(model)
                     counts.append(model.report.restarts)

@@ -16,7 +16,7 @@ from .crossval import ExperimentConfig, cross_validate
 from .data import Hyperparams, KernelSpec, TaskData
 from .errors import DuplicateTaskId, ParseError, TaskcovError
 from .io import _read_text, generate_toy, load_csv, load_model, save_csv, save_model
-from .linalg import correlation_from_covariance
+from .linalg import _correlation
 from .metrics import compute_metrics
 from .newtask import incorporate_new_task
 from .priors import (
@@ -104,11 +104,12 @@ def _kernel_from_args(args):
 
 
 def _print_correlations(task_ids, covariance):
+    """The task correlations, nan in the row and column of a task of zero variance (weights 0)."""
     print("task correlation matrix:")
-    corr = correlation_from_covariance(covariance)
+    corr = _correlation(covariance.matrix)
     width = max(len(t) for t in task_ids)
     for tid, row in zip(task_ids, corr):
-        cells = " ".join(f"{v: .4f}" for v in row)
+        cells = " ".join(f"{v: 7.4f}" for v in row)
         print(f"  {tid:<{width}} {cells}")
 
 
@@ -198,6 +199,8 @@ def _cmd_train(args):
     ds = load_csv(args.dataset)
     hp = Hyperparams(lam1=args.l1, lam2=args.l2, tol=args.tol, max_iters=args.max_iters)
     model = fit(ds, _kernel_from_args(args), hp)
+    if args.out:  # written before anything is printed
+        save_model(model, args.out)
     print(_train_status(model))
     print("objective trace: " + " ".join(f"{v:.6g}" for v in model.objective_trace))
     _print_correlations(model.task_ids, model.covariance)
@@ -208,7 +211,6 @@ def _cmd_train(args):
             coeffs = " ".join(f"{v:.4f}" for v in weights[:, i])
             print(f"  {tid}: w = [{coeffs}], b = {model.biases[i]:.4f}")
     if args.out:
-        save_model(model, args.out)
         print(f"model saved to {args.out}")
     return 0
 
@@ -296,9 +298,7 @@ def _cmd_new_task(args):
     print(f"new-task variance: {solution.variance:.6g}")
     report = solution.report
     print(f"slack: {report.slack:.6g}, bound: {report.bound}, slack values solved at: {report.slack_values}")
-    _print_correlations(
-        tuple(model.task_ids) + (record.task_id,), solution.augmented_covariance
-    )
+    _print_correlations(model.task_ids + (record.task_id,), solution.augmented_covariance)
     return 0
 
 
@@ -306,10 +306,11 @@ def _cmd_prior_train(args):
     ds = load_csv(args.dataset)
     inverse = _read_prior_spec(args.prior, ds.m)
     model = fit_with_fixed_inverse(ds, _kernel_from_args(args), Hyperparams(args.l1, args.l2), inverse)
+    if args.out:
+        save_model(model, args.out)
     print(f"objective {model.objective_trace[-1]!r}")
     _print_correlations(model.task_ids, model.covariance)
     if args.out:
-        save_model(model, args.out)
         print(f"model saved to {args.out}")
     return 0
 

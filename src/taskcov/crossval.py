@@ -23,7 +23,7 @@ width (_basis): the cross block K(train, val) under an rbf kernel, and
 a linear fit on the base Gram's centred inputs, whose primal weight rows
 B^T X~ then score it as a moment-form fit's rows do. A task's validation
 MSE is divided by its overall target variance, unless its targets are
-constant to rounding by solver._centred's rule, so the scores and the
+constant to rounding by linalg._centre's rule, so the scores and the
 chosen point do not depend on the targets' units.
 """
 
@@ -37,7 +37,8 @@ import numpy as np
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskData, _real, validate_dataset
 from .errors import GridEmpty
 from .kernels import base_kernel_matrix
-from .solver import _centred, _fit_path, _moment_fit
+from .linalg import _centre
+from .solver import _fit_path, _moment_fit
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _basis(kernel, train, layout):
         return base_kernel_matrix(kernel, train.inputs, layout.x)
     if _moment_fit(kernel, train):
         return None
-    return np.concatenate([_centred(t.inputs, t.targets)[2] for t in train.tasks])
+    return np.concatenate([t.inputs - t.inputs.mean(axis=0) for t in train.tasks])
 
 
 def _fold_score(fitted, layout, kernel, basis, task_type):
@@ -217,10 +218,10 @@ def cross_validate(config, ds):
     scales = {t.task_id: 1.0 for t in ds.tasks}
     if config.task_type == "regression":
         # a task's MSE is divided by its overall target variance, unless its
-        # targets are constant to rounding (solver._centred's rule, whatever
-        # their units), where that variance is 0 and the MSE is taken as it is
+        # targets are constant to rounding (linalg._centre, whatever their
+        # units), where that variance is 0 and the MSE is taken as it is
         for t in ds.tasks:
-            scales[t.task_id] = float(np.mean(_centred(t.inputs, t.targets)[3] ** 2)) or 1.0
+            scales[t.task_id] = float(np.mean(_centre(t.targets)[1] ** 2)) or 1.0
     splits = [(train, _layout(train, val_tasks, scales)) for train, val_tasks in splits if val_tasks]
     scores = [[None] * len(splits) for _ in grid]
     reports = [[None] * len(splits) for _ in grid]

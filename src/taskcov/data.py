@@ -6,7 +6,7 @@ concatenation order: task 1's points first, then task 2's, and so on.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -17,13 +17,11 @@ from .errors import (
     EmptyTask,
     InvalidTaskId,
     NonFiniteValue,
-    NotPSD,
-    NotSymmetric,
     SigmaOutOfRange,
     UnknownTask,
 )
 from .kernels import _rbf_rows
-from .linalg import PSD_EIG_FLOOR
+from .linalg import _check_symmetric, _require_psd
 
 
 def _real(value, what):
@@ -40,8 +38,19 @@ def _readonly(a, dtype=float):
     return out
 
 
-@dataclass(frozen=True)
-class TaskData:
+class _ByValue:
+    """== of a frozen dataclass holding arrays: field by field, arrays by
+    value, the fields declared compare=False skipped."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class TaskData(_ByValue):
     """One task's training set: an (n_i, d) input block and n_i targets."""
 
     task_id: str
@@ -115,15 +124,7 @@ class MultiTaskDataset:
     def __eq__(self, other):
         if not isinstance(other, MultiTaskDataset):
             return NotImplemented
-        return (
-            self.task_ids == other.task_ids
-            and all(
-                a.inputs.shape == b.inputs.shape
-                and np.array_equal(a.inputs, b.inputs)
-                and np.array_equal(a.targets, b.targets)
-                for a, b in zip(self.tasks, other.tasks)
-            )
-        )
+        return self.tasks == other.tasks
 
 
 def validate_dataset(ds):
@@ -228,26 +229,18 @@ SYMMETRY_RTOL = 1e-10
 TRACE_ATOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TaskCovariance:
+@dataclass(frozen=True, eq=False)
+class TaskCovariance(_ByValue):
     """Symmetric PSD unit-trace matrix of pairwise task covariances."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSymmetric("task covariance must be a square matrix")
-        asym = np.abs(a - a.T)
-        limit = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
-        if np.any(asym > limit):
-            raise NotSymmetric("task covariance is not symmetric")
-        eigvals = np.linalg.eigvalsh((a + a.T) / 2.0)
-        if eigvals.size and eigvals[0] < PSD_EIG_FLOOR:
-            raise NotPSD(f"task covariance has eigenvalue {eigvals[0]:.3e}")
+        a = _check_symmetric(self.matrix, "task covariance", SYMMETRY_RTOL)
+        _require_psd(np.linalg.eigvalsh(a), "task covariance")
         if abs(np.trace(a) - 1.0) > TRACE_ATOL:
             raise ValueError(f"task covariance trace is {np.trace(a)!r}, expected 1")
-        object.__setattr__(self, "matrix", _readonly((a + a.T) / 2.0))
+        object.__setattr__(self, "matrix", _readonly(a))
 
     @property
     def m(self):
@@ -284,12 +277,14 @@ class FitReport:
     restarts: int = 0
 
 
-@dataclass(frozen=True)
-class TrainedModel:
+@dataclass(frozen=True, eq=False)
+class TrainedModel(_ByValue):
     """Fitted multi-task model in dual form.
 
     Support points and dual_coefs come in task order, counts[t] for task
-    t, as a model file holds them; biases by task order. coupling is the
+    t, as a model file holds them, and each task's coefficients sum to 0
+    within 1e-6 max(1, the sum of their absolute values); biases are (m,),
+    by task order, and coupling is (m, m). coupling is the
     task-coupling matrix the dual expansion was solved with, retained so
     predictions are exactly reproducible (for models trained against a
     fixed relationship prior it is not derivable from the reported
@@ -320,10 +315,13 @@ class TrainedModel:
         object.__setattr__(self, "support_tasks", _readonly(self.support_tasks, dtype=int))
         object.__setattr__(self, "counts", _readonly(self.counts, dtype=int))
         object.__setattr__(self, "objective_trace", tuple(float(v) for v in self.objective_trace))
-        if not np.array_equal(self.support_tasks, np.repeat(np.arange(len(self.task_ids)), self.counts)):
+        m = len(self.task_ids)
+        if self.biases.shape != (m,) or self.coupling.shape != (m, m):
+            raise ValueError(f"biases {self.biases.shape} and coupling {self.coupling.shape} do not fit {m} tasks")
+        if not np.array_equal(self.support_tasks, np.repeat(np.arange(m), self.counts)):
             raise ValueError("support points must come in task order, counts[t] of them for task t")
-        sums = np.bincount(self.support_tasks, self.dual_coefs, len(self.task_ids))[:len(self.task_ids)]
-        bad = np.abs(sums) > 1e-6
+        sums = np.bincount(self.support_tasks, self.dual_coefs, m)[:m]
+        bad = np.abs(sums) > 1e-6 * np.maximum(1.0, np.bincount(self.support_tasks, np.abs(self.dual_coefs), m)[:m])
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"dual coefficients of task {self.task_ids[i]!r} sum to {sums[i]:.3e}")
@@ -373,8 +371,8 @@ class _SlackReport:
     slack_values: int
 
 
-@dataclass(frozen=True)
-class NewTaskSolution:
+@dataclass(frozen=True, eq=False)
+class NewTaskSolution(_ByValue):
     """Result of grafting one new task onto a trained model. report is
     how the incorporation ended; it takes no part in comparisons, and a
     hand-built solution has None."""

@@ -9,19 +9,20 @@ Every matrix function of a PSD matrix goes through spectral_map (or
 EigenDecomposition.map), under one rule: negative eigenvalues are noise
 and are clipped to 0 before f is applied, and with rel_cutoff an
 eigenvalue at or below rel_cutoff * lambda_max maps to 0 without f seeing
-it. Refusing a matrix as not PSD is a separate check against
-PSD_EIG_FLOOR. A pseudo-inverse cuts at 1e-12 (its map jumps at 0, and
-1/lambda would blow up roundoff).
+it. A pseudo-inverse cuts at 1e-12 (its map jumps at 0, and 1/lambda
+would blow up roundoff). The package's rounding rules each live here
+once, scaled with their input: _check_symmetric, _require_psd, _centre
+and the solve gate, _check_residual.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTaskVariance, NotSymmetric, SingularSystem
+from .errors import DegenerateTaskVariance, NotPSD, NotSymmetric, SingularSystem
 
 SYM_ATOL = 1e-8
-# An eigenvalue below this is not noise: the matrix is refused as not PSD.
+# An eigenvalue below this times max(1, lambda_max) is not noise (_require_psd).
 PSD_EIG_FLOOR = -1e-8
 # Lanczos steps of _top_eigenvalues, the steps between its convergence
 # checks (each an eigensolve of the tridiagonal), and its tolerance.
@@ -30,13 +31,28 @@ _LANCZOS_CHECK = 4
 _LANCZOS_RTOL = 1e-11
 
 
-def _check_symmetric(a, what="matrix"):
+def _check_symmetric(a, what="matrix", rtol=SYM_ATOL, error=NotSymmetric):
+    """(a + a^T) / 2; raises error unless a is square, max |a - a^T| <= rtol max(1, max |a|)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"{what} must be square")
-    if a.size and np.max(np.abs(a - a.T)) > SYM_ATOL * max(1.0, np.max(np.abs(a))):
-        raise NotSymmetric(f"{what} is not symmetric")
+        raise error(f"{what} must be square")
+    if a.size and np.max(np.abs(a - a.T)) > rtol * max(1.0, np.max(np.abs(a))):
+        raise error(f"{what} is not symmetric")
     return (a + a.T) / 2.0
+
+
+def _require_psd(values, what, error=NotPSD):
+    """Raise error unless the eigenvalues values are at least PSD_EIG_FLOOR max(1, lambda_max)."""
+    if values.size and values.min() < PSD_EIG_FLOOR * max(1.0, values.max()):
+        raise error(f"{what} has eigenvalue {values.min():.3e}")
+
+
+def _centre(values):
+    """(mean, values - mean), the centred values exactly 0 where they are
+    constant to rounding (centred norm at most 1e-13 of their norm), whatever their units."""
+    mean = values.mean()
+    centred = values - mean
+    return mean, np.zeros_like(centred) if np.linalg.norm(centred) <= 1e-13 * np.linalg.norm(values) else centred
 
 
 @dataclass(frozen=True)
@@ -129,13 +145,20 @@ def correlation_from_covariance(omega):
     is at or below 1e-12.
     """
     a = omega.matrix if hasattr(omega, "matrix") else _check_symmetric(omega)
-    d = np.diag(a)
-    if np.any(d <= 1e-12):
-        k = int(np.argmin(d))
-        raise DegenerateTaskVariance(f"task {k} has variance {d[k]:.3e}")
-    scale = 1.0 / np.sqrt(d)
+    c = _correlation(a)
+    if np.isnan(c.diagonal()).any():
+        k = int(np.argmin(np.diag(a)))
+        raise DegenerateTaskVariance(f"task {k} has variance {a[k, k]:.3e}")
+    return c
+
+
+def _correlation(a):
+    """correlation_from_covariance of the symmetric a, nan in the row and
+    column of each task whose variance is at or below 1e-12."""
+    dead = np.diag(a) <= 1e-12
+    scale = np.where(dead, np.nan, 1.0 / np.sqrt(np.where(dead, 1.0, np.diag(a))))
     c = a * np.outer(scale, scale)
-    np.fill_diagonal(c, 1.0)
+    np.fill_diagonal(c, np.where(dead, np.nan, 1.0))
     return c
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVarianceTruth
+from .linalg import _centre
 
 
 @dataclass(frozen=True)
@@ -31,26 +32,23 @@ def compute_metrics(truth_by_task, predicted_by_task, task_type="regression"):
         of equal length per task.
     task_type : 'regression' or 'classification' (targets coded +/-1).
 
-    Raises ZeroVarianceTruth when a regression task's true targets have
-    variance at or below 1e-12.
+    Raises ZeroVarianceTruth when a regression task's true targets are
+    constant to rounding (linalg._centre), whatever their units.
     """
     if task_type not in ("regression", "classification"):
         raise ValueError(f"unknown task type {task_type!r}")
     if set(truth_by_task) != set(predicted_by_task):
         raise DimensionMismatch("truth and prediction tasks differ")
-    all_truth = []
-    all_pred = []
-    nmse = {}
-    error = {}
+    all_truth, all_pred, nmse, error = [], [], {}, {}
     for tid in truth_by_task:
         y = np.ravel(np.asarray(truth_by_task[tid], dtype=float))
         p = np.ravel(np.asarray(predicted_by_task[tid], dtype=float))
         if y.shape != p.shape:
             raise DimensionMismatch(f"task {tid!r}: {y.size} truths vs {p.size} predictions")
         if task_type == "regression":
-            var = float(np.var(y))
-            if var <= 1e-12:
-                raise ZeroVarianceTruth(f"task {tid!r} targets have variance {var:.3e}")
+            var = float(np.mean(_centre(y)[1] ** 2))
+            if var == 0.0:
+                raise ZeroVarianceTruth(f"task {tid!r} targets are constant to rounding")
             nmse[tid] = float(np.mean((y - p) ** 2)) / var
             all_truth.append(y)
             all_pred.append(p)

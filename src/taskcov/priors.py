@@ -19,10 +19,9 @@ from .errors import (
     EmptyCluster,
     IndexOutOfRange,
     NegativeSimilarity,
-    NotPSD,
     SelfEdge,
 )
-from .linalg import PSD_EIG_FLOOR, sym_eig
+from .linalg import _check_symmetric, _require_psd, sym_eig
 from .solver import _coefficient_step, _fitted_state, _model
 
 
@@ -39,19 +38,14 @@ def laplacian_from_similarity(similarity):
 
     L = 2 (D - S) so that tr(W L W^T) equals
     sum_{i,j} s_ij ||w_i - w_j||^2 over ordered pairs. The similarity
-    matrix must be symmetric with nonnegative entries and zero diagonal.
+    matrix must be symmetric (to 1e-12 relative) with nonnegative entries;
+    its diagonal is read as 0.
     """
-    s = np.asarray(similarity, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise AsymmetricSimilarity("similarity matrix must be square")
-    if np.max(np.abs(s - s.T)) > 1e-12 * max(1.0, np.max(np.abs(s)) if s.size else 1.0):
-        raise AsymmetricSimilarity("similarity matrix must be symmetric")
+    s = _check_symmetric(similarity, "similarity matrix", 1e-12, AsymmetricSimilarity)
     if np.any(s < 0):
         raise NegativeSimilarity("similarities must be nonnegative")
-    s = s.copy()
     np.fill_diagonal(s, 0.0)
-    degrees = s.sum(axis=1)
-    return 2.0 * (np.diag(degrees) - s)
+    return 2.0 * (np.diag(s.sum(axis=1)) - s)
 
 
 def laplacian_from_task_network(m, edges):
@@ -93,11 +87,7 @@ def clustered_inverse_covariance(m, cluster_assignment, alpha, beta, gamma):
     centering = laplacian_mean_regularization(m)
     combo = alpha * centering + beta * (projector - centering) + gamma * (np.eye(m) - projector)
     combo = (combo + combo.T) / 2.0
-    eigvals = np.linalg.eigvalsh(combo)
-    if eigvals[0] < PSD_EIG_FLOOR:
-        raise NotPSD(
-            f"weights (alpha={alpha}, beta={beta}, gamma={gamma}) give eigenvalue {eigvals[0]:.3e}"
-        )
+    _require_psd(np.linalg.eigvalsh(combo), f"the combination of alpha={alpha}, beta={beta}, gamma={gamma}")
     return combo
 
 
@@ -120,8 +110,7 @@ def fit_with_fixed_inverse(ds, kernel, hp, inverse):
     if inverse.shape != (ds.m, ds.m):
         raise ValueError(f"fixed inverse must be {ds.m} x {ds.m}")
     dec = sym_eig(inverse)  # also rejects asymmetric input
-    if dec.values.size and dec.values[-1] < PSD_EIG_FLOOR:
-        raise NotPSD(f"fixed inverse has eigenvalue {dec.values[-1]:.3e}")
+    _require_psd(dec.values, "fixed inverse")
     coupling = dec.map(lambda v: 1.0 / (hp.lam1 + hp.lam2 * v))
     pinv = dec.map(np.reciprocal, rel_cutoff=1e-12)
     total = float(np.trace(pinv))

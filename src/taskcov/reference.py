@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TaskCovariance
-from .errors import DegenerateGram, DimensionMismatch, MaxIterationsExceeded, NotPSD, Singular, TaskIndexOutOfRange
+from .errors import DegenerateGram, DimensionMismatch, MaxIterationsExceeded, Singular, TaskIndexOutOfRange
 from .kernels import _combined_kernel, _spans, base_kernel_matrix
-from .linalg import PSD_EIG_FLOOR, solve_linear, spectral_map, sym_eig
+from .linalg import _require_psd, solve_linear, spectral_map, sym_eig
 from .newtask import SIGMA_MIN_DEFAULT, _newtask_value, _ridged
 from .solver import _centred_moments, _fitted_state, _loss_weights, _spread, _times_base
 
@@ -39,12 +39,12 @@ SMO_MAX_ROUNDS = 200_000
 def psd_sqrt(a):
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-1e-8, 0] are treated as numerical noise and clipped
-    to zero; anything below that raises NotPSD.
+    Eigenvalues in [-1e-8 max(1, lambda_max), 0] are treated as numerical
+    noise and clipped to zero; anything below that raises NotPSD
+    (linalg._require_psd).
     """
     dec = sym_eig(a)
-    if dec.values.size and dec.values[-1] < PSD_EIG_FLOOR:
-        raise NotPSD(f"matrix has eigenvalue {dec.values[-1]:.3e}")
+    _require_psd(dec.values, "matrix")
     return dec.map(np.sqrt)
 
 
@@ -270,8 +270,7 @@ class SocpInstance:
     psi22: float
 
     def __post_init__(self):
-        if self.eigvals.size and self.eigvals[-1] < PSD_EIG_FLOOR:
-            raise ValueError(f"whitened Gram eigenvalue {self.eigvals[-1]:.3e}")
+        _require_psd(self.eigvals, "whitened Gram", ValueError)
         if self.psi22 < -1e-10:
             raise ValueError(f"negative own Gram block {self.psi22!r}")
 

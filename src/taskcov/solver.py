@@ -71,7 +71,7 @@ import numpy as np
 from .data import FitReport, TaskCovariance, TrainedModel, validate_dataset
 from .errors import DimensionMismatch, NonDecreaseDetected, NonFiniteValue, SingularSystem
 from .kernels import _combined_kernel, _rbf_cross, _spans, base_kernel_matrix
-from .linalg import _LANCZOS_STEPS, _check_residual, _top_eigenvalues
+from .linalg import _LANCZOS_STEPS, _centre, _check_residual, _top_eigenvalues
 
 SOLVERS = ("direct", "smo", "auto")  # the values fit accepts for solver, all one path
 # Relative rise in the objective treated as a bug rather than noise.
@@ -191,15 +191,12 @@ def _centred(inputs, targets):
     is least at b = y_mean - x_mean . w, where it is (1/n) ||y~ - X~ w||^2 on
     the centred rows. Returns (x_mean, y_mean, X~, y~).
 
-    Targets that are constant to rounding (centred norm at most 1e-13 of
-    their norm) centre to exactly 0, so that such a task has w = 0 and
-    not a fit to the rounding of its mean, whatever the targets' units.
+    Targets that are constant to rounding (linalg._centre) centre to
+    exactly 0, so that such a task has w = 0 and not a fit to the rounding
+    of its mean, whatever the targets' units.
     """
     x_mean = inputs.mean(axis=0)
-    y_mean = targets.mean()
-    y = targets - y_mean
-    if np.linalg.norm(y) <= 1e-13 * np.linalg.norm(targets):
-        y = np.zeros_like(y)
+    y_mean, y = _centre(targets)
     return x_mean, y_mean, inputs - x_mean, y
 
 
@@ -401,25 +398,22 @@ def _moment_dual_point(ds, moments, weights):
     return alpha - (np.bincount(ds.point_task, alpha, ds.m) / ds.counts)[ds.point_task]
 
 
-def _moment_form(ds, moments, hp, curvature=None):
-    """A linear fit with m*d < N on the (m, d) weight rows, from the
-    centred moments: G_t w_t in O(m d^2), and the covariance step (solve)
-    is the rank*d system on the coupling's range (_range_solve) at C's
-    factor from _svd_coupling; it does not read C. The smooth part's
-    curvature lies between min_t lambda_min(G_t) + lam1 and
-    max_t lambda_max(G_t) + lam1 (_moment_curvature, or curvature if the
-    caller holds it). Its final step takes no start: dual_point is None.
+def _moment_form(datasets, moments, hp, curvature=None):
+    """Linear fits with m*d < N on (m, d) weight rows, from the centred
+    moments: G_t w_t in O(m d^2), and the covariance step (solve) is the
+    rank*d system on the coupling's range (_range_solve) at C's factor
+    from _svd_coupling; it does not read C. The smooth part's curvature
+    lies between min_t lambda_min(G_t) + lam1 and max_t lambda_max(G_t) +
+    lam1 (_moment_curvature, or curvature if the caller holds it). Its
+    final step takes no start: dual_point is None.
 
-    ds and moments may also be tuples of datasets sharing (m, d) and their
-    _task_moments: the form then holds one independent problem per
-    dataset along a leading axis of every array and value.
+    datasets is a tuple of datasets sharing (m, d) and moments their
+    _task_moments: the form holds one independent problem per dataset
+    along a leading axis of every array and value, a fit of one dataset
+    a stack of one.
     """
-    if isinstance(ds, tuple):
-        gram, cross = np.array([mo[4] for mo in moments]), np.array([mo[5] for mo in moments])
-        constant = np.array([np.sum(mo[3] ** 2 / _loss_weights(d)) for d, mo in zip(ds, moments)])
-    else:
-        gram, cross = moments[4], moments[5]
-        constant = np.sum(moments[3] ** 2 / _loss_weights(ds))
+    gram, cross = np.array([mo[4] for mo in moments]), np.array([mo[5] for mo in moments])
+    constant = np.array([np.sum(mo[3] ** 2 / _loss_weights(ds)) for ds, mo in zip(datasets, moments)])
     convexity, lipschitz = _moment_curvature(gram) if curvature is None else curvature
 
     def times(weights):
@@ -586,11 +580,11 @@ def _certify(form, hp, traces, start=None):
     trace norm when known; D at a dual vector summing to 0 per task; the
     dual point alpha_p = 2 r_p / n_p; and the weights minimising the
     objective at a coupling C given with its factor F, C = F F^T (the
-    Gram form reads C, the moment form F). A form may hold independent
-    problems along a leading axis (a stacked _moment_form); each then runs
-    the loop below on its own, and traces holds one list per problem (one
-    list for a form without that axis). Points are combined only affinely,
-    so a point may carry values affine in W (_gram_form).
+    Gram form reads C, the moment form F). A _moment_form holds independent
+    problems along a leading axis; each then runs the loop below on its
+    own, and traces holds one list per problem (one for a _gram_form).
+    Points are combined only affinely, so a point may carry values affine
+    in W (_gram_form).
 
     The loop starts at W = 0, or at start where P(start) < P(0). Each
     iteration takes an accelerated proximal-gradient step from the
@@ -711,14 +705,14 @@ def _fit_path(datasets, kernel, hps):
     Each dataset's hp-free parts are built once: its centred moments and
     their spectra, or its base Gram, curvature bound and coefficient step.
     Linear datasets with m*d < N that share (m, d) run as one stacked
-    _moment_form (a group of one runs without the stack's leading axis);
-    every other dataset runs alone, so at most one base Gram is alive at a
-    time. A moment-form problem starts at every point after the first
-    from its certified weights at the point before (_certify keeps the
-    start only where it lowers P), so a path should step between nearby
-    points; a Gram-form fit starts cold at every point, as fit does,
-    because there a warm start was seen to cost iterations. Only a caller
-    that asks for a fit's model runs its final refresh (_refreshed).
+    _moment_form, a lone one as a stack of one; every other dataset runs
+    alone, so at most one base Gram is alive at a time. A moment-form
+    problem starts at every point after the first from its certified
+    weights at the point before (_certify keeps the start only where it
+    lowers P), so a path should step between nearby points; a Gram-form
+    fit starts cold at every point, as fit does, because there a warm
+    start was seen to cost iterations. Only a caller that asks for a fit's
+    model runs its final refresh (_refreshed).
     """
     if any(hp.lam1 <= 0 for hp in hps):
         raise ValueError("fitting requires lam1 > 0")
@@ -736,8 +730,8 @@ _Fitted = namedtuple("_Fitted", "weights biases report model")
 
 def _path(group, kernel, hps):
     """Yields (i, k, fitted), the fit of group[k] at hps[i], point by point,
-    each as soon as its certified loop has stopped; group is a tuple, one
-    stack or one dataset alone, warm-started as _fit_path says.
+    each as soon as its certified loop has stopped; group is a tuple, a
+    moment-form stack or one dataset, warm-started as _fit_path says.
 
     fitted is a _Fitted holding the certified point: a moment-form fit's
     (m, d) weight rows w_t and biases y_mean - x_mean . w, or a Gram-form
@@ -750,15 +744,11 @@ def _path(group, kernel, hps):
     if warm:
         moments = tuple(_task_moments(ds) for ds in group)
         steps = [_coefficient_step(ds, kernel, mo) for ds, mo in zip(group, moments)]
-        if len(group) == 1:  # a group of one runs without the leading axis
-            held, gram = (group[0], moments[0]), moments[0][4]
-        else:
-            held, gram = (group, moments), np.array([mo[4] for mo in moments])
-        curvature = _moment_curvature(gram)
+        curvature = _moment_curvature(np.array([mo[4] for mo in moments]))
         targets = [mo[3] for mo in moments]
 
         def form_at(hp):
-            return _moment_form(*held, hp, curvature)
+            return _moment_form(group, moments, hp, curvature)
 
         def certified(weights, k):
             return weights, moments[k][1] - np.einsum("ij,ij->i", moments[k][0], weights)
@@ -784,7 +774,7 @@ def _path(group, kernel, hps):
         traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
         weights, gapped, bounds, restarts = _certify(form, hp, traces, weights if warm else None)
         for k, (ds, own, y, step, trace, stopped, bound, restart) in enumerate(zip(
-                group, [weights] if len(group) == 1 else weights, targets, steps, traces, gapped, bounds, restarts)):
+                group, weights if warm else [weights], targets, steps, traces, gapped, bounds, restarts)):
             report = FitReport("gap" if stopped else "iteration cap", _relative_gap(trace[-1], bound, trace[0]),
                                sum(form.products), len(trace) - 1, restart)
             refresh = partial(_refreshed, ds, kernel, hp, form, own, step, y, trace, bound, report)

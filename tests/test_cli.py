@@ -39,6 +39,40 @@ def test_make_toy_then_train(tmp_path, capsys):
     assert "objective trace:" in out
 
 
+def test_zero_variance_task_prints_nan_correlations_after_saving(tmp_path, capsys):
+    # task3 of the noiseless toy is y = 1: its weights, and so its variance
+    # in the learned covariance, are 0. The model is written, and that
+    # task's correlation row and column read nan
+    data, model_path = tmp_path / "flat.csv", tmp_path / "flat.txt"
+    run(capsys, "make-toy", "--noise-var", "0", "--out", str(data))
+    code, out, err = run(capsys, "train", str(data), "--out", str(model_path))
+    assert code == 0, err
+    assert out.splitlines()[-1] == f"model saved to {model_path}"
+
+    def nan_row_and_column(corr, k):
+        rest = np.delete(np.delete(corr, k, axis=0), k, axis=1)
+        return np.isnan(corr[k]).all() and np.isnan(corr[:, k]).all() and np.isfinite(rest).all()
+
+    assert nan_row_and_column(parse_correlations(out), 2)
+    code, out, err = run(capsys, "predict", "--model", str(model_path), str(data))
+    assert code == 0, err
+    assert [float(line.split(",")[1]) for line in out.splitlines() if line.startswith("task3,")] == [1.0] * 5
+
+    new = tmp_path / "new.csv"
+    new.write_text("task,y,x1\n" + "".join(f"new,{3.0 * x + 10.0!r},{x!r}\n" for x in (0.0, 1.0, 2.0, 5.0)))
+    code, out, err = run(capsys, "new-task", "--model", str(model_path), str(new))
+    assert code == 0, err
+    assert nan_row_and_column(parse_correlations(out), 2)
+
+    # a task network that leaves task 2 unlinked: the fixed covariance, the
+    # Laplacian's trace-normalised pseudo-inverse, has a zero row there
+    spec, prior_path = tmp_path / "network.spec", tmp_path / "prior.txt"
+    spec.write_text("kind=network\nedges=0-1\n")
+    code, out, err = run(capsys, "prior-train", str(data), "--prior", str(spec), "--out", str(prior_path))
+    assert code == 0, err
+    assert nan_row_and_column(parse_correlations(out), 2) and prior_path.exists()
+
+
 def test_make_toy_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "make-toy", "--seed", "11", "--out", str(a))

@@ -247,3 +247,49 @@ def test_numpy_string_task_ids_fit():
     ds = tc.MultiTaskDataset([(np.str_("a"), [[1.0], [2.0]], [1.0, 2.0]), (np.str_("b"), [[0.0], [1.0]], [0.0, 1.0])])
     model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))
     assert model.task_ids == ("a", "b")
+
+
+@pytest.mark.parametrize("field, cut", [
+    pytest.param("biases", lambda b: b[:2], id="short-biases"),
+    pytest.param("biases", lambda b: b[:, None], id="column-biases"),
+    pytest.param("coupling", lambda c: c[:2], id="short-coupling"),
+    pytest.param("coupling", np.ravel, id="flat-coupling"),
+])
+def test_trained_model_refuses_biases_or_coupling_of_the_wrong_shape(field, cut, toy, toy_hp):
+    # a model that held them would fail only later, indexing them in predict
+    model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+    with pytest.raises(ValueError, match="do not fit 3 tasks"):
+        dataclasses.replace(model, **{field: cut(getattr(model, field))})
+
+
+def test_duals_sum_to_zero_within_rounding_of_their_size():
+    # the zero-sum gate scales with the coefficients' absolute sum, as the
+    # solve gate scales with the targets: the same duals times 1e12 pass
+    ds = tc.MultiTaskDataset([(f"t{i}", np.arange(4.0)[:, None] + i, np.arange(4.0) * (i + 1)) for i in range(2)])
+    model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))
+    big = model.dual_coefs * 1e12
+    big[0] += 1e-2  # 7e-14 of the task's absolute sum, 1.5e11
+    dataclasses.replace(model, dual_coefs=big)
+    big[0] += 1e7  # 7e-5 of it
+    with pytest.raises(ValueError, match="of task 't0' sum to"):
+        dataclasses.replace(model, dual_coefs=big)
+
+
+def test_equality_compares_arrays_by_value(tmp_path, toy, toy_hp):
+    # == on a type holding arrays is a bool, field by field, and a
+    # compare=False field (a model's or a solution's report) takes no part
+    linear = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+    rbf = tc.fit(toy, tc.KernelSpec("rbf", 2.0), toy_hp)
+    tc.save_model(linear, tmp_path / "model.txt")
+    loaded = tc.load_model(tmp_path / "model.txt")
+    assert loaded.report is None and loaded == linear
+    assert (linear == rbf) is False and linear != rbf
+    assert linear != dataclasses.replace(linear, biases=linear.biases + 1.0)
+    assert linear != "a model"
+    assert tc.TaskCovariance(np.eye(2) / 2) == tc.TaskCovariance.unrelated(2) != tc.TaskCovariance.unrelated(3)
+    task = tc.TaskData("a", [1.0, 2.0], [3.0, 4.0])
+    assert task == tc.TaskData("a", [[1.0], [2.0]], [3.0, 4.0])
+    assert task != tc.TaskData("a", [[1.0, 2.0]], [3.0]) and task != tc.TaskData("b", [1.0, 2.0], [3.0, 4.0])
+    solution = tc.NewTaskSolution(np.ones(1), 0.5, np.zeros(2), 0.25, tc.TaskCovariance.unrelated(3))
+    assert solution == dataclasses.replace(solution, report="another report")
+    assert solution != dataclasses.replace(solution, cov_column=np.ones(2) * 1e-3)

@@ -138,6 +138,19 @@ class TestModelFile:
         with pytest.raises(errors.CorruptModel, match="support block does not match counts"):
             tc.load_model(tmp_path / "model.txt")
 
+    def test_short_bias_line_is_corrupt(self, tmp_path, toy, toy_hp):
+        # one bias dropped, under a checksum that matches the damage: refused
+        # at load, not when predict indexes the missing bias
+        tc.save_model(self.fitted(toy, toy_hp), tmp_path / "model.txt")
+        header, checksum, *payload = (tmp_path / "model.txt").read_text().split("\n")
+        k = next(i for i, line in enumerate(payload) if line.startswith("b: "))
+        payload[k] = payload[k].rsplit(" ", 1)[0]
+        payload = "\n".join(payload)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        (tmp_path / "model.txt").write_text(f"{header}\nchecksum: {digest}\n{payload}")
+        with pytest.raises(errors.CorruptModel, match=r"biases \(2,\) and coupling \(3, 3\) do not fit 3 tasks"):
+            tc.load_model(tmp_path / "model.txt")
+
     def test_version_bump_detected(self, tmp_path, toy, toy_hp):
         model = self.fitted(toy, toy_hp)
         path = tmp_path / "model.txt"

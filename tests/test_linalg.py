@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import taskcov as tc
-from taskcov import errors
+from taskcov import errors, linalg
 from taskcov.linalg import spectral_map
 
 
@@ -39,6 +39,15 @@ class TestSymEig:
         with pytest.raises(errors.NotSymmetric):
             tc.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_symmetry_check_scales_with_the_largest_entry(self):
+        # the one symmetry check, at each caller's tolerance and error class
+        a = np.array([[1e9, 5.0], [5.0 + 1e-3, 1e9]])
+        np.testing.assert_array_equal(tc.sym_eig(a).reconstruct(), tc.sym_eig((a + a.T) / 2).reconstruct())
+        with pytest.raises(errors.NotSymmetric):
+            tc.sym_eig(a * [[1.0, 1.0], [100.0, 1.0]])
+        with pytest.raises(errors.AsymmetricSimilarity, match="similarity matrix is not symmetric"):
+            tc.laplacian_from_similarity(np.array([[0.0, 1e9], [1e9 + 1e-2, 0.0]]))
+
 
 class TestPsdSqrt:
     def test_diagonal(self):
@@ -58,6 +67,14 @@ class TestPsdSqrt:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(errors.NotPSD):
             tc.psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_noise_floor_scales_with_the_largest_eigenvalue(self):
+        # -1e-8 max(1, lambda_max): unchanged below unit scale
+        np.testing.assert_array_equal(tc.psd_sqrt(np.diag([1e10, -10.0])), np.diag([1e5, 0.0]))
+        with pytest.raises(errors.NotPSD, match="matrix has eigenvalue -1.000e\\+03"):
+            tc.psd_sqrt(np.diag([1e10, -1e3]))
+        with pytest.raises(errors.NotPSD):
+            tc.psd_sqrt(np.diag([0.5, -2e-8]))
 
     def test_random_psd_sweep(self):
         # squaring oracle over many sizes, the module-level property
@@ -166,6 +183,13 @@ class TestCorrelation:
     def test_degenerate_variance(self):
         with pytest.raises(errors.DegenerateTaskVariance):
             tc.correlation_from_covariance(np.diag([1.0, 0.0]))
+
+    def test_degenerate_task_reads_nan_in_the_printed_form(self):
+        # the CLI prints the other tasks' correlations, and nan for a task of zero variance
+        omega = np.array([[0.5, -0.4, 0.0], [-0.4, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        corr = linalg._correlation(omega)
+        np.testing.assert_array_equal(corr[:2, :2], tc.correlation_from_covariance(omega[:2, :2]))
+        assert np.isnan(corr[2]).all() and np.isnan(corr[:, 2]).all()
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)

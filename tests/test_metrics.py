@@ -45,6 +45,23 @@ def test_zero_variance_truth():
         tc.compute_metrics({"a": [2.0, 2.0]}, {"a": [2.0, 2.0]})
 
 
+def test_nmse_does_not_depend_on_the_targets_units():
+    # the variance gate is the test of values constant to rounding, which
+    # a task's targets far below unit scale do not fail
+    rng = np.random.default_rng(4)
+    truth = {t: rng.normal(size=30) for t in "ab"}
+    predicted = {t: v + 0.3 * rng.normal(size=30) for t, v in truth.items()}
+    want = tc.compute_metrics(truth, predicted)
+    got = tc.compute_metrics({t: v * 1e-7 for t, v in truth.items()}, {t: v * 1e-7 for t, v in predicted.items()})
+    for t in "ab":
+        assert abs(got.nmse[t] - want.nmse[t]) <= 1e-12 * want.nmse[t]
+    assert abs(got.explained_variance - want.explained_variance) <= 1e-12 * abs(want.explained_variance)
+    # targets constant to rounding are refused at any offset
+    for constant in ([1e-7, 1e-7], [1e12, 1e12 + 0.01]):
+        with pytest.raises(errors.ZeroVarianceTruth):
+            tc.compute_metrics({"a": constant}, {"a": [0.0, 0.0]})
+
+
 def test_mismatched_tasks():
     with pytest.raises(errors.DimensionMismatch):
         tc.compute_metrics({"a": [1.0, 2.0]}, {"b": [1.0, 2.0]})

@@ -146,6 +146,23 @@ def primal_quadratic_oracle(ds, hp, inverse):
 
 
 class TestFixedInverseFit:
+    @pytest.mark.parametrize("kernel", [tc.KernelSpec("linear"), tc.KernelSpec("rbf", 1.0)], ids=["linear", "rbf"])
+    def test_similarity_units_move_into_lam2(self, kernel):
+        # the Laplacian of S times a is a L(S), so lam2 / a fits the same
+        # model: the PSD check scales with the Laplacian's largest
+        # eigenvalue and does not read its rounding at 1e9 as a negative one
+        rng = np.random.default_rng(29)
+        ds = random_dataset(rng, m=5, d=3)
+        queries = [ds.task_ids[i] for i in ds.point_task], ds.inputs
+        for _ in range(20):
+            s = rng.uniform(size=(5, 5))
+            s += s.T
+            want = tc.predict_batch(tc.fit_with_fixed_inverse(
+                ds, kernel, tc.Hyperparams(0.1, 0.05), tc.laplacian_from_similarity(s)), *queries)
+            got = tc.predict_batch(tc.fit_with_fixed_inverse(
+                ds, kernel, tc.Hyperparams(0.1, 0.05 / 1e9), tc.laplacian_from_similarity(s * 1e9)), *queries)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_zero_structure_is_independent_ridge(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, m=3, d=2, n_lo=5, n_hi=8)

@@ -784,6 +784,27 @@ class TestObjective:
 
 
 class TestFit:
+    @pytest.mark.parametrize("make, kernel", [
+        pytest.param(lambda: planted_dataset(12345, 10, 200, 10, 3), tc.KernelSpec("linear"), id="linear-2k"),
+        pytest.param(lambda: smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0), id="rbf-smo"),
+        pytest.param(lambda: planted_dataset(3, 10, 30, 200, 3), tc.KernelSpec("linear"), id="wide"),
+    ])
+    def test_fits_do_not_depend_on_the_targets_units(self, make, kernel):
+        # targets times a give W, b and predictions times a: every gate a
+        # fit passes scales with its input, so far above unit scale the fit
+        # takes the same iterations and predicts the same to rounding
+        ds, hp = make(), tc.Hyperparams(0.03, 0.03)
+        queries = [ds.task_ids[i] for i in ds.point_task], ds.inputs
+        unscaled = tc.fit(ds, kernel, hp)
+        want = tc.predict_batch(unscaled, *queries)
+        for scale in (1e9, 1e12, 1e15):
+            model = tc.fit(tc.MultiTaskDataset([(t.task_id, t.inputs, t.targets * scale) for t in ds.tasks]),
+                           kernel, hp)
+            assert model.report.stop_reason == "gap", scale
+            assert model.report.iterations == unscaled.report.iterations, scale
+            got = tc.predict_batch(model, *queries) / scale
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), scale
+
     def test_toy_first_pair_anticorrelated(self, toy, toy_hp):
         model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
         corr = tc.correlation_from_covariance(model.covariance)
@@ -1179,7 +1200,7 @@ class TestCertificate:
             moments = solver._task_moments(ds)
             x = moments[2]
             base = tc.base_kernel_matrix(self.kernel, ds.inputs)
-            moment_form = solver._moment_form(ds, moments, hp)
+            moment_form = solver._moment_form((ds,), (moments,), hp)  # one dataset: a stack of one
             with monkeypatch.context() as dense:  # the Gram form's step, also where m*d < N
                 dense.setattr(solver, "_moment_fit", lambda kernel, ds: False)
                 step = solver._coefficient_step(ds, self.kernel, base=base)
@@ -1191,6 +1212,7 @@ class TestCertificate:
             b -= (solver._spread(ds.point_task, m, 1.0).T @ b / ds.counts[:, None])[ds.point_task]
             point = solver._gram_point(ds, base, solver._centred_targets(ds), np.concatenate([b.ravel(), (base @ b).ravel()]))
             weights = (x.T @ b).T
+            stacked = weights[None]
             coupling = tc.coupling_matrix(unit_trace_psd(rng, m), hp)
             factor = eigh_factor(coupling)
 
@@ -1198,22 +1220,23 @@ class TestCertificate:
                 return (x.T @ p[:b.size].reshape(b.shape)).T
 
             pairs = [
-                (moment_form.primal(weights), gram_form.primal(point)),
-                (moment_form.dual(weights), gram_form.dual(point)),
+                (moment_form.primal(stacked)[0], gram_form.primal(point)),
+                (moment_form.dual(stacked)[0], gram_form.dual(point)),
                 (solver._moment_dual_point(ds, moments, weights), gram_form.dual_point(point)),
-                (moment_form.gradient(weights), features(gram_form.gradient(point))),
-                (moment_form.solve(coupling, factor, weights), features(exact_form.solve(coupling, factor, point))),
-                (solver._svd_coupling(*moment_form.singular(weights)[:2], hp)[0],
+                (moment_form.gradient(stacked)[0], features(gram_form.gradient(point))),
+                (moment_form.solve(coupling, factor, stacked)[0], features(exact_form.solve(coupling, factor, point))),
+                (solver._svd_coupling(*moment_form.singular(stacked)[:2], hp)[0][0],
                  solver._svd_coupling(*gram_form.singular(point)[:2], hp)[0]),
-                (moment_form.lipschitz, gram_form.lipschitz),
+                (moment_form.lipschitz[0], gram_form.lipschitz),
             ]
-            _, values, rebuild = moment_form.singular(weights)
+            _, values, rebuild = moment_form.singular(stacked)
             _, gram_values, gram_rebuild = gram_form.singular(point)
             shrunk = solver._shrink(values, 0.3)
+            values, shrunk = values[0], shrunk[0]
             pairs += [
                 (values, gram_values[:values.size]),
                 (np.zeros(m - values.size), gram_values[values.size:]),
-                (rebuild(shrunk), features(gram_rebuild(np.concatenate([shrunk, np.zeros(m - values.size)])))),
+                (rebuild(shrunk[None])[0], features(gram_rebuild(np.concatenate([shrunk, np.zeros(m - values.size)])))),
             ]
             for want, got in pairs:
                 scale = max(1.0, np.max(np.abs(want), initial=0.0))

@@ -15,7 +15,7 @@ import numpy as np
 from .crossval import ExperimentConfig, cross_validate
 from .data import Hyperparams, KernelSpec, TaskData
 from .errors import DuplicateTaskId, ParseError, TaskcovError
-from .io import _read_text, generate_toy, load_csv, load_model, save_csv, save_model
+from .io import _csv_rows, _read_text, generate_toy, load_csv, load_model, save_csv, save_model
 from .linalg import _correlation
 from .metrics import compute_metrics
 from .newtask import incorporate_new_task
@@ -157,6 +157,8 @@ def _edges(text):
 
 
 def _load_query_rows(path):
+    """(task id, input) of each query row, parsed and checked by load_csv's
+    per-row rules; a y column after the task column is skipped."""
     with io.StringIO(_read_text(path, ParseError)) as fh:
         reader = csv.reader(fh)
         try:
@@ -165,17 +167,8 @@ def _load_query_rows(path):
             raise ParseError(f"{path} is empty") from None
         if not header or header[0] != "task":
             raise ParseError(f"{path}: header must start with 'task'")
-        skip_y = len(header) > 1 and header[1] == "y"
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values = [float(c) for c in row[2:]] if skip_y else [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            rows.append((row[0].strip(), np.array(values)))
-    return rows
+        first = 2 if len(header) > 1 and header[1] == "y" else 1
+        return [(tid, np.array(values)) for tid, values in _csv_rows(path, reader, len(header), first)]
 
 
 def _cmd_make_toy(args):

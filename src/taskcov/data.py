@@ -336,9 +336,14 @@ class TrainedModel(_ByValue):
 
     def task_index(self, task_id):
         try:
-            return self.task_ids.index(task_id)
-        except ValueError:
+            return self._task_lookup[task_id]
+        except (KeyError, TypeError):
             raise UnknownTask(f"task {task_id!r} not in model") from None
+
+    @cached_property
+    def _task_lookup(self):
+        """Task id -> index, built once per model (task_index, serving)."""
+        return {t: i for i, t in enumerate(self.task_ids)}
 
     @cached_property
     def _weights(self):

@@ -46,35 +46,38 @@ def load_csv(path):
         header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != "task" or header[1] != "y":
             raise ParseError(f"{path}: header must be task,y,x1,...,xd")
-        dim = len(header) - 2
-        order = []
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != dim + 2:
-                raise ParseError(f"{path}:{lineno}: expected {dim + 2} columns, got {len(row)}")
-            tid = row[0].strip()
-            try:
-                values = [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            for token, value in zip(row[1:], values):
-                if not math.isfinite(value):
-                    raise NonFiniteValue(f"{path}:{lineno}: non-finite value {token.strip()!r}")
-            if tid not in rows:
-                rows[tid] = []
-                order.append(tid)
-            rows[tid].append(values)
-    if not order:
+        rows = {}  # by task, in order of first appearance
+        for tid, values in _csv_rows(path, reader, len(header), 1):
+            rows.setdefault(tid, []).append(values)
+    if not rows:
         raise EmptyFile(f"{path} has no data rows")
     tasks = []
-    for tid in order:
-        block = np.array(rows[tid])
+    for tid, task_rows in rows.items():
+        block = np.array(task_rows)
         tasks.append(TaskData(task_id=tid, inputs=block[:, 1:], targets=block[:, 0]))
     ds = MultiTaskDataset(tasks)
     validate_dataset(ds)
     return ds
+
+
+def _csv_rows(path, reader, width, first):
+    """(task id, the floats of columns first onward) of each non-blank row
+    after the header, whose width every row must have. Raises ParseError
+    for a row of another width or a field that is not a number, and
+    NonFiniteValue for NaN or inf, naming the file and line."""
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        try:
+            values = [float(c) for c in row[first:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        for token, value in zip(row[first:], values):
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{path}:{lineno}: non-finite value {token.strip()!r}")
+        yield row[0].strip(), values
 
 
 def save_csv(ds, path):

@@ -51,11 +51,11 @@ def psd_sqrt(a):
 def psd_inverse(a, ridge=0.0):
     """Inverse of (a + ridge*I) through the eigendecomposition of PSD a.
 
-    With ridge = 0 the smallest eigenvalue must exceed 1e-10, otherwise
-    Singular is raised.
+    With ridge = 0 the smallest eigenvalue must exceed 1e-10 min(1,
+    lambda_max), otherwise Singular is raised.
     """
     dec = sym_eig(a)
-    if ridge == 0.0 and (not dec.values.size or dec.values[-1] <= 1e-10):
+    if ridge == 0.0 and (not dec.values.size or dec.values[-1] <= 1e-10 * min(1.0, dec.values[0])):
         raise Singular("matrix is singular and no ridge was given")
     return dec.map(lambda v: 1.0 / (v + ridge))
 
@@ -262,7 +262,9 @@ class SocpInstance:
     """The pieces of the covariance-column cone program that its solution
     reads: the eigenvalues (descending) of the whitened existing-weight
     Gram Omega^{-1/2} Psi11 Omega^{-1/2}, and the cross and own blocks
-    psi12 and psi22 of the augmented weight Gram.
+    psi12 and psi22 of the augmented weight Gram. The eigenvalues and
+    psi22 share one PSD floor at the scale of the largest of them
+    (linalg._require_psd); one below it raises ValueError.
     """
 
     eigvals: np.ndarray
@@ -270,9 +272,7 @@ class SocpInstance:
     psi22: float
 
     def __post_init__(self):
-        _require_psd(self.eigvals, "whitened Gram", ValueError)
-        if self.psi22 < -1e-10:
-            raise ValueError(f"negative own Gram block {self.psi22!r}")
+        _require_psd(np.append(self.eigvals, self.psi22), "whitened Gram with own Gram block", ValueError)
 
 
 def socp_instance(psi11, psi12, psi22, omega):

@@ -55,11 +55,11 @@ solve, to 1e-10. Either is gated on its saddle residual (_checked_saddle)
 and also returns K spread(alpha), K the base Gram, off which
 _fitted_state reads the fitted values and the objective.
 
-Serving checks a whole batch in bulk (predict_batch; predict is a batch
-of one) and computes it in _predictions: a linear model by a row-wise
-sum per query over its primal weights, the same bits in any batch; other
-kernels by the dual expansion per task over blocks of queries, each
-support x block array under 4 MB.
+Serving checks a batch in one flat pass (predict_batch; predict is a
+batch of one): ids through the model's id map and one bulk finiteness
+test. A linear model sums each query's row of a C-order product with its
+weight row (a take), the same bits in any batch; other kernels the dual
+expansion per task over query blocks, each support x block array < 4 MB.
 """
 
 from collections import namedtuple
@@ -826,7 +826,7 @@ def predict_batch(model, task_ids, xs):
     the first bad query, then NonFiniteValue for the first query holding
     NaN or inf. The predictions are _predictions'.
     """
-    task_ids = list(task_ids)
+    task_ids = task_ids if isinstance(task_ids, (list, tuple)) else list(task_ids)
     xs = xs if isinstance(xs, np.ndarray) else list(xs)
     if len(task_ids) != len(xs):
         raise DimensionMismatch(f"{len(task_ids)} task ids but {len(xs)} inputs")
@@ -837,24 +837,24 @@ def predict_batch(model, task_ids, xs):
 
 def _predictions(model, index, x):
     """predict_batch at checked task indices and (Q, d) inputs. A linear
-    model sums each query's row against its primal weights, with no BLAS, so
-    a query's bits do not depend on the batch; other kernels' last bits may."""
+    model sums each query's row of a C-order product with its primal weights,
+    with no BLAS, so a query's bits do not depend on the batch; others' may."""
     if model.kernel.kind == "linear":
-        return np.sum(x * reconstruct_weights(model).T[index], axis=1) + model.biases[index]
+        rows = model._weights.T.take(index, axis=0)
+        return np.add.reduce(np.multiply(x, rows, out=rows), axis=1) + model.biases[index]
     return _dual_predictions(model, index, x)
 
 
 def _queries(model, task_ids, xs):
     """Task indices and the (Q, d) inputs of a batch.
 
-    One dict lookup per id and one array conversion for all inputs; if
-    either fails or the shapes do not fit, the per-query checks run in
-    order, so that the error names the first bad query.
+    One lookup per id in the model's id map and one array conversion for
+    all inputs; if either fails or the shapes do not fit, the per-query
+    checks run in order, so that the error names the first bad query.
     """
-    lookup = {t: i for i, t in enumerate(model.task_ids)}
     q = len(task_ids)
     try:
-        index = np.fromiter(map(lookup.__getitem__, task_ids), dtype=np.intp, count=q)
+        index = np.fromiter(map(model._task_lookup.__getitem__, task_ids), dtype=np.intp, count=q)
         x = np.asarray(xs, dtype=float)
         if x.size == q * model.dim:
             return index, x.reshape(q, model.dim)
@@ -877,10 +877,10 @@ def _query(model, task_id, x):
 
 
 def _require_finite(queries):
-    """Raise NonFiniteValue naming the first row holding NaN or inf."""
-    bad = ~np.isfinite(queries).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
+    """Raise NonFiniteValue naming the first row holding NaN or inf, searched
+    row by row only once one bulk test over all inputs has failed."""
+    if not np.isfinite(queries).all():
+        k = int(np.argmax(~np.isfinite(queries).all(axis=1)))
         raise NonFiniteValue(f"query {k} {queries[k].tolist()} is not finite")
 
 

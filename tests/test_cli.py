@@ -150,6 +150,25 @@ def test_predict_serves_rows_as_predict_does(tmp_path, capsys):
     assert run(capsys, "predict", "--model", str(model_path), str(queries)) == (0, "", "")
 
 
+@pytest.mark.parametrize("text, error, where", [
+    # a non-finite input, with or without a y column, named as load_csv names one
+    ("task,y,x1\ntask1,0.5,1.0\ntask2,0.5,2.0\ntask1,0.5,nan\n", "NonFiniteValue", "4: non-finite value 'nan'"),
+    ("task,x1\n\ntask1,-inf\n", "NonFiniteValue", "3: non-finite value '-inf'"),
+    # every row has its header's width
+    ("task,x1\ntask1,1.0\ntask2,2.0,3.0\n", "ParseError", "3: expected 2 columns, got 3"),
+    ("task,y,x1\ntask1,0.5\n", "ParseError", "2: expected 3 columns, got 2"),
+    ("task,x1\ntask1,one\n", "ParseError", "2: could not convert string to float: 'one'"),
+], ids=["nan", "inf", "wide", "short", "word"])
+def test_predict_refuses_a_bad_query_row_naming_its_line(tmp_path, capsys, text, error, where):
+    data, model_path, queries = tmp_path / "toy.csv", tmp_path / "model.txt", tmp_path / "queries.csv"
+    run(capsys, "make-toy", "--seed", "35", "--out", str(data))
+    run(capsys, "train", str(data), "--out", str(model_path))
+    queries.write_text(text)
+    code, out, err = run(capsys, "predict", "--model", str(model_path), str(queries))
+    assert (code, out) == (1, "")
+    assert err == f"error: {error}: {queries}:{where}\n"
+
+
 def test_cv_singleton_grid(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     run(capsys, "make-toy", "--seed", "35", "--out", str(data))

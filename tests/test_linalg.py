@@ -108,6 +108,14 @@ class TestPsdInverse:
         with pytest.raises(errors.Singular):
             tc.psd_inverse(np.diag([1.0, 0.0]))
 
+    def test_singular_test_scales_with_the_largest_eigenvalue(self):
+        # lambda_min <= 1e-10 min(1, lambda_max): unchanged above unit scale
+        np.testing.assert_allclose(tc.psd_inverse(np.eye(2) * 1e-11), np.eye(2) * 1e11, rtol=1e-15)
+        np.testing.assert_allclose(tc.psd_inverse(np.diag([1e-3, 1e-12])), np.diag([1e3, 1e12]), rtol=1e-15)
+        for singular in (np.zeros((2, 2)), np.diag([1e-5, 0.0]), np.ones((3, 3)) * 1e-6, np.diag([1e3, 1e-10])):
+            with pytest.raises(errors.Singular):
+                tc.psd_inverse(singular)
+
 
 class TestSpectralMap:
     def test_cutoff_boundary(self):

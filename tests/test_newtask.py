@@ -149,6 +149,18 @@ class TestSolveWb:
 
 
 class TestConeStep:
+    def test_own_block_floor_scales_with_the_blocks(self):
+        # one PSD floor, -1e-8 max(1, the largest eigenvalue or psi22)
+        inst = tc.SocpInstance(eigvals=np.array([1e3, 1.0]), psi12=np.zeros(2), psi22=-1e-9)
+        assert inst.psi22 == -1e-9
+        tc.SocpInstance(eigvals=np.array([0.5]), psi12=np.zeros(1), psi22=-5e-9)
+        with pytest.raises(ValueError, match="whitened Gram with own Gram block has eigenvalue -1.000e-04"):
+            tc.SocpInstance(eigvals=np.array([1e3, 1.0]), psi12=np.zeros(2), psi22=-1e-4)
+        with pytest.raises(ValueError, match="eigenvalue -2.000e-08"):
+            tc.SocpInstance(eigvals=np.array([0.5]), psi12=np.zeros(1), psi22=-2e-8)
+        with pytest.raises(ValueError, match="eigenvalue -1.000e\\+00"):
+            tc.SocpInstance(eigvals=np.array([1e3, -1.0]), psi12=np.zeros(2), psi22=1.0)
+
     def test_rejects_all_zero_blocks(self):
         omega = tc.TaskCovariance(np.array([[1.0]]))
         inst = tc.socp_instance(np.zeros((1, 1)), np.zeros(1), 0.0, omega)

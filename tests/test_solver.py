@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -1494,6 +1495,50 @@ class TestPredict:
                 np.testing.assert_array_equal(batch, halves)
             oracle, scale = dual_oracle(model, ids, xs)
             assert np.max(np.abs(batch - oracle) / scale) <= 1e-12
+
+    def test_linear_batch_keeps_the_row_sum_bits(self, tmp_path):
+        # the formula np.sum(x * W.T[index], axis=1) + b, bit for bit, whatever
+        # the inputs' memory order and whatever sequence holds the ids
+        ds, models = self.linear_models(tmp_path)
+        rng = np.random.default_rng(44)
+        xs = rng.normal(size=(157, ds.dim)) * np.exp(rng.normal(scale=4.0, size=(157, ds.dim)))
+        index = rng.integers(0, ds.m, size=len(xs))
+        ids = [ds.task_ids[i] for i in index]
+        for model in models:
+            for x in (xs, np.asfortranarray(xs)):
+                want = np.sum(x * tc.reconstruct_weights(model).T[index], axis=1) + model.biases[index]
+                for given in (ids, tuple(ids), (t for t in ids), np.array(ids)):
+                    np.testing.assert_array_equal(tc.predict_batch(model, given, x), want)
+                np.testing.assert_array_equal(tc.predict_batch(model, ids, x.tolist()), want)
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_bulk_checks_keep_their_order(self, toy, toy_hp, kind):
+        model = tc.fit(toy, tc.KernelSpec(kind, 2.0 if kind == "rbf" else None), toy_hp)
+        with pytest.raises(errors.DimensionMismatch, match=r"^2 task ids but 1 inputs$"):
+            tc.predict_batch(model, ["nope", ["task1"]], np.array([[np.nan]]))
+        with pytest.raises(errors.UnknownTask, match=r"^task 'nope' not in model$"):
+            tc.predict_batch(model, ["task1", "nope"], np.array([[np.nan], [1.0]]))
+        with pytest.raises(errors.NonFiniteValue, match=r"^query 1 \[nan\] is not finite$"):
+            tc.predict_batch(model, ["task1", "task2", "task3"], np.array([[1.0], [np.nan], [np.inf]]))
+        for unhashable in (["task1"], {"task1": 0}):
+            with pytest.raises(errors.UnknownTask, match="not in model"):
+                tc.predict_batch(model, ["task2", unhashable], [[1.0], [2.0]])
+            with pytest.raises(errors.UnknownTask, match="not in model"):
+                model.task_index(unhashable)
+
+    def test_task_map_is_built_once_per_model(self, toy, toy_hp, monkeypatch):
+        built, build = [], data.TrainedModel._task_lookup.func
+        lookup = functools.cached_property(lambda model: built.append(1) or build(model))
+        lookup.__set_name__(data.TrainedModel, "_task_lookup")
+        monkeypatch.setattr(data.TrainedModel, "_task_lookup", lookup)
+        model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+        ids = ["task3", "task1", "task3"]
+        for _ in range(3):
+            tc.predict_batch(model, ids, [[0.5], [1.5], [2.5]])
+        tc.predict(model, "task2", [2.0])
+        assert model.task_index("task2") == 1
+        assert ids == ["task3", "task1", "task3"]
+        assert len(built) == 1
 
     def test_linear_weights_are_cached_read_only(self, toy, toy_hp):
         model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)

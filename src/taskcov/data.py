@@ -142,17 +142,7 @@ def validate_dataset(ds):
     """
     if ds.m < 1:
         raise EmptyTask("dataset has no tasks")
-    seen = set()
-    for tid in ds.task_ids:
-        if not isinstance(tid, str):
-            raise InvalidTaskId(f"task id {tid!r} is not a string")
-        if tid in seen:
-            raise DuplicateTaskId(f"task id {tid!r} appears more than once")
-        if set(tid) & set(",\r\n") or any("\ud800" <= c <= "\udfff" for c in tid):
-            raise InvalidTaskId(f"task id {tid!r} holds a comma, a line break or a surrogate")
-        if tid != tid.strip():
-            raise InvalidTaskId(f"task id {tid!r} begins or ends with whitespace")
-        seen.add(tid)
+    _check_task_ids(ds.task_ids)
     for t in ds.tasks:
         if t.n < 1:
             raise EmptyTask(f"task {t.task_id!r} has no points")
@@ -166,6 +156,22 @@ def validate_dataset(ds):
                 f"task {t.task_id!r} has {t.targets.shape[0]} targets for {t.n} points"
             )
         _require_finite_task(t)
+
+
+def _check_task_ids(task_ids):
+    """Raise DuplicateTaskId or InvalidTaskId on the first task id that a
+    dataset (validate_dataset) or a model may not hold."""
+    seen = set()
+    for tid in task_ids:
+        if not isinstance(tid, str):
+            raise InvalidTaskId(f"task id {tid!r} is not a string")
+        if tid in seen:
+            raise DuplicateTaskId(f"task id {tid!r} appears more than once")
+        if set(tid) & set(",\r\n") or any("\ud800" <= c <= "\udfff" for c in tid):
+            raise InvalidTaskId(f"task id {tid!r} holds a comma, a line break or a surrogate")
+        if tid != tid.strip():
+            raise InvalidTaskId(f"task id {tid!r} begins or ends with whitespace")
+        seen.add(tid)
 
 
 def _require_finite_task(task):
@@ -262,8 +268,8 @@ class FitReport:
     of a model's stored state, after its final refresh, or of the point
     that a cross-validation fold fit's loop certified and its fold score
     reads (CvResult.reports): that P lies at most gap * |P| above the
-    optimum. products counts the combined-kernel products of the
-    fit's CG covariance steps (0 on a moment-form fit, which takes none).
+    optimum. products counts the CG covariance steps' products with K~,
+    each taken on the base Gram (0 on a moment-form fit, which has none).
     iterations counts the fit's proximal-gradient iterations, one value
     each in the objective trace. restarts counts those iterations whose
     candidate was not kept, so the momentum restarted and the trace
@@ -288,9 +294,9 @@ class TrainedModel(_ByValue):
     task-coupling matrix the dual expansion was solved with, retained so
     predictions are exactly reproducible (for models trained against a
     fixed relationship prior it is not derivable from the reported
-    covariance). report is the FitReport of the fit that made the model;
-    it is not saved and takes no part in comparisons, so a loaded or
-    hand-built model has None.
+    covariance). Task ids follow validate_dataset's rules. report is the
+    FitReport of the fit that made the model; it is not saved and takes
+    no part in comparisons, so a loaded or hand-built model has None.
     """
 
     task_ids: tuple
@@ -308,6 +314,7 @@ class TrainedModel(_ByValue):
 
     def __post_init__(self):
         object.__setattr__(self, "task_ids", tuple(self.task_ids))
+        _check_task_ids(self.task_ids)
         object.__setattr__(self, "dual_coefs", _readonly(self.dual_coefs))
         object.__setattr__(self, "biases", _readonly(self.biases))
         object.__setattr__(self, "coupling", _readonly(self.coupling))

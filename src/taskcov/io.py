@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .data import Hyperparams, KernelSpec, MultiTaskDataset, TaskCovariance, TaskData, TrainedModel, validate_dataset
-from .errors import CorruptModel, EmptyFile, NonFiniteValue, ParseError, VersionMismatch
+from .errors import CorruptModel, DuplicateTaskId, EmptyFile, InvalidTaskId, NonFiniteValue, ParseError, VersionMismatch
 
 MODEL_FORMAT = "taskcov-model 1"
 
@@ -99,8 +99,11 @@ def generate_toy(seed, noise_var=0.1):
     y = 3x+10, y = -3x-5 and y = 1.
 
     Inputs are sampled uniformly from [0, 10]; Gaussian noise with the
-    given variance corrupts the outputs. Deterministic under the seed.
+    given variance, finite and nonnegative (else ValueError), corrupts the
+    outputs. Deterministic under the seed.
     """
+    if not 0 <= noise_var < np.inf:
+        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var!r}")
     rng = np.random.default_rng(seed)
     tasks = []
     for k, (slope, intercept) in enumerate(TOY_COEFFICIENTS, start=1):
@@ -155,8 +158,8 @@ def load_model(path):
     """Load a model saved by save_model.
 
     Raises VersionMismatch on an unknown format line and CorruptModel on
-    checksum or structural damage or non-UTF-8 text. Predictions of the
-    loaded model match the original bit for bit.
+    checksum or structural damage, bad task ids included, or non-UTF-8
+    text. Predictions of the loaded model match the original bit for bit.
     """
     lines = _read_text(path, CorruptModel).split("\n")
     if not lines or not lines[0].startswith("taskcov-model"):
@@ -221,5 +224,5 @@ def load_model(path):
         )
     except CorruptModel:
         raise
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, DuplicateTaskId, InvalidTaskId) as exc:
         raise CorruptModel(f"{path}: {exc}") from None

@@ -1,9 +1,9 @@
-"""Base kernel blocks and the combined kernel.
+"""Base kernel blocks.
 
 The combined kernel between point x1 of task i1 and point x2 of task i2
-is C[i1, i2] * k(x1, x2), C the task-coupling matrix; a fit builds it
-from its base Gram (_combined_kernel). RBF blocks are built about the
-inputs' median, from one product and one exp (base_kernel_matrix).
+is C[i1, i2] * k(x1, x2), C the task-coupling matrix; no fit forms it
+(solver._cg_solve). RBF blocks are built about the inputs' median, from
+one product and one exp (base_kernel_matrix).
 """
 
 import numpy as np
@@ -96,18 +96,3 @@ def _spans(ds):
     ends = np.cumsum(ds.counts)
     return [(int(hi - n), int(hi)) for n, hi in zip(ds.counts, ends)]
 
-
-def _combined_kernel(ds, base, coupling, out=None):
-    """The N x N combined-kernel Gram over all points of all tasks, from an
-    already built base Gram, so that a fit can build the base Gram once
-    and re-couple it every iteration, into out when given (an N x N
-    array, or base itself).
-    The coupling is symmetrised, so that with the exactly symmetric base
-    Gram of base_kernel_matrix the product is exactly symmetric, and the
-    result is written per task row band, elementwise: base rows times the
-    task's coupling row."""
-    coupling = (coupling + coupling.T) / 2.0
-    k = np.empty_like(base) if out is None else out
-    for t, (lo, hi) in enumerate(_spans(ds)):
-        np.multiply(base[lo:hi], coupling[t, ds.point_task], out=k[lo:hi])
-    return k

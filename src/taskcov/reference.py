@@ -12,8 +12,8 @@ fit does run against them.
   coefficient step is a low-rank solve or projected CG
   (solver._coefficient_step).
 - assemble_kernel_matrix, multitask_kernel and base_kernel: the combined
-  kernel as a Gram, one entry and one base pair; a fit re-couples its base
-  Gram (kernels._combined_kernel).
+  kernel as a Gram, one entry and one base pair; a fit never forms it, but
+  multiplies through its base Gram with the coupling (solver._cg_solve).
 - psd_sqrt and psd_inverse: matrix functions through the eigendecomposition.
 - solve_wb_newtask (the weight step at a fixed augmented covariance),
   socp_instance and solve_omega_sigma (the cone step on the covariance
@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import TaskCovariance
 from .errors import DegenerateGram, DimensionMismatch, MaxIterationsExceeded, Singular, TaskIndexOutOfRange
-from .kernels import _combined_kernel, _spans, base_kernel_matrix
+from .kernels import _spans, base_kernel_matrix
 from .linalg import _require_psd, solve_linear, spectral_map, sym_eig
 from .newtask import SIGMA_MIN_DEFAULT, _newtask_value, _ridged
 from .solver import _centred_moments, _fitted_state, _loss_weights, _spread, _times_base
@@ -85,10 +85,12 @@ def assemble_kernel_matrix(ds, kernel, coupling):
     """N x N combined-kernel Gram over all points of all tasks.
 
     Entry (p, q) couples the tasks of flat points p and q and multiplies
-    by the base kernel of their inputs. It is written over the base Gram,
-    so the call holds one N x N array."""
-    base = base_kernel_matrix(kernel, ds.inputs)
-    return _combined_kernel(ds, base, coupling, out=base)
+    by the base kernel of their inputs: the base Gram's rows, scaled in
+    place by the symmetrised coupling's, so the call holds one N x N array."""
+    base, coupling = base_kernel_matrix(kernel, ds.inputs), (coupling + coupling.T) / 2.0
+    for t, (lo, hi) in enumerate(_spans(ds)):
+        base[lo:hi] *= coupling[t, ds.point_task]
+    return base
 
 
 def coupling_matrix(omega, hp):

@@ -34,12 +34,12 @@ A linear kernel with m*d < N holds W as (m, d) rows over per-task
 centred moments formed once (_moment_form), and solves each covariance
 step at F, a rank*d system (_range_solve); every other fit holds it as
 N x m coefficients against the base Gram K, built once, and solves each
-covariance step by projected CG (_gram_form, _cg_solve), stopped at a
-residual tied to hp.tol (_loop_cg_rtol): the loop keeps a step only on
-its exact P, whose error is second order in the residual.
+covariance step by projected CG on K itself (_gram_form, _cg_solve),
+stopped at a residual tied to hp.tol (_loop_cg_rtol): the loop keeps a
+step only on its exact P, whose error is second order in the residual.
 Its points carry a dual vector's image under K, so an iteration forms
-one product with K, one task band at a time (_times_base), and its step
-size comes from a Lanczos bound.
+one product with K beyond its CG's, each one task band at a time
+(_times_base), and its step size comes from a Lanczos bound.
 
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
@@ -70,7 +70,7 @@ import numpy as np
 
 from .data import FitReport, TaskCovariance, TrainedModel, validate_dataset
 from .errors import DimensionMismatch, NonDecreaseDetected, NonFiniteValue, SingularSystem
-from .kernels import _combined_kernel, _rbf_cross, _spans, base_kernel_matrix
+from .kernels import _rbf_cross, _spans, base_kernel_matrix
 from .linalg import _LANCZOS_STEPS, _centre, _check_residual, _top_eigenvalues
 
 SOLVERS = ("direct", "smo", "auto")  # the values fit accepts for solver, all one path
@@ -102,36 +102,41 @@ def _times_base(ds, base, alpha):
     """(K spread(alpha))^T for the symmetric base Gram K, as spread(alpha)^T
     K one task band at a time: row t is alpha_t K[band t], N^2 flops in
     all where the product with the N x m spread(alpha) takes m N^2. Every
-    product of a Gram-form fit with K is one call: one per covariance
-    step, one for its zero point (_gram_point) and one in the final
-    refresh."""
+    product of a Gram-form fit with K is one call: one per CG iteration
+    (_cg_solve), one per covariance step, one for its zero point
+    (_gram_point) and one in the final refresh."""
     out = np.empty((ds.m, ds.total))
     for t, (lo, hi) in enumerate(_spans(ds)):
         np.matmul(alpha[lo:hi], base[lo:hi], out=out[t])
     return out
 
 
-def _cg_solve(ds, k, start, rtol=_CG_RTOL, cap=None):
-    """The saddle system at the combined-kernel Gram k by projected CG
-    (Hestenes & Stiefel; Gould, Hribar & Nocedal): CG on P K~ P, k shifted
-    to K~ in place and P the per-task centring, from start, which sums to
-    0 per task, as every iterate then does. Stops at ||P (y - K~ alpha)||
-    <= rtol ||P y|| (the recurred residual), 1e-10 for a stored solve and
-    _loop_cg_rtol for a covariance step of the certified loop, or after
-    cap iterations (N, CG's finite-termination bound, by default). Returns
-    alpha, the biases and the number of products with K~: one per
-    iteration and one for the start's residual."""
+def _cg_solve(ds, base, coupling, start, rtol=_CG_RTOL, cap=None):
+    """The saddle system at coupling C by projected CG (Hestenes & Stiefel;
+    Gould, Hribar & Nocedal): CG on P K~ P, P the per-task centring, from
+    start, which sums to 0 per task, as every iterate then does; a product
+    K~ v = (K spread(v) C)[p, t_p] + n_p v_p / 2 reads the base Gram K once
+    (_times_base). Stops at ||P (y - K~ alpha)|| <= rtol ||P y|| (the
+    recurred residual), 1e-10 for a stored solve and _loop_cg_rtol for a
+    covariance step of the certified loop, or after cap iterations (N,
+    CG's finite-termination bound, by default). Returns alpha, the biases
+    and the number of products with K~: one per iteration and one for the
+    start's residual."""
     tasks, n, means = ds.point_task, ds.total, _spread(ds.point_task, ds.m, 1.0) / ds.counts
-    k[np.diag_indices(n)] += _loss_weights(ds) / 2.0
+    columns, shift = ((coupling + coupling.T) / 2.0)[:, tasks], _loss_weights(ds) / 2.0
+
+    def times(v):
+        return np.einsum("tp,tp->p", _times_base(ds, base, v), columns) + shift * v
+
     alpha = np.array(start, dtype=float)
-    rest = ds.targets - k @ alpha  # y - K~ alpha
+    rest = ds.targets - times(alpha)  # y - K~ alpha
     residual = rest - (rest @ means)[tasks]
     stop = rtol * np.linalg.norm(ds.targets - (ds.targets @ means)[tasks])
     direction, size, products = residual, residual @ residual, 1
     for _ in range(n if cap is None else cap):
         if np.sqrt(size) <= stop:
             break
-        image = k @ direction
+        image = times(direction)
         products += 1
         step = size / (direction @ image)
         alpha += step * direction
@@ -162,21 +167,18 @@ def _coefficient_step(ds, kernel, moments=None, base=None):
     base Gram K times alpha's task columns. moments and base, the
     dataset's _task_moments and base Gram, save forming them again. A
     linear kernel with m*d < N takes _low_rank_solve. Every other fit
-    writes the combined kernel into one N x N array that every call reuses
-    and _cg_solve shifts in place, solves by CG from start (0 by default)
-    to rtol and forms one _times_base product. Given a list products, the
-    call appends its product count: a covariance step of the loop. Without
-    one, it is a stored solve, gated on its saddle residual.
+    solves by CG on the base Gram (_cg_solve) from start (0 by default) to
+    rtol and forms one more _times_base product. Given a list products,
+    the call appends its product count: a covariance step of the loop.
+    Without one, it is a stored solve, gated on its saddle residual.
     """
     if _moment_fit(kernel, ds):
         moments = _task_moments(ds) if moments is None else moments
         return lambda coupling, factor, start=None: _low_rank_solve(ds, moments, coupling, factor)
     base = base_kernel_matrix(kernel, ds.inputs) if base is None else base
-    buffer = np.empty_like(base)
 
     def dense_step(coupling, factor, start=None, products=None, rtol=_CG_RTOL):
-        k = _combined_kernel(ds, base, coupling, out=buffer)
-        alpha, b, count = _cg_solve(ds, k, np.zeros(ds.total) if start is None else start, rtol)
+        alpha, b, count = _cg_solve(ds, base, coupling, np.zeros(ds.total) if start is None else start, rtol)
         product = _times_base(ds, base, alpha).T
         if products is None:
             return _checked_saddle(ds, coupling, alpha, b, product)

@@ -39,6 +39,15 @@ def test_make_toy_then_train(tmp_path, capsys):
     assert "objective trace:" in out
 
 
+@pytest.mark.parametrize("noise_var", ["-1", "nan"])
+def test_make_toy_refuses_a_bad_noise_variance(tmp_path, capsys, noise_var):
+    # in one error line, and no file is written
+    data = tmp_path / "toy.csv"
+    code, out, err = run(capsys, "make-toy", "--noise-var", noise_var, "--out", str(data))
+    assert code == 1 and out == "" and not data.exists()
+    assert err.startswith("error: ValueError: noise_var must be finite and nonnegative") and err.count("\n") == 1
+
+
 def test_zero_variance_task_prints_nan_correlations_after_saving(tmp_path, capsys):
     # task3 of the noiseless toy is y = 1: its weights, and so its variance
     # in the learned covariance, are 0. The model is written, and that

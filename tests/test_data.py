@@ -243,6 +243,21 @@ def test_task_id_that_is_not_a_string_rejected(tid):
         tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))
 
 
+@pytest.mark.parametrize("task_ids, error, message", [
+    (("task1", "task2", "task1"), errors.DuplicateTaskId, "'task1' appears more than once"),
+    (("task1", "a,b", "task3"), errors.InvalidTaskId, "holds a comma"),
+    ((1, 2, 3), errors.InvalidTaskId, "not a string"),
+    (("task1", " task2", "task3"), errors.InvalidTaskId, "whitespace"),
+])
+def test_trained_model_refuses_task_ids_a_dataset_refuses(toy, toy_hp, task_ids, error, message):
+    # a repeated id once served the last task of that id, an id with a
+    # comma saved a file that failed to load, and integer ids loaded back
+    # as strings
+    model = tc.fit(toy, tc.KernelSpec("linear"), toy_hp)
+    with pytest.raises(error, match=message):
+        dataclasses.replace(model, task_ids=task_ids)
+
+
 def test_numpy_string_task_ids_fit():
     ds = tc.MultiTaskDataset([(np.str_("a"), [[1.0], [2.0]], [1.0, 2.0]), (np.str_("b"), [[0.0], [1.0]], [0.0, 1.0])])
     model = tc.fit(ds, tc.KernelSpec("linear"), tc.Hyperparams(0.1, 0.1))

@@ -79,6 +79,12 @@ class TestToyGenerator:
     def test_deterministic(self):
         assert tc.generate_toy(9) == tc.generate_toy(9)
 
+    @pytest.mark.parametrize("noise_var", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_bad_noise_variance_refused(self, noise_var):
+        # such a variance once wrote noiseless targets without a word
+        with pytest.raises(ValueError, match="noise_var must be finite and nonnegative"):
+            tc.generate_toy(3, noise_var=noise_var)
+
     def test_noiseless_fit_recovers_coefficients(self):
         ds = tc.generate_toy(3, noise_var=0.0)
         hp = tc.Hyperparams(lam1=1e-6, lam2=5e-7)
@@ -149,6 +155,19 @@ class TestModelFile:
         digest = hashlib.sha256(payload.encode()).hexdigest()
         (tmp_path / "model.txt").write_text(f"{header}\nchecksum: {digest}\n{payload}")
         with pytest.raises(errors.CorruptModel, match=r"biases \(2,\) and coupling \(3, 3\) do not fit 3 tasks"):
+            tc.load_model(tmp_path / "model.txt")
+
+    def test_repeated_task_id_is_corrupt(self, tmp_path, toy, toy_hp):
+        # a hand-written tasks line that repeats an id, under a checksum
+        # that matches it: refused at load, naming the file, not served as
+        # the last task of that id
+        tc.save_model(self.fitted(toy, toy_hp), tmp_path / "model.txt")
+        header, checksum, *payload = (tmp_path / "model.txt").read_text().split("\n")
+        assert payload[0] == "tasks: task1,task2,task3"
+        payload = "\n".join(["tasks: task1,task2,task1"] + payload[1:])
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        (tmp_path / "model.txt").write_text(f"{header}\nchecksum: {digest}\n{payload}")
+        with pytest.raises(errors.CorruptModel, match=r"model\.txt: task id 'task1' appears more than once"):
             tc.load_model(tmp_path / "model.txt")
 
     def test_version_bump_detected(self, tmp_path, toy, toy_hp):

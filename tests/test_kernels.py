@@ -5,7 +5,6 @@ import pytest
 
 import taskcov as tc
 from taskcov import errors
-from taskcov.kernels import _combined_kernel
 from taskcov.linalg import spectral_map
 from conftest import random_dataset, smooth_dataset, traced_peak
 
@@ -234,7 +233,7 @@ class TestAssembly:
 
     def test_assembly_holds_one_n_by_n(self):
         # the combined kernel is written over the base Gram, with the bits
-        # it has when written into an array of its own
+        # of the base Gram times the symmetrised coupling at the points' tasks
         rng = np.random.default_rng(9)
         ds = smooth_dataset(54321, 6, 150, 4)
         b = rng.normal(size=(6, 6))
@@ -243,4 +242,5 @@ class TestAssembly:
         kernel = tc.KernelSpec("rbf", 1.0)
         k, peak = traced_peak(tc.assemble_kernel_matrix, ds, kernel, c)
         assert peak <= 1.1 * 8 * ds.total**2
-        assert np.array_equal(k, _combined_kernel(ds, tc.base_kernel_matrix(kernel, ds.inputs), c))
+        tasks, symmetric = ds.point_task, (c + c.T) / 2.0
+        assert np.array_equal(k, tc.base_kernel_matrix(kernel, ds.inputs) * symmetric[np.ix_(tasks, tasks)])

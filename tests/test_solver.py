@@ -250,10 +250,10 @@ class TestSmo:
         cg_starts, cg_products, cg_rtols, steps, seen = [], [], [], [], []
         cg_solve, certify, gram_form = solver._cg_solve, solver._certify, solver._gram_form
 
-        def cg_recording(ds, k, start, rtol):
+        def cg_recording(ds, base, coupling, start, rtol):
             cg_starts.append(start)
             cg_rtols.append(rtol)
-            alpha, b, products = cg_solve(ds, k, start, rtol)
+            alpha, b, products = cg_solve(ds, base, coupling, start, rtol)
             cg_products.append(products)
             return alpha, b, products
 
@@ -298,16 +298,17 @@ class TestCgStep:
     """The certified loop's covariance step: projected CG (_cg_solve)."""
 
     def test_matches_saddle_oracle(self):
-        # from 0 and from a random feasible start
+        # from 0 and from a random feasible start, leaving the base Gram as it was
         rng = np.random.default_rng(49)
         single = 0
         for ds, kernel, c in smo_instances():
             single += int(np.any(ds.counts == 1))
             alpha_ref, b_ref = saddle_system_oracle(ds, kernel, c)
             scale = max(1.0, np.max(np.abs(alpha_ref)), np.max(np.abs(b_ref)))
-            k = tc.assemble_kernel_matrix(ds, kernel, c)
+            base = tc.base_kernel_matrix(kernel, ds.inputs)
             for start in (np.zeros(ds.total), zero_sum_start(rng, ds)):
-                alpha, b, products = solver._cg_solve(ds, k.copy(), start)
+                alpha, b, products = solver._cg_solve(ds, base, c, start)
+                np.testing.assert_array_equal(base, tc.base_kernel_matrix(kernel, ds.inputs))
                 np.testing.assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-9 * scale)
                 np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-9 * scale)
                 assert 1 <= products <= ds.total + 1
@@ -318,7 +319,7 @@ class TestCgStep:
         rng = np.random.default_rng(50)
         for ds, kernel, c in smo_instances(count=10, seed=44):
             start = zero_sum_start(rng, ds)
-            alpha, _, products = solver._cg_solve(ds, tc.assemble_kernel_matrix(ds, kernel, c), start, cap=1)
+            alpha, _, products = solver._cg_solve(ds, tc.base_kernel_matrix(kernel, ds.inputs), c, start, cap=1)
             sums = np.bincount(ds.point_task, weights=alpha)
             assert np.max(np.abs(sums)) <= 1e-12 * np.max(np.abs(alpha)) and products <= 2
 
@@ -328,9 +329,9 @@ class TestCgStep:
         # the final refresh capped the same way is refused by its gate
         cg_solve, capped, refresh = solver._cg_solve, [], {"cap": None}
 
-        def capped_loop(ds, k, start, rtol):
+        def capped_loop(ds, base, coupling, start, rtol):
             capped.append(rtol)
-            return cg_solve(ds, k, start, rtol, cap=1 if rtol > solver._CG_RTOL else refresh["cap"])
+            return cg_solve(ds, base, coupling, start, rtol, cap=1 if rtol > solver._CG_RTOL else refresh["cap"])
 
         monkeypatch.setattr(solver, "_cg_solve", capped_loop)
         rng = np.random.default_rng(20260811)
@@ -363,9 +364,9 @@ class TestCgStep:
             form = gram_form(*args)
             return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
 
-        def recording(ds, k, start, rtol):
+        def recording(ds, base, coupling, start, rtol):
             tolerances.append(rtol)
-            return cg_solve(ds, k, start, rtol)
+            return cg_solve(ds, base, coupling, start, rtol)
 
         monkeypatch.setattr(solver, "_cg_solve", recording)
         monkeypatch.setattr(solver, "_gram_form", counted)
@@ -653,7 +654,7 @@ class TestLowRankStep:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense path ran")
 
-        for name in ("base_kernel_matrix", "_combined_kernel"):
+        for name in ("base_kernel_matrix", "_cg_solve"):
             monkeypatch.setattr(solver, name, refuse)
         ds, hp, _ = next(low_rank_instances(count=1))
         model = tc.fit(ds, self.kernel, hp)
@@ -1354,11 +1355,18 @@ class TestGramSteps:
 
     @pytest.mark.parametrize("name", ["smo", "auto", "direct"])
     def test_fit_forms_two_products_beyond_its_covariance_steps(self, name, monkeypatch):
-        # one product with K per covariance step, one for the zero point's
-        # dual image and one in the final refresh: 8 on the rbf-smo shape,
-        # whose fit here takes 6 covariance steps, and on wide linear data
-        products, steps = [], []
-        times_base, gram_form = solver._times_base, solver._gram_form
+        # every product with K is one band product: one per CG product of
+        # the loop's covariance steps and of the final refresh, one more per
+        # covariance step, one for the zero point's dual image and one in
+        # the final refresh; the rbf-smo shape's fit here takes 6 covariance
+        # steps, and the report counts the loop's CG products
+        products, steps, cg = [], [], []
+        times_base, gram_form, cg_solve = solver._times_base, solver._gram_form, solver._cg_solve
+
+        def counted_cg(*args):
+            alpha, b, count = cg_solve(*args)
+            cg.append(count)
+            return alpha, b, count
 
         def counted(*args):
             form = gram_form(*args)
@@ -1366,15 +1374,18 @@ class TestGramSteps:
 
         monkeypatch.setattr(solver, "_times_base", lambda *args: products.append(1) or times_base(*args))
         monkeypatch.setattr(solver, "_gram_form", counted)
+        monkeypatch.setattr(solver, "_cg_solve", counted_cg)
         fits = [(smooth_dataset(54321, 6, 150, 4), tc.KernelSpec("rbf", 1.0), tc.Hyperparams(0.03, 0.03)),
                 (planted_dataset(3, 4, 20, 100, 3), tc.KernelSpec("linear"), tc.Hyperparams(0.03, 0.03))]
         for k, (ds, kernel, hp) in enumerate(fits):
-            products.clear(), steps.clear()
+            products.clear(), steps.clear(), cg.clear()
             model = tc.fit(ds, kernel, hp, solver=name)
             assert model.report.stop_reason == "gap"
-            assert len(products) == len(steps) + 2 == len(model.objective_trace)
+            assert len(cg) == len(steps) + 1 and model.report.products == sum(cg[:-1])
+            assert len(products) == sum(cg) + len(steps) + 2
+            assert len(steps) + 2 == len(model.objective_trace)
             if k == 0:
-                assert len(products) == 8
+                assert len(steps) == 6
 
 
 def dual_oracle(model, ids, xs):
@@ -1708,9 +1719,15 @@ class TestRbfMemory:
         return traced_peak(tc.fit, *problem)
 
     def test_auto_fit_peak(self, fitted):
-        # the base Gram and the combined kernel CG works on: 2 N x N
+        # the base Gram, which CG multiplies through: 1 N x N
         model, peak = fitted
-        assert peak <= 2.2 * 8 * model.support_inputs.shape[0] ** 2
+        assert peak <= 1.2 * 8 * model.support_inputs.shape[0] ** 2
+
+    def test_fixed_inverse_fit_peak(self, problem):
+        # one CG solve on the base Gram: 1 N x N
+        ds, kernel, hp = problem
+        _, peak = traced_peak(tc.fit_with_fixed_inverse, ds, kernel, hp, tc.laplacian_mean_regularization(ds.m))
+        assert peak <= 1.2 * 8 * ds.total ** 2
 
     def test_direct_solve_peak(self, problem, fitted):
         # the public LU solve at the fit's coupling holds its kernel and the

@@ -112,6 +112,13 @@ class MultiTaskDataset:
             self.point_task = _readonly(np.zeros(0), dtype=int)
         self._index = {tid: i for i, tid in enumerate(self.task_ids)}
 
+    @cached_property
+    def _spans(self):
+        """(first, end) of each task's points in flat order, built once:
+        every product of a Gram-form fit with the base Gram reads them."""
+        ends = np.cumsum(self.counts)
+        return tuple((int(hi - n), int(hi)) for n, hi in zip(self.counts, ends))
+
     def task_index(self, task_id):
         try:
             return self._index[task_id]

@@ -89,10 +89,3 @@ def _exp_block(kernel, t, hu, hv, xa, xb):
         t[:, j] = -0.5 * np.sum(((xa - xb[j]) / kernel.width) ** 2, axis=1)
     np.minimum(t, 0.0, out=t)
     np.exp(t, out=t)
-
-
-def _spans(ds):
-    """(first, end) of each task's points in flat order."""
-    ends = np.cumsum(ds.counts)
-    return [(int(hi - n), int(hi)) for n, hi in zip(ds.counts, ends)]
-

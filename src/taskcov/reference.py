@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import TaskCovariance
 from .errors import DegenerateGram, DimensionMismatch, MaxIterationsExceeded, Singular, TaskIndexOutOfRange
-from .kernels import _spans, base_kernel_matrix
+from .kernels import base_kernel_matrix
 from .linalg import _require_psd, solve_linear, spectral_map, sym_eig
 from .newtask import SIGMA_MIN_DEFAULT, _newtask_value, _ridged
 from .solver import _centred_moments, _fitted_state, _loss_weights, _spread, _times_base
@@ -88,7 +88,7 @@ def assemble_kernel_matrix(ds, kernel, coupling):
     by the base kernel of their inputs: the base Gram's rows, scaled in
     place by the symmetrised coupling's, so the call holds one N x N array."""
     base, coupling = base_kernel_matrix(kernel, ds.inputs), (coupling + coupling.T) / 2.0
-    for t, (lo, hi) in enumerate(_spans(ds)):
+    for t, (lo, hi) in enumerate(ds._spans):
         base[lo:hi] *= coupling[t, ds.point_task]
     return base
 
@@ -214,7 +214,7 @@ def _smo_solve(ds, k, kkt_tol=SMO_DEFAULT_TOL, max_rounds=SMO_MAX_ROUNDS):
     tol = kkt_tol * min(1.0, float(np.max(np.abs(ds.targets))))
     k[np.diag_indices(n)] += _loss_weights(ds) / 2.0  # k is now K~
     grad = -ds.targets  # gradient of h at alpha = 0
-    task_slices = [slice(lo, hi) for lo, hi in _spans(ds)]
+    task_slices = [slice(lo, hi) for lo, hi in ds._spans]
     # single-point tasks: zero-sum pins alpha at 0
     paired = [(grad[sl], sl.start) for sl in task_slices if sl.stop - sl.start >= 2]
     alpha, diag, rows, buf = [0.0] * n, k.diagonal().tolist(), list(k), np.empty(n)

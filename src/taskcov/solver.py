@@ -29,7 +29,7 @@ duality gap (P - D) / |P| falls to hp.tol, D taken at alpha_p =
 coupling come from one more coefficient step at the final covariance.
 Every Omega, C and factor F (C = F F^T) of a fit, a model's included,
 is read off its weights' m-side singular vectors and values, the ones
-the prox step takes, by one map (_svd_coupling).
+the prox step takes, by one map (_svd_factor, _svd_coupling).
 A linear kernel with m*d < N holds W as (m, d) rows over per-task
 centred moments formed once (_moment_form), and solves each covariance
 step at F, a rank*d system (_range_solve); every other fit holds it as
@@ -44,7 +44,8 @@ one product with K beyond its CG's, each one task band at a time
 fit is the one-point path of one dataset through _fit_path, the hook
 that cross-validation fits its folds along its grid with: each
 dataset's moments or base Gram are built once for the whole path, and
-moment-form fits start warm from the point before and run stacked. The
+moment-form fits run stacked, each from the lowest P of zero, its
+per-task ridge rows and its point before (_fit_path). The
 path yields each fit's certified point, which cross-validation scores
 as it is; only fit asks for its model, and with it the final refresh.
 
@@ -70,7 +71,7 @@ import numpy as np
 
 from .data import FitReport, TaskCovariance, TrainedModel, validate_dataset
 from .errors import DimensionMismatch, NonDecreaseDetected, NonFiniteValue, SingularSystem
-from .kernels import _rbf_cross, _spans, base_kernel_matrix
+from .kernels import _rbf_cross, base_kernel_matrix
 from .linalg import _LANCZOS_STEPS, _centre, _check_residual, _top_eigenvalues
 
 SOLVERS = ("direct", "smo", "auto")  # the values fit accepts for solver, all one path
@@ -106,7 +107,7 @@ def _times_base(ds, base, alpha):
     (_cg_solve), one per covariance step, one for its zero point
     (_gram_point) and one in the final refresh."""
     out = np.empty((ds.m, ds.total))
-    for t, (lo, hi) in enumerate(_spans(ds)):
+    for t, (lo, hi) in enumerate(ds._spans):
         np.matmul(alpha[lo:hi], base[lo:hi], out=out[t])
     return out
 
@@ -345,19 +346,18 @@ def _relative_gap(value, bound, scale):
     return gap / floor if floor else (0.0 if gap == 0.0 else float("inf"))
 
 
-def _svd_coupling(left, values, hp):
-    """(Omega, C, F) of weights W with m-side singular vectors left (m x k)
-    and singular values values, descending, read off with no
-    decomposition: Omega = (W^T W)^{1/2} / tr((W^T W)^{1/2}) has
-    eigenvectors left and eigenvalues mu = values / sum(values), and C =
-    Omega (lam1 Omega + lam2 I)^{-1} maps each mu to its gain
-    mu / (lam1 mu + lam2). Values at or below 1e-7 of the largest are cut,
-    as reference.update_omega cuts W^T W's eigenvalues at 1e-14. Zero
-    weights give I/m and its coupling. Leading axes hold independent
-    problems. C's
-    factor is F = left diag(sqrt(gain)) on the kept columns, C = F F^T: a
-    stack keeps its largest kept rank, a cut column of F is 0, and zero
-    weights give F = sqrt(gain) I."""
+def _svd_factor(left, values, hp):
+    """(left, mu, gain, F) of weights W with m-side singular vectors left
+    (m x k) and singular values values, descending: Omega = (W^T W)^{1/2} /
+    tr((W^T W)^{1/2}) has eigenvalues mu = values / sum(values) on left, C
+    = Omega (lam1 Omega + lam2 I)^{-1} maps each to its gain
+    mu / (lam1 mu + lam2), and C = F F^T for F = left diag(sqrt(gain)) on
+    the kept columns. Values at or below 1e-7 of the largest are cut, as
+    reference.update_omega cuts W^T W's eigenvalues at 1e-14. Leading axes
+    hold independent problems: a stack keeps its largest kept rank, a cut
+    column of F is 0, and zero weights read as Omega = I/m on left = I
+    (a stack holding them pads every member's left to m columns). The
+    moment-form step reads F alone."""
     kept = values > 1e-7 * values[..., :1]
     values = values * kept
     total = np.add.reduce(values, axis=-1, keepdims=True)
@@ -365,22 +365,26 @@ def _svd_coupling(left, values, hp):
     mu = values / (total + zero)
     # a cut value's mu = 0 maps to 0, also where lam2 = 0 would make it 0/0
     gain = mu / (hp.lam1 * mu + (hp.lam2 if hp.lam2 > 0.0 else ~kept))
-    right = left.swapaxes(-1, -2)
-    omega, coupling = (left * mu[..., None, :]) @ right, (left * gain[..., None, :]) @ right
-    factor = (left * np.sqrt(gain)[..., None, :])[..., :int(kept.sum(axis=-1).max())]
+    rank = int(kept.sum(axis=-1).max())
     if zero.any():
-        m, zero = left.shape[-2], zero[..., None]
-        unrelated = 1.0 / m
-        gain = unrelated / (hp.lam1 * unrelated + hp.lam2)
-        omega = np.where(zero, np.eye(m) * unrelated, omega)
-        coupling = np.where(zero, np.eye(m) * gain, coupling)
-        factor = np.concatenate([factor, np.zeros(factor.shape[:-1] + (m - factor.shape[-1],))], axis=-1)
-        factor = np.where(zero, np.eye(m) * np.sqrt(gain), factor)
-    return omega, coupling, factor
+        rank = m = left.shape[-2]
+        pad = [(0, 0)] * (left.ndim - 1) + [(0, m - left.shape[-1])]
+        left = np.where(zero[..., None], np.eye(m), np.pad(left, pad))
+        mu = np.where(zero, 1.0 / m, np.pad(mu, pad[1:]))
+        gain = np.where(zero, (1.0 / m) / (hp.lam1 * (1.0 / m) + hp.lam2), np.pad(gain, pad[1:]))
+    return left, mu, gain, (left * np.sqrt(gain)[..., None, :])[..., :rank]
+
+
+def _svd_coupling(left, values, hp):
+    """(Omega, C, F) of weights with m-side singular vectors left and
+    singular values values, read off with no decomposition (_svd_factor)."""
+    left, mu, gain, factor = _svd_factor(left, values, hp)
+    right = left.swapaxes(-1, -2)
+    return (left * mu[..., None, :]) @ right, (left * gain[..., None, :]) @ right, factor
 
 
 # The certified loop's view of one fit's weights (_certify).
-_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular primal dual dual_point solve products")
+_Form = namedtuple("_Form", "zero lipschitz convexity gradient singular bounds dual_point solve products")
 
 
 def _moment_curvature(gram):
@@ -425,24 +429,21 @@ def _moment_form(datasets, moments, hp, curvature=None):
         left, values, right = np.linalg.svd(weights, full_matrices=False)
         return left, values, lambda shrunk: (left * shrunk[..., None, :]) @ right
 
-    def primal(weights, norm=None):
-        if norm is None:
-            norm = np.linalg.svd(weights, compute_uv=False).sum(axis=-1)
-        smooth = (weights * (0.5 * times(weights) - cross + 0.5 * hp.lam1 * weights)).sum(axis=(-2, -1))
-        return constant + smooth + 0.5 * hp.lam2 * norm * norm
-
-    def dual(weights):
-        # z_t = X~_t^T alpha_t = c_t - G_t w_t, and
-        # sum_p (alpha_p y~_p - n_p alpha_p^2 / 4) = constant - w.Gw / 2
+    def bounds(weights, norm=None):
+        # one G w and one SVD of [W, z] give P and D: z_t = X~_t^T alpha_t = c_t - G_t w_t
+        # at the dual point, and sum_p (alpha_p y~_p - n_p alpha_p^2 / 4) = constant - w.Gw / 2
         gw = times(weights)
-        z = np.linalg.svd(cross - gw, compute_uv=False)
-        return constant - 0.5 * (weights * gw).sum(axis=(-2, -1)) - _penalty_conjugate(z, hp)
+        spectra = np.linalg.svd(np.stack([weights, cross - gw]), compute_uv=False)
+        norm = spectra[0].sum(axis=-1) if norm is None else norm
+        smooth = (weights * (0.5 * gw - cross + 0.5 * hp.lam1 * weights)).sum(axis=(-2, -1))
+        return (constant + smooth + 0.5 * hp.lam2 * norm * norm,
+                constant - 0.5 * (weights * gw).sum(axis=(-2, -1)) - _penalty_conjugate(spectra[1], hp))
 
     return _Form(
         zero=np.zeros_like(cross), lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1,
         gradient=lambda weights: times(weights) - cross + hp.lam1 * weights,
-        singular=singular, primal=primal, dual=dual, dual_point=None,
-        solve=lambda coupling, factor, weights: _range_solve(gram, cross, factor), products=(),
+        singular=singular, bounds=bounds, dual_point=None,
+        solve=lambda left, values, weights: _range_solve(gram, cross, _svd_factor(left, values, hp)[-1]), products=(),
     )
 
 
@@ -453,11 +454,10 @@ def _gram_curvature(ds, base):
     of more than _LANCZOS_STEPS + 1 points, and a full eigensolve of the
     others (whose Krylov basis would span their range within those steps)
     and where Lanczos does not converge."""
-    spans = _spans(ds)
-    large = [(lo, hi) for lo, hi in spans if hi - lo > _LANCZOS_STEPS + 1]
+    large = [(lo, hi) for lo, hi in ds._spans if hi - lo > _LANCZOS_STEPS + 1]
     tops = dict(zip(large, _top_eigenvalues([base[lo:hi, lo:hi] for lo, hi in large]))) if large else {}
     high = 0.0
-    for lo, hi in spans:
+    for lo, hi in ds._spans:
         top = tops.get((lo, hi))
         if top is None:
             k = base[lo:hi, lo:hi]
@@ -545,17 +545,15 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
 
         return vectors, values, rebuild
 
-    def primal(point, norm=None):
+    def bounds(point, norm=None):
+        coefs, product, image, alpha = parts(point)
         norm = float(singular(point)[1].sum()) if norm is None else norm
-        coefs, product = parts(point)[:2]
         loss = 0.25 * float(np.sum(n * dual_point(point) ** 2))
-        return loss + 0.5 * hp.lam1 * float(np.sum(coefs * product)) + 0.5 * hp.lam2 * norm * norm
+        return (loss + 0.5 * hp.lam1 * float(np.sum(coefs * product)) + 0.5 * hp.lam2 * norm * norm,
+                _dual_value(ds, y, alpha, _spread(tasks, m, alpha).T @ image, hp))
 
-    def dual(point):
-        _, _, image, alpha = parts(point)
-        return _dual_value(ds, y, alpha, _spread(tasks, m, alpha).T @ image, hp)
-
-    def covariance_step(coupling, factor, point):
+    def covariance_step(left, values, point):
+        _, coupling, factor = _svd_coupling(left, values, hp)
         alpha, _, product = step(coupling, factor, dual_point(point), products=products, rtol=rtol)
         out = np.empty_like(zero)
         coefs, carried, image, carried_alpha = parts(out)
@@ -568,44 +566,43 @@ def _gram_form(ds, base, step, hp, curvature=None, zero=None):
     products, rtol = [], _loop_cg_rtol(hp.tol)
     return _Form(
         zero=zero, lipschitz=lipschitz + hp.lam1, convexity=convexity + hp.lam1, gradient=gradient,
-        singular=singular, primal=primal, dual=dual, dual_point=dual_point,
+        singular=singular, bounds=bounds, dual_point=dual_point,
         solve=covariance_step, products=products,
     )
 
 
-def _certify(form, hp, traces, start=None):
+def _certify(form, hp, traces, starts=()):
     """Minimise P over the weights W of one fit, held as form (a _Form):
     W = 0, bounds L >= mu on the curvature of P's smooth part (the loss
     plus lam1/2 ||W||_F^2), and functions of W: that part's gradient;
     (left, values, rebuild), W's m-side singular vectors and values
-    (descending) and the map from new values to weights; P, given the
-    trace norm when known; D at a dual vector summing to 0 per task; the
-    dual point alpha_p = 2 r_p / n_p; and the weights minimising the
-    objective at a coupling C given with its factor F, C = F F^T (the
-    Gram form reads C, the moment form F). A _moment_form holds independent
-    problems along a leading axis; each then runs the loop below on its
-    own, and traces holds one list per problem (one for a _gram_form).
-    Points are combined only affinely, so a point may carry values affine
-    in W (_gram_form).
+    (descending) and the map from new values to weights; P and D, given
+    the trace norm when known, D at a dual vector summing to 0 per task;
+    the dual point alpha_p = 2 r_p / n_p; and the weights minimising the
+    objective at the coupling of W's covariance, given W's left and
+    values. A _moment_form holds independent problems along a leading
+    axis; each then runs the loop below on its own, and traces holds one
+    list per problem (one for a _gram_form). Points are combined only
+    affinely, so a point may carry values affine in W (_gram_form).
 
-    The loop starts at W = 0, or at start where P(start) < P(0). Each
-    iteration takes an accelerated proximal-gradient step from the
-    extrapolated point, with step 1/L and momentum
-    (sqrt L - sqrt mu) / (sqrt L + sqrt mu): the prox of the squared trace
-    norm shrinks the singular values (_shrink). Then, unless the prox
-    point W is 0, the exact covariance step from it, W' solving at the
-    coupling of W's covariance (_svd_coupling): P(W') <= P(W), since that
-    step is optimal at the covariance it is given, so W' (W where W is 0)
-    is the one candidate. It is kept if its P is below the kept one, and
-    appended to the trace; otherwise the momentum restarts from the kept
-    point (a restart). Each kept point gives a dual bound, and the best
-    one is kept. A problem stops on P - D <= hp.tol |P|, and is frozen
-    from then on; the loop ends when every problem has stopped or after
-    hp.max_iters iterations. Returns the weights, and per problem whether
-    it stopped on the gap, its bound D and its restarts, as lists.
+    The loop starts at the lowest P among W = 0 and the candidates starts
+    (the first of a tie), with the best D among them. Each iteration
+    takes an accelerated proximal-gradient step from the extrapolated
+    point, with step 1/L and momentum (sqrt L - sqrt mu) / (sqrt L +
+    sqrt mu): the prox of the squared trace norm shrinks the singular
+    values (_shrink). Then, unless the prox point W is 0, the exact
+    covariance step from it, W' solving at the coupling of W's covariance
+    (_svd_factor): P(W') <= P(W), since that step is optimal at the
+    covariance it is given, so W' (W where W is 0) is the one candidate.
+    It is kept if its P is below the kept one, and appended to the trace;
+    otherwise the momentum restarts from the kept point (a restart). Each
+    kept point gives a dual bound, and the best one is kept. A problem
+    stops on P - D <= hp.tol |P|, and is frozen from then on; the loop
+    ends when every problem has stopped or after hp.max_iters iterations.
+    Returns the weights, and per problem whether it stopped on the gap,
+    its bound D and its restarts, as lists.
     """
     zero = form.zero
-    value = _floats(form.primal(zero, 0.0))
     lead = np.shape(form.lipschitz)
     axes = lead + (1,) * (zero.ndim - len(lead))  # a per-problem value against the weights
 
@@ -619,11 +616,13 @@ def _certify(form, hp, traces, start=None):
     momentum = np.reshape((lipschitz - convexity) / (lipschitz + convexity), axes)
     step = np.reshape(1.0 / np.asarray(form.lipschitz), axes)
     weights, shrink = zero, np.reshape(step * hp.lam2, lead + (1,))
-    if start is not None:
-        start_value = _floats(form.primal(start))
+    value, bound = map(_floats, form.bounds(zero, 0.0))
+    for start in starts:
+        start_value, start_bound = map(_floats, form.bounds(start))
         better = [s < v for s, v in zip(start_value, value)]
-        weights, value = pick(better, start, zero), [min(s, v) for s, v in zip(start_value, value)]
-    bound, ahead, active, restarts = _floats(form.dual(weights)), weights, [True] * len(value), [0] * len(value)
+        weights, value = pick(better, start, weights), [min(s, v) for s, v in zip(start_value, value)]
+        bound = [max(b, d) for b, d in zip(bound, start_bound)]
+    ahead, active, restarts = weights, [True] * len(value), [0] * len(value)
     for _ in range(hp.max_iters):
         prox = form.gradient(ahead)  # ahead - step * gradient, in place
         prox *= -step
@@ -633,9 +632,8 @@ def _certify(form, hp, traces, start=None):
         best, norm, prox, rebuild = rebuild(values), values.sum(axis=-1), None, None  # drops the prox input
         nonzero = [z > 0.0 for z in _floats(values[..., 0])]
         if any(nonzero):
-            _, coupling, factor = _svd_coupling(left, values, hp)
-            best, norm = pick(nonzero, form.solve(coupling, factor, best), best), None
-        best_value = _floats(form.primal(best, norm))
+            best, norm = pick(nonzero, form.solve(left, values, best), best), None
+        best_value, best_bound = map(_floats, form.bounds(best, norm))
         kept = [on and b < v for on, b, v in zip(active, best_value, value)]
         restarts = [r + (on and not k) for r, on, k in zip(restarts, active, kept)]
         best = pick(kept, best, weights)
@@ -643,9 +641,7 @@ def _certify(form, hp, traces, start=None):
         ahead *= momentum
         ahead += best
         weights, value = best, [b if k else v for k, b, v in zip(kept, best_value, value)]
-        if any(kept):
-            dual = _floats(form.dual(weights))
-            bound = [max(b, d) if k else b for k, b, d in zip(kept, bound, dual)]
+        bound = [max(b, d) if k else b for k, b, d in zip(kept, bound, best_bound)]
         for trace, v, on in zip(traces, value, active):
             if on:
                 trace.append(v)
@@ -709,12 +705,13 @@ def _fit_path(datasets, kernel, hps):
     Linear datasets with m*d < N that share (m, d) run as one stacked
     _moment_form, a lone one as a stack of one; every other dataset runs
     alone, so at most one base Gram is alive at a time. A moment-form
-    problem starts at every point after the first from its certified
-    weights at the point before (_certify keeps the start only where it
-    lowers P), so a path should step between nearby points; a Gram-form
-    fit starts cold at every point, as fit does, because there a warm
-    start was seen to cost iterations. Only a caller that asks for a fit's
-    model runs its final refresh (_refreshed).
+    problem starts at the lowest P (_certify) among W = 0, its per-task
+    ridge rows w_t = (G_t + (lam1 + lam2) I)^{-1} c_t, which minimise P
+    where W has rank 1 (all of d = 1) and a lower bound of P otherwise
+    (||W||_*^2 >= ||W||_F^2), and, after the first point, its certified
+    weights at the point before; a Gram-form fit starts cold at every
+    point, because there a warm start was seen to cost iterations. Only a
+    caller that asks for a fit's model runs its final refresh (_refreshed).
     """
     if any(hp.lam1 <= 0 for hp in hps):
         raise ValueError("fitting requires lam1 > 0")
@@ -746,11 +743,16 @@ def _path(group, kernel, hps):
     if warm:
         moments = tuple(_task_moments(ds) for ds in group)
         steps = [_coefficient_step(ds, kernel, mo) for ds, mo in zip(group, moments)]
-        curvature = _moment_curvature(np.array([mo[4] for mo in moments]))
+        gram, cross = (np.array([mo[k] for mo in moments]) for k in (4, 5))
+        curvature = _moment_curvature(gram)
         targets = [mo[3] for mo in moments]
 
         def form_at(hp):
             return _moment_form(group, moments, hp, curvature)
+
+        def starts(hp, previous):
+            ridge = np.linalg.solve(gram + (hp.lam1 + hp.lam2) * np.eye(gram.shape[-1]), cross[..., None])[..., 0]
+            return [ridge] if previous is None else [ridge, previous]
 
         def certified(weights, k):
             return weights, moments[k][1] - np.einsum("ij,ij->i", moments[k][0], weights)
@@ -774,7 +776,7 @@ def _path(group, kernel, hps):
     for i, hp in enumerate(hps):
         form = form_at(hp)
         traces = [[float(np.sum(ds.targets**2 / _loss_weights(ds)))] for ds in group]  # at W = 0, b = 0
-        weights, gapped, bounds, restarts = _certify(form, hp, traces, weights if warm else None)
+        weights, gapped, bounds, restarts = _certify(form, hp, traces, starts(hp, weights) if warm else ())
         for k, (ds, own, y, step, trace, stopped, bound, restart) in enumerate(zip(
                 group, weights if warm else [weights], targets, steps, traces, gapped, bounds, restarts)):
             report = FitReport("gap" if stopped else "iteration cap", _relative_gap(trace[-1], bound, trace[0]),

@@ -205,7 +205,7 @@ def test_cv_reports_its_fold_fits(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed, kernel, l1, capped", [
-    pytest.param(0, "linear", (0.01, 0.1), 4, id="toy-linear"),
+    pytest.param(0, "linear", (0.01, 0.1), 0, id="toy-linear"),  # d = 1: the ridge start is exact
     pytest.param(1, "linear", (0.01, 0.1), 0, id="none-capped"),
     pytest.param(35, "rbf", (0.0001, 0.001), 1, id="toy-rbf"),  # at the fifth grid point
 ])
@@ -224,6 +224,19 @@ def test_cv_names_the_grid_points_of_capped_fold_fits(seed, kernel, l1, capped, 
     lines = out.splitlines()
     assert lines[-2 - bool(capped)].startswith("fold fits: ") and lines[-1].startswith("chosen: ")
     assert [line for line in lines if line.startswith("capped")] == ([f"capped: {', '.join(points)}"] if capped else [])
+
+
+def test_cv_on_the_toy_caps_no_fold_fit(tmp_path, capsys):
+    # the paper's toy problem has d = 1, where every fold fit starts at its
+    # optimum: all 8 stop on the gap at rounding level, and the chosen point
+    # is the one the capped fold fits gave
+    data = tmp_path / "toy.csv"
+    run(capsys, "make-toy", "--out", str(data))
+    code, out, _ = run(capsys, "cv", str(data), "--l1", "0.01,0.1", "--l2", "0.005,0.05", "--folds", "2")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "chosen: l1=0.1 l2=0.05"
+    match = re.fullmatch(r"fold fits: 8, stop: gap 8, iteration cap 0, largest relative gap (\S+)", lines[-2])
+    assert match and float(match.group(1)) <= 1e-12, lines[-2]
 
 
 def test_cv_deterministic_reports(tmp_path, capsys):
@@ -298,7 +311,7 @@ def test_new_task_rejects_existing_id(tmp_path, capsys):
 def test_train_reports_iteration_cap(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     run(capsys, "make-toy", "--seed", "35", "--out", str(data))
-    code, out, _ = run(capsys, "train", str(data), "--max-iters", "1")
+    code, out, _ = run(capsys, "train", str(data), "--kernel", "rbf", "--max-iters", "1")
     assert code == 0
     assert out.startswith("hit the iteration cap at 1 iterations")
 
@@ -309,7 +322,7 @@ def test_train_status_is_scale_invariant():
     small = tc.MultiTaskDataset([(t.task_id, t.inputs, 1e-10 * t.targets) for t in ds.tasks])
     hp = tc.Hyperparams(lam1=0.01, lam2=0.005, max_iters=2)
     for data in (ds, small):
-        model = tc.fit(data, tc.KernelSpec("linear"), hp)
+        model = tc.fit(data, tc.KernelSpec("rbf", 1.0), hp)  # a linear toy fit (d = 1) stops after one iteration
         assert _train_status(model).startswith("hit the iteration cap at 2 iterations")
 
 

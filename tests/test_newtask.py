@@ -307,11 +307,11 @@ def from_scratch_objective(inputs, targets, weights_existing, omega, hp, w, b, c
 # search polish, run on the models of the duality-gap fit; the exact step
 # must never end above these
 ALTERNATION_OBJECTIVES = (
-    0.13085579384912505, 0.8431946805814379, 0.5165632504424157, 0.9327396077995954,
-    0.2714121193624095, 1.3951760800138135, 0.6408836507477569, 0.2341685477689126,
-    0.17649022022252964, 0.28592453455343925, 1.2559713860837358, 0.9094276796790838,
-    0.4108244538624226, 0.11950736219215642, 1.0160521386832728, 1.2886760962848276,
-    0.5196540288512391, 0.6880122161215337, 0.2923041644471409, 0.34617366686078643,
+    0.1308557938491249, 0.843194643803914, 0.5165620540179131, 0.9327366504754299,
+    0.2714121193624093, 1.3951797957254488, 0.6408879603010552, 0.2341675944213511,
+    0.1764902202225297, 0.2859246676131235, 1.255969028423614, 0.9094400878732858,
+    0.4108244538624227, 0.1195073242733963, 1.0160494557145299, 1.2886723198973233,
+    0.5196540288512393, 0.6880112730677421, 0.2923027736287726, 0.3461721400337507,
 )
 # the same on TestIncorporate.big_new_targets, where sigma <= 1 - sigma_min binds
 ALTERNATION_BIG_TARGETS_OBJECTIVE = 283872297210.22424

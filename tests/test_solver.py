@@ -7,7 +7,7 @@ import pytest
 
 import taskcov as tc
 from taskcov import data, errors, linalg
-from taskcov import reference, solver
+from taskcov import crossval, reference, solver
 from conftest import planted_dataset, random_dataset, smooth_dataset, traced_peak
 from test_acceptance import _convergence_instance
 
@@ -260,7 +260,7 @@ class TestSmo:
         def counted(*args):
             form = gram_form(*args)
             seen.append(form)
-            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
+            return form._replace(solve=lambda left, values, point: steps.append(1) or form.solve(left, values, point))
 
         monkeypatch.setattr(solver, "_cg_solve", cg_recording)
         monkeypatch.setattr(solver, "_gram_form", counted)
@@ -362,7 +362,7 @@ class TestCgStep:
 
         def counted(*args):
             form = gram_form(*args)
-            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
+            return form._replace(solve=lambda left, values, point: steps.append(1) or form.solve(left, values, point))
 
         def recording(ds, base, coupling, start, rtol):
             tolerances.append(rtol)
@@ -518,7 +518,8 @@ class TestLowRankStep:
 
     def test_linear_2k_fit_solves_on_the_weights_rank(self, monkeypatch):
         # the benchmark's linear-2k data has rank-3 weights: the systems have
-        # side rank*d (30 at the certified weights), never m*d = 100
+        # side rank*d (30 at the certified weights), never m*d = 100, after
+        # the ridge start's d-square system per task
         ds = planted_dataset(12345, tasks=10, points=200, dim=10, rank=3)
         sides, ranks, range_solve = [], [], solver._range_solve
 
@@ -533,8 +534,8 @@ class TestLowRankStep:
         monkeypatch.setattr(solver, "_range_solve", spy)
         monkeypatch.setattr(solver.np.linalg, "solve", solve)
         model = tc.fit(ds, self.kernel, tc.Hyperparams(0.03, 0.03))
-        assert model.report.stop_reason == "gap" and len(model.objective_trace) == 9
-        assert sides == [10 * r for r in ranks] and len(sides) == 8
+        assert model.report.stop_reason == "gap" and len(model.objective_trace) == 6
+        assert sides == [10] + [10 * r for r in ranks] and len(sides) == 6
         assert 100 not in sides and sides[-3:] == [30, 30, 30]
 
     def test_cross_validation_runs_no_low_rank_refresh(self, monkeypatch):
@@ -670,7 +671,7 @@ class TestLowRankStep:
 
         def counted(*args):
             form = gram_form(*args)
-            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
+            return form._replace(solve=lambda left, values, point: steps.append(1) or form.solve(left, values, point))
 
         monkeypatch.setattr(solver, "_low_rank_solve", refuse)
         monkeypatch.setattr(solver, "_gram_form", counted)
@@ -1215,18 +1216,21 @@ class TestCertificate:
             point = solver._gram_point(ds, base, solver._centred_targets(ds), np.concatenate([b.ravel(), (base @ b).ravel()]))
             weights = (x.T @ b).T
             stacked = weights[None]
-            coupling = tc.coupling_matrix(unit_trace_psd(rng, m), hp)
-            factor = eigh_factor(coupling)
+            omega = unit_trace_psd(rng, m)
+            coupling = tc.coupling_matrix(omega, hp)
+            mu, vectors = np.linalg.eigh(omega.matrix)  # a covariance step reads W's singular structure
+            spectrum = vectors[:, ::-1], mu[::-1]
 
             def features(p):
                 return (x.T @ p[:b.size].reshape(b.shape)).T
 
+            (moment_primal,), (moment_dual,) = moment_form.bounds(stacked)
             pairs = [
-                (moment_form.primal(stacked)[0], gram_form.primal(point)),
-                (moment_form.dual(stacked)[0], gram_form.dual(point)),
+                (moment_primal, gram_form.bounds(point)[0]),
+                (moment_dual, gram_form.bounds(point)[1]),
                 (solver._moment_dual_point(ds, moments, weights), gram_form.dual_point(point)),
                 (moment_form.gradient(stacked)[0], features(gram_form.gradient(point))),
-                (moment_form.solve(coupling, factor, stacked)[0], features(exact_form.solve(coupling, factor, point))),
+                (moment_form.solve(*spectrum, stacked)[0], features(exact_form.solve(*spectrum, point))),
                 (solver._svd_coupling(*moment_form.singular(stacked)[:2], hp)[0][0],
                  solver._svd_coupling(*gram_form.singular(point)[:2], hp)[0]),
                 (moment_form.lipschitz[0], gram_form.lipschitz),
@@ -1247,7 +1251,7 @@ class TestCertificate:
             def centred(v):
                 return v - (np.bincount(ds.point_task, v) / ds.counts)[ds.point_task]
 
-            alpha = gram_form.solve(coupling, factor, point)[3 * b.size:]
+            alpha = gram_form.solve(*spectrum, point)[3 * b.size:]
             k = tc.assemble_kernel_matrix(ds, self.kernel, coupling) + np.diag(ds.counts[ds.point_task] / 2.0)
             residual = np.linalg.norm(centred(ds.targets - k @ alpha))
             assert residual <= solver._loop_cg_rtol(hp.tol) * np.linalg.norm(centred(ds.targets))
@@ -1266,6 +1270,83 @@ class TestCertificate:
         message = str(info.value)
         assert re.fullmatch(r"objective rose from \S+ to 4\.0 in the final refresh", message), message
         float(message.split()[3])
+
+
+class TestRidgeStart:
+    """A moment-form fit starts at the lowest P among W = 0, its per-task
+    ridge rows and, along a path, its certified weights at the point
+    before."""
+
+    kernel = tc.KernelSpec("linear")
+
+    @staticmethod
+    def ridge(ds, hp):
+        """w_t = (G_t + (lam1 + lam2) I)^{-1} c_t, task by task."""
+        gram, cross = solver._task_moments(ds)[4:]
+        return np.array([np.linalg.solve(g + (hp.lam1 + hp.lam2) * np.eye(ds.dim), c) for g, c in zip(gram, cross)])
+
+    def test_ridge_start_is_the_optimum_at_d_1(self):
+        # every m x 1 weight matrix has rank 1, so ||W||_* = ||W||_F and P is
+        # the per-task ridge objective: a tol-1e-12 fit stops after one
+        # iteration, at the ridge rows
+        rng = np.random.default_rng(71)
+        instances = [(tc.generate_toy(0), tc.Hyperparams(0.01, 0.005, tol=1e-12))]
+        for _ in range(20):
+            ds = random_dataset(rng, m=int(rng.integers(1, 6)), d=1, n_lo=2, n_hi=9)
+            instances.append((ds, tc.Hyperparams(*(10 ** rng.uniform(-3, 0, size=2)), tol=1e-12)))
+        for ds, hp in instances:
+            model = tc.fit(ds, self.kernel, hp)
+            assert (model.report.stop_reason, model.report.iterations) == ("gap", 1)
+            want = self.ridge(ds, hp)
+            np.testing.assert_allclose(tc.reconstruct_weights(model).T, want, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_toy_fits_stop_on_the_gap_at_once(self):
+        # the paper's toy problem (d = 1) and both training sets of its
+        # 2-fold split stop on the gap after at most 2 iterations at every
+        # point of the CI's toy grid, where the fold fits used to hit the cap
+        ds = tc.generate_toy(0)
+        assignment = crossval.assign_folds(ds, 2, 0)
+        for data in [ds] + [crossval._split(ds, assignment, fold)[0] for fold in range(2)]:
+            for lam1 in (0.01, 0.1):
+                for lam2 in (0.005, 0.05):
+                    report = tc.fit(data, self.kernel, tc.Hyperparams(lam1, lam2)).report
+                    assert report.stop_reason == "gap" and report.iterations <= 2, report
+
+    def test_path_point_starts_from_the_lowest_objective_candidate(self, monkeypatch):
+        # a stack of three datasets along a path: each problem's first
+        # iterate is the candidate of least P among W = 0, the ridge rows
+        # and, after the first point, the weights certified at the point before
+        datasets = [planted_dataset(seed, tasks=4, points=12, dim=3, rank=2) for seed in (5, 6, 7)]
+        hps = [tc.Hyperparams(lam1, lam2) for lam1, lam2 in ((0.01, 1.0), (0.01, 1.2), (0.01, 0.01), (0.3, 0.01))]
+        certify, seen = solver._certify, []
+
+        def spy(form, hp, traces, starts=()):
+            first, gradient = [], form.gradient
+
+            def recording(weights):
+                if not first:
+                    first.append(weights.copy())
+                return gradient(weights)
+
+            out = certify(form._replace(gradient=recording), hp, traces, starts)
+            seen.append((form, list(starts), first[0], out[0]))
+            return out
+
+        monkeypatch.setattr(solver, "_certify", spy)
+        assert len(list(solver._fit_path(datasets, self.kernel, hps))) == len(hps) * len(datasets)
+        winners = set()
+        for i, (form, starts, first, _) in enumerate(seen):
+            assert len(starts) == (1 if i == 0 else 2)
+            np.testing.assert_allclose(starts[0], [self.ridge(ds, hps[i]) for ds in datasets], rtol=1e-12, atol=0)
+            if i:
+                np.testing.assert_array_equal(starts[1], seen[i - 1][3])
+            candidates = [form.zero] + starts
+            values = np.array([form.bounds(c)[0] for c in candidates])  # candidate x problem
+            for k, winner in enumerate(np.argmin(values, axis=0)):
+                np.testing.assert_array_equal(first[k], candidates[winner][k])
+                winners.add(int(winner))
+        assert winners >= {1, 2}  # the ridge rows start some problem, the point before others
 
 
 def centred_top(block):
@@ -1370,7 +1451,7 @@ class TestGramSteps:
 
         def counted(*args):
             form = gram_form(*args)
-            return form._replace(solve=lambda coupling, factor, point: steps.append(1) or form.solve(coupling, factor, point))
+            return form._replace(solve=lambda left, values, point: steps.append(1) or form.solve(left, values, point))
 
         monkeypatch.setattr(solver, "_times_base", lambda *args: products.append(1) or times_base(*args))
         monkeypatch.setattr(solver, "_gram_form", counted)
